@@ -3,7 +3,9 @@
 Every command is a pure function of (inputs, flags, seed): two runs with the
 same arguments produce byte-identical output.  Exit code 0 means the verdict
 passed or the query succeeded, 1 means a computational verdict failed (the
-witness is printed), and 2 means the invocation itself was bad.
+witness is printed), 2 means the invocation or its input was refused, and 3
+means an internal error (a broken engine invariant, recursion too deep, or
+an exponent beyond the packed monomial keys), reported on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 from .domains import GF, QQ, domain_from_name
 from .groebner import (
+    GroebnerError,
     Ideal,
     codimension,
     dimension,
@@ -24,7 +27,7 @@ from .groebner import (
     regular_pair_gcd_check,
 )
 from .minors import GenericMatrix, laplace_strength_bound, maximal_minors
-from .orders import order_from_name
+from .orders import KeyWidthError, order_from_name
 from .parse import (
     dump_ideal_text,
     format_poly,
@@ -401,6 +404,9 @@ def run(argv) -> int:
     except (ValueError, KeyError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (GroebnerError, KeyWidthError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -12,16 +12,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on these 13 bases is exact below this bound, the least strong
+# pseudoprime to all of them (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017); the first 12 bases alone admit the
+# composite 318665857834031151167461
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; moduli at or above _MR_LIMIT are refused
+    with ValueError rather than answered probabilistically."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large: primality is decided only below {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -6,15 +6,25 @@ interreduced, so the result is the unique reduced basis for (ideal, order).
 Dimension comes from maximal independent variable sets of the leading-term
 ideal; intersections use the single-auxiliary-variable elimination trick,
 and quotients divide an intersection through by the quotienting element.
+
+All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
+(CASC 2007).  Inside it a monomial is its packed order key (see
+``orders.Packing``): an int that is smaller for larger monomials and adds
+under multiplication.  A term dict maps keys to coefficients; shifting a
+reducer by the quotient monomial adds one int to each of its keys, a
+divisibility test is one subtraction and one mask, and a min-heap of the
+keys in the work dict yields each leading term.  Exponent tuples appear
+only where polynomials enter and leave the engine and in the pair
+criteria.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 
 from itertools import combinations
 
-from .orders import DEGREVLEX, elimination
+from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, elimination, packing
 from .poly import (
     Poly,
     Ring,
@@ -32,14 +42,25 @@ class GroebnerError(RuntimeError):
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, descending leading terms."""
 
-    __slots__ = ("ring", "order", "elements", "lead_monomials", "reduced")
+    __slots__ = ("ring", "order", "elements", "lead_monomials", "_reducers")
 
-    def __init__(self, ring, order, elements):
+    def __init__(self, ring, order, elements, _lead_monomials=None):
         self.ring = ring
         self.order = order
         self.elements = list(elements)
-        self.lead_monomials = [g.leading_monomial(order) for g in self.elements]
-        self.reduced = True
+        if _lead_monomials is None:
+            _lead_monomials = [g.leading_monomial(order) for g in self.elements]
+        self.lead_monomials = _lead_monomials
+        self._reducers = None
+
+    def _kernel_reducers(self):
+        """The elements in the kernel's form (see ``_reduce_terms``), built
+        on first use."""
+        if self._reducers is None:
+            pk = packing(self.order, self.ring.nvars)
+            dom = self.ring.domain
+            self._reducers = [_reducer(_encode(pk, g), pk, dom) for g in self.elements]
+        return self._reducers
 
     def is_unit(self):
         return len(self.elements) == 1 and not any(self.lead_monomials[0])
@@ -68,42 +89,93 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {self.order!r})"
 
 
-def _memo_key(order):
-    cache = {}
-    rawkey = order.key
-
-    def key(m):
-        k = cache.get(m)
-        if k is None:
-            k = cache[m] = rawkey(m)
-        return k
-
-    return key
+def _encode(pk, f):
+    """The terms of f as a kernel term dict ``{key: coefficient}``."""
+    key = pk.key
+    return {key(m): c for m, c in f.terms.items()}
 
 
-def _reduce_terms(terms, lms, tails, key, dom):
-    """Full normal form of a term dict against monic reducers."""
-    zero = dom.zero
-    sub, mul = dom.sub, dom.mul
-    work = dict(terms)
+def _decode(pk, work, ring):
+    monomial = pk.monomial
+    return Poly(ring, {monomial(k): c for k, c in work.items()}, _clean=False)
+
+
+def _reducer(work, pk, dom):
+    """A nonzero term dict as ``(lead key, lead vector, monic tail)``, the
+    tail a list of (key, coefficient) pairs; ``work`` is used up."""
+    lk = min(work)
+    lc = work.pop(lk)
+    if lc == dom.one:
+        tail = list(work.items())
+    else:
+        inv, mul = dom.inv(lc), dom.mul
+        tail = [(k, mul(c, inv)) for k, c in work.items()]
+    return lk, pk.vector(lk), tail
+
+
+def _reduce_terms(work, reducers, pk, dom, quotient=None):
+    """Divide a term dict ``{key: coefficient}`` by monic reducers.
+
+    Returns the remainder as a term dict in descending order; ``work`` is
+    used up.  The heap holds the keys of the work dict; a popped key that
+    is no longer in ``work`` was cancelled since it was pushed and is
+    skipped.  That is sound because every term a reduction creates is
+    smaller than the lead it removes, so a key leaves the heap for good
+    once its term is processed.  Each lead goes to the first reducer whose
+    lead divides it, else to the remainder.  With a ``quotient`` dict (one
+    reducer) the quotient terms are recorded in it and the first lead that
+    is not divisible raises GroebnerError.
+    """
+    heap = list(work)
+    heapify(heap)
+    vector, guard = pk.vector, pk.guard
+    p = dom.characteristic
     remainder = {}
-    nred = len(lms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i in range(nred):
-            if mono_divides(lms[i], m):
-                q = mono_div(m, lms[i])
-                for gm, gc in tails[i].items():
-                    mm = mono_mul(gm, q)
-                    s = sub(work.get(mm, zero), mul(c, gc))
-                    if s:
-                        work[mm] = s
+    while heap:
+        k = heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        v = vector(k)
+        if v & guard:
+            raise KeyWidthError(f"exponent above {MAX_EXPONENT}, the packed key limit")
+        for lk, lv, tail in reducers:
+            if (v - lv) & guard:
+                continue
+            q = k - lk
+            if quotient is not None:
+                quotient[q] = c
+            if p:
+                for gk, gc in tail:
+                    mk = gk + q
+                    old = work.get(mk)
+                    if old is None:
+                        work[mk] = -c * gc % p
+                        heappush(heap, mk)
                     else:
-                        work.pop(mm, None)
-                break
+                        s = (old - c * gc) % p
+                        if s:
+                            work[mk] = s
+                        else:
+                            del work[mk]
+            else:
+                for gk, gc in tail:
+                    mk = gk + q
+                    old = work.get(mk)
+                    if old is None:
+                        work[mk] = -c * gc
+                        heappush(heap, mk)
+                    else:
+                        s = old - c * gc
+                        if s:
+                            work[mk] = s
+                        else:
+                            del work[mk]
+            break
         else:
-            remainder[m] = c
+            if quotient is not None:
+                raise GroebnerError("exact division failed (internal invariant)")
+            remainder[k] = c
     return remainder
 
 
@@ -113,39 +185,26 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
         raise ValueError("polynomial and basis live in different rings")
     if not f.terms or not basis.elements:
         return f
-    key = _memo_key(basis.order)
-    dom = f.ring.domain
-    lms = basis.lead_monomials
-    tails = [
-        {m: c for m, c in g.terms.items() if m != lm}
-        for g, lm in zip(basis.elements, lms)
-    ]
-    rem = _reduce_terms(f.terms, lms, tails, key, dom)
-    return Poly(f.ring, rem, _clean=False)
+    pk = packing(basis.order, f.ring.nvars)
+    rem = _reduce_terms(_encode(pk, f), basis._kernel_reducers(), pk, f.ring.domain)
+    return _decode(pk, rem, f.ring)
 
 
-def _spair_terms(gi, gj, lmi, lmj, lcmij, dom):
-    """S-polynomial of two monic elements, as a raw term dict."""
-    qi = mono_div(lcmij, lmi)
-    qj = mono_div(lcmij, lmj)
-    res = {}
-    zero = dom.zero
-    add, sub = dom.add, dom.sub
-    for m, c in gi.items():
-        mm = mono_mul(m, qi)
-        s = add(res.get(mm, zero), c)
+def _spair(ri, rj, lcm_key, dom):
+    """S-polynomial of two reducers with the given lcm key, as a work dict;
+    the monic leads cancel, so only the tails are shifted."""
+    qi = lcm_key - ri[0]
+    qj = lcm_key - rj[0]
+    work = {gk + qi: c for gk, c in ri[2]}
+    sub, zero = dom.sub, dom.zero
+    for gk, c in rj[2]:
+        mk = gk + qj
+        s = sub(work.get(mk, zero), c)
         if s:
-            res[mm] = s
+            work[mk] = s
         else:
-            res.pop(mm, None)
-    for m, c in gj.items():
-        mm = mono_mul(m, qj)
-        s = sub(res.get(mm, zero), c)
-        if s:
-            res[mm] = s
-        else:
-            res.pop(mm, None)
-    return res
+            work.pop(mk, None)
+    return work
 
 
 def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
@@ -162,11 +221,11 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
         return GroebnerBasis(ring, order, [])
 
     dom = ring.domain
-    key = _memo_key(order)
+    pk = packing(order, ring.nvars)
+    enc = pk.key
 
     lms = []          # leading monomials of current elements
-    tails = []        # tail term dicts (element minus its lead, monic)
-    full = []         # full monic term dicts
+    reducers = []     # (lead key, lead vector, monic tail) per element
     pairs = {}        # (i, j) -> lcm, i < j
     heap = []
 
@@ -200,58 +259,61 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
             if coprime:
                 continue  # product criterion
             pairs[(i, t)] = l
-            heapq.heappush(heap, (key(l), i, t))
+            heappush(heap, (-enc(l), i, t))
 
-    def add_element(terms):
-        lm = max(terms, key=key)
-        lc = terms[lm]
-        if lc != dom.one:
-            inv = dom.inv(lc)
-            terms = {m: dom.mul(c, inv) for m, c in terms.items()}
-        t = len(full)
-        lms.append(lm)
-        tails.append({m: c for m, c in terms.items() if m != lm})
-        full.append(terms)
-        push_pairs(t)
+    def add_element(rem):
+        reducer = _reducer(rem, pk, dom)
+        lms.append(pk.monomial(reducer[0]))
+        reducers.append(reducer)
+        push_pairs(len(reducers) - 1)
 
-    for g in sorted(gens, key=lambda p: key(p.leading_monomial(order))):
-        reduced = _reduce_terms(g.terms, lms, tails, key, dom)
-        if reduced:
-            add_element(reduced)
+    # generators in ascending order of their leading monomials
+    works = [_encode(pk, g) for g in gens]
+    for work in sorted(works, key=lambda w: -min(w)):
+        rem = _reduce_terms(work, reducers, pk, dom)
+        if rem:
+            add_element(rem)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j = heappop(heap)
         l = pairs.pop((i, j), None)
         if l is None:
             continue
-        s = _spair_terms(full[i], full[j], lms[i], lms[j], l, dom)
-        if not s:
+        work = _spair(reducers[i], reducers[j], enc(l), dom)
+        if not work:
             continue
-        reduced = _reduce_terms(s, lms, tails, key, dom)
-        if reduced:
-            add_element(reduced)
+        rem = _reduce_terms(work, reducers, pk, dom)
+        if rem:
+            add_element(rem)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(full)), key=lambda t: key(lms[t]))
+    order_idx = sorted(range(len(reducers)), key=lambda t: -reducers[t][0])
     minimal = []
     for t in order_idx:
         if not any(mono_divides(lms[u], lms[t]) for u in minimal if u != t):
             minimal.append(t)
-    # interreduce tails
-    min_lms = [lms[t] for t in minimal]
+    # interreduce tails, each against the others as reduced so far
+    kept = [reducers[t] for t in minimal]
+    for pos, (lk, lv, tail) in enumerate(kept):
+        rem = _reduce_terms(dict(tail), kept[:pos] + kept[pos + 1 :], pk, dom)
+        kept[pos] = (lk, lv, list(rem.items()))
+    kept.sort(key=lambda r: r[0])
+    # one tuple per distinct monomial, shared by the elements it occurs in
+    monos = {}
+    monomial = pk.monomial
+
+    def decode(k):
+        m = monos.get(k)
+        if m is None:
+            m = monos[k] = monomial(k)
+        return m
+
     result = []
-    min_tails = [dict(tails[t]) for t in minimal]
-    for pos in range(len(minimal)):
-        others_lms = min_lms[:pos] + min_lms[pos + 1 :]
-        others_tails = min_tails[:pos] + min_tails[pos + 1 :]
-        rem = _reduce_terms(min_tails[pos], others_lms, others_tails, key, dom)
-        min_tails[pos] = rem
-    for lm, tail in zip(min_lms, min_tails):
-        terms = dict(tail)
-        terms[lm] = dom.one
+    for lk, _, tail in kept:
+        terms = {decode(k): c for k, c in tail}
+        terms[decode(lk)] = dom.one
         result.append(Poly(ring, terms, _clean=False))
-    result.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(ring, order, result)
+    return GroebnerBasis(ring, order, result, [decode(lk) for lk, _, _ in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -384,27 +446,14 @@ def exact_divide(f: Poly, g: Poly, order=DEGREVLEX) -> Poly:
     """Quotient f/g when g divides f exactly; raises otherwise."""
     if not g.terms:
         raise ZeroDivisionError("division by the zero polynomial")
-    dom = f.ring.domain
-    key = _memo_key(order)
-    lm_g = g.leading_monomial(order)
-    lc_g = g.terms[lm_g]
-    rest = dict(f.terms)
+    ring = f.ring
+    dom = ring.domain
+    pk = packing(order, ring.nvars)
+    reducer = _reducer(_encode(pk, g), pk, dom)
     quot = {}
-    while rest:
-        m = max(rest, key=key)
-        if not mono_divides(lm_g, m):
-            raise GroebnerError("exact division failed (internal invariant)")
-        c = dom.div(rest[m], lc_g)
-        q = mono_div(m, lm_g)
-        quot[q] = c
-        for gm, gc in g.terms.items():
-            mm = mono_mul(gm, q)
-            s = dom.sub(rest.get(mm, dom.zero), dom.mul(c, gc))
-            if s:
-                rest[mm] = s
-            else:
-                rest.pop(mm, None)
-    return Poly(f.ring, quot, _clean=False)
+    _reduce_terms(_encode(pk, f), [reducer], pk, dom, quot)
+    inv, mul = dom.inv(g.terms[pk.monomial(reducer[0])]), dom.mul
+    return _decode(pk, {q: mul(c, inv) for q, c in quot.items()}, ring)
 
 
 def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
@@ -491,11 +540,12 @@ def regular_pair_gcd_check(f1: Poly, f2: Poly) -> PairReport:
 
 def spolynomial(f: Poly, g: Poly, order=DEGREVLEX) -> Poly:
     """S-polynomial of two nonzero polynomials (test oracle helper)."""
-    dom = f.ring.domain
     fm = f.monic(order)
     gm = g.monic(order)
     lmf = fm.leading_monomial(order)
     lmg = gm.leading_monomial(order)
     l = mono_lcm(lmf, lmg)
-    terms = _spair_terms(fm.terms, gm.terms, lmf, lmg, l, dom)
-    return Poly(f.ring, terms, _clean=False)
+    one = f.ring.domain.one
+    qf = Poly(f.ring, {mono_div(l, lmf): one}, _clean=False)
+    qg = Poly(f.ring, {mono_div(l, lmg): one}, _clean=False)
+    return qf * fm - qg * gm

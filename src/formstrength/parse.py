@@ -72,39 +72,55 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.ring.zero()
+        dom = self.ring.domain
+        add, zero = dom.add, dom.zero
+        terms = {}
+
+        def accumulate(mono, c):
+            if not c:
+                return
+            s = add(terms.get(mono, zero), c)
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+
         sign = 1
         tok = self.peek()
         if tok in ("+", "-"):
             self.next()
             sign = -1 if tok == "-" else 1
-        poly = poly + self.term(sign)
+        accumulate(*self.term(sign))
         while self.peek() is not None:
             tok, pos = self.next()
             if tok == "+":
-                poly = poly + self.term(1)
+                accumulate(*self.term(1))
             elif tok == "-":
-                poly = poly + self.term(-1)
+                accumulate(*self.term(-1))
             else:
                 raise PolyParseError(f"expected '+' or '-', got {tok!r}", pos)
-        return poly
+        return Poly(self.ring, terms, _clean=False)
 
     def term(self, sign):
-        factors = [self.factor()]
+        """One product of factors, as (exponent tuple, coefficient)."""
+        dom = self.ring.domain
+        exps = [0] * self.ring.nvars
+        coeff = dom.mul(dom.from_int(sign), self.factor(exps))
         while self.peek() == "*":
             self.next()
-            factors.append(self.factor())
-        out = self.ring.const(self.ring.domain.from_int(sign))
-        for f in factors:
-            out = out * f
-        return out
+            coeff = dom.mul(coeff, self.factor(exps))
+        return tuple(exps), coeff
 
-    def factor(self):
+    def factor(self, exps):
+        """Read one factor: a variable power is added into ``exps``, and the
+        factor's coefficient (one for a variable power) is returned."""
         if self.peek() is None:
             raise PolyParseError("unexpected end of input", self.pos())
         tok, pos = self.next()
+        dom = self.ring.domain
         if tok[0] == "x":
-            return self.varpow(tok, pos)
+            self.varpow(tok, pos, exps)
+            return dom.one
         if tok.isdigit():
             num = int(tok)
             if self.peek() == "/":
@@ -115,11 +131,11 @@ class _Parser:
                 den = int(dtok)
                 if den == 0:
                     raise PolyParseError("invalid rational: zero denominator", dpos)
-                return self.ring.const(self.ring.domain(num, den))
-            return self.ring.const(self.ring.domain.from_int(num))
+                return dom(num, den)
+            return dom.from_int(num)
         raise PolyParseError(f"expected coefficient or variable, got {tok!r}", pos)
 
-    def varpow(self, name, pos):
+    def varpow(self, name, pos, exps):
         try:
             idx = self.ring.index_of(name)
         except KeyError:
@@ -130,7 +146,7 @@ class _Parser:
             if self.peek() is None or not self.peek().isdigit():
                 raise PolyParseError("expected integer exponent after '^'", self.pos())
             exp = int(self.next()[0])
-        return self.ring.var(idx) ** exp
+        exps[idx] += exp
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:

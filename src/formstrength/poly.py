@@ -7,6 +7,8 @@ immutable by convention: no operation mutates an existing polynomial.
 
 from __future__ import annotations
 
+import operator
+
 from .domains import QQ
 from .orders import DEGREVLEX
 
@@ -15,7 +17,7 @@ from .orders import DEGREVLEX
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a, b):
@@ -25,7 +27,7 @@ def mono_divides(a, b):
 
 def mono_div(a, b):
     """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a, b):

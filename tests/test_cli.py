@@ -1,4 +1,5 @@
 import json
+import time
 
 from formstrength.cli import run
 
@@ -195,3 +196,38 @@ def test_version_flag(capsys):
     assert run(["--version"]) == 0
     out, _ = _capture(capsys)
     assert out.strip() == "0.1.0"
+
+
+def test_large_prime_modulus_decided_quickly(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=fp:1000000000000000003\nx1^2 + 3*x2^2\nx1*x2\n")
+    start = time.perf_counter()
+    assert run(["gb", "codim", "--in", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    out, _ = _capture(capsys)
+    assert out.strip() == "2"
+
+
+def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
+    import formstrength.groebner as groebner
+
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=q\nx1\nx2\n")
+    for exc in (groebner.GroebnerError("invariant broken"), RecursionError("too deep")):
+        def broken(*args, _exc=exc, **kwargs):
+            raise _exc
+
+        monkeypatch.setattr(groebner, "groebner_basis", broken)
+        monkeypatch.setattr(groebner, "_BASIS_CACHE", {})
+        assert run(["gb", "codim", "--in", str(path)]) == 3
+        out, err = _capture(capsys)
+        assert out == ""
+        assert err.startswith("internal error: ") and str(exc) in err
+
+
+def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=fp:32003\nx1^40000 - x2\n")
+    assert run(["gb", "basis", "--in", str(path)]) == 3
+    _, err = _capture(capsys)
+    assert "KeyWidthError" in err

@@ -36,10 +36,12 @@ def test_prime_field_division_by_zero():
 
 
 def test_nonprime_modulus_rejected():
-    with pytest.raises(ValueError):
-        GF(4)
-    with pytest.raises(ValueError):
-        GF(1)
+    # 561, 41041 and 825265 are Carmichael numbers;
+    # 318665857834031151167461 passes Miller-Rabin on every prime base up
+    # to 37, and base 41 exposes it
+    for n in (4, 1, 561, 41041, 825265, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            GF(n)
 
 
 def test_large_prime_accepted_and_cached():
@@ -52,3 +54,12 @@ def test_domain_from_name():
     assert domain_from_name("fp:7") is GF(7)
     with pytest.raises(ValueError):
         domain_from_name("fp7")
+
+
+def test_large_prime_accepted():
+    assert GF(2**61 - 1).inv(2) == 2**60
+
+
+def test_modulus_beyond_the_deterministic_range_refused():
+    with pytest.raises(ValueError, match="too large"):
+        GF(2**89 - 1)
