@@ -30,7 +30,6 @@ from .poly import Grading, Poly, Ring
 from .polygcd import multivariate_gcd
 from .quadratic import (
     DiagonalPair,
-    Pencil,
     QuadraticForm,
     collective_strength_quadrics,
     coordinate_primary_components,

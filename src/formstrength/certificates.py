@@ -29,7 +29,6 @@ from .minors import (
 )
 from .poly import Grading, Poly, Ring
 from .quadratic import (
-    Pencil,
     QuadraticForm,
     collective_strength_quadrics,
     minrank_bruteforce,
@@ -103,7 +102,7 @@ class Certificate:
 # N(3,2) >= 2: the 3x2 minor family
 
 
-def certify_n32_lower(seed: int = 0, scan_prime: int = 5, threads: int = 1) -> Certificate:
+def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     """Three quadrics of collective strength 1 that are not a regular
     sequence: the maximal minors of the generic 3x2 matrix."""
     family = maximal_minors(GenericMatrix(3, 2, QQ))
@@ -234,7 +233,7 @@ _SAMPLE_F3 = "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x1*x6 + x1*x3"
 
 
 def certify_n32_upper_sample(
-    seed: int = 0, scan_prime: int = 11, minrank_prime: int = 101, threads: int = 1
+    seed: int = 0, scan_prime: int = 11, minrank_prime: int = 101
 ) -> Certificate:
     """The full strength-2 implication chain, run on a fixed sample triple:
     minrank, singular-locus codimension, primality certificate, and the
@@ -256,7 +255,7 @@ def certify_n32_upper_sample(
         )
         for q in (f1, f2, f3)
     ]
-    coll = collective_strength_quadrics(Pencil(scan_forms), threads=threads)
+    coll = collective_strength_quadrics(scan_forms)
     subs.append(
         SubVerdict(
             f"collective_strength_at_least_2_over_f{scan_prime}",
@@ -288,7 +287,7 @@ def certify_n32_upper_sample(
 
     formula = minrank_formula(dp)
     image = dp.reduce_mod(minrank_prime)
-    scan = minrank_bruteforce(*image.forms(), threads=threads)
+    scan = minrank_bruteforce(*image.forms())
     subs.append(
         SubVerdict(
             "minrank_at_least_5",
@@ -355,7 +354,7 @@ def certify_n32_upper_sample(
 # N(3,3) > 2: the 4x3 minor family
 
 
-def certify_n33(seed: int = 0, gb_prime: int = 32003, threads: int = 1) -> Certificate:
+def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     """Three cubics of collective strength 2 that are not a regular
     sequence: three maximal minors of the generic 4x3 matrix, with the
     strength-1 exclusion run exactly over Q."""
@@ -500,7 +499,7 @@ def _random_form(rng, ring, degree):
             return f
 
 
-def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100, threads: int = 1) -> Certificate:
+def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certificate:
     """Single nonzero forms are regular; pairs are regular exactly when
     coprime, with the gcd route and the codimension route agreeing on every
     sample."""
@@ -632,12 +631,12 @@ _CLAIM_TO_BUILDER = {
 }
 
 
-def build_certificate(name: str, seed: int = 0, threads: int = 1, **overrides) -> Certificate:
+def build_certificate(name: str, seed: int = 0, **overrides) -> Certificate:
     try:
         builder = BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown certificate {name!r}") from None
-    return builder(seed=seed, threads=threads, **overrides)
+    return builder(seed=seed, **overrides)
 
 
 class RecheckResult:
@@ -669,7 +668,7 @@ def _builder_overrides(name, environment):
     return {}
 
 
-def recheck_certificate(data: dict, threads: int = 1) -> RecheckResult:
+def recheck_certificate(data: dict) -> RecheckResult:
     """Re-run a serialized certificate's claim under its recorded
     environment and compare everything."""
     claim = data.get("claim")
@@ -681,7 +680,7 @@ def recheck_certificate(data: dict, threads: int = 1) -> RecheckResult:
     if version != __version__:
         return RecheckResult(False, f"version mismatch: file {version!r}, library {__version__!r}")
     seed = env.get("seed", 0)
-    fresh = build_certificate(name, seed=seed, threads=threads, **_builder_overrides(name, env))
+    fresh = build_certificate(name, seed=seed, **_builder_overrides(name, env))
     if fresh.to_dict() == data:
         return RecheckResult(True, "recomputed certificate matches the file")
     # locate the first difference for the report

@@ -38,7 +38,6 @@ from .parse import (
 from .poly import Grading, Ring
 from .quadratic import (
     DiagonalPair,
-    Pencil,
     QuadraticForm,
     collective_strength_quadrics,
     minrank_bruteforce,
@@ -187,7 +186,7 @@ def cmd_quadric(args):
             primes = []
             if args.p:
                 image = dp.reduce_mod(args.p)
-                scan = minrank_bruteforce(*image.forms(), threads=args.threads)
+                scan = minrank_bruteforce(*image.forms())
                 result["scan"] = scan.to_dict()
                 result["scan_agrees"] = scan.value == formula.value
                 primes = [args.p]
@@ -200,7 +199,7 @@ def cmd_quadric(args):
             field = f1.domain.name
             primes = _prime_list(f1.domain)
             if f1.domain.characteristic:
-                scan = minrank_bruteforce(f1, f2, threads=args.threads)
+                scan = minrank_bruteforce(f1, f2)
                 result = {"minrank": scan.value, "method": scan.method, "witness": [str(c) for c in scan.witness]}
             else:
                 dp = simultaneous_diagonalize(f1, f2)
@@ -227,7 +226,7 @@ def cmd_quadric(args):
                 for q in forms
             ]
             dom = target
-        value = collective_strength_quadrics(Pencil(forms), threads=args.threads)
+        value = collective_strength_quadrics(forms)
         result = {"collective_strength": value, "forms": len(forms)}
         if not _emit(args, "quadric collective", result, dom.name, _prime_list(dom)):
             print(f"collective strength over {dom.name}: {value}")
@@ -309,7 +308,7 @@ def cmd_certify(args):
         overrides = {}
         if args.p:
             overrides[_CERT_PRIME_FLAG[name]] = args.p
-        certs.append(build_certificate(name, seed=args.seed, threads=args.threads, **overrides))
+        certs.append(build_certificate(name, seed=args.seed, **overrides))
     if args.json:
         docs = [c.to_dict() for c in certs]
         payload = docs[0] if len(docs) == 1 else docs
@@ -328,7 +327,7 @@ def cmd_certify(args):
 def cmd_recheck(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    result = recheck_certificate(data, threads=args.threads)
+    result = recheck_certificate(data)
     if args.json:
         print(json.dumps({"command": "recheck", "result": result.to_dict(),
                           "environment": data.get("environment", {})}, indent=2, sort_keys=True))
@@ -352,7 +351,6 @@ def build_parser():
         p.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
         p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--in", dest="infile", help="input file")
         p.add_argument("--ring", help='ring override, e.g. "n=3 field=q"')

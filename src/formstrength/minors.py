@@ -81,7 +81,7 @@ class MinorFamily:
     minors[i] = det(drop row i+1), with no alternating sign.
     """
 
-    __slots__ = ("source", "minors", "signs")
+    __slots__ = ("source", "minors")
 
     def __init__(self, source: GenericMatrix):
         rows, cols = source.rows, source.cols
@@ -92,7 +92,6 @@ class MinorFamily:
             determinant_laplace(source.grid(drop_row=i), source.ring)
             for i in range(1, rows + 1)
         ]
-        self.signs = [1] * rows
 
     @property
     def ring(self):

@@ -172,32 +172,6 @@ def strength_from_rank(k: int) -> int:
     return (k + 1) // 2 - 1
 
 
-class Pencil:
-    """A nonempty tuple of quadratic forms in one ring."""
-
-    __slots__ = ("forms",)
-
-    def __init__(self, forms):
-        forms = list(forms)
-        if not forms:
-            raise ValueError("empty pencil")
-        ring = forms[0].ring
-        for q in forms:
-            if q.ring != ring:
-                raise ValueError("pencil members live in different rings")
-        self.forms = forms
-
-    @property
-    def ring(self):
-        return self.forms[0].ring
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __iter__(self):
-        return iter(self.forms)
-
-
 class DiagonalPair:
     """Simultaneously diagonal pair of forms.
 
@@ -313,7 +287,7 @@ def minrank_formula(dp: DiagonalPair) -> MinrankResult:
     return MinrankResult(dp.n - lam_max, (dp.domain.neg(alpha), dp.domain.one), "formula")
 
 
-def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm, threads: int = 1) -> MinrankResult:
+def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:
     """Exhaustive minrank over F_p: scan all p+1 points of the projective
     line of combinations."""
     dom = f1.domain
@@ -324,31 +298,13 @@ def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm, threads: int = 1) -
     points = [(dom.one, dom.from_int(t)) for t in range(p)]
     points.append((dom.zero, dom.one))
 
-    def rank_at(pt):
-        return combine([f1, f2], pt).rank()
-
     best, witness = None, None
-    for pt in _scan(points, rank_at, threads):
-        if best is None or pt[1] < best:
-            best = pt[1]
-            witness = pt[0]
+    for pt in points:
+        value = combine([f1, f2], pt).rank()
+        if best is None or value < best:
+            best = value
+            witness = pt
     return MinrankResult(best, witness, "finite-field-scan")
-
-
-def _scan(points, fn, threads):
-    """Deterministic (point, value) stream, optionally thread-partitioned."""
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = max(1, len(points) // threads)
-        chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda ch: [(pt, fn(pt)) for pt in ch], chunks)
-            for part in results:
-                yield from part
-    else:
-        for pt in points:
-            yield (pt, fn(pt))
 
 
 def projective_points(dom, r):
@@ -388,20 +344,18 @@ def rank_scan_all_nonzero(forms, expect=None):
     return histogram, offender
 
 
-def collective_strength_quadrics(pencil: Pencil, threads: int = 1) -> int:
+def collective_strength_quadrics(forms) -> int:
     """Minimum closed-field strength over all nontrivial combinations of the
-    pencil, by exhaustive projective scan over F_p."""
-    dom = pencil.ring.domain
+    forms (quadratic forms in one ring), by exhaustive projective scan over
+    F_p."""
+    if not forms:
+        raise ValueError("no forms to scan")
+    dom = forms[0].domain
     if not isinstance(dom, PrimeField):
         raise ValueError("collective-strength scan needs a prime field")
     _check_char(dom)
-    forms = pencil.forms
     points = projective_points(dom, len(forms))
-
-    def strength_at(pt):
-        return strength_from_rank(combine(forms, pt).rank())
-
-    return min(v for _, v in _scan(points, strength_at, threads))
+    return min(strength_from_rank(combine(forms, pt).rank()) for pt in points)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +679,7 @@ class TripleRegularityReport:
         return out
 
 
-def quadric_triple_regularity_report(f1, f2, f3, scan_prime=11, threads=1):
+def quadric_triple_regularity_report(f1, f2, f3, scan_prime=11):
     """Run the whole chain on a triple of quadratic forms.
 
     The certification path requires minrank >= 5 (a strength-2 combination
@@ -744,7 +698,7 @@ def quadric_triple_regularity_report(f1, f2, f3, scan_prime=11, threads=1):
             QuadraticForm(scan_ring, [[ _coerce(scan_dom, v) for v in row] for row in q.gram])
             for q in (f1, f2, f3)
         ]
-    coll = collective_strength_quadrics(Pencil(scan_forms), threads=threads)
+    coll = collective_strength_quadrics(scan_forms)
 
     dp = None
     try:
@@ -760,7 +714,7 @@ def quadric_triple_regularity_report(f1, f2, f3, scan_prime=11, threads=1):
         cert = prime_certificate(dp)
         jac_codim = cert.jacobian_codim
         prime_status = cert.status
-    scan_pair = minrank_bruteforce(scan_forms[0], scan_forms[1], threads=threads)
+    scan_pair = minrank_bruteforce(scan_forms[0], scan_forms[1])
 
     pair_ideal = Ideal(ring, [f1.to_poly(), f2.to_poly()])
     nf = normal_form(f3.to_poly(), pair_ideal.groebner())

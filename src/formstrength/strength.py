@@ -4,11 +4,25 @@ Three ingredients rule out strength-1 combinations of a cubic minor family:
 column-homogeneous decomposition bookkeeping (every off-(1,1,1) component of
 a*b + c*d must vanish), classification of column-homogeneous linear pairs
 into three normal forms, and per-class exclusion matrices whose exact kernel
-over Q must be trivial.  A definitional brute-force strength search over
-tiny prime fields serves as the independent oracle for quadrics.
+over Q must be trivial.
+
+A definitional brute-force strength search over F_3 and F_5 serves as the
+independent oracle for quadrics; it uses no Gram matrix, rank or linear
+algebra.  A quadric in n variables is an integer code: with the quadratic
+monomials in a fixed order m_0, m_1, ..., sum c_k m_k has code sum c_k p^k.
+The products scalar * l1 * l2 of linear forms are enumerated once per
+(p, n) as codes, and two codes add digit by digit mod p through tables over
+chunks of w digits with p^w <= 243, one lookup per chunk.  Over F_3 with at
+most four variables, "strength <= 1" is a byte map over all 3^10 codes,
+filled from every sum of two products; a form has strength 2 when adding
+some product lands on that map.  Over F_5 one product is subtracted and the
+rest looked up among the products.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import add
 
 from .domains import PrimeField
 from .groebner import Ideal, normal_form
@@ -363,96 +377,115 @@ def strength_one_excluded(family, ideals) -> bool:
 # definitional brute-force strength for small quadrics
 
 
-_PRODUCT_CACHE: dict = {}
-_SUM_CACHE: dict = {}
+_CHUNK_LIMIT = 243  # p^w <= 243, so a chunk table has at most 243^2 entries
+_CODE_CACHE: dict = {}
 
 
-def _poly_key(terms):
-    return tuple(sorted(terms.items()))
+def _digit_sum_rows(p, w):
+    """rows[a][b] = a + b digit by digit mod p, for a, b < p^w."""
+    rows = [[0]]
+    for _ in range(w):
+        # prepend a low digit to every code of the previous width
+        rows = [
+            [(lo + b) % p + p * h for h in rows[hi] for b in range(p)]
+            for hi in range(len(rows))
+            for lo in range(p)
+        ]
+    return rows
 
 
-def _linear_forms(ring):
+class _QuadricCodes:
+    """The codes of the quadrics in n variables over F_p (see the module
+    docstring), the codes of the products among them, and the chunk tables
+    that add two codes digit by digit mod p."""
+
+    __slots__ = ("size", "weights", "products", "product_set", "_base", "_tables", "_columns", "_le_one")
+
+    def __init__(self, p, n):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]  # monomial x_i x_j
+        m = len(pairs)
+        powers = [p**k for k in range(m)]
+        self.size = p**m
+        self.weights = {
+            tuple((k == i) + (k == j) for k in range(n)): power
+            for (i, j), power in zip(pairs, powers)
+        }
+
+        products = []
+        seen = set()
+        lins = _linear_forms(p, n)
+        for a, u in enumerate(lins):
+            for v in lins[a:]:
+                digits = [(u[i] * v[j] + (u[j] * v[i] if i != j else 0)) % p for i, j in pairs]
+                for s in range(1, p):
+                    code = sum(d * s % p * power for d, power in zip(digits, powers))
+                    if code not in seen:
+                        seen.add(code)
+                        products.append(code)
+        self.products = products
+        self.product_set = seen
+
+        w = 1
+        while w < m and p ** (w + 1) <= _CHUNK_LIMIT:
+            w += 1
+        base = p**w
+        rows = _digit_sum_rows(p, w)
+        chunks = -(-m // w)
+        self._base = base
+        # chunk c's table holds its sums already shifted into place
+        self._tables = [rows] + [
+            [[x * base**c for x in row] for row in rows] for c in range(1, chunks)
+        ]
+        self._columns = [[q // base**c % base for q in products] for c in range(chunks)]
+        self._le_one = None
+
+    def code(self, terms):
+        """Code of a term dict; KeyError on a monomial that is not quadratic."""
+        weights = self.weights
+        return sum(c * weights[mono] for mono, c in terms.items())
+
+    def sums(self, code, start=0):
+        """code + q digit by digit mod p, for the products q from index start on."""
+        base = self._base
+        total = None
+        for table, column in zip(self._tables, self._columns):
+            row = table[code % base]
+            code //= base
+            part = map(row.__getitem__, islice(column, start, None))
+            total = part if total is None else map(add, total, part)
+        return total
+
+    def le_one(self):
+        """Byte map over all codes: 1 exactly on the quadrics that are zero,
+        a product or a sum of two products (strength at most 1)."""
+        if self._le_one is None:
+            table = bytearray(self.size)
+            table[0] = 1
+            for i, q in enumerate(self.products):
+                table[q] = 1
+                for c in self.sums(q, i):
+                    table[c] = 1
+            self._le_one = table
+        return self._le_one
+
+
+def _quadric_codes(p, n):
+    codes = _CODE_CACHE.get((p, n))
+    if codes is None:
+        codes = _CODE_CACHE[(p, n)] = _QuadricCodes(p, n)
+    return codes
+
+
+def _linear_forms(p, n):
     """Projective representatives of nonzero linear forms over F_p."""
-    dom = ring.domain
-    p = dom.p
-    n = ring.nvars
     forms = []
     for lead in range(n):
         tails = [[]]
         for _ in range(n - lead - 1):
             tails = [t + [v] for t in tails for v in range(p)]
         for t in tails:
-            vec = [0] * lead + [1] + t
-            forms.append(vec)
+            forms.append([0] * lead + [1] + t)
     return forms
-
-
-def _products(ring):
-    """All nonzero quadrics of the shape scalar * l1 * l2 as term dicts."""
-    cache_key = (ring.domain.p, ring.nvars)
-    cached = _PRODUCT_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    dom = ring.domain
-    p = dom.p
-    n = ring.nvars
-    lins = _linear_forms(ring)
-
-    def mul_vecs(u, v):
-        terms = {}
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                mono = [0] * n
-                mono[i] += 1
-                mono[j] += 1
-                mono = tuple(mono)
-                terms[mono] = (terms.get(mono, 0) + u[i] * v[j]) % p
-        return {m: c for m, c in terms.items() if c}
-
-    polys = []
-    keys = set()
-    for i, u in enumerate(lins):
-        for v in lins[i:]:
-            base = mul_vecs(u, v)
-            for s in range(1, p):
-                terms = {m: (c * s) % p for m, c in base.items()}
-                k = _poly_key(terms)
-                if k not in keys:
-                    keys.add(k)
-                    polys.append(terms)
-    result = (polys, keys)
-    _PRODUCT_CACHE[cache_key] = result
-    return result
-
-
-def _strength_le_one_keys(ring):
-    """Keys of every quadric expressible with at most two products."""
-    cache_key = (ring.domain.p, ring.nvars)
-    cached = _SUM_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    p = ring.domain.p
-    polys, keys = _products(ring)
-    sums = set(keys)
-    sums.add(())
-    m = len(polys)
-    for i in range(m):
-        pi = polys[i]
-        for j in range(i, m):
-            terms = dict(pi)
-            for mono, c in polys[j].items():
-                s = (terms.get(mono, 0) + c) % p
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-            sums.add(_poly_key(terms))
-    _SUM_CACHE[cache_key] = sums
-    return sums
 
 
 def strength_bruteforce_small(f: Poly, s_max: int = 2):
@@ -472,43 +505,30 @@ def strength_bruteforce_small(f: Poly, s_max: int = 2):
         raise ValueError("brute-force strength supports at most 4 variables")
     if not f.terms:
         return -1
-    if f.degree() != 2 or not f.is_homogeneous():
-        raise ValueError("brute-force strength expects a homogeneous quadric")
-    key = _poly_key(f.terms)
-    polys, product_keys = _products(ring)
-    if key in product_keys:
+    codes = _quadric_codes(dom.p, ring.nvars)
+    try:
+        code = codes.code(f.terms)
+    except KeyError:  # a monomial of degree other than 2
+        raise ValueError("brute-force strength expects a homogeneous quadric") from None
+    if code in codes.product_set:
         return 0
     if s_max < 1:
         return None
-    p = dom.p
-    if p == 3:
-        le_one = _strength_le_one_keys(ring)
-        if key in le_one:
+    # the products are closed under scaling by -1, so f - q runs over the
+    # codes f + q: f is a sum of k+1 products exactly when some f + q is a
+    # sum of k
+    if dom.p == 3:
+        le_one = codes.le_one()
+        if le_one[code]:
             return 1
         if s_max < 2:
             return None
-        for q in polys:
-            terms = dict(f.terms)
-            for mono, c in q.items():
-                s = (terms.get(mono, 0) - c) % p
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-            if _poly_key(terms) in le_one:
-                return 2
+        if any(map(le_one.__getitem__, codes.sums(code))):
+            return 2
         return None
-    # p == 5: pairwise meet-in-the-middle only
-    for q in polys:
-        terms = dict(f.terms)
-        for mono, c in q.items():
-            s = (terms.get(mono, 0) - c) % p
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        if not terms or _poly_key(terms) in product_keys:
-            return 1
+    # p == 5: one product subtracted, looked up among the products
+    if not codes.product_set.isdisjoint(codes.sums(code)):
+        return 1
     if s_max >= 2:
         raise ValueError("two-product search over F_5 is combinatorially out of reach")
     return None

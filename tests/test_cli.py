@@ -183,15 +183,6 @@ def test_recheck_rejects_garbage(tmp_path, capsys):
     _capture(capsys)
 
 
-def test_threads_do_not_change_output(capsys):
-    assert run(["quadric", "minrank", "--diag", "1,1,2,3,4", "--p", "101", "--json"]) == 0
-    serial, _ = _capture(capsys)
-    assert run(["quadric", "minrank", "--diag", "1,1,2,3,4", "--p", "101",
-                "--json", "--threads", "3"]) == 0
-    threaded, _ = _capture(capsys)
-    assert serial == threaded
-
-
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     out, _ = _capture(capsys)

@@ -12,7 +12,6 @@ from formstrength.poly import Ring
 from formstrength.quadratic import (
     DegenerateFormError,
     DiagonalPair,
-    Pencil,
     QuadraticForm,
     collective_strength_quadrics,
     combine,
@@ -27,7 +26,7 @@ from formstrength.quadratic import (
     strength_from_rank,
     verify_minrank_identity,
 )
-from formstrength.strength import _products, _poly_key
+from formstrength.strength import _quadric_codes
 
 
 def _fraction_free_rank(int_matrix):
@@ -91,22 +90,23 @@ def test_rank5_form_has_no_two_product_decomposition_over_f3():
     ring = Ring.flat(5, GF(3))
     f = parse_poly("x1^2 + x2^2 + x3^2 + x4^2 + x5^2", ring)
     assert QuadraticForm.from_poly(f).rank() == 5
-    polys, keys = _products(ring)
-    fkey = _poly_key(f.terms)
-    assert fkey not in keys
-    found = False
-    for q in polys:
-        rest = dict(f.terms)
-        for mono, c in q.items():
-            s = (rest.get(mono, 0) - c) % 3
-            if s:
-                rest[mono] = s
-            else:
-                rest.pop(mono, None)
-        if _poly_key(rest) in keys:
-            found = True
-            break
-    assert not found
+    codes = _quadric_codes(3, 5)
+    fcode = codes.code(f.terms)
+    assert fcode not in codes.product_set
+
+    def negated(code):
+        out, k = 0, 1
+        while code:
+            code, d = divmod(code, 3)
+            out += (-d % 3) * k
+            k *= 3
+        return out
+
+    # the products are closed under negation, so f - q runs over the
+    # codes f + q: f is a sum of two products exactly when some f + q is
+    # a product
+    assert {negated(q) for q in codes.products} == codes.product_set
+    assert codes.product_set.isdisjoint(codes.sums(fcode))
 
 
 def test_rank_is_congruence_invariant():
@@ -279,17 +279,17 @@ def test_prime_certificate_never_fires_in_low_dimension():
 
 def test_collective_strength_of_minor_triple_is_one():
     family = maximal_minors(GenericMatrix(3, 2, GF(5)))
-    pencil = Pencil([QuadraticForm.from_poly(f) for f in family.minors])
-    assert collective_strength_quadrics(pencil) == 1
+    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    assert collective_strength_quadrics(forms) == 1
 
 
 def test_collective_strength_simple_pencils():
     ring = Ring.flat(2, GF(5))
     f1 = QuadraticForm.from_poly(parse_poly("x1^2", ring))
     f2 = QuadraticForm.from_poly(parse_poly("x2^2", ring))
-    assert collective_strength_quadrics(Pencil([f1, f2])) == 0
+    assert collective_strength_quadrics([f1, f2]) == 0
     zero = QuadraticForm.diagonal(ring, [0, 0])
-    assert collective_strength_quadrics(Pencil([f1, zero])) == -1
+    assert collective_strength_quadrics([f1, zero]) == -1
 
 
 def test_collective_strength_invariant_under_pencil_remix():
@@ -297,14 +297,14 @@ def test_collective_strength_invariant_under_pencil_remix():
     dom = GF(7)
     family = maximal_minors(GenericMatrix(3, 2, dom))
     forms = [QuadraticForm.from_poly(f) for f in family.minors]
-    base = collective_strength_quadrics(Pencil(forms))
+    base = collective_strength_quadrics(forms)
     for _ in range(5):
         while True:
             t = [[dom.from_int(rng.randrange(7)) for _ in range(3)] for _ in range(3)]
             if mat_rank(t, dom) == 3:
                 break
         mixed = [combine(forms, row) for row in t]
-        assert collective_strength_quadrics(Pencil(mixed)) == base
+        assert collective_strength_quadrics(mixed) == base
 
 
 def test_rank_scan_all_nonzero_counts():
