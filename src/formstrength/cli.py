@@ -101,7 +101,7 @@ def _load_gram_file(path, domain):
 
 def _load_forms(args):
     """Quadratic forms from --in: either an ideal-style polynomial file or a
-    bare symmetric matrix of numbers."""
+    bare symmetric matrix of numbers; a file with no form is refused."""
     if args.infile is None:
         raise ValueError("--in <file> is required here")
     with open(args.infile, "r", encoding="utf-8") as fh:
@@ -115,7 +115,11 @@ def _load_forms(args):
 
         ring = parse_ring_header("ring " + args.ring) if args.ring else None
         ring, polys = load_ideal_text(text, ring)
+        if not polys:
+            raise ValueError(f"{args.infile} holds no quadratic forms")
         return [QuadraticForm.from_poly(f) for f in polys]
+    if not stripped:
+        raise ValueError(f"{args.infile} holds no quadratic forms")
     domain = domain_from_name(args.field)
     return [_load_gram_file(args.infile, domain)]
 

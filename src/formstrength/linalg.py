@@ -1,11 +1,18 @@
 """Exact dense linear algebra over the coefficient domains.
 
-Matrices are lists of row lists holding domain elements.  Everything here is
-plain Gaussian elimination over a field: rank, inverse, kernel, and the
-symmetric congruence diagonalization used for quadratic forms.
+Matrices are lists of row lists holding domain elements.  One elimination
+routine, ``eliminate``, serves rank, inverse, kernel and linear solves: over
+F_p it works on int rows with an inline ``% p``, over Q on ``Fraction`` rows
+with plain operators, and it makes no domain method call per entry.  Rank
+stops at row-echelon form; inverse, kernel and solve finish it to reduced
+row-echelon form, which is unique, so their outputs do not depend on how the
+elimination got there.  The symmetric congruence diagonalization used for
+quadratic forms lives here as well.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def mat_copy(m):
@@ -37,90 +44,82 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def eliminate(a, ncols, p, reduced=False):
+    """Row-reduce ``a`` in place over columns ``0..ncols-1`` and return the
+    pivot columns; the pivot rows end up first, in pivot order.
+
+    ``p`` is the field's characteristic: entries are ints in ``[0, p)`` over
+    F_p, and ``Fraction`` (or int) over Q when ``p`` is 0.  The pivot of a
+    column is its first nonzero entry at or below the pivot rows found so
+    far.  Without ``reduced`` only the rows below each pivot are cleared
+    (row-echelon form, enough for the rank); with it every other row is
+    cleared and the pivots are scaled to 1, giving the reduced row-echelon
+    form.
+    """
+    rows = len(a)
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == rows:
+            break
+        for r in range(top, rows):
+            if a[r][col]:
+                break
+        else:
+            continue
+        prow = a[r]
+        a[r], a[top] = a[top], prow
+        inv = pow(prow[col], -1, p) if p else 1 / Fraction(prow[col])
+        for r in range(0 if reduced else top + 1, rows):
+            row = a[r]
+            f = row[col]
+            if f and r != top:
+                if p:
+                    f = f * inv % p
+                    a[r] = [(v - f * w) % p for v, w in zip(row, prow)]
+                else:
+                    f *= inv
+                    a[r] = [v - f * w for v, w in zip(row, prow)]
+        pivots.append(col)
+    if reduced:
+        for top, col in enumerate(pivots):
+            row = a[top]
+            inv = pow(row[col], -1, p) if p else 1 / Fraction(row[col])
+            a[top] = [v * inv % p for v in row] if p else [v * inv for v in row]
+    return pivots
+
+
+def _field_copy(m, dom):
+    """A copy of m to eliminate in place, and the field's characteristic;
+    F_p entries are reduced into [0, p) on the way."""
+    p = dom.characteristic
+    if p:
+        return [[v % p for v in row] for row in m], p
+    return [list(row) for row in m], p
+
+
 def mat_rank(m, dom):
     """Rank by exact row elimination over a field."""
-    a = mat_copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = dom.inv(a[row][col])
-        a[row] = [dom.mul(v, inv) for v in a[row]]
-        for r in range(rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [dom.sub(v, dom.mul(f, w)) for v, w in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+    a, p = _field_copy(m, dom)
+    return len(eliminate(a, len(a[0]) if a else 0, p))
 
 
 def mat_inverse(m, dom):
     """Inverse of a square matrix; raises on singular input."""
     n = len(m)
-    a = mat_copy(m)
-    inv = identity(n, dom)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        f = dom.inv(a[col][col])
-        a[col] = [dom.mul(v, f) for v in a[col]]
-        inv[col] = [dom.mul(v, f) for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [dom.sub(v, dom.mul(f, w)) for v, w in zip(a[r], a[col])]
-                inv[r] = [dom.sub(v, dom.mul(f, w)) for v, w in zip(inv[r], inv[col])]
-    return inv
+    a, p = _field_copy([list(row) + e for row, e in zip(m, identity(n, dom))], dom)
+    if len(eliminate(a, n, p, reduced=True)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in a]
 
 
 def kernel_basis(m, dom):
     """Basis of the right kernel of an r-by-c matrix (list of c-vectors)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = mat_copy(m)
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = dom.inv(a[row][col])
-        a[row] = [dom.mul(v, inv) for v in a[row]]
-        for r in range(rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [dom.sub(v, dom.mul(f, w)) for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(m[0]) if m else 0
+    a, p = _field_copy(m, dom)
+    pivots = eliminate(a, cols, p, reduced=True)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         vec = [dom.zero] * cols
         vec[fc] = dom.one
         for r, pc in enumerate(pivots):
@@ -131,33 +130,11 @@ def kernel_basis(m, dom):
 
 def solve_right(m, rhs, dom):
     """One solution of m x = rhs, or None when inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(m[r]) + [rhs[r]] for r in range(rows)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = dom.inv(a[row][col])
-        a[row] = [dom.mul(v, inv) for v in a[row]]
-        for r in range(rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [dom.sub(v, dom.mul(f, w)) for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    for r in range(row, rows):
-        if a[r][cols]:
-            return None
+    cols = len(m[0]) if m else 0
+    a, p = _field_copy([list(row) + [b] for row, b in zip(m, rhs)], dom)
+    pivots = eliminate(a, cols, p, reduced=True)
+    if any(row[cols] for row in a[len(pivots):]):
+        return None
     x = [dom.zero] * cols
     for r, pc in enumerate(pivots):
         x[pc] = a[r][cols]

@@ -10,11 +10,13 @@ mutual oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, product
 
 from .domains import GF, QQ, PrimeField
 from .groebner import Ideal, codimension, ideal_intersection, normal_form
 from .linalg import (
     congruence_diagonalize,
+    eliminate,
     is_symmetric,
     kernel_basis,
     mat_mul,
@@ -287,57 +289,85 @@ def minrank_formula(dp: DiagonalPair) -> MinrankResult:
     return MinrankResult(dp.n - lam_max, (dp.domain.neg(alpha), dp.domain.one), "formula")
 
 
+SCAN_POINT_LIMIT = 10**6
+"""Most coefficient points one F_p scan may visit.  A larger scan is refused
+with ValueError before any rank is computed; the largest scan in the
+certificates and the benchmark, the 3x2 minor family over F_31, visits
+29790 points."""
+
+
+def _scan_prime(forms, what, count):
+    """The prime of a scan over the forms, after refusing a field that is not
+    F_p and a scan whose ``count(p)`` points exceed SCAN_POINT_LIMIT."""
+    if not forms:
+        raise ValueError("no forms to scan")
+    dom = forms[0].domain
+    if not isinstance(dom, PrimeField):
+        raise ValueError(f"{what} needs a prime field")
+    _check_char(dom)
+    points = count(dom.p)
+    if points > SCAN_POINT_LIMIT:
+        raise ValueError(
+            f"{what} over F_{dom.p} would visit {points} points, "
+            f"above the limit of {SCAN_POINT_LIMIT}"
+        )
+    return dom.p
+
+
+def _gram_ranks(forms, points, p):
+    """Yield (point, Gram rank of sum_i point[i] * forms[i]) for every
+    nonzero coefficient tuple in ``points``, in their order.
+
+    Each Gram matrix is flattened once; a combination is one int vector,
+    reduced mod p once and ranked by ``linalg.eliminate``.  A combination of
+    symmetric forms is symmetric, so no form is built per point.
+    """
+    ring = forms[0].ring
+    if any(q.ring != ring for q in forms):
+        raise ValueError("forms live in different rings")
+    n = ring.nvars
+    flats = [[v for row in q.gram for v in row] for q in forms]
+    for point in points:
+        acc = None
+        for c, g in zip(point, flats):
+            if c:
+                acc = [c * v for v in g] if acc is None else [s + c * v for s, v in zip(acc, g)]
+        acc = [v % p for v in acc]
+        yield point, len(eliminate([acc[i:i + n] for i in range(0, n * n, n)], n, p))
+
+
 def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:
     """Exhaustive minrank over F_p: scan all p+1 points of the projective
     line of combinations."""
-    dom = f1.domain
-    if not isinstance(dom, PrimeField):
-        raise ValueError("brute-force minrank needs a prime field")
-    _check_char(dom)
-    p = dom.p
-    points = [(dom.one, dom.from_int(t)) for t in range(p)]
-    points.append((dom.zero, dom.one))
-
+    p = _scan_prime([f1, f2], "brute-force minrank", lambda p: p + 1)
+    points = chain(((1, t) for t in range(p)), [(0, 1)])
     best, witness = None, None
-    for pt in points:
-        value = combine([f1, f2], pt).rank()
+    for point, value in _gram_ranks([f1, f2], points, p):
         if best is None or value < best:
-            best = value
-            witness = pt
+            best, witness = value, point
     return MinrankResult(best, witness, "finite-field-scan")
 
 
-def projective_points(dom, r):
-    """Representatives of P^(r-1) over F_p: first nonzero coordinate 1."""
-    p = dom.p
-    points = []
+def projective_points(p, r):
+    """Representatives of P^(r-1) over F_p, first nonzero coordinate 1,
+    streamed in order of the position of that 1, then lexicographically."""
     for lead in range(r):
-        head = [dom.zero] * lead + [dom.one]
-        tails = [[]]
-        for _ in range(r - lead - 1):
-            tails = [t + [dom.from_int(v)] for t in tails for v in range(p)]
-        points.extend(tuple(head + t) for t in tails)
-    return points
+        head = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=r - lead - 1):
+            yield head + tail
 
 
 def rank_scan_all_nonzero(forms, expect=None):
     """Gram rank of every combination over all nonzero coefficient tuples of
     F_p^r.  Returns (histogram, first offender) where the offender is the
     first tuple whose rank differs from ``expect`` (None when unused)."""
-    dom = forms[0].domain
-    if not isinstance(dom, PrimeField):
-        raise ValueError("rank scan needs a prime field")
-    p = dom.p
     r = len(forms)
+    p = _scan_prime(forms, "rank scan", lambda p: p**r - 1)
     histogram = {}
     offender = None
-    tuples = [[]]
-    for _ in range(r):
-        tuples = [t + [v] for t in tuples for v in range(p)]
-    for t in tuples:
-        if not any(t):
-            continue
-        value = combine(forms, [dom.from_int(v) for v in t]).rank()
+    # the first tuple of the product is the zero tuple
+    tuples = islice(product(range(p), repeat=r), 1, None)
+    for t, value in _gram_ranks(forms, tuples, p):
         histogram[value] = histogram.get(value, 0) + 1
         if expect is not None and value != expect and offender is None:
             offender = {"point": list(t), "rank": value}
@@ -348,14 +378,10 @@ def collective_strength_quadrics(forms) -> int:
     """Minimum closed-field strength over all nontrivial combinations of the
     forms (quadratic forms in one ring), by exhaustive projective scan over
     F_p."""
-    if not forms:
-        raise ValueError("no forms to scan")
-    dom = forms[0].domain
-    if not isinstance(dom, PrimeField):
-        raise ValueError("collective-strength scan needs a prime field")
-    _check_char(dom)
-    points = projective_points(dom, len(forms))
-    return min(strength_from_rank(combine(forms, pt).rank()) for pt in points)
+    r = len(forms)
+    p = _scan_prime(forms, "collective-strength scan", lambda p: (p**r - 1) // (p - 1))
+    # strength is nondecreasing in the rank
+    return strength_from_rank(min(k for _, k in _gram_ranks(forms, projective_points(p, r), p)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 import time
 
+import pytest
+
+import formstrength.quadratic as quadratic
 from formstrength.cli import run
 
 
@@ -222,3 +225,122 @@ def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
     assert run(["gb", "basis", "--in", str(path)]) == 3
     _, err = _capture(capsys)
     assert "KeyWidthError" in err
+
+
+@pytest.mark.parametrize("operation", ["rank", "strength", "collective", "minrank"])
+def test_form_file_without_forms_is_refused(tmp_path, capsys, operation):
+    path = tmp_path / "empty.txt"
+    path.write_text("ring n=3 field=fp:5\n")
+    assert run(["quadric", operation, "--in", str(path)]) == 2
+    _, err = _capture(capsys)
+    assert "no quadratic forms" in err
+    gram = tmp_path / "gram.txt"
+    gram.write_text("# no rows\n")
+    assert run(["quadric", operation, "--in", str(gram)]) == 2
+    _capture(capsys)
+
+
+def test_scan_above_the_point_limit_exits_two_before_scanning(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a refused scan computed a rank")
+
+    monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
+    start = time.monotonic()
+    assert run(["quadric", "minrank", "--diag", "1,2", "--p", "1000000007"]) == 2
+    assert time.monotonic() - start < 1.0
+    _, err = _capture(capsys)
+    assert "limit" in err
+
+
+NET_F7 = "ring n=3 field=fp:7\nx1^2 + 3*x1*x2 - x3^2\nx1*x3 + 2*x2^2\nx2*x3 + x1^2 - 2*x2^2\n"
+NET_Q = "ring n=3 field=q\nx1^2 + 3*x1*x2 - x3^2\nx1*x3 + 1/2*x2^2\nx2*x3 + x1^2 - 2*x2^2\n"
+# f1 + t*f2 has rank 3 at t = 2, 4, 7 and 9: the witness is the first of them
+PENCIL_F11 = "ring n=4 field=fp:11\nx1^2 + x2^2 + 2*x3^2 + 2*x4^2\nx1*x2 + x3*x4\n"
+
+COLLECTIVE_OUT = (
+    '{\n'
+    '  "command": "quadric collective",\n'
+    '  "environment": {\n'
+    '    "field": "fp:7",\n'
+    '    "primes": [\n'
+    '      7\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "collective_strength": 0,\n'
+    '    "forms": 3\n'
+    '  }\n'
+    '}\n'
+)
+
+MINRANK_DIAG_OUT = (
+    '{\n'
+    '  "command": "quadric minrank",\n'
+    '  "environment": {\n'
+    '    "field": "q",\n'
+    '    "primes": [\n'
+    '      11\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "method": "formula",\n'
+    '    "minrank": 3,\n'
+    '    "scan": {\n'
+    '      "method": "finite-field-scan",\n'
+    '      "value": 3,\n'
+    '      "witness": [\n'
+    '        "1",\n'
+    '        "5"\n'
+    '      ]\n'
+    '    },\n'
+    '    "scan_agrees": true,\n'
+    '    "witness": [\n'
+    '      "-1",\n'
+    '      "1"\n'
+    '    ]\n'
+    '  }\n'
+    '}\n'
+)
+
+MINRANK_PENCIL_OUT = (
+    '{\n'
+    '  "command": "quadric minrank",\n'
+    '  "environment": {\n'
+    '    "field": "fp:11",\n'
+    '    "primes": [\n'
+    '      11\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "method": "finite-field-scan",\n'
+    '    "minrank": 3,\n'
+    '    "witness": [\n'
+    '      "1",\n'
+    '      "2"\n'
+    '    ]\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_scan_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
+    net, netq, pencil = tmp_path / "net.txt", tmp_path / "netq.txt", tmp_path / "pencil.txt"
+    net.write_text(NET_F7)
+    netq.write_text(NET_Q)
+    pencil.write_text(PENCIL_F11)
+    for argv, want in (
+        (["quadric", "collective", "--json", "--in", str(net)], COLLECTIVE_OUT),
+        (["quadric", "collective", "--json", "--in", str(netq), "--p", "7"], COLLECTIVE_OUT),
+        # t = 5 and t = 10 both kill a block of two: the scan witness is (1, 5)
+        (["quadric", "minrank", "--json", "--diag", "1,1,2,2,3", "--p", "11"], MINRANK_DIAG_OUT),
+        (["quadric", "minrank", "--json", "--in", str(pencil)], MINRANK_PENCIL_OUT),
+    ):
+        assert run(argv) == 0
+        out, _ = _capture(capsys)
+        assert out == want
