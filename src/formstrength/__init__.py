@@ -21,8 +21,6 @@ from .minors import (
     determinant_laplace,
     laplace_strength_bound,
     maximal_minors,
-    minor_codim_is_two,
-    subfamily_not_regular,
 )
 from .orders import DEGREVLEX, LEX, elimination
 from .parse import format_poly, load_ideal_file, parse_poly
@@ -37,21 +35,15 @@ from .quadratic import (
     minrank_bruteforce,
     minrank_formula,
     prime_certificate,
-    quadric_triple_regularity_report,
     rank,
     simultaneous_diagonalize,
     strength_from_rank,
     verify_minrank_identity,
 )
 from .strength import (
-    GradedDecomposition,
-    GradedLinearForm,
-    classify_linear_pair,
     class_ideals,
     exclusion_matrix,
-    grading_constraint_check,
     strength_bruteforce_small,
-    strength_one_excluded,
 )
 from .certificates import (
     Certificate,

@@ -119,26 +119,18 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
             paper_ref="Hilbert-Burch: the maximal minors of a generic (n+1) x n matrix cut out codimension 2",
         )
     )
-    regular = is_regular_sequence_codim(family.minors)
     subs.append(
         SubVerdict(
             "not_a_regular_sequence",
             MACHINE,
-            not regular,
+            codim != len(family.minors),
             witness={"forms": 3, "codim": codim},
             paper_ref="three forms are regular exactly when their ideal has codimension 3",
         )
     )
 
     # every nonzero F_p combination has Gram rank exactly 4
-    dom = GF(scan_prime)
-    scan_ring = Ring.matrix(3, 2, dom)
-    scan_forms = [
-        QuadraticForm.from_poly(
-            Poly(scan_ring, {m: dom.from_int(int(c)) for m, c in f.terms.items()})
-        )
-        for f in family.minors
-    ]
+    scan_forms = [QuadraticForm.from_poly(f).reduce_mod(scan_prime) for f in family.minors]
     histogram, bad_point = rank_scan_all_nonzero(scan_forms, expect=4)
     subs.append(
         SubVerdict(
@@ -246,16 +238,7 @@ def certify_n32_upper_sample(
     f3 = QuadraticForm.from_poly(parse_poly(_SAMPLE_F3, ring))
     subs = []
 
-    scan_dom = GF(scan_prime)
-    scan_ring = Ring.flat(6, scan_dom)
-    scan_forms = [
-        QuadraticForm(
-            scan_ring,
-            [[scan_dom(v.numerator, v.denominator) for v in row] for row in q.gram],
-        )
-        for q in (f1, f2, f3)
-    ]
-    coll = collective_strength_quadrics(scan_forms)
+    coll = collective_strength_quadrics([q.reduce_mod(scan_prime) for q in (f1, f2, f3)])
     subs.append(
         SubVerdict(
             f"collective_strength_at_least_2_over_f{scan_prime}",
@@ -623,6 +606,15 @@ BUILDERS = {
     "small-r": certify_small_r,
 }
 
+# each builder's prime keywords, in the order of its environment's "primes";
+# certify --p sets the first
+PRIME_PARAMS = {
+    "n32-lower": ("scan_prime",),
+    "n32-upper": ("scan_prime", "minrank_prime"),
+    "n33": ("gb_prime",),
+    "small-r": ("prime",),
+}
+
 _CLAIM_TO_BUILDER = {
     "N(3,2) >= 2": "n32-lower",
     "N(3,2) <= 2: certification chain on a sample triple": "n32-upper",
@@ -650,24 +642,6 @@ class RecheckResult:
         return {"passed": self.passed, "detail": self.detail}
 
 
-def _builder_overrides(name, environment):
-    primes = list(environment.get("primes", []))
-    if name == "n32-lower":
-        return {"scan_prime": primes[0]} if primes else {}
-    if name == "n32-upper":
-        out = {}
-        if len(primes) > 0:
-            out["scan_prime"] = primes[0]
-        if len(primes) > 1:
-            out["minrank_prime"] = primes[1]
-        return out
-    if name == "n33":
-        return {"gb_prime": primes[0]} if primes else {}
-    if name == "small-r":
-        return {"prime": primes[0]} if primes else {}
-    return {}
-
-
 def recheck_certificate(data: dict) -> RecheckResult:
     """Re-run a serialized certificate's claim under its recorded
     environment and compare everything."""
@@ -680,7 +654,8 @@ def recheck_certificate(data: dict) -> RecheckResult:
     if version != __version__:
         return RecheckResult(False, f"version mismatch: file {version!r}, library {__version__!r}")
     seed = env.get("seed", 0)
-    fresh = build_certificate(name, seed=seed, **_builder_overrides(name, env))
+    primes = dict(zip(PRIME_PARAMS[name], env.get("primes", [])))
+    fresh = build_certificate(name, seed=seed, **primes)
     if fresh.to_dict() == data:
         return RecheckResult(True, "recomputed certificate matches the file")
     # locate the first difference for the report

@@ -22,7 +22,6 @@ from .groebner import (
     dimension,
     ideal_intersection,
     ideal_quotient,
-    is_regular_sequence_codim,
     is_regular_sequence_direct,
     regular_pair_gcd_check,
 )
@@ -46,7 +45,7 @@ from .quadratic import (
     simultaneous_diagonalize,
     strength_from_rank,
 )
-from .certificates import BUILDERS, build_certificate, recheck_certificate
+from .certificates import BUILDERS, PRIME_PARAMS, build_certificate, recheck_certificate
 from .version import __version__
 
 
@@ -100,28 +99,22 @@ def _load_gram_file(path, domain):
 
 
 def _load_forms(args):
-    """Quadratic forms from --in: either an ideal-style polynomial file or a
-    bare symmetric matrix of numbers; a file with no form is refused."""
+    """Quadratic forms from --in: a polynomial file, whose ring a header or
+    --ring declares, or else a bare symmetric matrix of numbers; a file with
+    no form is refused."""
     if args.infile is None:
         raise ValueError("--in <file> is required here")
     with open(args.infile, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = [
-        ln.split("#", 1)[0].strip() for ln in text.splitlines()
-    ]
+        stripped = [ln.split("#", 1)[0].strip() for ln in fh]
     stripped = [ln for ln in stripped if ln]
-    if stripped and stripped[0].startswith("ring "):
-        from .parse import load_ideal_text
-
-        ring = parse_ring_header("ring " + args.ring) if args.ring else None
-        ring, polys = load_ideal_text(text, ring)
-        if not polys:
-            raise ValueError(f"{args.infile} holds no quadratic forms")
-        return [QuadraticForm.from_poly(f) for f in polys]
     if not stripped:
         raise ValueError(f"{args.infile} holds no quadratic forms")
-    domain = domain_from_name(args.field)
-    return [_load_gram_file(args.infile, domain)]
+    if not args.ring and not stripped[0].startswith("ring "):
+        return [_load_gram_file(args.infile, domain_from_name(args.field))]
+    _, polys = _load_system(args)
+    if not polys:
+        raise ValueError(f"{args.infile} holds no quadratic forms")
+    return [QuadraticForm.from_poly(f) for f in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +127,8 @@ def cmd_regseq(args):
         raise ValueError("the input system is empty")
     order = order_from_name(args.order)
     direct = is_regular_sequence_direct(polys, order)
-    by_codim = is_regular_sequence_codim(polys, order)
-    ideal = Ideal(ring, polys)
-    codim = codimension(ideal, order)
+    codim = codimension(Ideal(ring, polys), order)
+    by_codim = codim == len(polys)
     result = {
         "forms": len(polys),
         "variables": ring.nvars,
@@ -223,13 +215,8 @@ def cmd_quadric(args):
         if not dom.characteristic:
             if not args.p:
                 raise ValueError("collective strength scans need a prime field (--p or an fp ring)")
-            target = GF(args.p)
-            ring = Ring.flat(forms[0].n, target)
-            forms = [
-                QuadraticForm(ring, [[target(v.numerator, v.denominator) for v in row] for row in q.gram])
-                for q in forms
-            ]
-            dom = target
+            forms = [q.reduce_mod(args.p) for q in forms]
+            dom = forms[0].domain
         value = collective_strength_quadrics(forms)
         result = {"collective_strength": value, "forms": len(forms)}
         if not _emit(args, "quadric collective", result, dom.name, _prime_list(dom)):
@@ -297,21 +284,11 @@ def cmd_gb(args):
     raise ValueError(f"unknown gb operation {args.operation!r}")
 
 
-_CERT_PRIME_FLAG = {
-    "n32-lower": "scan_prime",
-    "n32-upper": "scan_prime",
-    "n33": "gb_prime",
-    "small-r": "prime",
-}
-
-
 def cmd_certify(args):
     names = list(BUILDERS) if args.target == "all" else [args.target]
     certs = []
     for name in names:
-        overrides = {}
-        if args.p:
-            overrides[_CERT_PRIME_FLAG[name]] = args.p
+        overrides = {PRIME_PARAMS[name][0]: args.p} if args.p else {}
         certs.append(build_certificate(name, seed=args.seed, **overrides))
     if args.json:
         docs = [c.to_dict() for c in certs]

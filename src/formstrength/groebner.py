@@ -337,7 +337,7 @@ class Ideal:
     def groebner(self, order=DEGREVLEX) -> GroebnerBasis:
         basis = self._bases.get(order)
         if basis is None:
-            basis = _cached_basis(self.ring, self.gens, order)
+            basis = groebner_basis(self.gens, order, ring=self.ring)
             self._bases[order] = basis
         return basis
 
@@ -356,29 +356,8 @@ class Ideal:
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
 
-    def is_unit(self, order=DEGREVLEX):
-        return bool(self.gens) and self.groebner(order).is_unit()
-
     def __repr__(self):
         return f"Ideal({len(self.gens)} generators in {self.ring!r})"
-
-
-_BASIS_CACHE: dict = {}
-
-
-def _cached_basis(ring, gens, order):
-    cache_key = (
-        ring.nvars,
-        ring.domain,
-        ring.names,
-        order,
-        tuple(sorted(g.key() for g in gens)),
-    )
-    basis = _BASIS_CACHE.get(cache_key)
-    if basis is None:
-        basis = groebner_basis(gens, order, ring=ring)
-        _BASIS_CACHE[cache_key] = basis
-    return basis
 
 
 def dimension(ideal: Ideal, order=DEGREVLEX) -> int:
@@ -494,8 +473,6 @@ def is_regular_sequence_direct(fs, order=DEGREVLEX) -> bool:
     predecessors, via ideal quotients."""
     _check_regseq_input(fs)
     ring = fs[0].ring
-    if Ideal(ring, fs).is_unit(order):
-        return False
     for i in range(1, len(fs)):
         prefix = Ideal(ring, fs[:i])
         quotient = ideal_quotient(prefix, fs[i])

@@ -1,12 +1,12 @@
 """Exact dense linear algebra over the coefficient domains.
 
 Matrices are lists of row lists holding domain elements.  One elimination
-routine, ``eliminate``, serves rank, inverse, kernel and linear solves: over
-F_p it works on int rows with an inline ``% p``, over Q on ``Fraction`` rows
-with plain operators, and it makes no domain method call per entry.  Rank
-stops at row-echelon form; inverse, kernel and solve finish it to reduced
-row-echelon form, which is unique, so their outputs do not depend on how the
-elimination got there.  The symmetric congruence diagonalization used for
+routine, ``eliminate``, serves rank, inverse and kernel: over F_p it works
+on int rows with an inline ``% p``, over Q on ``Fraction`` rows with plain
+operators, and it makes no domain method call per entry.  Rank stops at
+row-echelon form; inverse and kernel finish it to reduced row-echelon form,
+which is unique, so their outputs do not depend on how the elimination got
+there.  The symmetric congruence diagonalization used for
 quadratic forms lives here as well.
 """
 
@@ -126,19 +126,6 @@ def kernel_basis(m, dom):
             vec[pc] = dom.neg(a[r][fc])
         basis.append(vec)
     return basis
-
-
-def solve_right(m, rhs, dom):
-    """One solution of m x = rhs, or None when inconsistent."""
-    cols = len(m[0]) if m else 0
-    a, p = _field_copy([list(row) + [b] for row, b in zip(m, rhs)], dom)
-    pivots = eliminate(a, cols, p, reduced=True)
-    if any(row[cols] for row in a[len(pivots):]):
-        return None
-    x = [dom.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x
 
 
 def congruence_diagonalize(gram, dom):

@@ -9,8 +9,8 @@ cofactor expansion witnesses the strength bound n-1 for every minor.
 from __future__ import annotations
 
 from .domains import QQ
-from .groebner import Ideal, codimension
-from .poly import Grading, Poly, Ring
+from .groebner import Ideal
+from .poly import Poly, Ring
 
 
 def determinant_laplace(grid, ring: Ring | None = None) -> Poly:
@@ -67,9 +67,6 @@ class GenericMatrix:
             for i in range(1, self.rows + 1)
             if i != drop_row
         ]
-
-    def column_grading(self) -> Grading:
-        return Grading.by_columns(self.ring)
 
     def __repr__(self):
         return f"GenericMatrix({self.rows}x{self.cols}, {self.ring.domain!r})"
@@ -147,21 +144,3 @@ def laplace_strength_bound(matrix: GenericMatrix, drop_row: int) -> StrengthBoun
         lead = grid[k][0]
         products.append((lead if k % 2 == 0 else -lead, cof))
     return StrengthBound(n - 1, products)
-
-
-def minor_codim_is_two(family: MinorFamily, order=None) -> bool:
-    """Check codim of the full maximal-minor ideal equals 2 (computed, not
-    assumed; Hilbert-Burch predicts it)."""
-    kwargs = {} if order is None else {"order": order}
-    return codimension(family.ideal(), **kwargs) == 2
-
-
-def subfamily_not_regular(family: MinorFamily, indices=(0, 1, 2)) -> bool:
-    """True when the chosen three minors fail to be a regular sequence
-    (their ideal has codimension below three)."""
-    if len(set(indices)) != 3:
-        raise ValueError("need three distinct members of the family")
-    if len(family.minors) < 3:
-        raise ValueError("family too small for a three-member test")
-    sub = [family.minors[i] for i in indices]
-    return codimension(Ideal(family.ring, sub)) < 3

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice, product
+from math import gcd
 
 from .domains import GF, QQ, PrimeField
-from .groebner import Ideal, codimension, ideal_intersection, normal_form
+from .groebner import Ideal, codimension, ideal_intersection
 from .linalg import (
     congruence_diagonalize,
     eliminate,
@@ -112,6 +113,14 @@ class QuadraticForm:
 
     def rank(self) -> int:
         return mat_rank(self.gram, self.domain)
+
+    def reduce_mod(self, p: int) -> "QuadraticForm":
+        """Image over F_p, on the same variables; raises ZeroDivisionError
+        when p divides a denominator."""
+        field = GF(p)
+        _check_char(field)
+        ring = Ring(self.n, field, self.ring.names, self.ring.matrix_shape)
+        return QuadraticForm(ring, [[field(v.numerator, v.denominator) for v in row] for row in self.gram])
 
     def is_zero(self):
         return all(not v for row in self.gram for v in row)
@@ -238,14 +247,8 @@ class DiagonalPair:
         structure or kill a diagonal entry."""
         field = GF(p)
         _check_char(field)
-
-        def cast(v):
-            if isinstance(v, Fraction):
-                return field(v.numerator, v.denominator)
-            return field.from_int(int(v))
-
-        a = [cast(v) for v in self.a]
-        b = [cast(v) for v in self.b]
+        a = [field(v.numerator, v.denominator) for v in self.a]
+        b = [field(v.numerator, v.denominator) for v in self.b]
         if any(v == 0 for v in a):
             raise ValueError(f"diagonal entry vanishes mod {p}")
         image = DiagonalPair(a, b, field)
@@ -455,7 +458,7 @@ def _roots_with_multiplicity(coeffs, dom):
     else:
         lcm_den = 1
         for c in work:
-            lcm_den = lcm_den * c.denominator // _gcd_int(lcm_den, c.denominator)
+            lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
         ints = [int(c * lcm_den) for c in work]
         lead, const = ints[-1], ints[0]
         candidates = []
@@ -470,12 +473,6 @@ def _roots_with_multiplicity(coeffs, dom):
             roots[cand] = roots.get(cand, 0) + 1
             work = _deflate(work, cand, dom)
     return roots, len(work) - 1
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
@@ -656,124 +653,4 @@ def verify_minrank_identity(dp: DiagonalPair, prime: int = 101) -> MinrankIdenti
         bruteforce_prime=image.domain.p,
         witness_rank_ok=witness_ok,
         passed=passed,
-    )
-
-
-def _coerce(dom, value):
-    if isinstance(value, Fraction):
-        return dom(value.numerator, value.denominator)
-    return dom.from_int(int(value))
-
-
-# ---------------------------------------------------------------------------
-# the full regularity chain for a quadric triple
-
-
-class TripleRegularityReport:
-    """Implication chain for three quadrics: collective strength evidence,
-    minrank both ways, singular-locus codimension, primality certificate,
-    and the independent codimension verdict."""
-
-    __slots__ = (
-        "scan_prime",
-        "collective_strength_scan",
-        "diagonalized",
-        "pair_a",
-        "pair_b",
-        "minrank_formula_value",
-        "minrank_scan_value",
-        "jacobian_codim",
-        "prime_status",
-        "third_form_outside_pair_ideal",
-        "regular_by_codim",
-        "minrank_ge_5",
-        "minrank_ge_4",
-        "consistent",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-    def to_dict(self):
-        out = {}
-        for name in self.__slots__:
-            v = getattr(self, name)
-            if name in ("pair_a", "pair_b") and v is not None:
-                v = [str(x) for x in v]
-            out[name] = v
-        return out
-
-
-def quadric_triple_regularity_report(f1, f2, f3, scan_prime=11):
-    """Run the whole chain on a triple of quadratic forms.
-
-    The certification path requires minrank >= 5 (a strength-2 combination
-    forces rank >= 5); the weaker >= 4 reading is reported alongside rather
-    than silently chosen.
-    """
-    ring = f1.ring
-    dom = ring.domain
-    if isinstance(dom, PrimeField):
-        scan_forms = [f1, f2, f3]
-        scan_dom = dom
-    else:
-        scan_dom = GF(scan_prime)
-        scan_ring = Ring.flat(ring.nvars, scan_dom)
-        scan_forms = [
-            QuadraticForm(scan_ring, [[ _coerce(scan_dom, v) for v in row] for row in q.gram])
-            for q in (f1, f2, f3)
-        ]
-    coll = collective_strength_quadrics(scan_forms)
-
-    dp = None
-    try:
-        dp = simultaneous_diagonalize(f1, f2)
-    except DegenerateFormError:
-        dp = None
-
-    minrank_f = None
-    jac_codim = None
-    prime_status = None
-    if dp is not None:
-        minrank_f = minrank_formula(dp).value
-        cert = prime_certificate(dp)
-        jac_codim = cert.jacobian_codim
-        prime_status = cert.status
-    scan_pair = minrank_bruteforce(scan_forms[0], scan_forms[1])
-
-    pair_ideal = Ideal(ring, [f1.to_poly(), f2.to_poly()])
-    nf = normal_form(f3.to_poly(), pair_ideal.groebner())
-    outside = bool(nf.terms)
-    regular = None
-    try:
-        from .groebner import is_regular_sequence_codim
-
-        regular = is_regular_sequence_codim([f1.to_poly(), f2.to_poly(), f3.to_poly()])
-    except ValueError:
-        regular = False
-
-    reference = minrank_f if minrank_f is not None else scan_pair.value
-    ge5 = reference >= 5
-    ge4 = reference >= 4
-    consistent = True
-    if minrank_f is not None and scan_pair.value != minrank_f:
-        consistent = False
-    if ge5 and prime_status == CERTIFIED_PRIME and outside and regular is False:
-        consistent = False
-    return TripleRegularityReport(
-        scan_prime=scan_dom.p,
-        collective_strength_scan=coll,
-        diagonalized=dp is not None,
-        pair_a=dp.a if dp is not None else None,
-        pair_b=dp.b if dp is not None else None,
-        minrank_formula_value=minrank_f,
-        minrank_scan_value=scan_pair.value,
-        jacobian_codim=jac_codim,
-        prime_status=prime_status,
-        third_form_outside_pair_ideal=outside,
-        regular_by_codim=regular,
-        minrank_ge_5=ge5,
-        minrank_ge_4=ge4,
-        consistent=consistent,
     )

@@ -1,10 +1,15 @@
-"""Strength certification machinery over column-graded matrix rings.
+"""Strength: the strength-1 exclusion for the cubic minor family, and a
+brute-force strength oracle for small quadrics.
 
-Three ingredients rule out strength-1 combinations of a cubic minor family:
-column-homogeneous decomposition bookkeeping (every off-(1,1,1) component of
-a*b + c*d must vanish), classification of column-homogeneous linear pairs
-into three normal forms, and per-class exclusion matrices whose exact kernel
-over Q must be trivial.
+A strength-1 combination of three maximal minors of the generic 4x3 matrix
+would lie in an ideal generated by two column-homogeneous linear forms, and
+up to the row and column group action such a pair is one of three normal
+forms: same column, parallel rows or skew (the ``n33`` certificate cites
+both facts).  ``exclusion_matrix`` reduces the family modulo one class
+ideal and computes the exact kernel over Q of the coefficient matrix of the
+surviving monomials; a trivial kernel rules the class out.  The tests also
+run it over all 66 ideals generated by two matrix variables, which needs no
+symmetry argument.
 
 A definitional brute-force strength search over F_3 and F_5 serves as the
 independent oracle for quadrics; it uses no Gram matrix, rank or linear
@@ -26,9 +31,9 @@ from operator import add
 
 from .domains import PrimeField
 from .groebner import Ideal, normal_form
-from .linalg import kernel_basis, mat_inverse, mat_rank
+from .linalg import kernel_basis
 from .orders import DEGREVLEX
-from .poly import Grading, Poly, Ring
+from .poly import Poly, Ring
 
 SAME_COLUMN = "same-column"
 PARALLEL_ROWS = "parallel-rows"
@@ -39,238 +44,6 @@ _CLASS_REPRESENTATIVES = {
     PARALLEL_ROWS: ((1, 1), (1, 2)),
     SKEW: ((1, 1), (2, 2)),
 }
-
-
-class GradedLinearForm:
-    """Linear form homogeneous in the column grading: it lives in a single
-    column of the matrix ring."""
-
-    __slots__ = ("poly", "column", "row_vector")
-
-    def __init__(self, poly: Poly):
-        ring = poly.ring
-        if ring.matrix_shape is None:
-            raise ValueError("graded linear forms need a matrix ring")
-        if not poly.terms or poly.degree() != 1 or not poly.is_homogeneous():
-            raise ValueError("expected a nonzero linear form")
-        grading = Grading.by_columns(ring)
-        deg = poly.multidegree(grading)
-        if deg is None or sum(deg) != 1:
-            raise ValueError("linear form is not column-homogeneous")
-        self.poly = poly
-        self.column = deg.index(1) + 1  # 1-based
-        rows, cols = ring.matrix_shape
-        dom = ring.domain
-        vec = [dom.zero] * rows
-        for m, c in poly.terms.items():
-            var = m.index(1)
-            vec[var // cols] = c
-        self.row_vector = vec
-
-    def __repr__(self):
-        return f"GradedLinearForm({self.poly}, column {self.column})"
-
-
-class LinearPairClass:
-    """Class tag plus a GL witness normalizing the pair to its
-    representative."""
-
-    __slots__ = ("tag", "substitution", "representative")
-
-    def __init__(self, tag, substitution, representative):
-        self.tag = tag
-        self.substitution = substitution
-        self.representative = representative
-
-    def apply(self, poly: Poly) -> Poly:
-        return poly.substitute(self.substitution)
-
-    def __repr__(self):
-        return f"LinearPairClass({self.tag})"
-
-
-def _complete_rows(vectors, n, dom):
-    rows = [list(v) for v in vectors]
-    for i in range(n):
-        unit = [dom.one if j == i else dom.zero for j in range(n)]
-        trial = rows + [unit]
-        if mat_rank(trial, dom) == len(trial):
-            rows = trial
-        if len(rows) == n:
-            break
-    return rows
-
-
-def classify_linear_pair(l1: GradedLinearForm, l2: GradedLinearForm) -> LinearPairClass:
-    """Sort an independent column-homogeneous pair into one of the three
-    normal forms (same column / parallel rows / skew) and build the witness
-    substitution carrying it onto the representative pair."""
-    ring = l1.poly.ring
-    if ring != l2.poly.ring:
-        raise ValueError("forms live in different rings")
-    dom = ring.domain
-    rows, cols = ring.matrix_shape
-    if mat_rank([l1.row_vector, l2.row_vector], dom) < 2 and l1.column == l2.column:
-        raise ValueError("forms are linearly dependent")
-
-    parallel = mat_rank([l1.row_vector, l2.row_vector], dom) < 2
-    if l1.column == l2.column:
-        tag = SAME_COLUMN
-    elif parallel:
-        tag = PARALLEL_ROWS
-    else:
-        tag = SKEW
-
-    # row transform: v1 -> e1 (and v2 -> e2 unless parallel)
-    if tag == PARALLEL_ROWS:
-        seed = [l1.row_vector]
-    else:
-        seed = [l1.row_vector, l2.row_vector]
-    p = _complete_rows(seed, rows, dom)
-    a = mat_inverse(p, dom)
-
-    # column permutation c1 -> 1, c2 -> 2 (plus a scaling for parallel rows)
-    c1, c2 = l1.column, l2.column
-    col_map = {}
-    if tag == SAME_COLUMN:
-        col_map[c1] = 1
-        nxt = 2
-        for c in range(1, cols + 1):
-            if c != c1:
-                col_map[c] = nxt
-                nxt += 1
-    else:
-        col_map[c1] = 1
-        col_map[c2] = 2
-        nxt = 3
-        for c in range(1, cols + 1):
-            if c not in (c1, c2):
-                col_map[c] = nxt
-                nxt += 1
-    col_scale = {c: dom.one for c in range(1, cols + 1)}
-    if tag == PARALLEL_ROWS:
-        # l2 = s * (v1 in column c2); rescale that column so it lands on x1_2
-        ratio = None
-        for x, y in zip(l1.row_vector, l2.row_vector):
-            if x:
-                ratio = dom.div(y, x)
-                break
-        col_scale[c2] = dom.inv(ratio)
-
-    substitution = {}
-    for i in range(rows):
-        for j0 in range(cols):
-            src = i * cols + j0
-            target_col = col_map[j0 + 1] - 1
-            img_terms = {}
-            for k in range(rows):
-                coeff = dom.mul(a[i][k], col_scale[j0 + 1])
-                if coeff:
-                    mono = [0] * ring.nvars
-                    mono[k * cols + target_col] = 1
-                    img_terms[tuple(mono)] = coeff
-            substitution[src] = Poly(ring, img_terms, _clean=False)
-
-    rep = _CLASS_REPRESENTATIVES[tag]
-    representative = tuple(
-        ring.var(ring.entry_index(r, c)) for r, c in rep
-    )
-    return LinearPairClass(tag, substitution, representative)
-
-
-# ---------------------------------------------------------------------------
-# column-homogeneous decompositions of a (1,1,1)-cubic
-
-
-_LINEAR_DEGREES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_QUADRIC_DEGREES = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-
-class GradedDecomposition:
-    """Column-homogeneous pieces of a candidate strength-1 decomposition
-    a*b + c*d of a (1,1,1)-form: the linear factors split into three
-    single-column pieces, the quadrics into six."""
-
-    __slots__ = ("ring", "grading", "a", "b", "c", "d")
-
-    def __init__(self, ring, a=None, b=None, c=None, d=None):
-        if ring.matrix_shape is None or ring.matrix_shape[1] != 3:
-            raise ValueError("decompositions live in a three-column matrix ring")
-        self.ring = ring
-        self.grading = Grading.by_columns(ring)
-        self.a = self._typed(a or {}, _LINEAR_DEGREES, 1)
-        self.c = self._typed(c or {}, _LINEAR_DEGREES, 1)
-        self.b = self._typed(b or {}, _QUADRIC_DEGREES, 2)
-        self.d = self._typed(d or {}, _QUADRIC_DEGREES, 2)
-
-    def _typed(self, pieces, allowed, total_degree):
-        out = {}
-        for deg in allowed:
-            out[deg] = self.ring.zero()
-        for deg, f in pieces.items():
-            deg = tuple(deg)
-            if deg not in out:
-                raise ValueError(f"multidegree {deg} is not allowed here")
-            if not f.terms:
-                continue
-            if f.degree() != total_degree or f.multidegree(self.grading) != deg:
-                raise ValueError(f"piece at {deg} is not homogeneous of that multidegree")
-            out[deg] = f
-        return out
-
-    def linear_a(self):
-        return _sum(self.ring, self.a.values())
-
-    def linear_c(self):
-        return _sum(self.ring, self.c.values())
-
-    def quadric_b(self):
-        return _sum(self.ring, self.b.values())
-
-    def quadric_d(self):
-        return _sum(self.ring, self.d.values())
-
-    def product(self) -> Poly:
-        return self.linear_a() * self.quadric_b() + self.linear_c() * self.quadric_d()
-
-    def target_component(self) -> Poly:
-        """The (1,1,1) part assembled from the six contributing pairs."""
-        pairs = (
-            (self.a[(1, 0, 0)], self.b[(0, 1, 1)]),
-            (self.a[(0, 1, 0)], self.b[(1, 0, 1)]),
-            (self.a[(0, 0, 1)], self.b[(1, 1, 0)]),
-            (self.c[(1, 0, 0)], self.d[(0, 1, 1)]),
-            (self.c[(0, 1, 0)], self.d[(1, 0, 1)]),
-            (self.c[(0, 0, 1)], self.d[(1, 1, 0)]),
-        )
-        return _sum(self.ring, [g * h for g, h in pairs])
-
-
-def _sum(ring, polys):
-    total = ring.zero()
-    for f in polys:
-        total = total + f
-    return total
-
-
-class GradingCheck:
-    __slots__ = ("ok", "violations", "product")
-
-    def __init__(self, ok, violations, product):
-        self.ok = ok
-        self.violations = violations
-        self.product = product
-
-
-def grading_constraint_check(dec: GradedDecomposition) -> GradingCheck:
-    """A decomposition is admissible when a*b + c*d is supported purely in
-    multidegree (1,1,1); the violation list names every off-degree component
-    that survives."""
-    product = dec.product()
-    violations = [
-        d for d in product.multidegree_support(dec.grading) if d != (1, 1, 1)
-    ]
-    return GradingCheck(not violations, violations, product)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +70,6 @@ class ExclusionReport:
 
     def row_count(self):
         return len(self.monomials)
-
-    def to_dict(self):
-        return {
-            "ideal": [str(g) for g in self.ideal_gens],
-            "monomial_rows": len(self.monomials),
-            "kernel_dim": self.kernel_dim,
-        }
 
 
 def exclusion_matrix(family, class_ideal: Ideal) -> ExclusionReport:
@@ -344,33 +110,6 @@ def class_ideals(ring: Ring):
         ]
         out[tag] = Ideal(ring, gens)
     return out
-
-
-def all_variable_pair_ideals(ring: Ring):
-    """Exhaustive mode: every ideal generated by two distinct variables,
-    with its class tag (belt-and-braces coverage of the symmetry argument)."""
-    rows, cols = ring.matrix_shape
-    out = []
-    n = ring.nvars
-    for u in range(n):
-        for v in range(u + 1, n):
-            ru, cu = divmod(u, cols)
-            rv, cv = divmod(v, cols)
-            if cu == cv:
-                tag = SAME_COLUMN
-            elif ru == rv:
-                tag = PARALLEL_ROWS
-            else:
-                tag = SKEW
-            out.append((tag, Ideal(ring, [ring.var(u), ring.var(v)])))
-    return out
-
-
-def strength_one_excluded(family, ideals) -> bool:
-    """True when every class ideal's exclusion kernel is trivial: no
-    nontrivial combination of the family falls into any class ideal, so no
-    combination has an admissible strength-1 decomposition."""
-    return all(exclusion_matrix(family, ideal).trivial_kernel for ideal in ideals)
 
 
 # ---------------------------------------------------------------------------

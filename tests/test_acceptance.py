@@ -22,7 +22,6 @@ from formstrength.groebner import (
     normal_form,
     spolynomial,
 )
-import formstrength.groebner as groebner_module
 from formstrength.linalg import mat_mul, mat_rank, transpose
 from formstrength.minors import GenericMatrix, laplace_strength_bound, maximal_minors
 from formstrength.poly import Grading, Poly, Ring
@@ -74,7 +73,6 @@ def test_criterion_1_n32_lower(capsys):
 
 def test_criterion_2_n33(capsys):
     start = time.time()
-    groebner_module._BASIS_CACHE.clear()
 
     dom = GF(32003)
     family = maximal_minors(GenericMatrix(4, 3, dom))
@@ -317,7 +315,6 @@ def test_criterion_6_small_r_certificate(capsys):
 
 def test_criterion_7_hilbert_burch_confirmation(capsys):
     start = time.time()
-    groebner_module._BASIS_CACHE.clear()
     results = {}
     for label, rows, cols, dom in (
         ("3x2/q", 3, 2, QQ),

@@ -34,6 +34,14 @@ def test_regseq_ring_flag(tmp_path):
     assert run(["regseq", "--in", str(path), "--ring", "n=2 field=q"]) == 0
 
 
+def test_quadric_ring_flag_reads_a_headerless_polynomial_file(tmp_path, capsys):
+    path = tmp_path / "form.txt"
+    path.write_text("x1^2 + x2^2\n")
+    assert run(["quadric", "rank", "--in", str(path), "--ring", "n=2 field=q"]) == 0
+    out, _ = _capture(capsys)
+    assert out == "rank: 2\n"
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["regseq", "--bogus"]) == 2
     assert run(["nonsense"]) == 2
@@ -212,7 +220,6 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
             raise _exc
 
         monkeypatch.setattr(groebner, "groebner_basis", broken)
-        monkeypatch.setattr(groebner, "_BASIS_CACHE", {})
         assert run(["gb", "codim", "--in", str(path)]) == 3
         out, err = _capture(capsys)
         assert out == ""
@@ -342,5 +349,103 @@ def test_scan_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
         (["quadric", "minrank", "--json", "--in", str(pencil)], MINRANK_PENCIL_OUT),
     ):
         assert run(argv) == 0
+        out, _ = _capture(capsys)
+        assert out == want
+
+
+REGSEQ_NET_F7 = "ring n=3 field=fp:7\nx1^2 + 3*x2*x3\nx2^2 - x1*x3\nx3^2 + 2*x1*x2\n"
+# f1 = x3*(x1 + x2), f2 = x2*(x1 + x2): the gcd report names the common factor
+REGSEQ_PAIR_F7 = "ring n=3 field=fp:7\nx1*x3 + x2*x3\nx1*x2 + x2^2\n"
+REGSEQ_PAIR_Q = "ring n=3 field=q\nx1^2 - 1/2*x2^2\nx2*x3 + x1^2\n"
+
+REGSEQ_NET_OUT = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "environment": {\n'
+    '    "field": "fp:7",\n'
+    '    "primes": [\n'
+    '      7\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "codim_test_regular": true,\n'
+    '    "codimension": 3,\n'
+    '    "direct_test_regular": true,\n'
+    '    "forms": 3,\n'
+    '    "regular": true,\n'
+    '    "tests_agree": true,\n'
+    '    "variables": 3\n'
+    '  }\n'
+    '}\n'
+)
+
+REGSEQ_PAIR_OUT = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "environment": {\n'
+    '    "field": "fp:7",\n'
+    '    "primes": [\n'
+    '      7\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "codim_test_regular": false,\n'
+    '    "codimension": 1,\n'
+    '    "direct_test_regular": false,\n'
+    '    "forms": 2,\n'
+    '    "gcd_report": {\n'
+    '      "agree": true,\n'
+    '      "codim_route_regular": false,\n'
+    '      "gcd": "x1 + x2",\n'
+    '      "gcd_route_regular": false\n'
+    '    },\n'
+    '    "regular": false,\n'
+    '    "tests_agree": true,\n'
+    '    "variables": 3\n'
+    '  }\n'
+    '}\n'
+)
+
+REGSEQ_Q_OUT = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "environment": {\n'
+    '    "field": "q",\n'
+    '    "primes": [],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "codim_test_regular": true,\n'
+    '    "codimension": 2,\n'
+    '    "direct_test_regular": true,\n'
+    '    "forms": 2,\n'
+    '    "gcd_report": {\n'
+    '      "agree": true,\n'
+    '      "codim_route_regular": true,\n'
+    '      "gcd": "1",\n'
+    '      "gcd_route_regular": true\n'
+    '    },\n'
+    '    "regular": true,\n'
+    '    "tests_agree": true,\n'
+    '    "variables": 3\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_regseq_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
+    for text, want, code in (
+        (REGSEQ_NET_F7, REGSEQ_NET_OUT, 0),
+        (REGSEQ_PAIR_F7, REGSEQ_PAIR_OUT, 1),
+        (REGSEQ_PAIR_Q, REGSEQ_Q_OUT, 0),
+    ):
+        path = tmp_path / "sys.txt"
+        path.write_text(text)
+        assert run(["regseq", "--json", "--in", str(path)]) == code
         out, _ = _capture(capsys)
         assert out == want

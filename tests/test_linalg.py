@@ -10,7 +10,6 @@ from formstrength.linalg import (
     mat_inverse,
     mat_mul,
     mat_rank,
-    solve_right,
     transpose,
 )
 
@@ -49,16 +48,6 @@ def test_kernel_vectors_annihilate():
                 for i in range(rows)
             ]
             assert all(v == 0 for v in image)
-
-
-def test_solve_right():
-    dom = QQ
-    m = [[QQ(1), QQ(2)], [QQ(3), QQ(4)]]
-    x = solve_right(m, [QQ(5), QQ(6)], dom)
-    assert x is not None
-    assert [sum(r * v for r, v in zip(row, x)) for row in m] == [QQ(5), QQ(6)]
-    inconsistent = solve_right([[QQ(1), QQ(1)], [QQ(1), QQ(1)]], [QQ(0), QQ(1)], dom)
-    assert inconsistent is None
 
 
 def test_congruence_diagonalize():

@@ -1,6 +1,6 @@
-"""The one elimination routine behind rank, inverse, kernel and solve gives
-exactly what the four separate Gauss-Jordan loops it replaced gave; those
-loops are kept below as the reference."""
+"""The one elimination routine behind rank, inverse and kernel gives exactly
+what the separate Gauss-Jordan loops it replaced gave; those loops are kept
+below as the reference."""
 
 import copy
 from fractions import Fraction
@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from formstrength.domains import GF, QQ
-from formstrength.linalg import kernel_basis, mat_inverse, mat_rank, solve_right
+from formstrength.linalg import kernel_basis, mat_inverse, mat_rank
 
 DOMAINS = [GF(3), GF(31), GF(32003), QQ]
 
@@ -74,18 +74,6 @@ def ref_kernel(m, dom):
             vec[pc] = dom.neg(a[r][fc])
         basis.append(vec)
     return basis
-
-
-def ref_solve(m, rhs, dom):
-    cols = len(m[0]) if m else 0
-    a = [list(m[r]) + [rhs[r]] for r in range(len(m))]
-    pivots = _ref_reduce(a, cols, dom)
-    if any(row[cols] for row in a[len(pivots):]):
-        return None
-    x = [dom.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +166,6 @@ def test_inverse_equals_the_reference(case):
     assert m == before
 
 
-@SETTINGS
-@given(case=matrices(), data=st.data())
-@example(case=EMPTY, data=None)
-@example(case=ZERO, data=None)
-@example(case=WIDE, data=None)
-@example(case=TALL, data=None)
-@example(case=SINGULAR_Q, data=None)
-def test_solve_equals_the_reference(case, data):
-    dom, m = case
-    rows, cols = len(m), len(m[0]) if m else 0
-    if data is None:
-        rhs = [dom.one] * rows
-    elif data.draw(st.booleans()):
-        # consistent: rhs = m x
-        x = [data.draw(_entries(dom)) for _ in range(cols)]
-        rhs = [row[0] for row in _mul(m, [[v] for v in x], cols, 1, dom)]
-    else:
-        rhs = [data.draw(_entries(dom)) for _ in range(rows)]
-    want = ref_solve(m, rhs, dom)
-    assert solve_right(m, rhs, dom) == want
-
-
-def test_fixed_examples_are_singular_and_inconsistent_as_named():
+def test_fixed_examples_are_singular_as_named():
     for dom, m in (SINGULAR, SINGULAR_Q):
         assert ref_rank(m, dom) < len(m)
-    for dom, m in (ZERO, SINGULAR_Q):
-        assert ref_solve(m, [dom.one] * len(m), dom) is None

@@ -10,8 +10,6 @@ from formstrength.minors import (
     determinant_laplace,
     laplace_strength_bound,
     maximal_minors,
-    minor_codim_is_two,
-    subfamily_not_regular,
 )
 from formstrength.parse import parse_poly
 from formstrength.poly import Grading
@@ -143,17 +141,13 @@ def test_laplace_strength_bound_witnesses():
 
 
 def test_codim_two_checks():
-    assert minor_codim_is_two(maximal_minors(GenericMatrix(3, 2, QQ)))
-    assert minor_codim_is_two(maximal_minors(GenericMatrix(2, 1, QQ)))
+    assert codimension(maximal_minors(GenericMatrix(3, 2, QQ)).ideal()) == 2
+    assert codimension(maximal_minors(GenericMatrix(2, 1, QQ)).ideal()) == 2
     f7 = maximal_minors(GenericMatrix(4, 3, GF(7)))
-    assert minor_codim_is_two(f7)
+    assert codimension(f7.ideal()) == 2
 
 
 def test_subfamily_not_regular(family_3x2_q, family_4x3_f7):
-    assert subfamily_not_regular(family_3x2_q)
-    assert subfamily_not_regular(family_4x3_f7)
-    assert codimension(Ideal(family_4x3_f7.ring, family_4x3_f7.minors[:3])) == 2
-    with pytest.raises(ValueError):
-        subfamily_not_regular(maximal_minors(GenericMatrix(2, 1, QQ)))
-    with pytest.raises(ValueError):
-        subfamily_not_regular(family_3x2_q, indices=(0, 1, 1))
+    # three minors generate a codimension-2 ideal, so they are not regular
+    for family in (family_3x2_q, family_4x3_f7):
+        assert codimension(Ideal(family.ring, family.minors[:3])) == 2

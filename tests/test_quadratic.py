@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from formstrength.domains import GF, QQ
-from formstrength.groebner import Ideal, codimension
+from formstrength.groebner import Ideal, codimension, is_regular_sequence_codim
 from formstrength.linalg import mat_mul, mat_rank, transpose
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.parse import parse_poly
@@ -20,7 +20,6 @@ from formstrength.quadratic import (
     minrank_bruteforce,
     minrank_formula,
     prime_certificate,
-    quadric_triple_regularity_report,
     rank_scan_all_nonzero,
     simultaneous_diagonalize,
     strength_from_rank,
@@ -315,6 +314,19 @@ def test_rank_scan_all_nonzero_counts():
     assert histogram == {4: 124}
 
 
+def test_reduce_mod_keeps_the_variables_and_refuses_denominators():
+    ring = Ring.matrix(1, 2, QQ)
+    q = QuadraticForm.from_poly(parse_poly("x1_1*x1_2 - 3*x1_2^2", ring))
+    image = q.reduce_mod(7)
+    assert image.ring == Ring.matrix(1, 2, GF(7)) and image.ring.matrix_shape == (1, 2)
+    assert image.gram == [[0, 4], [4, 4]]  # 1/2 = 4 and -3 = 4 mod 7
+    assert image.to_poly() == parse_poly("x1_1*x1_2 - 3*x1_2^2", image.ring)
+    with pytest.raises(ZeroDivisionError):
+        QuadraticForm.diagonal(Ring.flat(1, QQ), [Fraction(1, 7)]).reduce_mod(7)
+    with pytest.raises(ValueError):
+        q.reduce_mod(2)
+
+
 def test_triple_report_on_certifying_sample():
     ring = Ring.flat(6, QQ)
     f1 = QuadraticForm.diagonal(ring, [1] * 6)
@@ -322,12 +334,11 @@ def test_triple_report_on_certifying_sample():
     f3 = QuadraticForm.from_poly(
         parse_poly("x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x1*x6 + x1*x3", ring)
     )
-    rep = quadric_triple_regularity_report(f1, f2, f3)
-    assert rep.minrank_formula_value == 5
-    assert rep.minrank_scan_value == 5
-    assert rep.prime_status == "certified-prime"
-    assert rep.regular_by_codim and rep.consistent
-    assert rep.minrank_ge_5 and rep.minrank_ge_4
+    dp = simultaneous_diagonalize(f1, f2)
+    assert minrank_formula(dp).value == 5
+    assert minrank_bruteforce(f1.reduce_mod(11), f2.reduce_mod(11)).value == 5
+    assert prime_certificate(dp).status == "certified-prime"
+    assert is_regular_sequence_codim([q.to_poly() for q in (f1, f2, f3)])
 
 
 def test_triple_report_on_dependent_pair():
@@ -335,11 +346,9 @@ def test_triple_report_on_dependent_pair():
     f1 = QuadraticForm.diagonal(ring, [1, 1, 1])
     f2 = QuadraticForm.diagonal(ring, [2, 2, 2])
     f3 = QuadraticForm.from_poly(parse_poly("x1*x2", ring))
-    rep = quadric_triple_regularity_report(f1, f2, f3)
-    assert rep.collective_strength_scan == -1
-    assert rep.minrank_formula_value == 0
-    assert not rep.regular_by_codim
-    assert rep.consistent
+    assert collective_strength_quadrics([q.reduce_mod(11) for q in (f1, f2, f3)]) == -1
+    assert minrank_formula(simultaneous_diagonalize(f1, f2)).value == 0
+    assert not is_regular_sequence_codim([q.to_poly() for q in (f1, f2, f3)])
 
 
 def test_triple_report_on_strength_one_family():
@@ -347,8 +356,9 @@ def test_triple_report_on_strength_one_family():
     # the upper-bound theorem really is necessary
     family = maximal_minors(GenericMatrix(3, 2, QQ))
     forms = [QuadraticForm.from_poly(f) for f in family.minors]
-    rep = quadric_triple_regularity_report(*forms, scan_prime=5)
-    assert rep.collective_strength_scan == 1
-    assert not rep.diagonalized  # f1 has rank 4 < 6: degenerate base form
-    assert not rep.regular_by_codim
-    assert rep.minrank_scan_value == 4  # nonzero pair combinations all have rank 4
+    scan_forms = [q.reduce_mod(5) for q in forms]
+    assert collective_strength_quadrics(scan_forms) == 1
+    with pytest.raises(DegenerateFormError):  # f1 has rank 4 < 6
+        simultaneous_diagonalize(forms[0], forms[1])
+    assert not is_regular_sequence_codim(family.minors)
+    assert minrank_bruteforce(scan_forms[0], scan_forms[1]).value == 4  # every nonzero combination has rank 4

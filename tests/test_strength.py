@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,154 +13,10 @@ from formstrength.strength import (
     PARALLEL_ROWS,
     SAME_COLUMN,
     SKEW,
-    GradedDecomposition,
-    GradedLinearForm,
-    all_variable_pair_ideals,
     class_ideals,
-    classify_linear_pair,
     exclusion_matrix,
-    grading_constraint_check,
     strength_bruteforce_small,
-    strength_one_excluded,
 )
-
-
-@pytest.fixture(scope="module")
-def ring43():
-    return Ring.matrix(4, 3, QQ)
-
-
-def _glf(text, ring):
-    return GradedLinearForm(parse_poly(text, ring))
-
-
-# ---------------------------------------------------------------------------
-# linear pair classification
-
-
-def test_classify_representatives(ring43):
-    assert classify_linear_pair(_glf("x1_1", ring43), _glf("x2_1", ring43)).tag == SAME_COLUMN
-    assert classify_linear_pair(_glf("x1_1", ring43), _glf("x1_2", ring43)).tag == PARALLEL_ROWS
-    assert classify_linear_pair(_glf("x1_1", ring43), _glf("x2_2", ring43)).tag == SKEW
-
-
-def test_classify_parallel_rows_with_witness(ring43):
-    l1 = _glf("x1_1 + 2*x2_1", ring43)
-    l2 = _glf("x1_2 + 2*x2_2", ring43)
-    cls = classify_linear_pair(l1, l2)
-    assert cls.tag == PARALLEL_ROWS
-    assert cls.apply(l1.poly) == cls.representative[0]
-    assert cls.apply(l2.poly) == cls.representative[1]
-
-
-def test_classify_rejects_bad_inputs(ring43):
-    with pytest.raises(ValueError):
-        classify_linear_pair(_glf("x1_1", ring43), _glf("3*x1_1", ring43))
-    with pytest.raises(ValueError):
-        GradedLinearForm(parse_poly("x1_1 + x1_2", ring43))  # two columns
-    with pytest.raises(ValueError):
-        GradedLinearForm(parse_poly("x1_1^2", ring43))  # not linear
-
-
-def test_classification_witness_action_random(ring43):
-    rng = random.Random(91)
-    for _ in range(25):
-        c1, c2 = rng.randint(1, 3), rng.randint(1, 3)
-        v1 = [QQ(rng.randint(-2, 2)) for _ in range(4)]
-        v2 = [QQ(rng.randint(-2, 2)) for _ in range(4)]
-        if not any(v1) or not any(v2):
-            continue
-        if c1 == c2 and mat_rank([v1, v2], QQ) < 2:
-            continue
-        def form(vec, col):
-            poly = ring43.zero()
-            for i, c in enumerate(vec):
-                if c:
-                    poly = poly + ring43.var(ring43.entry_index(i + 1, col)).scale(c)
-            return GradedLinearForm(poly)
-        l1, l2 = form(v1, c1), form(v2, c2)
-        cls = classify_linear_pair(l1, l2)
-        # applying the witness carries the pair exactly onto the representative
-        assert cls.apply(l1.poly) == cls.representative[0]
-        assert cls.apply(l2.poly) == cls.representative[1]
-        r1 = GradedLinearForm(cls.representative[0])
-        r2 = GradedLinearForm(cls.representative[1])
-        assert classify_linear_pair(r1, r2).tag == cls.tag
-
-
-# ---------------------------------------------------------------------------
-# graded decompositions
-
-
-def test_grading_check_accepts_column_homogeneous_product(ring43):
-    dec = GradedDecomposition(
-        ring43,
-        a={(1, 0, 0): parse_poly("x1_1", ring43)},
-        b={(0, 1, 1): parse_poly("x2_2*x3_3", ring43)},
-        c={(1, 0, 0): parse_poly("x2_1", ring43)},
-        d={(0, 1, 1): parse_poly("x3_2*x4_3", ring43)},
-    )
-    check = grading_constraint_check(dec)
-    assert check.ok and check.violations == []
-    assert dec.target_component() == check.product
-
-
-def test_grading_check_flags_first_column_cube(ring43):
-    dec = GradedDecomposition(
-        ring43,
-        a={(1, 0, 0): parse_poly("x1_1", ring43)},
-        b={
-            (0, 1, 1): parse_poly("x2_2*x3_3", ring43),
-            (2, 0, 0): parse_poly("x2_1*x3_1", ring43),
-        },
-        c={(1, 0, 0): parse_poly("x2_1", ring43)},
-        d={(0, 1, 1): parse_poly("x3_2*x4_3", ring43)},
-    )
-    check = grading_constraint_check(dec)
-    assert not check.ok
-    assert (3, 0, 0) in check.violations
-
-
-def test_grading_check_zero_decomposition(ring43):
-    dec = GradedDecomposition(ring43)
-    check = grading_constraint_check(dec)
-    assert check.ok and check.product.is_zero()
-
-
-def test_decomposition_piece_typing_enforced(ring43):
-    with pytest.raises(ValueError):
-        GradedDecomposition(ring43, a={(1, 0, 0): parse_poly("x1_2", ring43)})
-    with pytest.raises(ValueError):
-        GradedDecomposition(ring43, b={(3, 0, 0): parse_poly("x1_1*x2_1", ring43)})
-
-
-def test_reconstruction_identity_on_admissible_decompositions(ring43):
-    rng = random.Random(93)
-    from formstrength.poly import Grading
-
-    grading = Grading.by_columns(ring43)
-    for _ in range(10):
-        # random single-column linear pieces with quadric partners chosen to
-        # stay admissible: b gets only the degrees complementary to a
-        a100 = ring43.var(ring43.entry_index(rng.randint(1, 4), 1))
-        c100 = ring43.var(ring43.entry_index(rng.randint(1, 4), 1))
-        b011 = ring43.var(ring43.entry_index(rng.randint(1, 4), 2)) * ring43.var(
-            ring43.entry_index(rng.randint(1, 4), 3)
-        )
-        d011 = ring43.var(ring43.entry_index(rng.randint(1, 4), 2)) * ring43.var(
-            ring43.entry_index(rng.randint(1, 4), 3)
-        )
-        dec = GradedDecomposition(
-            ring43,
-            a={(1, 0, 0): a100},
-            b={(0, 1, 1): b011},
-            c={(1, 0, 0): c100},
-            d={(0, 1, 1): d011},
-        )
-        check = grading_constraint_check(dec)
-        assert check.ok
-        assert dec.target_component() == check.product
-        assert check.product.component(grading, (1, 1, 1)) == check.product
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +47,7 @@ def test_exclusion_detects_strength_one_member(family_4x3_q):
     q = parse_poly("x2_2*x3_3 - x2_3*x3_2", ring)
     family = [x11 * q]
     ideals = class_ideals(ring)
-    assert not strength_one_excluded(family, list(ideals.values()))
+    assert not all(exclusion_matrix(family, ideal).trivial_kernel for ideal in ideals.values())
     report = exclusion_matrix(family, ideals[PARALLEL_ROWS])
     assert report.kernel_dim == 1 and report.row_count() == 0
 
@@ -220,23 +77,30 @@ def test_strength_one_excluded_with_extra_class(family_4x3_q):
     triple = family_4x3_q.minors[:3]
     ideals = list(class_ideals(ring).values())
     extra = Ideal(ring, [ring.var(ring.entry_index(1, 1)), ring.var(ring.entry_index(1, 3))])
-    assert strength_one_excluded(triple, ideals + [extra])
+    for ideal in ideals + [extra]:
+        assert exclusion_matrix(triple, ideal).trivial_kernel
 
 
 def test_four_minor_exclusion_variant(family_4x3_q):
-    ideals = list(class_ideals(family_4x3_q.ring).values())
-    assert strength_one_excluded(family_4x3_q.minors, ideals)
+    for ideal in class_ideals(family_4x3_q.ring).values():
+        assert exclusion_matrix(family_4x3_q.minors, ideal).trivial_kernel
 
 
 def test_exhaustive_variable_pair_exclusion(family_4x3_q):
     # belt-and-braces replacement for the symmetry argument: every ideal
     # generated by two distinct matrix variables excludes the family
-    pairs = all_variable_pair_ideals(family_4x3_q.ring)
+    ring = family_4x3_q.ring
+    rows, cols = ring.matrix_shape
+    entries = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    pairs = list(combinations(entries, 2))
     assert len(pairs) == 66
-    tags = {tag for tag, _ in pairs}
-    assert tags == {SAME_COLUMN, PARALLEL_ROWS, SKEW}
+    tags = set()
     triple = family_4x3_q.minors[:3]
-    assert strength_one_excluded(triple, [ideal for _, ideal in pairs])
+    for (r1, c1), (r2, c2) in pairs:
+        tags.add(SAME_COLUMN if c1 == c2 else PARALLEL_ROWS if r1 == r2 else SKEW)
+        ideal = Ideal(ring, [ring.var(ring.entry_index(r1, c1)), ring.var(ring.entry_index(r2, c2))])
+        assert exclusion_matrix(triple, ideal).trivial_kernel
+    assert tags == {SAME_COLUMN, PARALLEL_ROWS, SKEW}
 
 
 # ---------------------------------------------------------------------------
