@@ -13,7 +13,6 @@ from .groebner import (
     is_regular_sequence_codim,
     is_regular_sequence_direct,
     normal_form,
-    regular_pair_gcd_check,
 )
 from .minors import (
     GenericMatrix,
@@ -25,7 +24,7 @@ from .minors import (
 from .orders import DEGREVLEX, LEX, elimination
 from .parse import format_poly, load_ideal_file, parse_poly
 from .poly import Grading, Poly, Ring
-from .polygcd import multivariate_gcd
+from .polygcd import multivariate_gcd, regular_pair_gcd_check
 from .quadratic import (
     DiagonalPair,
     QuadraticForm,

@@ -19,7 +19,6 @@ from .groebner import (
     codimension,
     is_regular_sequence_codim,
     normal_form,
-    regular_pair_gcd_check,
 )
 from .minors import (
     GenericMatrix,
@@ -28,6 +27,7 @@ from .minors import (
     maximal_minors,
 )
 from .poly import Grading, Poly, Ring
+from .polygcd import regular_pair_gcd_check
 from .quadratic import (
     QuadraticForm,
     collective_strength_quadrics,
@@ -644,17 +644,25 @@ class RecheckResult:
 
 def recheck_certificate(data: dict) -> RecheckResult:
     """Re-run a serialized certificate's claim under its recorded
-    environment and compare everything."""
+    environment and compare everything.  Data of the wrong shape raises
+    ValueError (a refused input, not a failed recheck)."""
+    env = data.get("environment", {}) if isinstance(data, dict) else None
+    if not isinstance(env, dict):
+        raise ValueError("a certificate is a JSON object with an object 'environment'")
+    primes, seed = env.get("primes", []), env.get("seed", 0)
+    if not isinstance(primes, list) or any(type(v) is not int for v in primes + [seed]):
+        raise ValueError("certificate 'primes' and 'seed' must be integers")
+    subverdicts = data.get("subverdicts", [])
+    if not isinstance(subverdicts, list) or any(type(v) is not dict for v in subverdicts):
+        raise ValueError("certificate 'subverdicts' must be a list of objects")
     claim = data.get("claim")
-    name = _CLAIM_TO_BUILDER.get(claim)
+    name = _CLAIM_TO_BUILDER.get(claim) if isinstance(claim, str) else None
     if name is None:
         return RecheckResult(False, f"unknown claim {claim!r}")
-    env = data.get("environment", {})
     version = env.get("version")
     if version != __version__:
         return RecheckResult(False, f"version mismatch: file {version!r}, library {__version__!r}")
-    seed = env.get("seed", 0)
-    primes = dict(zip(PRIME_PARAMS[name], env.get("primes", [])))
+    primes = dict(zip(PRIME_PARAMS[name], primes))
     fresh = build_certificate(name, seed=seed, **primes)
     if fresh.to_dict() == data:
         return RecheckResult(True, "recomputed certificate matches the file")
@@ -664,10 +672,9 @@ def recheck_certificate(data: dict) -> RecheckResult:
         if fresh_dict.get(key) != data.get(key):
             return RecheckResult(False, f"field {key!r} differs from the recomputation")
     mine = fresh_dict.get("subverdicts", [])
-    theirs = data.get("subverdicts", [])
-    if len(mine) != len(theirs):
+    if len(mine) != len(subverdicts):
         return RecheckResult(False, "sub-verdict lists differ in length")
-    for a, b in zip(mine, theirs):
+    for a, b in zip(mine, subverdicts):
         if a != b:
             return RecheckResult(False, f"sub-verdict {b.get('name')!r} differs from the recomputation")
     return RecheckResult(False, "certificate differs from the recomputation")

@@ -4,8 +4,10 @@ Every command is a pure function of (inputs, flags, seed): two runs with the
 same arguments produce byte-identical output.  Exit code 0 means the verdict
 passed or the query succeeded, 1 means a computational verdict failed (the
 witness is printed), 2 means the invocation or its input was refused, and 3
-means an internal error (a broken engine invariant, recursion too deep, or
-an exponent beyond the packed monomial keys), reported on stderr.
+means an internal error (a broken engine invariant, recursion too deep, an
+exponent beyond the packed monomial keys, or any other exception), reported
+on stderr.  Each subcommand declares only the flags it reads, so a flag
+that would be ignored is refused.
 """
 
 from __future__ import annotations
@@ -16,17 +18,15 @@ import sys
 
 from .domains import GF, QQ, domain_from_name
 from .groebner import (
-    GroebnerError,
     Ideal,
     codimension,
     dimension,
     ideal_intersection,
     ideal_quotient,
     is_regular_sequence_direct,
-    regular_pair_gcd_check,
 )
 from .minors import GenericMatrix, laplace_strength_bound, maximal_minors
-from .orders import KeyWidthError, order_from_name
+from .orders import order_from_name
 from .parse import (
     dump_ideal_text,
     format_poly,
@@ -35,6 +35,7 @@ from .parse import (
     parse_ring_header,
 )
 from .poly import Grading, Ring
+from .polygcd import PairReport, multivariate_gcd
 from .quadratic import (
     DiagonalPair,
     QuadraticForm,
@@ -139,7 +140,8 @@ def cmd_regseq(args):
         "regular": by_codim and direct,
     }
     if len(polys) == 2:
-        result["gcd_report"] = regular_pair_gcd_check(polys[0], polys[1]).to_dict()
+        gcd = multivariate_gcd(*polys)
+        result["gcd_report"] = PairReport(gcd, gcd.is_constant(), by_codim).to_dict()
     if not _emit(args, "regseq", result, ring.domain.name, _prime_list(ring.domain)):
         verdict = "regular sequence" if result["regular"] else "NOT a regular sequence"
         print(f"{len(polys)} forms in {ring.nvars} variables over {ring.domain.name}: {verdict}")
@@ -319,6 +321,21 @@ def cmd_recheck(args):
 
 # ---------------------------------------------------------------------------
 
+# option -> add_argument keywords; each subcommand names the ones it reads
+_FLAGS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--seed": {"type": int, "default": 0},
+    "--in": {"dest": "infile", "help": "input file"},
+    "--ring": {"help": 'ring override, e.g. "n=3 field=q"'},
+    "--order": {"default": "degrevlex", "choices": ["degrevlex", "lex"]},
+    "--field": {"default": "q", "help": "coefficient field: q or fp:<p>"},
+    "--matrix": {"help": "generic matrix shape RxC"},
+    "--diag": {"help": "diagonal coefficients a1,...,an"},
+    "--p": {"type": int, "help": "prime for finite-field scans"},
+    "--in2": {"dest": "infile2", "help": "second ideal file (intersect)"},
+    "--f": {"dest": "divisor", "help": "quotient divisor polynomial"},
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -328,45 +345,36 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="q", help="coefficient field: q or fp:<p>")
-        p.add_argument("--order", default="degrevlex", choices=["degrevlex", "lex"])
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--in", dest="infile", help="input file")
-        p.add_argument("--ring", help='ring override, e.g. "n=3 field=q"')
-        p.add_argument("--matrix", help="generic matrix shape RxC")
-        p.add_argument("--diag", help="diagonal coefficients a1,...,an")
-        p.add_argument("--p", type=int, help="prime for finite-field scans")
+    def flags(p, *options):
+        for option in ("--json",) + options:
+            p.add_argument(option, **_FLAGS[option])
 
     p = sub.add_parser("regseq", help="test a system of forms for regularity")
-    common(p)
+    flags(p, "--seed", "--in", "--ring", "--order")
     p.set_defaults(func=cmd_regseq)
 
     p = sub.add_parser("quadric", help="rank / strength / minrank / collective strength")
     p.add_argument("operation", choices=["rank", "strength", "minrank", "collective"])
-    common(p)
+    flags(p, "--seed", "--in", "--ring", "--field", "--diag", "--p")
     p.set_defaults(func=cmd_quadric)
 
     p = sub.add_parser("minors", help="build and export maximal-minor families")
-    common(p)
+    flags(p, "--seed", "--field", "--matrix")
     p.set_defaults(func=cmd_minors)
 
     p = sub.add_parser("gb", help="Groebner basis and ideal queries")
     p.add_argument("operation", choices=["basis", "dim", "codim", "intersect", "quotient"])
-    common(p)
-    p.add_argument("--in2", dest="infile2", help="second ideal file (intersect)")
-    p.add_argument("--f", dest="divisor", help="quotient divisor polynomial")
+    flags(p, "--seed", "--in", "--ring", "--order", "--in2", "--f")
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("certify", help="build a machine-checked certificate")
     p.add_argument("target", choices=sorted(BUILDERS) + ["all"])
-    common(p)
+    flags(p, "--seed", "--p")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("recheck", help="re-verify a serialized certificate")
     p.add_argument("certificate", help="certificate JSON file")
-    common(p)
+    flags(p)
     p.set_defaults(func=cmd_recheck)
 
     return parser
@@ -383,7 +391,7 @@ def run(argv) -> int:
     except (ValueError, KeyError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GroebnerError, KeyWidthError, RecursionError) as exc:
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

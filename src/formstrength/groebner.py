@@ -4,8 +4,10 @@ The basis computation is plain Buchberger with the Gebauer-Moeller pair
 eliminations and normal (smallest-lcm-first) selection; bases are always
 interreduced, so the result is the unique reduced basis for (ideal, order).
 Dimension comes from maximal independent variable sets of the leading-term
-ideal; intersections use the single-auxiliary-variable elimination trick,
-and quotients divide an intersection through by the quotienting element.
+ideal; every intersection, principal ones too, eliminates one auxiliary
+variable, and quotients divide an intersection through by the quotienting
+element.  Nothing here computes a gcd, so the direct regular-sequence test
+never shares code with the gcd route of the two-form check.
 
 All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
 (CASC 2007).  Inside it a monomial is its packed order key (see
@@ -397,20 +399,12 @@ def _unshift_poly(f, ring):
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the auxiliary-variable construction: eliminate t from
-    t*I + (1-t)*J."""
+    t*I + (1-t)*J; for <f> and <g> this yields <monic lcm(f, g)>."""
     ring = I.ring
     if ring != J.ring:
         raise ValueError("ideals live in different rings")
     if not I.gens or not J.gens:
         return Ideal(ring, [])
-    if len(I.gens) == 1 and len(J.gens) == 1:
-        # principal case: <f> n <g> = <f g / gcd(f, g)>
-        from .polygcd import multivariate_gcd
-
-        f, g = I.gens[0], J.gens[0]
-        d = multivariate_gcd(f, g)
-        quot = exact_divide(f * g, d)
-        return Ideal(ring, [quot.monic()])
     ext = Ring(ring.nvars + 1, ring.domain, ("t0",) + ring.names)
     t = ext.var(0)
     one = ext.one()
@@ -479,40 +473,6 @@ def is_regular_sequence_direct(fs, order=DEGREVLEX) -> bool:
         if not prefix.contains_ideal(quotient, order):
             return False
     return True
-
-
-class PairReport:
-    """Outcome of the two-form regularity check: gcd route vs codim route."""
-
-    __slots__ = ("gcd", "gcd_route_regular", "codim_route_regular", "agree")
-
-    def __init__(self, gcd, gcd_route_regular, codim_route_regular):
-        self.gcd = gcd
-        self.gcd_route_regular = gcd_route_regular
-        self.codim_route_regular = codim_route_regular
-        self.agree = gcd_route_regular == codim_route_regular
-
-    def to_dict(self):
-        return {
-            "gcd": str(self.gcd),
-            "gcd_route_regular": self.gcd_route_regular,
-            "codim_route_regular": self.codim_route_regular,
-            "agree": self.agree,
-        }
-
-
-def regular_pair_gcd_check(f1: Poly, f2: Poly) -> PairReport:
-    """Two independent verdicts on a pair of forms: a pair is regular exactly
-    when its gcd is constant."""
-    from .polygcd import multivariate_gcd
-
-    for f in (f1, f2):
-        if not f.terms or not f.is_homogeneous():
-            raise ValueError("gcd pair check needs nonzero homogeneous forms")
-    g = multivariate_gcd(f1, f2)
-    gcd_regular = g.is_constant()
-    codim_regular = is_regular_sequence_codim([f1, f2])
-    return PairReport(g, gcd_regular, codim_regular)
 
 
 def spolynomial(f: Poly, g: Poly, order=DEGREVLEX) -> Poly:

@@ -337,22 +337,6 @@ class Poly:
             total = dom.add(total, v)
         return total
 
-    def substitute(self, images):
-        """Substitute polynomials for variables: {var index: Poly}."""
-        ring = self.ring
-        out = ring.zero()
-        for m, c in self.terms.items():
-            piece = ring.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                img = images.get(i)
-                if img is None:
-                    img = ring.var(i)
-                piece = piece * img ** e
-            out = out + piece
-        return out
-
     # -- comparisons / hashing -----------------------------------------------
 
     def key(self):

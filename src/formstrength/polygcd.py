@@ -4,12 +4,14 @@ The recursion picks the lowest-index variable present in both inputs as the
 main variable, splits off contents (gcds of the univariate coefficients,
 computed recursively in fewer variables), and runs a primitive PRS on the
 primitive parts.  Results are normalized monic with respect to degrevlex.
-Performance is not a goal here; exactness at desk scale is.
+Performance is not a goal here; exactness at desk scale is.  The gcd is
+the gcd route of the two-form regularity check; ``groebner`` never calls
+back here, so the quotient-based direct test stays independent of it.
 """
 
 from __future__ import annotations
 
-from .groebner import exact_divide
+from .groebner import GroebnerError, exact_divide, is_regular_sequence_codim
 from .poly import Poly
 
 
@@ -101,8 +103,6 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
 
 def divides(f: Poly, g: Poly) -> bool:
     """True when f divides g exactly (f nonzero)."""
-    from .groebner import GroebnerError
-
     if not f.terms:
         raise ZeroDivisionError("divisibility by zero polynomial")
     try:
@@ -110,3 +110,31 @@ def divides(f: Poly, g: Poly) -> bool:
         return True
     except GroebnerError:
         return False
+
+
+class PairReport:
+    """Outcome of the two-form regularity check: gcd route vs codim route."""
+
+    __slots__ = ("gcd", "gcd_route_regular", "codim_route_regular", "agree")
+
+    def __init__(self, gcd, gcd_route_regular, codim_route_regular):
+        self.gcd = gcd
+        self.gcd_route_regular = gcd_route_regular
+        self.codim_route_regular = codim_route_regular
+        self.agree = gcd_route_regular == codim_route_regular
+
+    def to_dict(self):
+        return {
+            "gcd": str(self.gcd),
+            "gcd_route_regular": self.gcd_route_regular,
+            "codim_route_regular": self.codim_route_regular,
+            "agree": self.agree,
+        }
+
+
+def regular_pair_gcd_check(f1: Poly, f2: Poly) -> PairReport:
+    """Two independent verdicts on a pair of forms: a pair is regular exactly
+    when its gcd is constant."""
+    codim_regular = is_regular_sequence_codim([f1, f2])  # refuses non-forms
+    g = multivariate_gcd(f1, f2)
+    return PairReport(g, g.is_constant(), codim_regular)

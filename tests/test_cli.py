@@ -1,10 +1,18 @@
 import json
+import random
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
+import formstrength.cli as cli
+import formstrength.groebner as groebner
+import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
+from formstrength.domains import GF, QQ
+from formstrength.parse import dump_ideal_text
+from formstrength.poly import Poly, Ring
 
 
 def _capture(capsys):
@@ -194,6 +202,31 @@ def test_recheck_rejects_garbage(tmp_path, capsys):
     _capture(capsys)
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"claim": "N(3,3) > 2", "environment": []},
+    {"claim": "N(3,3) > 2", "environment": {"primes": ["x"], "seed": 0, "version": "0.1.0"}},
+    {"claim": "N(3,3) > 2", "environment": {"primes": [32003], "seed": "0", "version": "0.1.0"}},
+    {"claim": "N(3,3) > 2", "environment": {"primes": [32003], "seed": 0, "version": "0.1.0"},
+     "subverdicts": [1]},
+], ids=["not-an-object", "environment-list", "prime-string", "seed-string", "subverdict-int"])
+def test_recheck_refuses_malformed_certificates(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["recheck", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.startswith("error: certificate") or err.startswith("error: a certificate")
+
+
+def test_recheck_of_a_non_string_claim_fails_as_an_unknown_claim(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"claim": ["N(3,3) > 2"]}))
+    assert run(["recheck", str(path)]) == 1
+    out, _ = _capture(capsys)
+    assert out.startswith("recheck FAIL: unknown claim")
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     out, _ = _capture(capsys)
@@ -211,8 +244,6 @@ def test_large_prime_modulus_decided_quickly(tmp_path, capsys):
 
 
 def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
-    import formstrength.groebner as groebner
-
     path = tmp_path / "sys.txt"
     path.write_text("ring n=2 field=q\nx1\nx2\n")
     for exc in (groebner.GroebnerError("invariant broken"), RecursionError("too deep")):
@@ -224,6 +255,30 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
         out, err = _capture(capsys)
         assert out == ""
         assert err.startswith("internal error: ") and str(exc) in err
+
+
+def test_any_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_gb", broken)
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=q\nx1\n")
+    assert run(["gb", "codim", "--in", str(path)]) == 3
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "internal error: TypeError: unsupported operand\n"
+
+
+def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=q\nx1\nx2\n")
+    assert run(["regseq", "--in", str(path), "--field", "fp:7"]) == 2
+    assert run(["recheck", str(path), "--seed", "5"]) == 2
+    assert run(["minors", "--matrix", "3x2", "--order", "lex"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.count("unrecognized arguments") == 3
 
 
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
@@ -449,3 +504,65 @@ def test_regseq_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
         assert run(["regseq", "--json", "--in", str(path)]) == code
         out, _ = _capture(capsys)
         assert out == want
+
+
+def _dense_cubics(rng, ring, count, draw):
+    """``count`` forms with every cubic monomial, coefficients from ``draw``."""
+    n = ring.nvars
+    forms = []
+    for _ in range(count):
+        terms = {}
+        for combo in combinations_with_replacement(range(n), 3):
+            e = [0] * n
+            for v in combo:
+                e[v] += 1
+            terms[tuple(e)] = ring.domain.from_int(draw(rng))
+        forms.append(Poly(ring, terms))
+    return forms
+
+
+def test_regseq_on_a_dense_cubic_triple_finishes(tmp_path, capsys):
+    ring = Ring.flat(6, GF(32003))
+    forms = _dense_cubics(random.Random(0), ring, 3, lambda rng: rng.randrange(1, 32003))
+    path = tmp_path / "cubic3-n6.txt"
+    path.write_text(dump_ideal_text(ring, forms))
+    start = time.monotonic()
+    assert run(["regseq", "--json", "--in", str(path)]) == 0
+    assert time.monotonic() - start < 30.0
+    out, _ = _capture(capsys)
+    result = json.loads(out)["result"]
+    assert result["codimension"] == 3 and result["tests_agree"]
+
+
+def test_gb_intersect_of_dense_cubic_multiples_over_q(tmp_path, capsys):
+    ring = Ring.flat(4, QQ)
+    coefficients = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+    g, h1, h2 = _dense_cubics(random.Random(0), ring, 3, lambda rng: rng.choice(coefficients))
+    first, second = tmp_path / "f1.txt", tmp_path / "f2.txt"
+    first.write_text(dump_ideal_text(ring, [g * h1]))
+    second.write_text(dump_ideal_text(ring, [g * h2]))
+    start = time.monotonic()
+    assert run(["gb", "intersect", "--json", "--in", str(first), "--in2", str(second)]) == 0
+    assert time.monotonic() - start < 30.0
+    out, _ = _capture(capsys)
+    assert json.loads(out)["result"]["generators"] == [str((g * h1 * h2).monic())]
+
+
+def test_two_form_regseq_computes_one_gcd_and_three_bases(tmp_path, capsys, monkeypatch):
+    calls = {"gcd": 0, "basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gcd = counted("gcd", polygcd.multivariate_gcd)
+    monkeypatch.setattr(polygcd, "multivariate_gcd", gcd)
+    monkeypatch.setattr(cli, "multivariate_gcd", gcd)
+    monkeypatch.setattr(groebner, "groebner_basis", counted("basis", groebner.groebner_basis))
+    path = tmp_path / "sys.txt"
+    path.write_text(REGSEQ_PAIR_F7)
+    assert run(["regseq", "--json", "--in", str(path)]) == 1
+    _capture(capsys)
+    assert calls == {"gcd": 1, "basis": 3}

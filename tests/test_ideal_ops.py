@@ -5,12 +5,14 @@ import pytest
 from formstrength.domains import GF, QQ
 from formstrength.groebner import (
     Ideal,
+    exact_divide,
     ideal_intersection,
     ideal_quotient,
 )
 from formstrength.poly import Ring
+from formstrength.polygcd import multivariate_gcd
 
-from conftest import random_homogeneous
+from conftest import random_homogeneous, random_poly
 
 
 def test_principal_intersection():
@@ -18,6 +20,19 @@ def test_principal_intersection():
     x, y = ring.gens()
     inter = ideal_intersection(Ideal(ring, [x]), Ideal(ring, [y]))
     assert inter.equals(Ideal(ring, [x * y]))
+
+
+@pytest.mark.parametrize("domain", [GF(7), GF(32003), QQ], ids=["f7", "f32003", "q"])
+def test_principal_intersection_is_the_lcm(domain):
+    # the elimination route against <f g / gcd(f, g)> from the PRS gcd, on
+    # pairs with a planted common factor u
+    rng = random.Random(53)
+    for _ in range(12):
+        ring = Ring.flat(rng.randint(2, 3), domain)
+        u, h1, h2 = (random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(3))
+        f, g = u * h1, u * h2
+        lcm = exact_divide(f * g, multivariate_gcd(f, g)).monic()
+        assert ideal_intersection(Ideal(ring, [f]), Ideal(ring, [g])).gens == [lcm]
 
 
 def test_plane_line_intersection_by_mutual_membership():

@@ -151,10 +151,3 @@ def test_evaluate_missing_assignment():
     with pytest.raises(KeyError):
         f.evaluate({0: QQ(1)})
 
-
-def test_substitute_linear_change():
-    ring = Ring.flat(2, QQ)
-    x1, x2 = ring.gens()
-    f = x1 * x1 - x2 * x2
-    g = f.substitute({0: x1 + x2, 1: x1 - x2})
-    assert g == (x1 + x2) * (x1 + x2) - (x1 - x2) * (x1 - x2)

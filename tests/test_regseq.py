@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+import formstrength.polygcd as polygcd
 from formstrength.domains import GF, QQ
 from formstrength.groebner import (
     is_regular_sequence_codim,
     is_regular_sequence_direct,
-    regular_pair_gcd_check,
 )
 from formstrength.parse import parse_poly
 from formstrength.poly import Ring
+from formstrength.polygcd import regular_pair_gcd_check
 
 from conftest import random_homogeneous
 
@@ -55,6 +56,20 @@ def test_zero_and_inhomogeneous_inputs_rejected():
         is_regular_sequence_direct([x + ring.one(), y])
     with pytest.raises(ValueError):
         is_regular_sequence_codim([ring.const(QQ(2))])
+
+
+def test_direct_test_never_reaches_the_gcd(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("the direct test computed a gcd")
+
+    monkeypatch.setattr(polygcd, "multivariate_gcd", no_gcd)
+    monkeypatch.setattr(polygcd, "_gcd_inner", no_gcd)
+    ring = Ring.flat(3, GF(7))
+    x1, x2, x3 = ring.gens()
+    assert is_regular_sequence_direct([x1 * x1, x2 * x2])
+    assert not is_regular_sequence_direct([x1 * x2, x1 * x3])
+    assert is_regular_sequence_direct([x1, x2 * x2, x3 * x3 * x3])
+    assert not is_regular_sequence_direct([x1 * x2, x2 * x3, x1 * x3])
 
 
 def test_direct_and_codim_agree_on_random_systems():
