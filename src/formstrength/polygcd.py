@@ -1,115 +1,112 @@
-"""Multivariate gcd by primitive pseudo-remainder sequences.
+"""Multivariate gcd by exact linear algebra on multiplier matrices.
 
-The recursion picks the lowest-index variable present in both inputs as the
-main variable, splits off contents (gcds of the univariate coefficients,
-computed recursively in fewer variables), and runs a primitive PRS on the
-primitive parts.  Results are normalized monic with respect to degrevlex.
-Performance is not a goal here; exactness at desk scale is.  The gcd is
-the gcd route of the two-form regularity check; ``groebner`` never calls
-back here, so the quotient-based direct test stays independent of it.
+Let f and g have degrees a and b, and let S(d) hold the monomials, in the
+variables of f and g, of degree exactly d when both are forms and of degree
+at most d otherwise.  The matrix M_j has a column f*m for each m in
+S(b - j) and a column -g*m for each m in S(a - j), so its kernel is the set
+of pairs (u, v) with f*u = g*v.  With h = gcd(f, g) of degree k those pairs
+are u = (g/h)*w, v = (f/h)*w for w in S(k - j): the nullity of M_1 is
+|S(k - 1)|, so one rank gives k, and at j = k the kernel is one line whose
+u-part is g/h up to a scalar (the Sylvester rank deficiency of Corless,
+Gianni, Trager & Watt, ISSAC 1995).  Over Q the rank is taken modulo a
+fixed word-size prime instead: it can only drop there, so it bounds k from
+above, and the exact kernel over Q is solved at that bound and then at each
+lower j until it is nonzero.  The gcd is g divided by the u-part, and it
+must divide f; either division failing raises ``GroebnerError``, so a wrong
+gcd can never stand as a verdict.  Rank and kernel are the ``linalg``
+elimination kernel.  The gcd is the gcd route of the two-form regularity
+check; ``groebner`` never calls back here, so the quotient-based direct
+test stays independent of it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from math import lcm
+
+from .domains import GF
 from .groebner import GroebnerError, exact_divide, is_regular_sequence_codim
-from .poly import Poly
+from .linalg import kernel_basis, mat_rank, transpose
+from .poly import Poly, mono_mul
+
+# the modulus of the degree bound over Q; any prime gives a valid bound, a
+# large one makes a bound above the true degree (a wasted kernel) rare
+_BOUND_PRIME = 2**31 - 1
 
 
-def _deg_in(f: Poly, v: int) -> int:
-    if not f.terms:
-        return -1
-    return max(m[v] for m in f.terms)
+def _monomials(variables, nvars, d, forms):
+    """S(d) over the given variable indices, as exponent tuples."""
+    out = []
+    for e in [d] if forms else range(d + 1):
+        for combo in combinations_with_replacement(variables, e):
+            mono = [0] * nvars
+            for v in combo:
+                mono[v] += 1
+            out.append(tuple(mono))
+    return out
 
 
-def _coeff_in(f: Poly, v: int, k: int) -> Poly:
-    """Coefficient of v^k, as a polynomial not involving v."""
-    terms = {}
-    for m, c in f.terms.items():
-        if m[v] == k:
-            mm = list(m)
-            mm[v] = 0
-            terms[tuple(mm)] = c
-    return Poly(f.ring, terms, _clean=False)
-
-def _var_power(ring, v, k):
-    mono = tuple(k if i == v else 0 for i in range(ring.nvars))
-    return Poly(ring, {mono: ring.domain.one}, _clean=False)
-
-
-def _pseudo_rem(F: Poly, G: Poly, v: int) -> Poly:
-    """Pseudo-remainder of F by G viewed as univariate in v."""
-    dg = _deg_in(G, v)
-    lg = _coeff_in(G, v, dg)
-    R = F
-    while R.terms and _deg_in(R, v) >= dg:
-        dr = _deg_in(R, v)
-        lr = _coeff_in(R, v, dr)
-        R = lg * R - lr * _var_power(F.ring, v, dr - dg) * G
-    return R
+def _multiplier_rows(f, g, j, variables, nvars, forms):
+    """M_j transposed: the coefficient vectors of f*m for m in S(b - j),
+    then of -g*m for m in S(a - j), over the product monomials that occur.
+    ``f`` and ``g`` are term dicts with integer coefficients."""
+    a, b = (max(map(sum, h)) for h in (f, g))
+    index = {}
+    sparse = []
+    for h, sign, d in ((f, 1, b - j), (g, -1, a - j)):
+        for m in _monomials(variables, nvars, d, forms):
+            sparse.append({index.setdefault(mono_mul(t, m), len(index)): sign * c for t, c in h.items()})
+    rows = []
+    for entries in sparse:
+        row = [0] * len(index)
+        for i, c in entries.items():
+            row[i] = c
+        rows.append(row)
+    return rows
 
 
-def _content(f: Poly, v: int) -> Poly:
-    """Monic gcd of the univariate coefficients of f with respect to v."""
-    coeffs = [_coeff_in(f, v, k) for k in range(_deg_in(f, v) + 1)]
-    coeffs = [c for c in coeffs if c.terms]
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant():
-            break
-        g = _gcd_inner(g, c)
-    return g.monic()
-
-
-def _primitive_part(f: Poly, v: int) -> Poly:
-    if not f.terms:
-        return f
-    cont = _content(f, v)
-    if cont.is_constant():
-        return f
-    return exact_divide(f, cont)
-
-
-def _gcd_inner(f: Poly, g: Poly) -> Poly:
-    if not f.terms:
-        return g
-    if not g.terms:
-        return f
-    if f.is_constant() or g.is_constant():
-        return f.ring.one()
-    common = set(f.variables()) & set(g.variables())
-    if not common:
-        return f.ring.one()
-    v = min(common)
-    cf = _content(f, v)
-    cg = _content(g, v)
-    c = _gcd_inner(cf, cg)
-    F = _primitive_part(f, v)
-    G = _primitive_part(g, v)
-    if _deg_in(F, v) < _deg_in(G, v):
-        F, G = G, F
-    while G.terms:
-        R = _pseudo_rem(F, G, v)
-        F, G = G, _primitive_part(R, v)
-    return c * F
+def _integer_terms(f):
+    """f scaled to integer coefficients (a term dict); F_p residues are
+    integers already."""
+    if f.ring.domain.characteristic:
+        return f.terms
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: int(c * den) for m, c in f.terms.items()}
 
 
 def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     """A gcd of f and g, monic under degrevlex; gcd(f, 0) is f normalized."""
     if f.ring != g.ring:
         raise ValueError("gcd of polynomials from different rings")
-    d = _gcd_inner(f, g)
-    return d.monic() if d.terms else d
-
-
-def divides(f: Poly, g: Poly) -> bool:
-    """True when f divides g exactly (f nonzero)."""
-    if not f.terms:
-        raise ZeroDivisionError("divisibility by zero polynomial")
-    try:
-        exact_divide(g, f)
-        return True
-    except GroebnerError:
-        return False
+    ring = f.ring
+    if not f.terms or not g.terms:
+        return (f if f.terms else g).monic()
+    if f.is_constant() or g.is_constant():
+        return ring.one()
+    dom = ring.domain
+    forms = f.is_homogeneous() and g.is_homogeneous()
+    variables = sorted(set(f.variables()) | set(g.variables()))
+    fi, gi = _integer_terms(f), _integer_terms(g)
+    rows = _multiplier_rows(fi, gi, 1, variables, ring.nvars, forms)
+    nullity = len(rows) - mat_rank(rows, GF(dom.characteristic or _BOUND_PRIME))
+    # j := the largest k <= min(a, b) with |S(k - 1)| <= nullity
+    cap, j = min(f.degree(), g.degree()), 0
+    while j < cap and len(_monomials(variables, ring.nvars, j, forms)) <= nullity:
+        j += 1
+    while j:
+        rows = _multiplier_rows(fi, gi, j, variables, ring.nvars, forms)
+        kernel = kernel_basis(transpose(rows), dom)
+        if kernel:
+            break
+        j -= 1
+    else:
+        return ring.one()
+    if len(kernel) > 1:
+        raise GroebnerError("multiplier kernel is not one line at the gcd degree")
+    multipliers = _monomials(variables, ring.nvars, g.degree() - j, forms)
+    h = exact_divide(g, Poly(ring, dict(zip(multipliers, kernel[0])))).monic()
+    exact_divide(f, h)
+    return h
 
 
 class PairReport:

@@ -548,6 +548,32 @@ def test_gb_intersect_of_dense_cubic_multiples_over_q(tmp_path, capsys):
     assert json.loads(out)["result"]["generators"] == [str((g * h1 * h2).monic())]
 
 
+def test_regseq_on_a_coprime_dense_cubic_pair_finishes(tmp_path, capsys):
+    ring = Ring.flat(6, GF(32003))
+    forms = _dense_cubics(random.Random(0), ring, 2, lambda rng: rng.randrange(1, 32003))
+    path = tmp_path / "cubic2-n6.txt"
+    path.write_text(dump_ideal_text(ring, forms))
+    start = time.monotonic()
+    assert run(["regseq", "--json", "--in", str(path)]) == 0
+    assert time.monotonic() - start < 10.0
+    out, _ = _capture(capsys)
+    assert json.loads(out)["result"]["gcd_report"]["gcd"] == "1"
+
+
+def test_regseq_on_dense_cubic_multiples_over_q_finds_the_common_cubic(tmp_path, capsys):
+    ring = Ring.flat(4, QQ)
+    coefficients = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+    g, h1, h2 = _dense_cubics(random.Random(0), ring, 3, lambda rng: rng.choice(coefficients))
+    path = tmp_path / "pair-q-n4.txt"
+    path.write_text(dump_ideal_text(ring, [g * h1, g * h2]))
+    start = time.monotonic()
+    assert run(["regseq", "--json", "--in", str(path)]) == 1
+    assert time.monotonic() - start < 30.0
+    out, _ = _capture(capsys)
+    report = json.loads(out)["result"]["gcd_report"]
+    assert report["gcd"] == str(g.monic()) and report["agree"]
+
+
 def test_two_form_regseq_computes_one_gcd_and_three_bases(tmp_path, capsys, monkeypatch):
     calls = {"gcd": 0, "basis": 0}
 

@@ -3,13 +3,25 @@ import random
 
 import pytest
 
+import formstrength.polygcd as polygcd
 from formstrength.domains import GF, QQ
 from formstrength.groebner import GroebnerError, exact_divide
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
-from formstrength.polygcd import divides, multivariate_gcd
+from formstrength.polygcd import multivariate_gcd
 
 from conftest import random_poly
+
+
+def divides(f: Poly, g: Poly) -> bool:
+    """True when f divides g exactly (f nonzero)."""
+    if not f.terms:
+        raise ZeroDivisionError("divisibility by zero polynomial")
+    try:
+        exact_divide(g, f)
+        return True
+    except GroebnerError:
+        return False
 
 
 def test_common_variable_factor():
@@ -115,3 +127,14 @@ def test_exact_divide_raises_on_nondivisible():
     ring = Ring.flat(2, QQ)
     with pytest.raises(GroebnerError):
         exact_divide(parse_poly("x1^2 + x2", ring), parse_poly("x1 + x2", ring))
+
+
+# multipliers of M_1 for x1*x2, x1*x3: x1, x2, x3 for f, then for g; the true
+# kernel is (x3, x2).  u = x1+x2+x3 does not divide g; u = x1 gives g/u = x3,
+# which does not divide f.
+@pytest.mark.parametrize("vector", [[1] * 6, [1, 0, 0, 0, 0, 0]])
+def test_a_wrong_kernel_raises_instead_of_returning_a_gcd(monkeypatch, vector):
+    monkeypatch.setattr(polygcd, "kernel_basis", lambda m, dom: [vector])
+    ring = Ring.flat(3, GF(7))
+    with pytest.raises(GroebnerError):
+        multivariate_gcd(parse_poly("x1*x2", ring), parse_poly("x1*x3", ring))

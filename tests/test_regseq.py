@@ -63,7 +63,8 @@ def test_direct_test_never_reaches_the_gcd(monkeypatch):
         raise AssertionError("the direct test computed a gcd")
 
     monkeypatch.setattr(polygcd, "multivariate_gcd", no_gcd)
-    monkeypatch.setattr(polygcd, "_gcd_inner", no_gcd)
+    monkeypatch.setattr(polygcd, "_multiplier_rows", no_gcd)
+    monkeypatch.setattr(polygcd, "_monomials", no_gcd)
     ring = Ring.flat(3, GF(7))
     x1, x2, x3 = ring.gens()
     assert is_regular_sequence_direct([x1 * x1, x2 * x2])
