@@ -482,7 +482,10 @@ def _random_form(rng, ring, degree):
             return f
 
 
-def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certificate:
+SMALL_R_PAIRS = 100  # sampled pairs in each of the common-factor and coprime branches
+
+
+def certify_small_r(seed: int = 0, prime: int = 7) -> Certificate:
     """Single nonzero forms are regular; pairs are regular exactly when
     coprime, with the gcd route and the codimension route agreeing on every
     sample."""
@@ -513,7 +516,7 @@ def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certific
     bad = None
 
     common_ok = True
-    for _ in range(pairs):
+    for _ in range(SMALL_R_PAIRS):
         g = _random_form(rng, ring, rng.randint(1, 2))
         h1 = _random_form(rng, ring, rng.randint(1, 2))
         h2 = _random_form(rng, ring, rng.randint(1, 2))
@@ -531,7 +534,7 @@ def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certific
             "common_factor_pairs_not_regular",
             MACHINE,
             common_ok,
-            witness={"samples": pairs},
+            witness={"samples": SMALL_R_PAIRS},
             paper_ref="with f1 = g h1 and f2 = g h2, h1 f2 vanishes modulo f1, so f2 is a zerodivisor",
         )
     )
@@ -539,7 +542,7 @@ def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certific
     coprime_ok = True
     produced = 0
     attempts = 0
-    while produced < pairs and attempts < pairs * 50:
+    while produced < SMALL_R_PAIRS and attempts < SMALL_R_PAIRS * 50:
         attempts += 1
         f1 = _random_form(rng, ring, rng.randint(1, 3))
         f2 = _random_form(rng, ring, rng.randint(1, 3))
@@ -559,7 +562,7 @@ def certify_small_r(seed: int = 0, prime: int = 7, pairs: int = 100) -> Certific
         SubVerdict(
             "coprime_pairs_regular",
             MACHINE,
-            coprime_ok and produced == pairs,
+            coprime_ok and produced == SMALL_R_PAIRS,
             witness={"samples": produced},
             paper_ref="a pair fails to be regular exactly when its gcd is nonconstant",
         )

@@ -6,8 +6,9 @@ passed or the query succeeded, 1 means a computational verdict failed (the
 witness is printed), 2 means the invocation or its input was refused, and 3
 means an internal error (a broken engine invariant, recursion too deep, an
 exponent beyond the packed monomial keys, or any other exception), reported
-on stderr.  Each subcommand declares only the flags it reads, so a flag
-that would be ignored is refused.
+on stderr.  Each subcommand, and each operation of ``quadric`` and ``gb``,
+declares only the flags it reads, so a flag that would be ignored is
+refused; only ``gb basis`` has an answer that depends on ``--order``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .groebner import (
     Ideal,
     codimension,
     dimension,
+    groebner_basis,
     ideal_intersection,
     ideal_quotient,
     is_regular_sequence_direct,
@@ -126,9 +128,8 @@ def cmd_regseq(args):
     ring, polys = _load_system(args)
     if not polys:
         raise ValueError("the input system is empty")
-    order = order_from_name(args.order)
-    direct = is_regular_sequence_direct(polys, order)
-    codim = codimension(Ideal(ring, polys), order)
+    direct = is_regular_sequence_direct(polys)
+    codim = codimension(Ideal(ring, polys))
     by_codim = codim == len(polys)
     result = {
         "forms": len(polys),
@@ -159,73 +160,77 @@ def _parse_diag(text):
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def cmd_quadric(args):
-    if args.operation in ("rank", "strength"):
-        if args.diag:
-            dom = GF(args.p) if args.p else QQ
-            q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
-        else:
-            q = _load_forms(args)[0]
-        r = rank(q)
-        result = {"rank": r}
-        if args.operation == "strength":
-            result["strength"] = strength_from_rank(r)
-        if not _emit(args, f"quadric {args.operation}", result, q.domain.name, _prime_list(q.domain)):
-            for k, v in result.items():
-                print(f"{k}: {v}")
-        return 0
+def _scan_forms(args):
+    """The --in forms, reduced mod --p when they are over Q."""
+    forms = _load_forms(args)
+    if not forms[0].domain.characteristic and args.p:
+        forms = [q.reduce_mod(args.p) for q in forms]
+    return forms
 
-    if args.operation == "minrank":
-        if args.diag:
-            b = _parse_diag(args.diag)
-            dp = DiagonalPair([1] * len(b), b)
+
+def cmd_rank(args):
+    if args.diag:
+        dom = GF(args.p) if args.p else QQ
+        q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
+    else:
+        q = _load_forms(args)[0]
+    r = rank(q)
+    result = {"rank": r}
+    if args.operation == "strength":
+        result["strength"] = strength_from_rank(r)
+    if not _emit(args, f"quadric {args.operation}", result, q.domain.name, _prime_list(q.domain)):
+        for k, v in result.items():
+            print(f"{k}: {v}")
+    return 0
+
+
+def cmd_minrank(args):
+    if args.diag:
+        b = _parse_diag(args.diag)
+        dp = DiagonalPair([1] * len(b), b)
+        formula = minrank_formula(dp)
+        result = {"minrank": formula.value, "method": "formula", "witness": [str(c) for c in formula.witness]}
+        primes = []
+        if args.p:
+            image = dp.reduce_mod(args.p)
+            scan = minrank_bruteforce(*image.forms())
+            result["scan"] = scan.to_dict()
+            result["scan_agrees"] = scan.value == formula.value
+            primes = [args.p]
+        field = "q"
+    else:
+        forms = _scan_forms(args)
+        if len(forms) != 2:
+            raise ValueError("minrank needs exactly two forms")
+        f1, f2 = forms
+        field = f1.domain.name
+        primes = _prime_list(f1.domain)
+        if f1.domain.characteristic:
+            scan = minrank_bruteforce(f1, f2)
+            result = {"minrank": scan.value, "method": scan.method, "witness": [str(c) for c in scan.witness]}
+        else:
+            dp = simultaneous_diagonalize(f1, f2)
+            if dp is None:
+                raise ValueError("pencil does not diagonalize over q; supply --p for a scan")
             formula = minrank_formula(dp)
-            result = {"minrank": formula.value, "method": "formula", "witness": [str(c) for c in formula.witness]}
-            primes = []
-            if args.p:
-                image = dp.reduce_mod(args.p)
-                scan = minrank_bruteforce(*image.forms())
-                result["scan"] = scan.to_dict()
-                result["scan_agrees"] = scan.value == formula.value
-                primes = [args.p]
-            field = "q"
-        else:
-            forms = _load_forms(args)
-            if len(forms) != 2:
-                raise ValueError("minrank needs exactly two forms")
-            f1, f2 = forms
-            field = f1.domain.name
-            primes = _prime_list(f1.domain)
-            if f1.domain.characteristic:
-                scan = minrank_bruteforce(f1, f2)
-                result = {"minrank": scan.value, "method": scan.method, "witness": [str(c) for c in scan.witness]}
-            else:
-                dp = simultaneous_diagonalize(f1, f2)
-                if dp is None:
-                    raise ValueError("pencil does not diagonalize over q; supply --p for a scan")
-                formula = minrank_formula(dp)
-                result = {"minrank": formula.value, "method": formula.method, "witness": [str(c) for c in formula.witness]}
-        if not _emit(args, "quadric minrank", result, field, primes):
-            print(f"minrank: {result['minrank']} (witness combination {result['witness']})")
-            if "scan" in result:
-                print(f"  scan over fp:{args.p}: {result['scan']['value']} (agrees: {result['scan_agrees']})")
-        return 0
+            result = {"minrank": formula.value, "method": formula.method, "witness": [str(c) for c in formula.witness]}
+    if not _emit(args, "quadric minrank", result, field, primes):
+        print(f"minrank: {result['minrank']} (witness combination {result['witness']})")
+        if "scan" in result:
+            print(f"  scan over fp:{args.p}: {result['scan']['value']} (agrees: {result['scan_agrees']})")
+    return 0
 
-    if args.operation == "collective":
-        forms = _load_forms(args)
-        dom = forms[0].domain
-        if not dom.characteristic:
-            if not args.p:
-                raise ValueError("collective strength scans need a prime field (--p or an fp ring)")
-            forms = [q.reduce_mod(args.p) for q in forms]
-            dom = forms[0].domain
-        value = collective_strength_quadrics(forms)
-        result = {"collective_strength": value, "forms": len(forms)}
-        if not _emit(args, "quadric collective", result, dom.name, _prime_list(dom)):
-            print(f"collective strength over {dom.name}: {value}")
-        return 0
 
-    raise ValueError(f"unknown quadric operation {args.operation!r}")
+def cmd_collective(args):
+    forms = _scan_forms(args)
+    dom = forms[0].domain
+    if not dom.characteristic:
+        raise ValueError("collective strength scans need a prime field (--p or an fp ring)")
+    value = collective_strength_quadrics(forms)
+    result = {"collective_strength": value, "forms": len(forms)}
+    if not _emit(args, "quadric collective", result, dom.name, _prime_list(dom)):
+        print(f"collective strength over {dom.name}: {value}")
+    return 0
 
 
 def cmd_minors(args):
@@ -250,17 +255,16 @@ def cmd_minors(args):
 
 
 def cmd_gb(args):
-    order = order_from_name(args.order)
     ring, polys = _load_system(args)
-    ideal = Ideal(ring, polys)
     if args.operation == "basis":
-        basis = ideal.groebner(order)
+        basis = groebner_basis(polys, order_from_name(args.order), ring=ring)
         result = {"basis": [format_poly(g) for g in basis], "order": args.order}
         if not _emit(args, "gb basis", result, ring.domain.name, _prime_list(ring.domain)):
             print(dump_ideal_text(ring, list(basis)), end="")
         return 0
+    ideal = Ideal(ring, polys)
     if args.operation in ("dim", "codim"):
-        value = dimension(ideal, order) if args.operation == "dim" else codimension(ideal, order)
+        value = dimension(ideal) if args.operation == "dim" else codimension(ideal)
         result = {args.operation: value}
         if not _emit(args, f"gb {args.operation}", result, ring.domain.name, _prime_list(ring.domain)):
             print(value)
@@ -274,16 +278,14 @@ def cmd_gb(args):
         if not _emit(args, "gb intersect", result, ring.domain.name, _prime_list(ring.domain)):
             print(dump_ideal_text(ring, inter.gens), end="")
         return 0
-    if args.operation == "quotient":
-        if not args.divisor:
-            raise ValueError("--f <poly> is required for quotient")
-        f = parse_poly(args.divisor, ring)
-        quot = ideal_quotient(ideal, f)
-        result = {"generators": [format_poly(g) for g in quot.gens]}
-        if not _emit(args, "gb quotient", result, ring.domain.name, _prime_list(ring.domain)):
-            print(dump_ideal_text(ring, quot.gens), end="")
-        return 0
-    raise ValueError(f"unknown gb operation {args.operation!r}")
+    if not args.divisor:
+        raise ValueError("--f <poly> is required for quotient")
+    f = parse_poly(args.divisor, ring)
+    quot = ideal_quotient(ideal, f)
+    result = {"generators": [format_poly(g) for g in quot.gens]}
+    if not _emit(args, "gb quotient", result, ring.domain.name, _prime_list(ring.domain)):
+        print(dump_ideal_text(ring, quot.gens), end="")
+    return 0
 
 
 def cmd_certify(args):
@@ -349,23 +351,32 @@ def build_parser():
         for option in ("--json",) + options:
             p.add_argument(option, **_FLAGS[option])
 
+    def operations(name, help, table):
+        ops = sub.add_parser(name, help=help).add_subparsers(dest="operation", required=True)
+        for operation, func, *options in table:
+            op = ops.add_parser(operation)
+            flags(op, "--seed", *options)
+            op.set_defaults(func=func)
+
     p = sub.add_parser("regseq", help="test a system of forms for regularity")
-    flags(p, "--seed", "--in", "--ring", "--order")
+    flags(p, "--seed", "--in", "--ring")
     p.set_defaults(func=cmd_regseq)
 
-    p = sub.add_parser("quadric", help="rank / strength / minrank / collective strength")
-    p.add_argument("operation", choices=["rank", "strength", "minrank", "collective"])
-    flags(p, "--seed", "--in", "--ring", "--field", "--diag", "--p")
-    p.set_defaults(func=cmd_quadric)
+    forms = ("--in", "--ring", "--field", "--p")
+    operations("quadric", "rank / strength / minrank / collective strength", [
+        ("rank", cmd_rank, *forms, "--diag"), ("strength", cmd_rank, *forms, "--diag"),
+        ("minrank", cmd_minrank, *forms, "--diag"), ("collective", cmd_collective, *forms),
+    ])
 
     p = sub.add_parser("minors", help="build and export maximal-minor families")
     flags(p, "--seed", "--field", "--matrix")
     p.set_defaults(func=cmd_minors)
 
-    p = sub.add_parser("gb", help="Groebner basis and ideal queries")
-    p.add_argument("operation", choices=["basis", "dim", "codim", "intersect", "quotient"])
-    flags(p, "--seed", "--in", "--ring", "--order", "--in2", "--f")
-    p.set_defaults(func=cmd_gb)
+    operations("gb", "Groebner basis and ideal queries", [
+        ("basis", cmd_gb, "--in", "--ring", "--order"), ("dim", cmd_gb, "--in", "--ring"),
+        ("codim", cmd_gb, "--in", "--ring"), ("intersect", cmd_gb, "--in", "--ring", "--in2"),
+        ("quotient", cmd_gb, "--in", "--ring", "--f"),
+    ])
 
     p = sub.add_parser("certify", help="build a machine-checked certificate")
     p.add_argument("target", choices=sorted(BUILDERS) + ["all"])

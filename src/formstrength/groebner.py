@@ -67,9 +67,6 @@ class GroebnerBasis:
     def is_unit(self):
         return len(self.elements) == 1 and not any(self.lead_monomials[0])
 
-    def is_zero(self):
-        return not self.elements
-
     def contains(self, f):
         return not normal_form(f, self).terms
 
@@ -323,9 +320,10 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
 
 
 class Ideal:
-    """Finitely generated ideal of a polynomial ring."""
+    """Finitely generated ideal of a polynomial ring.  No query of it
+    depends on the monomial order, so it keeps one basis, under degrevlex."""
 
-    __slots__ = ("ring", "gens", "_bases")
+    __slots__ = ("ring", "gens", "_basis")
 
     def __init__(self, ring, gens):
         gens = [g for g in gens if g.terms]
@@ -334,26 +332,24 @@ class Ideal:
                 raise ValueError("generator outside the ambient ring")
         self.ring = ring
         self.gens = list(gens)
-        self._bases = {}
+        self._basis = None
 
-    def groebner(self, order=DEGREVLEX) -> GroebnerBasis:
-        basis = self._bases.get(order)
-        if basis is None:
-            basis = groebner_basis(self.gens, order, ring=self.ring)
-            self._bases[order] = basis
-        return basis
+    def groebner(self) -> GroebnerBasis:
+        if self._basis is None:
+            self._basis = groebner_basis(self.gens, DEGREVLEX, ring=self.ring)
+        return self._basis
 
-    def contains(self, f, order=DEGREVLEX):
+    def contains(self, f):
         if not self.gens:
             return not f.terms
-        return self.groebner(order).contains(f)
+        return self.groebner().contains(f)
 
-    def contains_ideal(self, other, order=DEGREVLEX):
-        return all(self.contains(g, order) for g in other.gens)
+    def contains_ideal(self, other):
+        return all(self.contains(g) for g in other.gens)
 
-    def equals(self, other, order=DEGREVLEX):
+    def equals(self, other):
         """Ideal equality by mutual generator membership."""
-        return self.contains_ideal(other, order) and other.contains_ideal(self, order)
+        return self.contains_ideal(other) and other.contains_ideal(self)
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
@@ -362,13 +358,13 @@ class Ideal:
         return f"Ideal({len(self.gens)} generators in {self.ring!r})"
 
 
-def dimension(ideal: Ideal, order=DEGREVLEX) -> int:
+def dimension(ideal: Ideal) -> int:
     """Krull dimension of R/I via independent variable sets of the
     leading-term ideal; -1 for the unit ideal."""
     n = ideal.ring.nvars
     if not ideal.gens:
         return n
-    basis = ideal.groebner(order)
+    basis = ideal.groebner()
     if basis.is_unit():
         return -1
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in basis.lead_monomials]
@@ -380,11 +376,11 @@ def dimension(ideal: Ideal, order=DEGREVLEX) -> int:
     return 0
 
 
-def codimension(ideal: Ideal, order=DEGREVLEX) -> int:
+def codimension(ideal: Ideal) -> int:
     """n - dim for homogeneous ideals (n + 1 for the unit ideal)."""
     if ideal.gens and not ideal.is_homogeneous():
         raise ValueError("codimension requires homogeneous generators")
-    return ideal.ring.nvars - dimension(ideal, order)
+    return ideal.ring.nvars - dimension(ideal)
 
 
 def _shift_poly(f, ext_ring):
@@ -415,13 +411,14 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(ring, [_unshift_poly(g, ring) for g in kept])
 
 
-def exact_divide(f: Poly, g: Poly, order=DEGREVLEX) -> Poly:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
+def exact_divide(f: Poly, g: Poly) -> Poly:
+    """Quotient f/g (unique, so divided under degrevlex) when g divides f
+    exactly; raises otherwise."""
     if not g.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     dom = ring.domain
-    pk = packing(order, ring.nvars)
+    pk = packing(DEGREVLEX, ring.nvars)
     reducer = _reducer(_encode(pk, g), pk, dom)
     quot = {}
     _reduce_terms(_encode(pk, f), [reducer], pk, dom, quot)
@@ -454,15 +451,15 @@ def _check_regseq_input(fs):
             raise ValueError("regular-sequence tests need homogeneous forms of positive degree")
 
 
-def is_regular_sequence_codim(fs, order=DEGREVLEX) -> bool:
+def is_regular_sequence_codim(fs) -> bool:
     """Codimension criterion: the forms are regular iff codim equals their
     number."""
     _check_regseq_input(fs)
     ideal = Ideal(fs[0].ring, fs)
-    return codimension(ideal, order) == len(fs)
+    return codimension(ideal) == len(fs)
 
 
-def is_regular_sequence_direct(fs, order=DEGREVLEX) -> bool:
+def is_regular_sequence_direct(fs) -> bool:
     """Definition-based test: each form a nonzerodivisor modulo its
     predecessors, via ideal quotients."""
     _check_regseq_input(fs)
@@ -470,7 +467,7 @@ def is_regular_sequence_direct(fs, order=DEGREVLEX) -> bool:
     for i in range(1, len(fs)):
         prefix = Ideal(ring, fs[:i])
         quotient = ideal_quotient(prefix, fs[i])
-        if not prefix.contains_ideal(quotient, order):
+        if not prefix.contains_ideal(quotient):
             return False
     return True
 

@@ -20,6 +20,7 @@ from .linalg import (
     eliminate,
     is_symmetric,
     kernel_basis,
+    mat_inverse,
     mat_mul,
     mat_rank,
     transpose,
@@ -122,23 +123,6 @@ class QuadraticForm:
         ring = Ring(self.n, field, self.ring.names, self.ring.matrix_shape)
         return QuadraticForm(ring, [[field(v.numerator, v.denominator) for v in row] for row in self.gram])
 
-    def is_zero(self):
-        return all(not v for row in self.gram for v in row)
-
-    def scaled(self, c):
-        dom = self.domain
-        return QuadraticForm(self.ring, [[dom.mul(v, c) for v in row] for row in self.gram])
-
-    def __add__(self, other):
-        if self.ring != other.ring:
-            raise ValueError("forms live in different rings")
-        dom = self.domain
-        gram = [
-            [dom.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.gram, other.gram)
-        ]
-        return QuadraticForm(self.ring, gram)
-
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticForm)
@@ -189,10 +173,10 @@ class DiagonalPair:
     a and b are the diagonals of the two forms; the derived data normalizes
     the first form to all ones arithmetically: the ratios b_i/a_i are
     grouped into blocks of equal value (alphas), with multiplicities
-    (lambdas) and partial sums (mus).
+    (lambdas).
     """
 
-    __slots__ = ("n", "a", "b", "domain", "transform", "ratios", "alphas", "lambdas", "mus", "blocks")
+    __slots__ = ("n", "a", "b", "domain", "transform", "ratios", "alphas", "lambdas", "blocks")
 
     def __init__(self, a, b, domain=QQ, transform=None):
         _check_char(domain)
@@ -222,15 +206,6 @@ class DiagonalPair:
         self.alphas = alphas
         self.blocks = blocks
         self.lambdas = [len(bl) for bl in blocks]
-        self.mus = []
-        total = 0
-        for lam in self.lambdas:
-            total += lam
-            self.mus.append(total)
-
-    @property
-    def r(self):
-        return len(self.alphas)
 
     def ring(self) -> Ring:
         return Ring.flat(self.n, self.domain)
@@ -292,16 +267,18 @@ def minrank_formula(dp: DiagonalPair) -> MinrankResult:
     return MinrankResult(dp.n - lam_max, (dp.domain.neg(alpha), dp.domain.one), "formula")
 
 
-SCAN_POINT_LIMIT = 10**6
-"""Most coefficient points one F_p scan may visit.  A larger scan is refused
-with ValueError before any rank is computed; the largest scan in the
-certificates and the benchmark, the 3x2 minor family over F_31, visits
-29790 points."""
+SCAN_WORK_LIMIT = 4 * 10**6
+"""Most work one F_p scan may do, as points x (n+1)^2 for forms in n
+variables; a point costs about 1-1.7 us per unit, so a scan takes at most
+about 4-7 s.  A larger scan is refused with ValueError before any rank is
+computed; the largest scan in the certificates and the benchmark, the 3x2
+minor family over F_31, does 29790 x 49 units."""
 
 
 def _scan_prime(forms, what, count):
     """The prime of a scan over the forms, after refusing a field that is not
-    F_p and a scan whose ``count(p)`` points exceed SCAN_POINT_LIMIT."""
+    F_p and a scan whose ``count(p)`` points exceed SCAN_WORK_LIMIT once
+    weighted by (n+1)^2."""
     if not forms:
         raise ValueError("no forms to scan")
     dom = forms[0].domain
@@ -309,10 +286,11 @@ def _scan_prime(forms, what, count):
         raise ValueError(f"{what} needs a prime field")
     _check_char(dom)
     points = count(dom.p)
-    if points > SCAN_POINT_LIMIT:
+    n = forms[0].n
+    if points * (n + 1) ** 2 > SCAN_WORK_LIMIT:
         raise ValueError(
-            f"{what} over F_{dom.p} would visit {points} points, "
-            f"above the limit of {SCAN_POINT_LIMIT}"
+            f"{what} over F_{dom.p} would visit {points} points in {n} variables, "
+            f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
     return dom.p
 
@@ -445,6 +423,13 @@ def _deflate(coeffs, root, dom):
         out[k - 1] = acc
     return out
 
+
+ROOT_SEARCH_LIMIT = 10**8
+"""Largest |c_0 * c_n| (coefficients made integers, zero roots removed)
+whose divisors the rational root search tries, at most about 1 s up to
+degree 16.  Past it the search raises ValueError, never "does not split"."""
+
+
 def _roots_with_multiplicity(coeffs, dom):
     """All roots in the domain, with multiplicities, plus the degree left
     unsplit."""
@@ -461,10 +446,14 @@ def _roots_with_multiplicity(coeffs, dom):
             lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
         ints = [int(c * lcm_den) for c in work]
         lead, const = ints[-1], ints[0]
+        size = abs(lead * const)
+        if size > ROOT_SEARCH_LIMIT:
+            raise ValueError(
+                f"rational root search refused: |c0*cn| = {size} is above "
+                f"the limit of {ROOT_SEARCH_LIMIT}; supply --p for a scan"
+            )
         candidates = []
-        if const == 0:
-            candidates.append(Fraction(0))
-        for pnum in _divisors(const) or [1]:
+        for pnum in _divisors(const):
             for qden in _divisors(lead):
                 candidates.append(Fraction(pnum, qden))
                 candidates.append(Fraction(-pnum, qden))
@@ -481,7 +470,8 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
     Returns a DiagonalPair carrying the congruence transform, or None when
     the pencil's characteristic polynomial does not split with full
     eigenspaces over the coefficient field (never a wrong answer).  The
-    first form must be nondegenerate.
+    first form must be nondegenerate.  Over Q, a characteristic polynomial
+    past ROOT_SEARCH_LIMIT raises ValueError.
     """
     if f1.ring != f2.ring:
         raise ValueError("forms live in different rings")
@@ -492,8 +482,6 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
         raise DegenerateFormError(
             "first form is degenerate; drop its kernel variables and retry"
         )
-    from .linalg import mat_inverse
-
     m = mat_mul(mat_inverse(f1.gram, dom), f2.gram, dom)
     chi = _char_poly(m, dom)
     roots, left = _roots_with_multiplicity(_poly_coeffs(chi, dom), dom)

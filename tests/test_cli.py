@@ -75,6 +75,43 @@ def test_quadric_minrank_json_deterministic(capsys):
     assert doc["environment"]["seed"] == 0  # seed recorded even when unused
 
 
+PENCIL = "x1^2 + x2^2\nx1^2 + 2*x1*x2\n"  # t*f1 + f2 has a double root: no diagonal form
+
+
+def test_quadric_minrank_of_a_q_pencil_scans_mod_p(tmp_path, capsys):
+    over_q, over_fp = tmp_path / "q.txt", tmp_path / "fp.txt"
+    over_q.write_text("ring n=2 field=q\n" + PENCIL)
+    over_fp.write_text("ring n=2 field=fp:101\n" + PENCIL)
+    for extra in ([], ["--json"]):
+        assert run(["quadric", "minrank", "--in", str(over_fp)] + extra) == 0
+        expected, _ = _capture(capsys)
+        assert run(["quadric", "minrank", "--in", str(over_q), "--p", "101"] + extra) == 0
+        out, _ = _capture(capsys)
+        assert out == expected
+    assert json.loads(out)["result"]["method"] == "finite-field-scan"
+
+
+def test_quadric_minrank_of_a_q_pencil_without_p_is_refused(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    path.write_text("ring n=2 field=q\n" + PENCIL)
+    assert run(["quadric", "minrank", "--in", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "does not diagonalize over q; supply --p" in err
+
+
+def test_rational_root_search_above_its_bound_exits_two(tmp_path, capsys):
+    path = tmp_path / "q.txt"
+    path.write_text("ring n=2 field=q\n1234567891*x1^2 + 2345678911*x2^2\n"
+                    "3456789101*x1^2 + 4567891013*x2^2 + 2*x1*x2\n")
+    start = time.monotonic()
+    assert run(["quadric", "minrank", "--in", str(path)]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = _capture(capsys)
+    assert out == ""
+    assert str(quadratic.ROOT_SEARCH_LIMIT) in err and "--p" in err
+
+
 def test_quadric_rank_and_collective(tmp_path, capsys):
     path = tmp_path / "forms.txt"
     path.write_text("ring n=6 field=fp:5 matrix=3x2\n"
@@ -137,9 +174,10 @@ def test_gb_basis_lex_order(tmp_path, capsys):
 
 
 def test_regseq_respects_order_flag(tmp_path):
+    # regularity does not depend on the order, so regseq takes no --order
     path = tmp_path / "sys.txt"
     path.write_text("ring n=3 field=q\nx1\nx2\nx3\n")
-    assert run(["regseq", "--in", str(path), "--order", "lex"]) == 0
+    assert run(["regseq", "--in", str(path), "--order", "lex"]) == 2
 
 
 def test_certify_json_and_determinism(capsys):
@@ -279,6 +317,15 @@ def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert err.count("unrecognized arguments") == 3
+    # each gb and quadric operation declares only the flags it reads
+    refused = [(["regseq"], ["--order", "lex"]), (["gb", "codim"], ["--in2", str(path)]),
+               (["gb", "basis"], ["--f", "x1"]), (["quadric", "collective"], ["--diag", "1,2"])]
+    refused += [(["gb", op], ["--order", "lex"]) for op in ("dim", "codim", "intersect", "quotient")]
+    for command, flag in refused:
+        assert run(command + ["--in", str(path)] + flag) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
@@ -307,11 +354,14 @@ def test_scan_above_the_point_limit_exits_two_before_scanning(capsys, monkeypatc
         raise AssertionError("a refused scan computed a rank")
 
     monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
-    start = time.monotonic()
-    assert run(["quadric", "minrank", "--diag", "1,2", "--p", "1000000007"]) == 2
-    assert time.monotonic() - start < 1.0
-    _, err = _capture(capsys)
-    assert "limit" in err
+    # 10^9 + 8 points; then 999984 points in 10 variables, under 10^6
+    # points but not under the work limit
+    for diag, p in (("1,2", "1000000007"), ("27,51,27,37,27,51,20,37,51,37", "999983")):
+        start = time.monotonic()
+        assert run(["quadric", "minrank", "--diag", diag, "--p", p]) == 2
+        assert time.monotonic() - start < 1.0
+        _, err = _capture(capsys)
+        assert "limit" in err
 
 
 NET_F7 = "ring n=3 field=fp:7\nx1^2 + 3*x1*x2 - x3^2\nx1*x3 + 2*x2^2\nx2*x3 + x1^2 - 2*x2^2\n"

@@ -10,7 +10,7 @@ import formstrength.quadratic as quadratic
 from formstrength.domains import GF
 from formstrength.poly import Ring
 from formstrength.quadratic import (
-    SCAN_POINT_LIMIT,
+    SCAN_WORK_LIMIT,
     QuadraticForm,
     collective_strength_quadrics,
     combine,
@@ -119,10 +119,13 @@ def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
         raise AssertionError("a refused scan computed a rank")
 
     monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
-    # 101^3 - 1 tuples, 1009^2 + 1009 + 1 projective points, 10^6 + 4 points
-    for p, r, scan in ((101, 3, rank_scan_all_nonzero), (1009, 3, collective_strength_quadrics),
-                       (1000003, 2, lambda forms: minrank_bruteforce(*forms))):
-        ring = Ring.flat(2, GF(p))
-        forms = [QuadraticForm.diagonal(ring, [1, k]) for k in range(r)]
-        with pytest.raises(ValueError, match=str(SCAN_POINT_LIMIT)):
+    # in 2 variables, 9 units per point: 101^3 - 1 tuples, 1009^2 + 1009 + 1
+    # projective points, 10^6 + 4 points; in 10 variables, 121 units per
+    # point: 99992 points, under 10^6 but above the limit in work
+    for p, n, r, scan in ((101, 2, 3, rank_scan_all_nonzero), (1009, 2, 3, collective_strength_quadrics),
+                          (1000003, 2, 2, lambda forms: minrank_bruteforce(*forms)),
+                          (99991, 10, 2, lambda forms: minrank_bruteforce(*forms))):
+        ring = Ring.flat(n, GF(p))
+        forms = [QuadraticForm.diagonal(ring, [k + 1] * n) for k in range(r)]
+        with pytest.raises(ValueError, match=str(SCAN_WORK_LIMIT)):
             scan(forms)
