@@ -161,10 +161,14 @@ def _parse_diag(text):
 
 
 def _scan_forms(args):
-    """The --in forms, reduced mod --p when they are over Q."""
+    """The --in forms, reduced mod --p when they are over Q; forms over
+    another F_p than --p are refused."""
     forms = _load_forms(args)
-    if not forms[0].domain.characteristic and args.p:
+    dom = forms[0].domain
+    if args.p and not dom.characteristic:
         forms = [q.reduce_mod(args.p) for q in forms]
+    elif args.p and dom.p != args.p:
+        raise ValueError(f"--p {args.p} differs from the field {dom.name} of {args.infile}")
     return forms
 
 
@@ -173,7 +177,7 @@ def cmd_rank(args):
         dom = GF(args.p) if args.p else QQ
         q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
     else:
-        q = _load_forms(args)[0]
+        q = _scan_forms(args)[0]
     r = rank(q)
     result = {"rank": r}
     if args.operation == "strength":

@@ -10,7 +10,7 @@ mutual oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import gcd
 
 from .domains import GF, QQ, PrimeField
@@ -67,27 +67,32 @@ class QuadraticForm:
 
     @classmethod
     def from_poly(cls, f: Poly) -> "QuadraticForm":
-        """Gram matrix of a homogeneous degree-2 polynomial (or zero)."""
+        """Gram matrix of a homogeneous degree-2 polynomial (or zero).
+
+        A term dict holds each monomial once, so each entry is assigned from
+        the positions of the monomial's exponents, never accumulated; the
+        matrix is n x n and symmetric by construction, so the constructor's
+        checks are not run again."""
         ring = f.ring
-        _check_char(ring.domain)
         dom = ring.domain
+        _check_char(dom)
         n = ring.nvars
         half = dom.inv(dom.from_int(2))
         gram = [[dom.zero] * n for _ in range(n)]
         for m, c in f.terms.items():
-            support = [(i, e) for i, e in enumerate(m) if e]
-            degs = sum(e for _, e in support)
-            if degs != 2:
+            if sum(m) != 2:
                 raise ValueError("not a homogeneous quadratic form")
-            if len(support) == 1:
-                i = support[0][0]
-                gram[i][i] = dom.add(gram[i][i], c)
+            if 2 in m:
+                i = m.index(2)
+                gram[i][i] = c
             else:
-                i, j = support[0][0], support[1][0]
-                ch = dom.mul(c, half)
-                gram[i][j] = dom.add(gram[i][j], ch)
-                gram[j][i] = dom.add(gram[j][i], ch)
-        return cls(ring, gram)
+                i = m.index(1)
+                j = m.index(1, i + 1)
+                gram[i][j] = gram[j][i] = dom.mul(c, half)
+        form = cls.__new__(cls)
+        form.ring = ring
+        form.gram = gram
+        return form
 
     @classmethod
     def diagonal(cls, ring, diag):
@@ -271,8 +276,10 @@ SCAN_WORK_LIMIT = 4 * 10**6
 """Most work one F_p scan may do, as points x (n+1)^2 for forms in n
 variables; a point costs about 1-1.7 us per unit, so a scan takes at most
 about 4-7 s.  A larger scan is refused with ValueError before any rank is
-computed; the largest scan in the certificates and the benchmark, the 3x2
-minor family over F_31, does 29790 x 49 units."""
+computed.  The all-nonzero rank scan is counted at all p^r - 1 tuples,
+though it ranks one point per projective class, (p^r - 1)/(p - 1) in all:
+the largest scan in the certificates and the benchmark, the 3x2 minor
+family over F_31, counts as 29790 x 49 units and ranks 993 points."""
 
 
 def _scan_prime(forms, what, count):
@@ -331,8 +338,10 @@ def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:
 
 def projective_points(p, r):
     """Representatives of P^(r-1) over F_p, first nonzero coordinate 1,
-    streamed in order of the position of that 1, then lexicographically."""
-    for lead in range(r):
+    streamed in lexicographic order: the position of that 1 runs from r-1
+    down to 0, and the tail after it runs lexicographically.  The rank scan
+    and the collective-strength scan share this order."""
+    for lead in range(r - 1, -1, -1):
         head = (0,) * lead + (1,)
         for tail in product(range(p), repeat=r - lead - 1):
             yield head + tail
@@ -341,15 +350,23 @@ def projective_points(p, r):
 def rank_scan_all_nonzero(forms, expect=None):
     """Gram rank of every combination over all nonzero coefficient tuples of
     F_p^r.  Returns (histogram, first offender) where the offender is the
-    first tuple whose rank differs from ``expect`` (None when unused)."""
+    lexicographically first tuple whose rank differs from ``expect`` (None
+    when unused).
+
+    c*G has the rank of G for every c != 0, so one point per projective
+    class is ranked, (p^r - 1)/(p - 1) in all, and each rank counts p - 1
+    times; the histogram still sums to p^r - 1.  The least tuple of a class
+    is its representative with first nonzero coordinate 1, and
+    ``projective_points`` streams those in lexicographic order, so the first
+    bad point is the first bad tuple.  The work limit still counts all
+    p^r - 1 tuples, so a scan is refused exactly where a per-tuple scan
+    would be."""
     r = len(forms)
     p = _scan_prime(forms, "rank scan", lambda p: p**r - 1)
     histogram = {}
     offender = None
-    # the first tuple of the product is the zero tuple
-    tuples = islice(product(range(p), repeat=r), 1, None)
-    for t, value in _gram_ranks(forms, tuples, p):
-        histogram[value] = histogram.get(value, 0) + 1
+    for t, value in _gram_ranks(forms, projective_points(p, r), p):
+        histogram[value] = histogram.get(value, 0) + p - 1
         if expect is not None and value != expect and offender is None:
             offender = {"point": list(t), "rank": value}
     return histogram, offender

@@ -458,6 +458,53 @@ def test_scan_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
         assert out == want
 
 
+
+# over Q the first form has rank 2 and strength 0; mod 7 it is x1^2, of rank 1
+RANK_Q = "ring n=2 field=q\nx1^2 + 7*x2^2\nx1^2 + 2*x1*x2\n"
+PENCIL_F101 = "ring n=2 field=fp:101\nx1^2 + x2^2\nx1^2 + 2*x1*x2\n"
+
+
+def test_rank_and_strength_read_p_on_a_q_file(tmp_path, capsys):
+    path = tmp_path / "forms.txt"
+    path.write_text("ring n=2 field=q\nx1^2 + x2^2\nx1^2 + 2*x1*x2\n")
+    assert run(["quadric", "rank", "--json", "--in", str(path), "--p", "7"]) == 0
+    doc = json.loads(_capture(capsys)[0])
+    assert doc["result"] == {"rank": 2}
+    assert doc["environment"]["field"] == "fp:7" and doc["environment"]["primes"] == [7]
+    path.write_text(RANK_Q)
+    assert run(["quadric", "strength", "--in", str(path)]) == 0
+    assert _capture(capsys)[0] == "rank: 2\nstrength: 0\n"
+    assert run(["quadric", "strength", "--in", str(path), "--p", "7"]) == 0
+    assert _capture(capsys)[0] == "rank: 1\nstrength: 0\n"
+
+
+@pytest.mark.parametrize("operation", ["rank", "strength", "minrank", "collective"])
+def test_p_other_than_the_prime_of_an_fp_file_is_refused(tmp_path, capsys, operation):
+    path = tmp_path / "pencil.txt"
+    path.write_text(PENCIL_F101)
+    assert run(["quadric", operation, "--in", str(path), "--p", "7"]) == 2
+    _, err = _capture(capsys)
+    assert "--p 7" in err and "fp:101" in err
+
+
+def test_p_equal_to_the_prime_of_an_fp_file_changes_nothing(tmp_path, capsys):
+    net, pencil = tmp_path / "net.txt", tmp_path / "pencil.txt"
+    net.write_text(NET_F7)
+    pencil.write_text(PENCIL_F11)
+    for argv, want in (
+        (["quadric", "collective", "--json", "--in", str(net), "--p", "7"], COLLECTIVE_OUT),
+        (["quadric", "minrank", "--json", "--in", str(pencil), "--p", "11"], MINRANK_PENCIL_OUT),
+    ):
+        assert run(argv) == 0
+        assert _capture(capsys)[0] == want
+    for operation in ("rank", "strength"):
+        outs = []
+        for extra in ([], ["--p", "11"]):
+            assert run(["quadric", operation, "--json", "--in", str(pencil)] + extra) == 0
+            outs.append(_capture(capsys)[0])
+        assert outs[0] == outs[1]
+
+
 REGSEQ_NET_F7 = "ring n=3 field=fp:7\nx1^2 + 3*x2*x3\nx2^2 - x1*x3\nx3^2 + 2*x1*x2\n"
 # f1 = x3*(x1 + x2), f2 = x2*(x1 + x2): the gcd report names the common factor
 REGSEQ_PAIR_F7 = "ring n=3 field=fp:7\nx1*x3 + x2*x3\nx1*x2 + x2^2\n"

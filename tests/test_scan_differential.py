@@ -8,6 +8,7 @@ import pytest
 
 import formstrength.quadratic as quadratic
 from formstrength.domains import GF
+from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.poly import Ring
 from formstrength.quadratic import (
     SCAN_WORK_LIMIT,
@@ -112,6 +113,62 @@ def test_planted_offender_is_found_first_as_by_the_reference(p):
     assert collective_strength_quadrics(forms) == ref_collective(forms) <= 0
     got = minrank_bruteforce(q1, q3)
     assert (got.value, got.witness) == ref_minrank(q1, q3)
+
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("c", [None, 0, 3])
+def test_offender_with_leading_zeros_is_the_first_bad_tuple(p, c):
+    # with c None q3 itself has Gram rank at most 2, so the offender is
+    # (0, 0, 1); otherwise q2 + c*q3 has, so it is (0, 1, t) for some t <= c;
+    # either way (1, a, b) is bad too, and is found first if the scan runs
+    # the leading coordinate's position in ascending order
+    rng = random.Random(f"{p}:{c}")
+    ring = Ring.flat(5, GF(p))
+    low, low2 = _random_form(rng, ring, rank=1), _random_form(rng, ring, rank=1)
+    if c is None:
+        q3, q2 = low, _random_form(rng, ring)
+    else:
+        q3 = _random_form(rng, ring)
+        q2 = combine([low, q3], [1, (p - c) % p])
+    a, b = rng.randrange(1, p), rng.randrange(1, p)
+    q1 = combine([low2, q2, q3], [1, p - a, p - b])
+    forms = [q1, q2, q3]
+    histogram, offender = rank_scan_all_nonzero(forms, expect=5)
+    assert (histogram, offender) == ref_rank_scan(forms, 5)
+    assert combine(forms, [1, a, b]).rank() <= 2
+    if c is None:
+        assert offender["point"] == [0, 0, 1]
+    else:
+        assert offender["point"][:2] == [0, 1] and offender["point"][2] <= c
+
+
+@pytest.mark.parametrize("p,family", [(5, True), (7, False)])
+def test_rank_scan_ranks_one_point_per_projective_class(monkeypatch, p, family):
+    # the 3x2 minor family has Gram rank 4 at every nonzero combination; the
+    # random net is in 4 variables
+    if family:
+        forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p))).minors]
+    else:
+        rng = random.Random(p)
+        forms = [_random_form(rng, Ring.flat(4, GF(p))) for _ in range(3)]
+    ranked = []
+    gram_ranks = quadratic._gram_ranks
+
+    def counting(forms, points, p):
+        for point, value in gram_ranks(forms, points, p):
+            ranked.append(point)
+            yield point, value
+
+    monkeypatch.setattr(quadratic, "_gram_ranks", counting)
+    histogram, offender = rank_scan_all_nonzero(forms, expect=4)
+    assert len(ranked) == len(set(ranked)) == (p**3 - 1) // (p - 1)
+    assert all(next(v for v in t if v) == 1 for t in ranked)
+    assert sum(histogram.values()) == p**3 - 1
+    assert all(v % (p - 1) == 0 for v in histogram.values())
+    assert (histogram, offender) == ref_rank_scan(forms, 4)
+    if family:
+        assert (len(ranked), histogram, offender) == (31, {4: 124}, None)
 
 
 def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
