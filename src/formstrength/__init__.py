@@ -29,15 +29,12 @@ from .quadratic import (
     DiagonalPair,
     QuadraticForm,
     collective_strength_quadrics,
-    coordinate_primary_components,
     jacobian_minor_ideal,
     minrank_bruteforce,
     minrank_formula,
     prime_certificate,
-    rank,
     simultaneous_diagonalize,
     strength_from_rank,
-    verify_minrank_identity,
 )
 from .strength import (
     class_ideals,

@@ -44,7 +44,6 @@ from .quadratic import (
     collective_strength_quadrics,
     minrank_bruteforce,
     minrank_formula,
-    rank,
     simultaneous_diagonalize,
     strength_from_rank,
 )
@@ -80,7 +79,8 @@ def _load_system(args):
     return load_ideal_file(args.infile, ring)
 
 
-def _load_gram_file(path, domain):
+def _load_gram_file(path):
+    """A bare symmetric matrix of numbers, read over Q."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -91,20 +91,20 @@ def _load_gram_file(path, domain):
             for tok in line.replace(",", " ").split():
                 if "/" in tok:
                     num, den = tok.split("/", 1)
-                    entries.append(domain(int(num), int(den)))
+                    entries.append(QQ(int(num), int(den)))
                 else:
-                    entries.append(domain.from_int(int(tok)))
+                    entries.append(QQ.from_int(int(tok)))
             rows.append(entries)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("Gram matrix file must be square")
-    return QuadraticForm(Ring.flat(n, domain), rows)
+    return QuadraticForm(Ring.flat(n, QQ), rows)
 
 
 def _load_forms(args):
     """Quadratic forms from --in: a polynomial file, whose ring a header or
-    --ring declares, or else a bare symmetric matrix of numbers; a file with
-    no form is refused."""
+    --ring declares, or else a bare symmetric matrix of numbers over Q; a
+    file with no form is refused."""
     if args.infile is None:
         raise ValueError("--in <file> is required here")
     with open(args.infile, "r", encoding="utf-8") as fh:
@@ -113,7 +113,7 @@ def _load_forms(args):
     if not stripped:
         raise ValueError(f"{args.infile} holds no quadratic forms")
     if not args.ring and not stripped[0].startswith("ring "):
-        return [_load_gram_file(args.infile, domain_from_name(args.field))]
+        return [_load_gram_file(args.infile)]
     _, polys = _load_system(args)
     if not polys:
         raise ValueError(f"{args.infile} holds no quadratic forms")
@@ -178,7 +178,7 @@ def cmd_rank(args):
         q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
     else:
         q = _scan_forms(args)[0]
-    r = rank(q)
+    r = q.rank()
     result = {"rank": r}
     if args.operation == "strength":
         result["strength"] = strength_from_rank(r)
@@ -366,7 +366,7 @@ def build_parser():
     flags(p, "--seed", "--in", "--ring")
     p.set_defaults(func=cmd_regseq)
 
-    forms = ("--in", "--ring", "--field", "--p")
+    forms = ("--in", "--ring", "--p")
     operations("quadric", "rank / strength / minrank / collective strength", [
         ("rank", cmd_rank, *forms, "--diag"), ("strength", cmd_rank, *forms, "--diag"),
         ("minrank", cmd_minrank, *forms, "--diag"), ("collective", cmd_collective, *forms),

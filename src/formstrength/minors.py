@@ -72,8 +72,17 @@ class GenericMatrix:
         return f"GenericMatrix({self.rows}x{self.cols}, {self.ring.domain!r})"
 
 
+MINOR_COLS_LIMIT = 7
+"""Most columns n of a minor family.  The n+1 Laplace expansions grow about
+tenfold per column: on a 2-core machine with Python 3.11, ``minors --json``
+takes 0.4 s at 7x6 and 3.8 s (81 MB) at 8x7, so 9x8 runs for most of a
+minute and 10x9 and up for minutes or until memory runs out.  A larger
+family is refused with ValueError before any determinant is computed."""
+
+
 class MinorFamily:
-    """All maximal minors of a generic (n+1) x n matrix.
+    """All maximal minors of a generic (n+1) x n matrix, 1 <= n <=
+    MINOR_COLS_LIMIT.
 
     minors[i] = det(drop row i+1), with no alternating sign.
     """
@@ -84,6 +93,11 @@ class MinorFamily:
         rows, cols = source.rows, source.cols
         if rows != cols + 1:
             raise ValueError(f"need a (n+1) x n matrix, got {rows}x{cols}")
+        if not 1 <= cols <= MINOR_COLS_LIMIT:
+            raise ValueError(
+                f"a {rows}x{cols} family is refused: the columns must be "
+                f"between 1 and {MINOR_COLS_LIMIT}"
+            )
         self.source = source
         self.minors = [
             determinant_laplace(source.grid(drop_row=i), source.ring)

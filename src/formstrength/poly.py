@@ -1,8 +1,11 @@
-"""Sparse exact multivariate polynomials with optional column multigrading.
+"""Sparse exact multivariate polynomials and the column grading of matrix
+rings.
 
 Monomials are dense exponent tuples (one slot per ring variable); a
 polynomial is a dict from monomial to nonzero coefficient.  Values are
-immutable by convention: no operation mutates an existing polynomial.
+immutable by convention: no operation mutates an existing polynomial.  The
+one grading in use is ``Grading.by_columns``, under which every maximal
+minor of a generic matrix has multidegree (1,...,1).
 """
 
 from __future__ import annotations
@@ -133,10 +136,6 @@ class Grading:
                 raise ValueError("every variable needs a length-m multidegree")
         self.m = m
         self.vardegs = vardegs
-
-    @classmethod
-    def standard(cls, ring):
-        return cls(1, [(1,)] * ring.nvars)
 
     @classmethod
     def by_columns(cls, ring):
@@ -286,9 +285,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order=DEGREVLEX):
-        return self.terms[self.leading_monomial(order)]
-
     # -- grading ------------------------------------------------------------
 
     def multidegree(self, grading):
@@ -303,39 +299,6 @@ class Poly:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def component(self, grading, d):
-        """Sum of the terms of multidegree exactly d."""
-        d = tuple(d)
-        res = {m: c for m, c in self.terms.items() if grading.mono_degree(m) == d}
-        return Poly(self.ring, res, _clean=False)
-
-    def multidegree_support(self, grading):
-        """All multidegrees carrying a nonzero component, sorted."""
-        return sorted({grading.mono_degree(m) for m in self.terms})
-
-    # -- evaluation / substitution -------------------------------------------
-
-    def evaluate(self, point):
-        """Evaluate at a point given as dict {var index: value} or sequence.
-
-        Every variable occurring in the polynomial must be assigned.
-        """
-        dom = self.ring.domain
-        if not isinstance(point, dict):
-            point = dict(enumerate(point))
-        missing = [i for i in self.variables() if i not in point]
-        if missing:
-            names = ", ".join(self.ring.names[i] for i in missing)
-            raise KeyError(f"missing assignment for {names}")
-        total = dom.zero
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v = dom.mul(v, point[i] ** e)
-            total = dom.add(total, v)
-        return total
 
     # -- comparisons / hashing -----------------------------------------------
 

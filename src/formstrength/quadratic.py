@@ -4,7 +4,8 @@ A form q lives as a symmetric matrix G with q(x) = x^t G x (cross terms
 halved), over a domain of characteristic other than 2.  The minrank of a
 diagonal pair comes both from the block-multiplicity formula and from an
 exhaustive projective-line scan over a prime field; the two routes are
-mutual oracles.
+mutual oracles.  The codimension of the pair's Jacobian-minor ideal gives
+the one-sided primality certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import chain, product
 from math import gcd
 
 from .domains import GF, QQ, PrimeField
-from .groebner import Ideal, codimension, ideal_intersection
+from .groebner import Ideal, codimension
 from .linalg import (
     congruence_diagonalize,
     eliminate,
@@ -157,11 +158,6 @@ def combine(forms, coeffs) -> QuadraticForm:
     return QuadraticForm(ring, gram)
 
 
-def rank(q: QuadraticForm) -> int:
-    """Gram rank; equals the number of squares in any diagonalization."""
-    return q.rank()
-
-
 def strength_from_rank(k: int) -> int:
     """Closed-field strength of a rank-k quadric: ceil(k/2) - 1, with the
     zero form at -1."""
@@ -176,12 +172,12 @@ class DiagonalPair:
     """Simultaneously diagonal pair of forms.
 
     a and b are the diagonals of the two forms; the derived data normalizes
-    the first form to all ones arithmetically: the ratios b_i/a_i are
-    grouped into blocks of equal value (alphas), with multiplicities
+    the first form to all ones arithmetically: the distinct ratios b_i/a_i
+    (alphas), in order of first appearance, and how often each occurs
     (lambdas).
     """
 
-    __slots__ = ("n", "a", "b", "domain", "transform", "ratios", "alphas", "lambdas", "blocks")
+    __slots__ = ("n", "a", "b", "domain", "transform", "ratios", "alphas", "lambdas")
 
     def __init__(self, a, b, domain=QQ, transform=None):
         _check_char(domain)
@@ -200,17 +196,8 @@ class DiagonalPair:
                 "first form is degenerate; drop its kernel variables and retry"
             )
         self.ratios = [domain.div(bi, ai) for ai, bi in zip(self.a, self.b)]
-        alphas = []
-        blocks = []
-        for i, r in enumerate(self.ratios):
-            if r in alphas:
-                blocks[alphas.index(r)].append(i)
-            else:
-                alphas.append(r)
-                blocks.append([i])
-        self.alphas = alphas
-        self.blocks = blocks
-        self.lambdas = [len(bl) for bl in blocks]
+        self.alphas = list(dict.fromkeys(self.ratios))
+        self.lambdas = [self.ratios.count(r) for r in self.alphas]
 
     def ring(self) -> Ring:
         return Ring.flat(self.n, self.domain)
@@ -565,18 +552,6 @@ def jacobian_minor_ideal(dp: DiagonalPair) -> Ideal:
     return Ideal(ring, gens)
 
 
-def coordinate_primary_components(dp: DiagonalPair):
-    """The coordinate ideals I_t, one per block: I_t omits exactly the
-    variables of block t; their intersection is the Jacobian-minor ideal."""
-    ring = dp.ring()
-    comps = []
-    for block in dp.blocks:
-        inside = set(block)
-        gens = [ring.var(i) for i in range(dp.n) if i not in inside]
-        comps.append(Ideal(ring, gens))
-    return comps
-
-
 CERTIFIED_PRIME = "certified-prime"
 INCONCLUSIVE = "inconclusive"
 
@@ -605,57 +580,3 @@ def prime_certificate(dp: DiagonalPair) -> PrimeCertificate:
     codim = codimension(jacobian_minor_ideal(dp))
     status = CERTIFIED_PRIME if codim > 4 else INCONCLUSIVE
     return PrimeCertificate(status, codim)
-
-
-class MinrankIdentityReport:
-    """Machine check that the Jacobian ideal decomposes into coordinate
-    ideals and that its codimension equals minrank both ways."""
-
-    __slots__ = (
-        "intersection_matches",
-        "jacobian_codim",
-        "formula_value",
-        "bruteforce_value",
-        "bruteforce_prime",
-        "witness_rank_ok",
-        "passed",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def verify_minrank_identity(dp: DiagonalPair, prime: int = 101) -> MinrankIdentityReport:
-    """Check (i) J equals the intersection of the coordinate ideals by
-    mutual membership, (ii) codim J = n - max multiplicity, (iii) the same
-    value comes out of the brute-force scan over F_prime."""
-    jac = jacobian_minor_ideal(dp)
-    comps = coordinate_primary_components(dp)
-    inter = comps[0]
-    for c in comps[1:]:
-        inter = ideal_intersection(inter, c)
-    matches = jac.equals(inter)
-    codim = codimension(jac)
-    formula = minrank_formula(dp)
-    if isinstance(dp.domain, PrimeField):
-        image = dp
-    else:
-        image = dp.reduce_mod(prime)
-    q1, q2 = image.forms()
-    brute = minrank_bruteforce(q1, q2)
-    witness = minrank_formula(image).witness
-    witness_ok = combine((q1, q2), witness).rank() == formula.value
-    passed = matches and codim == formula.value and brute.value == formula.value and witness_ok
-    return MinrankIdentityReport(
-        intersection_matches=matches,
-        jacobian_codim=codim,
-        formula_value=formula.value,
-        bruteforce_value=brute.value,
-        bruteforce_prime=image.domain.p,
-        witness_rank_ok=witness_ok,
-        passed=passed,
-    )

@@ -7,6 +7,7 @@ import pytest
 
 import formstrength.cli as cli
 import formstrength.groebner as groebner
+import formstrength.minors as minors
 import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
@@ -326,6 +327,60 @@ def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys):
         out, err = _capture(capsys)
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("operation", ["rank", "strength", "minrank", "collective"])
+def test_quadric_operations_refuse_field(tmp_path, capsys, operation):
+    # the rank of --diag 1,7 is 2 over Q and 1 over F_7, so an unread
+    # --field would print a wrong rank
+    gram = tmp_path / "gram.txt"
+    gram.write_text("1 0\n0 7\n")
+    source = ["--in", str(gram)] if operation == "collective" else ["--diag", "1,7"]
+    assert run(["quadric", operation] + source + ["--field", "fp:7"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "unrecognized arguments: --field fp:7" in err
+
+
+GRAM_RANK_F7_OUT = (
+    '{\n'
+    '  "command": "quadric rank",\n'
+    '  "environment": {\n'
+    '    "field": "fp:7",\n'
+    '    "primes": [\n'
+    '      7\n'
+    '    ],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "rank": 1\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def test_gram_file_is_read_over_q_and_reduced_by_p(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text("1 0\n0 7\n")
+    assert run(["quadric", "rank", "--in", str(gram)]) == 0
+    assert _capture(capsys)[0] == "rank: 2\n"
+    assert run(["quadric", "rank", "--json", "--in", str(gram), "--p", "7"]) == 0
+    assert _capture(capsys)[0] == GRAM_RANK_F7_OUT
+
+
+@pytest.mark.parametrize("shape", ["1x0", "10x9"])
+def test_minors_outside_the_column_limit_exit_two_before_any_determinant(capsys, monkeypatch, shape):
+    def no_determinant(*args):
+        raise AssertionError("a refused family computed a determinant")
+
+    monkeypatch.setattr(minors, "determinant_laplace", no_determinant)
+    start = time.monotonic()
+    assert run(["minors", "--matrix", shape]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = _capture(capsys)
+    assert out == ""
+    assert f"between 1 and {minors.MINOR_COLS_LIMIT}" in err
 
 
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):

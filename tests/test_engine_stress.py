@@ -26,7 +26,7 @@ def _naive_reduce(f, basis, order):
         changed = False
         for g in basis:
             lm = g.leading_monomial(order)
-            lc = g.leading_coefficient(order)
+            lc = g.terms[lm]
             for m in sorted(rem.terms, key=order.key, reverse=True):
                 if mono_divides(lm, m):
                     c = rem.ring.domain.div(rem.terms[m], lc)

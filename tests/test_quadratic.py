@@ -15,7 +15,6 @@ from formstrength.quadratic import (
     QuadraticForm,
     collective_strength_quadrics,
     combine,
-    coordinate_primary_components,
     jacobian_minor_ideal,
     minrank_bruteforce,
     minrank_formula,
@@ -23,9 +22,10 @@ from formstrength.quadratic import (
     rank_scan_all_nonzero,
     simultaneous_diagonalize,
     strength_from_rank,
-    verify_minrank_identity,
 )
 from formstrength.strength import _quadric_codes
+
+from conftest import coordinate_ideals, minrank_identity
 
 
 def _fraction_free_rank(int_matrix):
@@ -226,24 +226,25 @@ def test_jacobian_minor_ideal_examples():
 
 
 def test_coordinate_primary_components():
+    # pins the conftest helper that the minrank identity checks rest on
     dp = DiagonalPair([1, 1, 1], [4, 4, 7])  # blocks {0,1} and {2}
-    comps = coordinate_primary_components(dp)
+    comps = coordinate_ideals(dp)
     ring = comps[0].ring
     assert comps[0].equals(Ideal(ring, [ring.var(2)]))
     assert comps[1].equals(Ideal(ring, [ring.var(0), ring.var(1)]))
 
-    single = coordinate_primary_components(DiagonalPair([1, 1], [3, 3]))
+    single = coordinate_ideals(DiagonalPair([1, 1], [3, 3]))
     assert len(single) == 1 and not single[0].gens
 
-    distinct = coordinate_primary_components(DiagonalPair([1, 1, 1], [1, 2, 3]))
+    distinct = coordinate_ideals(DiagonalPair([1, 1, 1], [1, 2, 3]))
     assert len(distinct) == 3
     assert all(codimension(c) == 2 for c in distinct)
 
 
 def test_minrank_identity_report():
-    rep = verify_minrank_identity(DiagonalPair([1, 1, 1], [4, 4, 7]))
+    rep = minrank_identity(DiagonalPair([1, 1, 1], [4, 4, 7]))
     assert rep.passed and rep.jacobian_codim == 1
-    rep = verify_minrank_identity(DiagonalPair([1, 1], [3, 3]))
+    rep = minrank_identity(DiagonalPair([1, 1], [3, 3]))
     assert rep.passed and rep.jacobian_codim == 0 and rep.formula_value == 0
 
 
@@ -255,7 +256,7 @@ def test_minrank_identity_on_random_pairs():
             [rng.choice([1, 2, 3]) for _ in range(n)],
             [rng.randint(-5, 5) for _ in range(n)],
         )
-        assert verify_minrank_identity(dp).passed
+        assert minrank_identity(dp).passed
 
 
 def test_prime_certificate():
