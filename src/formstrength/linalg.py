@@ -6,8 +6,12 @@ on int rows with an inline ``% p``, over Q on ``Fraction`` rows with plain
 operators, and it makes no domain method call per entry.  Rank stops at
 row-echelon form; inverse and kernel finish it to reduced row-echelon form,
 which is unique, so their outputs do not depend on how the elimination got
-there.  The symmetric congruence diagonalization used for
-quadratic forms lives here as well.
+there.  Short of the reduced form, each row swap negates the row moved
+down, so no step changes the determinant: once ``eliminate`` has brought a
+square n x n matrix of rank n to row-echelon form, the product of its
+diagonal is its determinant.  The F_p Gram-rank scans read determinants
+this way.  The symmetric congruence diagonalization used for quadratic
+forms lives here as well.
 """
 
 from __future__ import annotations
@@ -54,7 +58,11 @@ def eliminate(a, ncols, p, reduced=False):
     far.  Without ``reduced`` only the rows below each pivot are cleared
     (row-echelon form, enough for the rank); with it every other row is
     cleared and the pivots are scaled to 1, giving the reduced row-echelon
-    form.
+    form.  Without ``reduced`` the row a swap moves down is negated, so each
+    step keeps the determinant: a square matrix of full rank ends with its
+    determinant as the product of its diagonal.  (The reduced form is
+    unique, so there the sign is left alone.)  A pivot's inverse is taken
+    only when some row has an entry to clear in its column.
     """
     rows = len(a)
     pivots = []
@@ -68,12 +76,18 @@ def eliminate(a, ncols, p, reduced=False):
         else:
             continue
         prow = a[r]
-        a[r], a[top] = a[top], prow
-        inv = pow(prow[col], -1, p) if p else 1 / Fraction(prow[col])
+        if r != top:
+            low = a[top]
+            if not reduced:
+                low = [-v % p for v in low] if p else [-v for v in low]
+            a[r], a[top] = low, prow
+        inv = None
         for r in range(0 if reduced else top + 1, rows):
             row = a[r]
             f = row[col]
             if f and r != top:
+                if inv is None:
+                    inv = pow(prow[col], -1, p) if p else 1 / Fraction(prow[col])
                 if p:
                     f = f * inv % p
                     a[r] = [(v - f * w) % p for v, w in zip(row, prow)]

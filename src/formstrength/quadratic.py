@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd
+from math import gcd, prod
 
 from .domains import GF, QQ, PrimeField
 from .groebner import Ideal, codimension
@@ -261,12 +261,17 @@ def minrank_formula(dp: DiagonalPair) -> MinrankResult:
 
 SCAN_WORK_LIMIT = 4 * 10**6
 """Most work one F_p scan may do, as points x (n+1)^2 for forms in n
-variables; a point costs about 1-1.7 us per unit, so a scan takes at most
-about 4-7 s.  A larger scan is refused with ValueError before any rank is
-computed.  The all-nonzero rank scan is counted at all p^r - 1 tuples,
-though it ranks one point per projective class, (p^r - 1)/(p - 1) in all:
-the largest scan in the certificates and the benchmark, the 3x2 minor
-family over F_31, counts as 29790 x 49 units and ranks 993 points."""
+variables.  A larger scan is refused with ValueError before any rank is
+computed.  The points of a scan lie on lines A + u*B (see ``_gram_ranks``):
+on a line whose determinant det(A + u*B) is not identically 0, only the
+first n + 1 points and the roots of that determinant are eliminated, and
+every other point costs n additions mod p.  Only on a singular line, such
+as every line of the 3x2 minor family, is every point eliminated, at about
+1-1.7 us per unit; so a scan takes at most about 4-7 s.  The all-nonzero
+rank scan is counted at all p^r - 1 tuples, though it ranks one point per
+projective class, (p^r - 1)/(p - 1) in all: the largest scan in the
+certificates and the benchmark, the 3x2 minor family over F_31, counts as
+29790 x 49 units and ranks 993 points."""
 
 
 def _scan_prime(forms, what, count):
@@ -296,19 +301,52 @@ def _gram_ranks(forms, points, p):
     Each Gram matrix is flattened once; a combination is one int vector,
     reduced mod p once and ranked by ``linalg.eliminate``.  A combination of
     symmetric forms is symmetric, so no form is built per point.
+
+    Consecutive points that share ``point[:-1]`` and whose last coordinate u
+    steps by 1 lie on one line A + u*B of Gram matrices.  There, unless
+    D(u) = det(A + u*B), a polynomial of degree at most n, is identically 0,
+    the rank falls below n only at the roots of D.  The first n + 1 points
+    of a line are ranked by elimination, each recording its determinant (the
+    product of the pivots when the rank is n, else 0), and the backward
+    differences of those values are kept.  The (n+1)-th difference of D is 0, so D at each later
+    point comes from n additions mod p, exactly; where it is nonzero the
+    rank is n and nothing is eliminated.  When the n + 1 values are all 0
+    the pencil is singular (D is 0 at n + 1 distinct u, so everywhere) and
+    every point of the line is eliminated.  A point that breaks the pattern
+    starts a new line, so the ranks never depend on the order of the points.
     """
     ring = forms[0].ring
     if any(q.ring != ring for q in forms):
         raise ValueError("forms live in different rings")
     n = ring.nvars
     flats = [[v for row in q.gram for v in row] for q in forms]
+    prefix = last = None
     for point in points:
+        u = point[-1]
+        if point[:-1] != prefix or u != last + 1:
+            # backward differences of D at the line's last point; None on a
+            # singular pencil
+            prefix, diffs = point[:-1], []
+        last = u
+        if diffs is not None and len(diffs) > n:
+            for k in range(n - 1, -1, -1):
+                diffs[k] = (diffs[k] + diffs[k + 1]) % p
+            if diffs[0]:
+                yield point, n
+                continue
         acc = None
         for c, g in zip(point, flats):
             if c:
                 acc = [c * v for v in g] if acc is None else [s + c * v for s, v in zip(acc, g)]
         acc = [v % p for v in acc]
-        yield point, len(eliminate([acc[i:i + n] for i in range(0, n * n, n)], n, p))
+        m = [acc[i:i + n] for i in range(0, n * n, n)]
+        rank = len(eliminate(m, n, p))
+        if diffs is not None and len(diffs) <= n:
+            recorded = [prod(m[i][i] for i in range(n)) % p if rank == n else 0]
+            for d in diffs:
+                recorded.append((recorded[-1] - d) % p)
+            diffs = recorded if len(recorded) <= n or any(recorded) else None
+        yield point, rank
 
 
 def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:

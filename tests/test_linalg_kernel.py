@@ -1,9 +1,12 @@
 """The one elimination routine behind rank, inverse and kernel gives exactly
 what the separate Gauss-Jordan loops it replaced gave; those loops are kept
-below as the reference."""
+below as the reference.  Its row-echelon form of a square matrix of full
+rank carries the determinant on its diagonal, checked against the Leibniz
+formula."""
 
 import copy
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from formstrength.domains import GF, QQ
-from formstrength.linalg import kernel_basis, mat_inverse, mat_rank
+from formstrength.linalg import eliminate, kernel_basis, mat_inverse, mat_rank
 
 DOMAINS = [GF(3), GF(31), GF(32003), QQ]
 
@@ -74,6 +77,19 @@ def ref_kernel(m, dom):
             vec[pc] = dom.neg(a[r][fc])
         basis.append(vec)
     return basis
+
+
+def ref_determinant(m, dom):
+    """Leibniz formula: the signed sum over all permutations."""
+    n = len(m)
+    total = dom.zero
+    for perm in permutations(range(n)):
+        term = dom.one
+        for i, j in enumerate(perm):
+            term = dom.mul(term, m[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = dom.sub(total, term) if inversions % 2 else dom.add(total, term)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +185,28 @@ def test_inverse_equals_the_reference(case):
 def test_fixed_examples_are_singular_as_named():
     for dom, m in (SINGULAR, SINGULAR_Q):
         assert ref_rank(m, dom) < len(m)
+
+
+@SETTINGS
+@given(case=matrices(square=True))
+@example(case=EMPTY)
+@example(case=SINGULAR)
+@example(case=(GF(31), [[0, 1], [1, 0]]))
+@example(case=(GF(3), [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+@example(case=(QQ, [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1, 2)]]))
+@example(case=(GF(32003), [[0, 5, 1], [0, 0, 7], [2, 1, 1]]))
+def test_row_echelon_diagonal_is_the_determinant(case):
+    # the examples need one or two row swaps, which flip the sign unless the
+    # row moved down is negated
+    dom, m = case
+    n = len(m)
+    a = [list(row) for row in m]
+    rank = len(eliminate(a, n, dom.characteristic))
+    want = ref_determinant(m, dom)
+    if rank == n:
+        det = dom.one
+        for i in range(n):
+            det = dom.mul(det, a[i][i])
+        assert det == want
+    else:
+        assert want == dom.zero

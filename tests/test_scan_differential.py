@@ -1,6 +1,9 @@
 """The F_p Gram-rank scans agree with a per-point reference that builds each
 combination with ``combine`` and ranks it as a form: same histogram, same
-first offender, same minrank witness, same collective strength."""
+first offender, same minrank witness, same collective strength.  The cases
+with p > n + 1 are where a scan reads det(A + u*B) off its difference table
+instead of eliminating; there the references are also compared point by
+point."""
 
 import random
 
@@ -8,6 +11,7 @@ import pytest
 
 import formstrength.quadratic as quadratic
 from formstrength.domains import GF
+from formstrength.linalg import mat_rank
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.poly import Ring
 from formstrength.quadratic import (
@@ -16,6 +20,7 @@ from formstrength.quadratic import (
     collective_strength_quadrics,
     combine,
     minrank_bruteforce,
+    projective_points,
     rank_scan_all_nonzero,
     strength_from_rank,
 )
@@ -186,3 +191,181 @@ def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
         forms = [QuadraticForm.diagonal(ring, [k + 1] * n) for k in range(r)]
         with pytest.raises(ValueError, match=str(SCAN_WORK_LIMIT)):
             scan(forms)
+
+
+# ---------------------------------------------------------------------------
+# lines A + u*B: the difference table of det(A + u*B)
+
+
+def ref_point_ranks(forms, points):
+    return [(t, combine(forms, t).rank()) for t in points]
+
+
+def _counting_eliminate(monkeypatch):
+    """Count the eliminations the scans make from here on."""
+    calls = []
+    eliminate = quadratic.eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(quadratic, "eliminate", counting)
+    return calls
+
+
+def _check_every_scan(forms, expect):
+    """Each scan against the per-point reference on every projective point;
+    returns that reference.  rank_scan_all_nonzero counts each point's rank
+    p - 1 times, as the projective-class test above checks against the
+    per-tuple reference, and is refused above the work limit."""
+    p, r = forms[0].domain.p, len(forms)
+    points = list(projective_points(p, r))
+    ref = ref_point_ranks(forms, points)
+    assert list(quadratic._gram_ranks(forms, points, p)) == ref
+    histogram, offender = {}, None
+    for t, value in ref:
+        histogram[value] = histogram.get(value, 0) + p - 1
+        if value != expect and offender is None:
+            offender = {"point": list(t), "rank": value}
+    if (p**r - 1) * (forms[0].n + 1) ** 2 <= SCAN_WORK_LIMIT:
+        assert rank_scan_all_nonzero(forms, expect=expect) == (histogram, offender)
+    else:
+        with pytest.raises(ValueError, match=str(SCAN_WORK_LIMIT)):
+            rank_scan_all_nonzero(forms, expect=expect)
+    assert collective_strength_quadrics(forms) == strength_from_rank(min(v for _, v in ref))
+    got = minrank_bruteforce(forms[0], forms[1])
+    assert (got.value, got.witness) == ref_minrank(forms[0], forms[1])
+    return ref
+
+
+def _congruent(forms, rng):
+    """T^t G T for one random invertible T, applied to every form."""
+    ring = forms[0].ring
+    n, p = ring.nvars, ring.domain.p
+    while True:
+        t = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if mat_rank(t, ring.domain) == n:
+            break
+    return [QuadraticForm(ring, [[sum(t[k][i] * q.gram[k][l] * t[l][j] for k in range(n) for l in range(n)) % p
+                                  for j in range(n)] for i in range(n)]) for q in forms]
+
+
+TABLE_NETS = [(p, n, r) for p in (31, 101) for n in (2, 4, 6) for r in (2, 3)]
+
+
+@pytest.mark.parametrize("p,n,r", TABLE_NETS)
+def test_scans_where_the_difference_table_runs(monkeypatch, p, n, r):
+    rng = random.Random(f"table:{p}:{n}:{r}")
+    forms = [_random_form(rng, Ring.flat(n, GF(p))) for _ in range(r)]
+    calls = _counting_eliminate(monkeypatch)
+    ref = _check_every_scan(forms, n)
+    calls.clear()
+    list(quadratic._gram_ranks(forms, projective_points(p, r), p))
+    # each line of p points eliminates its first n + 1 and its roots only
+    lines = 1 if r == 2 else p + 1
+    roots = sum(1 for t, value in ref if value < n and t[-1] > n)
+    assert len(calls) == len(ref) - lines * (p - n - 1) + roots
+
+
+# F_101 only with r = 2: a net over F_101 has 10303 points, each ranked by
+# the reference
+PENCILS_AND_NETS = [(31, 4, 3), (31, 6, 3), (101, 4, 2), (101, 6, 2)]
+
+
+@pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
+def test_planted_low_rank_point_beyond_the_first_n_plus_one(p, n, r):
+    # the last form is (low - q1 - a*q2)/u, so the combination (1, [a,] u)
+    # is low, of Gram rank at most 2, with u past the points that are
+    # eliminated to fill the table
+    rng = random.Random(f"planted:{p}:{n}:{r}")
+    ring = Ring.flat(n, GF(p))
+    others = [_random_form(rng, ring) for _ in range(r - 1)]
+    low = _random_form(rng, ring, rank=1)
+    head = [1] + [rng.randrange(1, p) for _ in range(r - 2)]
+    u = rng.randrange(n + 1, p)
+    inv = pow(u, -1, p)
+    last = combine([low] + others, [inv] + [(p - c) * inv % p for c in head])
+    forms = others + [last]
+    planted = tuple(head) + (u,)
+    ref = dict(_check_every_scan(forms, n))
+    assert ref[planted] <= 2
+    if r == 2:
+        assert minrank_bruteforce(*forms).value <= 2
+
+
+@pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
+def test_singular_pencil_eliminates_every_point(monkeypatch, p, n, r):
+    # forms that do not involve the last variable, in random coordinates,
+    # share a kernel vector, so det(A + u*B) is 0 on every line
+    rng = random.Random(f"singular:{p}:{n}:{r}")
+    ring = Ring.flat(n, GF(p))
+    forms = []
+    for _ in range(r):
+        g = _random_form(rng, ring).gram
+        forms.append(QuadraticForm(ring, [[v if i < n - 1 and j < n - 1 else 0 for j, v in enumerate(row)]
+                                          for i, row in enumerate(g)]))
+    forms = _congruent(forms, rng)
+    calls = _counting_eliminate(monkeypatch)
+    ref = _check_every_scan(forms, n - 1)
+    assert all(value < n for _, value in ref)
+    calls.clear()
+    list(quadratic._gram_ranks(forms, projective_points(p, r), p))
+    assert len(calls) == len(ref) == (p**r - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_lines_no_longer_than_n_plus_one_are_eliminated_whole(p, r):
+    # at n = 6 a line of p <= n points never fills the table
+    rng = random.Random(f"short:{p}:{r}")
+    ring = Ring.flat(6, GF(p))
+    forms = [_random_form(rng, ring) for _ in range(r - 1)] + [_random_form(rng, ring, rank=2)]
+    for expect in (6, 5):
+        assert rank_scan_all_nonzero(forms, expect=expect) == ref_rank_scan(forms, expect)
+    assert collective_strength_quadrics(forms) == ref_collective(forms)
+    got = minrank_bruteforce(forms[0], forms[1])
+    assert (got.value, got.witness) == ref_minrank(forms[0], forms[1])
+
+
+@pytest.mark.parametrize("p,n", [(31, 6), (101, 2)])
+def test_point_order_changes_no_rank(p, n):
+    # shuffled; each line in its own shuffled order, so u runs through no
+    # arithmetic progression; and each line started at a random u and
+    # wrapped round, so lines start mid-way and break where u wraps
+    rng = random.Random(f"order:{p}:{n}")
+    ring = Ring.flat(n, GF(p))
+    low = _random_form(rng, ring, rank=1)
+    q1, q2 = _random_form(rng, ring), _random_form(rng, ring)
+    forms = [q1, q2, combine([low, q1], [1, p - 1])]
+    points = list(projective_points(p, 3))
+    want = sorted(ref_point_ranks(forms, points))
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    mixed, rotated = points[:1], points[:1]
+    for k in range(1, len(points), p):
+        line = points[k:k + p]
+        s = rng.randrange(p)
+        rotated += line[s:] + line[:s]
+        rng.shuffle(line)
+        mixed += line
+    assert sorted(rotated) == sorted(mixed) == sorted(points)
+    for order in (points, shuffled, mixed, rotated):
+        assert sorted(quadratic._gram_ranks(forms, order, p)) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_diagonal_pencil_eliminates_the_first_n_plus_one_points_and_its_roots(monkeypatch, k):
+    # f1 = I and f2 = diag(b) over F_101 with k distinct ratios: on the line
+    # (1, t) the determinant prod(1 + t*b_i) has k roots; (0, 1) is a line
+    # of its own.  Every point was eliminated before: 102 calls
+    p, n = 101, 6
+    rng = random.Random(k)
+    ratios = rng.sample(range(2, p), k)
+    b = ratios + [rng.choice(ratios) for _ in range(n - k)]
+    ring = Ring.flat(n, GF(p))
+    f1, f2 = QuadraticForm.diagonal(ring, [1] * n), QuadraticForm.diagonal(ring, b)
+    calls = _counting_eliminate(monkeypatch)
+    got = minrank_bruteforce(f1, f2)
+    assert len(calls) <= (n + 1) + k + 1
+    assert (got.value, got.witness) == ref_minrank(f1, f2)
+    assert got.value == n - max(b.count(v) for v in ratios)
