@@ -26,7 +26,6 @@ from .parse import format_poly, load_ideal_file, parse_poly
 from .poly import Grading, Poly, Ring
 from .polygcd import multivariate_gcd, regular_pair_gcd_check
 from .quadratic import (
-    DiagonalPair,
     QuadraticForm,
     collective_strength_quadrics,
     jacobian_minor_ideal,

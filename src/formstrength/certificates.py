@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 from .domains import GF, QQ
 from .groebner import (
@@ -29,8 +30,10 @@ from .minors import (
 from .poly import Grading, Poly, Ring
 from .polygcd import regular_pair_gcd_check
 from .quadratic import (
+    CERTIFIED_PRIME,
     QuadraticForm,
     collective_strength_quadrics,
+    diagonal_pair_mod,
     minrank_bruteforce,
     minrank_formula,
     prime_certificate,
@@ -47,6 +50,14 @@ CITED = "cited"
 # read off the displayed cofactor expansions
 EXCLUSION_ROWS = {PARALLEL_ROWS: 10, SAME_COLUMN: 10, SKEW: 11}
 CLASS_ORDER = (PARALLEL_ROWS, SAME_COLUMN, SKEW)
+
+# each certificate's headline claim; recheck finds the builder by it
+CLAIMS = {
+    "n32-lower": "N(3,2) >= 2",
+    "n32-upper": "N(3,2) <= 2: certification chain on a sample triple",
+    "n33": "N(3,3) > 2",
+    "small-r": "N(1,d) = 0 and N(2,d) = 1",
+}
 
 
 class SubVerdict:
@@ -130,8 +141,8 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     )
 
     # every nonzero F_p combination has Gram rank exactly 4
-    scan_forms = [QuadraticForm.from_poly(f).reduce_mod(scan_prime) for f in family.minors]
-    histogram, bad_point = rank_scan_all_nonzero(scan_forms, expect=4)
+    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    histogram, bad_point = rank_scan_all_nonzero([q.reduce_mod(scan_prime) for q in forms], expect=4)
     subs.append(
         SubVerdict(
             f"all_nonzero_f{scan_prime}_combinations_have_rank_4",
@@ -149,7 +160,7 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     # symbolic closure of the scan: the 4x4 minors of the generic combination
     # vanish simultaneously only at the zero combination
     coeff_ring = Ring.flat(3, QQ)
-    grams = [QuadraticForm.from_poly(f).gram for f in family.minors]
+    grams = [q.gram for q in forms]
     n = ring.nvars
     sym = [
         [
@@ -166,8 +177,6 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
         for i in range(n)
     ]
     minors4 = set()
-    from itertools import combinations
-
     for rows in combinations(range(n), 4):
         for cols in combinations(range(n), 4):
             if rows > cols:
@@ -213,7 +222,7 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     )
 
     env = {"field": "q", "primes": [scan_prime], "seed": seed}
-    return Certificate("N(3,2) >= 2", subs, env)
+    return Certificate(CLAIMS["n32-lower"], subs, env)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +245,7 @@ def certify_n32_upper_sample(
     f1 = QuadraticForm.diagonal(ring, [1] * 6)
     f2 = QuadraticForm.diagonal(ring, list(_SAMPLE_B))
     f3 = QuadraticForm.from_poly(parse_poly(_SAMPLE_F3, ring))
+    env = {"field": "q", "primes": [scan_prime, minrank_prime], "seed": seed}
     subs = []
 
     coll = collective_strength_quadrics([q.reduce_mod(scan_prime) for q in (f1, f2, f3)])
@@ -249,28 +259,24 @@ def certify_n32_upper_sample(
         )
     )
 
-    dp = simultaneous_diagonalize(f1, f2)
+    pencil = simultaneous_diagonalize(f1, f2)
     subs.append(
         SubVerdict(
             "pencil_diagonalized_over_q",
             MACHINE,
-            dp is not None,
+            pencil is not None,
             witness=None
-            if dp is None
-            else {"a": [str(v) for v in dp.a], "b": [str(v) for v in dp.b]},
+            if pencil is None
+            else {key: [str(row[i]) for i, row in enumerate(g.gram)] for key, g in zip(("a", "b"), pencil)},
             paper_ref="classical pencil theory: a pair with a nondegenerate member diagonalizes simultaneously when its characteristic polynomial splits",
         )
     )
-    if dp is None:
-        return Certificate(
-            "N(3,2) <= 2: certification chain on a sample triple",
-            subs,
-            {"field": "q", "primes": [scan_prime, minrank_prime], "seed": seed},
-        )
+    if pencil is None:
+        return Certificate(CLAIMS["n32-upper"], subs, env)
 
-    formula = minrank_formula(dp)
-    image = dp.reduce_mod(minrank_prime)
-    scan = minrank_bruteforce(*image.forms())
+    g1, g2, _ = pencil
+    formula = minrank_formula(g1, g2)
+    scan = minrank_bruteforce(*diagonal_pair_mod(g1, g2, minrank_prime))
     subs.append(
         SubVerdict(
             "minrank_at_least_5",
@@ -287,13 +293,13 @@ def certify_n32_upper_sample(
         )
     )
 
-    cert = prime_certificate(dp)
+    cert = prime_certificate(f1, f2)
     subs.append(
         SubVerdict(
             "singular_locus_codim_above_4",
             MACHINE,
-            cert.certified,
-            witness=cert.to_dict(),
+            cert["status"] == CERTIFIED_PRIME,
+            witness=cert,
             paper_ref="codim of the Jacobian-minor ideal equals minrank",
         )
     )
@@ -329,8 +335,7 @@ def certify_n32_upper_sample(
         )
     )
 
-    env = {"field": "q", "primes": [scan_prime, minrank_prime], "seed": seed}
-    return Certificate("N(3,2) <= 2: certification chain on a sample triple", subs, env)
+    return Certificate(CLAIMS["n32-upper"], subs, env)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +351,8 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     subs = []
 
     # codimension over a large prime field, degrevlex
-    dom = GF(gb_prime)
-    ring_p = Ring.matrix(4, 3, dom)
-    minors_p = [
-        Poly(ring_p, {m: dom.from_int(int(c)) for m, c in f.terms.items()})
-        for f in family_q.minors
-    ]
-    codim3 = codimension(Ideal(ring_p, minors_p[:3]))
+    family_p = maximal_minors(GenericMatrix(4, 3, GF(gb_prime)))
+    codim3 = codimension(Ideal(family_p.ring, family_p.minors[:3]))
     subs.append(
         SubVerdict(
             f"triple_codim_two_over_f{gb_prime}",
@@ -362,7 +362,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
             paper_ref="the three minors generate a codimension-2 ideal, so they are not a regular sequence",
         )
     )
-    codim4 = codimension(Ideal(ring_p, minors_p))
+    codim4 = codimension(family_p.ideal())
     subs.append(
         SubVerdict(
             f"full_family_codim_two_over_f{gb_prime}",
@@ -458,7 +458,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     )
 
     env = {"field": f"fp:{gb_prime}", "primes": [gb_prime], "seed": seed}
-    return Certificate("N(3,3) > 2", subs, env)
+    return Certificate(CLAIMS["n33"], subs, env)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +596,7 @@ def certify_small_r(seed: int = 0, prime: int = 7) -> Certificate:
     )
 
     env = {"field": f"fp:{prime}", "primes": [prime], "seed": seed}
-    return Certificate("N(1,d) = 0 and N(2,d) = 1", subs, env)
+    return Certificate(CLAIMS["small-r"], subs, env)
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +618,7 @@ PRIME_PARAMS = {
     "small-r": ("prime",),
 }
 
-_CLAIM_TO_BUILDER = {
-    "N(3,2) >= 2": "n32-lower",
-    "N(3,2) <= 2: certification chain on a sample triple": "n32-upper",
-    "N(3,3) > 2": "n33",
-    "N(1,d) = 0 and N(2,d) = 1": "small-r",
-}
+_CLAIM_TO_BUILDER = {claim: name for name, claim in CLAIMS.items()}
 
 
 def build_certificate(name: str, seed: int = 0, **overrides) -> Certificate:

@@ -39,9 +39,9 @@ from .parse import (
 from .poly import Grading, Ring
 from .polygcd import PairReport, multivariate_gcd
 from .quadratic import (
-    DiagonalPair,
     QuadraticForm,
     collective_strength_quadrics,
+    diagonal_pair_mod,
     minrank_bruteforce,
     minrank_formula,
     simultaneous_diagonalize,
@@ -191,13 +191,13 @@ def cmd_rank(args):
 def cmd_minrank(args):
     if args.diag:
         b = _parse_diag(args.diag)
-        dp = DiagonalPair([1] * len(b), b)
-        formula = minrank_formula(dp)
+        ring = Ring.flat(len(b), QQ)
+        f1, f2 = QuadraticForm.diagonal(ring, [1] * len(b)), QuadraticForm.diagonal(ring, b)
+        formula = minrank_formula(f1, f2)
         result = {"minrank": formula.value, "method": "formula", "witness": [str(c) for c in formula.witness]}
         primes = []
         if args.p:
-            image = dp.reduce_mod(args.p)
-            scan = minrank_bruteforce(*image.forms())
+            scan = minrank_bruteforce(*diagonal_pair_mod(f1, f2, args.p))
             result["scan"] = scan.to_dict()
             result["scan_agrees"] = scan.value == formula.value
             primes = [args.p]
@@ -213,10 +213,10 @@ def cmd_minrank(args):
             scan = minrank_bruteforce(f1, f2)
             result = {"minrank": scan.value, "method": scan.method, "witness": [str(c) for c in scan.witness]}
         else:
-            dp = simultaneous_diagonalize(f1, f2)
-            if dp is None:
+            pencil = simultaneous_diagonalize(f1, f2)
+            if pencil is None:
                 raise ValueError("pencil does not diagonalize over q; supply --p for a scan")
-            formula = minrank_formula(dp)
+            formula = minrank_formula(*pencil[:2])
             result = {"minrank": formula.value, "method": formula.method, "witness": [str(c) for c in formula.witness]}
     if not _emit(args, "quadric minrank", result, field, primes):
         print(f"minrank: {result['minrank']} (witness combination {result['witness']})")

@@ -91,9 +91,6 @@ class Rationals:
     def from_int(k):
         return Fraction(k)
 
-    def format(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -150,9 +147,6 @@ class PrimeField:
 
     def from_int(self, k):
         return k % self.p
-
-    def format(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -157,10 +157,6 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     return _Parser(ring, tokens).parse()
 
 
-def _format_coeff(dom, c):
-    return dom.format(c)
-
-
 def format_poly(f: Poly) -> str:
     """Canonical text: descending degrevlex, ``a - b`` sign handling."""
     if not f.terms:
@@ -179,9 +175,9 @@ def format_poly(f: Poly) -> str:
         factors = [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(m) if e]
         body = "*".join(factors)
         if not body:
-            body = _format_coeff(dom, c)
+            body = str(c)
         elif c != dom.one:
-            body = f"{_format_coeff(dom, c)}*{body}"
+            body = f"{c}*{body}"
         pieces.append(sep + body)
     return "".join(pieces)
 

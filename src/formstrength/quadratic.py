@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
 
-from .domains import GF, QQ, PrimeField
+from .domains import GF, PrimeField
 from .groebner import Ideal, codimension
 from .linalg import (
     congruence_diagonalize,
@@ -168,65 +168,6 @@ def strength_from_rank(k: int) -> int:
     return (k + 1) // 2 - 1
 
 
-class DiagonalPair:
-    """Simultaneously diagonal pair of forms.
-
-    a and b are the diagonals of the two forms; the derived data normalizes
-    the first form to all ones arithmetically: the distinct ratios b_i/a_i
-    (alphas), in order of first appearance, and how often each occurs
-    (lambdas).
-    """
-
-    __slots__ = ("n", "a", "b", "domain", "transform", "ratios", "alphas", "lambdas")
-
-    def __init__(self, a, b, domain=QQ, transform=None):
-        _check_char(domain)
-        if len(a) != len(b):
-            raise ValueError("diagonal length mismatch")
-        conv = lambda v: domain.from_int(v) if isinstance(v, int) else v
-        self.a = [conv(v) for v in a]
-        self.b = [conv(v) for v in b]
-        self.n = len(self.a)
-        if self.n == 0:
-            raise ValueError("empty diagonal pair")
-        self.domain = domain
-        self.transform = transform
-        if any(not v for v in self.a):
-            raise DegenerateFormError(
-                "first form is degenerate; drop its kernel variables and retry"
-            )
-        self.ratios = [domain.div(bi, ai) for ai, bi in zip(self.a, self.b)]
-        self.alphas = list(dict.fromkeys(self.ratios))
-        self.lambdas = [self.ratios.count(r) for r in self.alphas]
-
-    def ring(self) -> Ring:
-        return Ring.flat(self.n, self.domain)
-
-    def forms(self):
-        ring = self.ring()
-        return (
-            QuadraticForm.diagonal(ring, self.a),
-            QuadraticForm.diagonal(ring, self.b),
-        )
-
-    def reduce_mod(self, p: int) -> "DiagonalPair":
-        """Image over F_p; refuses reductions that collapse the block
-        structure or kill a diagonal entry."""
-        field = GF(p)
-        _check_char(field)
-        a = [field(v.numerator, v.denominator) for v in self.a]
-        b = [field(v.numerator, v.denominator) for v in self.b]
-        if any(v == 0 for v in a):
-            raise ValueError(f"diagonal entry vanishes mod {p}")
-        image = DiagonalPair(a, b, field)
-        if image.lambdas != self.lambdas:
-            raise ValueError(f"block structure collapses mod {p}")
-        return image
-
-    def __repr__(self):
-        return f"DiagonalPair(a={self.a}, b={self.b})"
-
-
 class MinrankResult:
     """Minrank value with a reproducing coefficient witness."""
 
@@ -248,15 +189,49 @@ class MinrankResult:
         return f"MinrankResult({self.value}, witness={self.witness}, {self.method})"
 
 
-def minrank_formula(dp: DiagonalPair) -> MinrankResult:
+def _ratios(f1: QuadraticForm, f2: QuadraticForm):
+    """The ratios b_i/a_i of a diagonal pair with diagonals a and b, in
+    variable order."""
+    if f1.ring != f2.ring:
+        raise ValueError("forms live in different rings")
+    n = f1.n
+    if not n:
+        raise ValueError("empty diagonal pair")
+    if any(q.gram[i][j] for q in (f1, f2) for i in range(n) for j in range(n) if i != j):
+        raise ValueError("the forms are not a diagonal pair")
+    if any(not f1.gram[i][i] for i in range(n)):
+        raise DegenerateFormError(
+            "first form is degenerate; drop its kernel variables and retry"
+        )
+    return [f1.domain.div(f2.gram[i][i], f1.gram[i][i]) for i in range(n)]
+
+
+def _blocks(ratios):
+    """Each distinct ratio, in order of first appearance, with how often it
+    occurs."""
+    return {alpha: ratios.count(alpha) for alpha in dict.fromkeys(ratios)}
+
+
+def minrank_formula(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:
     """Minrank of a diagonal pair: n minus the largest block multiplicity.
 
-    The witness combination f2 - alpha*f1 kills exactly the largest block.
+    The witness combination f2 - alpha*f1 kills exactly the largest block,
+    the first one of that size.
     """
-    lam_max = max(dp.lambdas)
-    t_star = dp.lambdas.index(lam_max)
-    alpha = dp.alphas[t_star]
-    return MinrankResult(dp.n - lam_max, (dp.domain.neg(alpha), dp.domain.one), "formula")
+    blocks = _blocks(_ratios(f1, f2))
+    alpha = max(blocks, key=blocks.get)
+    return MinrankResult(f1.n - blocks[alpha], (f1.domain.neg(alpha), f1.domain.one), "formula")
+
+
+def diagonal_pair_mod(f1: QuadraticForm, f2: QuadraticForm, p: int):
+    """Image over F_p of a diagonal pair; refuses reductions that kill a
+    diagonal entry of the first form or collapse the block structure."""
+    g1, g2 = f1.reduce_mod(p), f2.reduce_mod(p)
+    if any(not g1.gram[i][i] for i in range(g1.n)):
+        raise ValueError(f"diagonal entry vanishes mod {p}")
+    if list(_blocks(_ratios(g1, g2)).values()) != list(_blocks(_ratios(f1, f2)).values()):
+        raise ValueError(f"block structure collapses mod {p}")
+    return g1, g2
 
 
 SCAN_WORK_LIMIT = 4 * 10**6
@@ -509,8 +484,9 @@ def _roots_with_multiplicity(coeffs, dom):
 def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
     """Rational simultaneous diagonalization of a pencil.
 
-    Returns a DiagonalPair carrying the congruence transform, or None when
-    the pencil's characteristic polynomial does not split with full
+    Returns (g1, g2, t): the diagonal forms t^T G1 t and t^T G2 t, on the
+    variables of f1, and the checked congruence transform t.  Returns None
+    when the pencil's characteristic polynomial does not split with full
     eigenspaces over the coefficient field (never a wrong answer).  The
     first form must be nondegenerate.  Over Q, a characteristic polynomial
     past ROOT_SEARCH_LIMIT raises ValueError.
@@ -561,7 +537,7 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
                 want = expect[i] if i == j else dom.zero
                 if check[i][j] != want:
                     return None
-    return DiagonalPair(a_diag, b_diag, dom, transform=t)
+    return QuadraticForm.diagonal(f1.ring, a_diag), QuadraticForm.diagonal(f1.ring, b_diag), t
 
 
 def _root_sort_key(value):
@@ -571,22 +547,28 @@ def _root_sort_key(value):
 
 
 # ---------------------------------------------------------------------------
-# the Jacobian-minor ideal of a diagonal pair
+# the Jacobian-minor ideal of a pair
 
 
-def jacobian_minor_ideal(dp: DiagonalPair) -> Ideal:
-    """Ideal of 2x2 Jacobian minors of the pair: (b_j/a_j - b_i/a_i) x_i x_j
-    over all i < j, vanishing minors omitted.  Cuts out the singular locus of
-    the pencil's base."""
-    ring = dp.ring()
-    dom = dp.domain
+def jacobian_minor_ideal(f1: QuadraticForm, f2: QuadraticForm) -> Ideal:
+    """Ideal of the 2x2 minors (G1 x)_i (G2 x)_j - (G1 x)_j (G2 x)_i, i < j,
+    of the pair's Jacobian (each partial derivative halved), vanishing minors
+    omitted.  Cuts out the singular locus of the pencil's base."""
+    if f1.ring != f2.ring:
+        raise ValueError("forms live in different rings")
+    ring = f1.ring
+    n = ring.nvars
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    grads = [
+        [Poly(ring, {units[k]: c for k, c in enumerate(row) if c}, _clean=False) for row in q.gram]
+        for q in (f1, f2)
+    ]
     gens = []
-    for i in range(dp.n):
-        for j in range(i + 1, dp.n):
-            diff = dom.sub(dp.ratios[j], dp.ratios[i])
-            if diff:
-                mono = tuple(1 if k in (i, j) else 0 for k in range(dp.n))
-                gens.append(Poly(ring, {mono: diff}, _clean=False))
+    for i in range(n):
+        for j in range(i + 1, n):
+            minor = grads[0][i] * grads[1][j] - grads[0][j] * grads[1][i]
+            if minor.terms:
+                gens.append(minor)
     return Ideal(ring, gens)
 
 
@@ -594,27 +576,9 @@ CERTIFIED_PRIME = "certified-prime"
 INCONCLUSIVE = "inconclusive"
 
 
-class PrimeCertificate:
-    """One-sided primality certificate via singular-locus codimension."""
-
-    __slots__ = ("status", "jacobian_codim")
-
-    def __init__(self, status, jacobian_codim):
-        self.status = status
-        self.jacobian_codim = jacobian_codim
-
-    @property
-    def certified(self):
-        return self.status == CERTIFIED_PRIME
-
-    def to_dict(self):
-        return {"status": self.status, "jacobian_codim": self.jacobian_codim}
-
-
-def prime_certificate(dp: DiagonalPair) -> PrimeCertificate:
-    """Certify that the pair generates a prime ideal when the singular locus
-    has codimension above 4; otherwise report inconclusive (never 'not
-    prime')."""
-    codim = codimension(jacobian_minor_ideal(dp))
-    status = CERTIFIED_PRIME if codim > 4 else INCONCLUSIVE
-    return PrimeCertificate(status, codim)
+def prime_certificate(f1: QuadraticForm, f2: QuadraticForm) -> dict:
+    """One-sided certificate that the pair generates a prime ideal: status
+    certified-prime when the singular locus has codimension above 4,
+    otherwise inconclusive (never 'not prime'), with that codimension."""
+    codim = codimension(jacobian_minor_ideal(f1, f2))
+    return {"status": CERTIFIED_PRIME if codim > 4 else INCONCLUSIVE, "jacobian_codim": codim}

@@ -25,14 +25,10 @@ from formstrength.groebner import (
 from formstrength.linalg import mat_mul, mat_rank, transpose
 from formstrength.minors import GenericMatrix, laplace_strength_bound, maximal_minors
 from formstrength.poly import Grading, Poly, Ring
-from formstrength.quadratic import (
-    DiagonalPair,
-    QuadraticForm,
-    strength_from_rank,
-)
+from formstrength.quadratic import QuadraticForm, strength_from_rank
 from formstrength.strength import class_ideals, exclusion_matrix, strength_bruteforce_small
 
-from conftest import minrank_identity, random_homogeneous, random_poly
+from conftest import block_sizes, diagonal_pair, minrank_identity, random_homogeneous, random_poly
 
 
 def _report(name, ok, elapsed, budget, detail=""):
@@ -131,9 +127,9 @@ def test_criterion_3_minrank_codim_identity(capsys):
         # the base form must be nondegenerate, so its diagonal avoids 0
         a = [rng.choice([1, 2, 3, 4, 5]) for _ in range(n)]
         b = [rng.randint(-5, 5) for _ in range(n)]
-        dp = DiagonalPair(a, b)
-        report = minrank_identity(dp, prime=101)
-        lam_max = max(dp.lambdas)
+        pair = diagonal_pair(a, b)
+        report = minrank_identity(*pair, prime=101)
+        lam_max = max(block_sizes(*pair))
         if not (
             report.passed
             and report.jacobian_codim == n - lam_max

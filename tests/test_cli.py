@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import time
 from itertools import combinations_with_replacement
@@ -496,21 +497,67 @@ MINRANK_PENCIL_OUT = (
 )
 
 
+# f1 + f2 = (x1 + x2)^2: the pencil diagonalizes over Q with ratios -1 and 1
+PENCIL_Q = "ring n=2 field=q\nx1^2 + x2^2\n2*x1*x2\n"
+
+MINRANK_QPENCIL_OUT = (
+    '{\n'
+    '  "command": "quadric minrank",\n'
+    '  "environment": {\n'
+    '    "field": "q",\n'
+    '    "primes": [],\n'
+    '    "seed": 0,\n'
+    '    "version": "0.1.0"\n'
+    '  },\n'
+    '  "result": {\n'
+    '    "method": "formula",\n'
+    '    "minrank": 1,\n'
+    '    "witness": [\n'
+    '      "1",\n'
+    '      "1"\n'
+    '    ]\n'
+    '  }\n'
+    '}\n'
+)
+
+
 def test_scan_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
     net, netq, pencil = tmp_path / "net.txt", tmp_path / "netq.txt", tmp_path / "pencil.txt"
+    qpencil = tmp_path / "qpencil.txt"
     net.write_text(NET_F7)
     netq.write_text(NET_Q)
     pencil.write_text(PENCIL_F11)
+    qpencil.write_text(PENCIL_Q)
     for argv, want in (
         (["quadric", "collective", "--json", "--in", str(net)], COLLECTIVE_OUT),
         (["quadric", "collective", "--json", "--in", str(netq), "--p", "7"], COLLECTIVE_OUT),
         # t = 5 and t = 10 both kill a block of two: the scan witness is (1, 5)
         (["quadric", "minrank", "--json", "--diag", "1,1,2,2,3", "--p", "11"], MINRANK_DIAG_OUT),
         (["quadric", "minrank", "--json", "--in", str(pencil)], MINRANK_PENCIL_OUT),
+        # the one path through simultaneous diagonalization
+        (["quadric", "minrank", "--json", "--in", str(qpencil)], MINRANK_QPENCIL_OUT),
     ):
         assert run(argv) == 0
         out, _ = _capture(capsys)
         assert out == want
+
+
+def test_a_prime_that_collapses_the_blocks_of_a_diagonal_pencil_is_refused(tmp_path, capsys):
+    # ratios 1 and 8 meet mod 7
+    assert run(["quadric", "minrank", "--diag", "1,8", "--p", "7"]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "block structure collapses mod 7" in err
+    # the ratios 1..6 of the n32-upper sample meet mod 3: a refused recheck,
+    # not a failed one
+    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0" / "n32-upper-sample.json"
+    doc = json.loads(fixture.read_text())
+    assert doc["environment"]["primes"] == [11, 101]
+    doc["environment"]["primes"] = [11, 3]
+    path = tmp_path / "n32-upper-mod-3.json"
+    path.write_text(json.dumps(doc))
+    assert run(["recheck", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "block structure collapses mod 3" in err
 
 
 

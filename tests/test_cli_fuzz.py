@@ -1,8 +1,8 @@
-"""Fuzzing of the ``quadric`` command: on random ``--diag`` lists and small
-F_p form files, every operation passes (0), fails a verdict (1) or refuses
-the invocation (2) within CASE_SECONDS, and never reports an internal error
-(3).  The inputs are written here as text, without the package's own
-formatter."""
+"""Fuzzing of the ``quadric`` command: on random ``--diag`` lists, small
+F_p form files and small Q pencils, every operation passes (0), fails a
+verdict (1) or refuses the invocation (2) within CASE_SECONDS, and never
+reports an internal error (3).  The inputs are written here as text, without
+the package's own formatter."""
 
 import contextlib
 import io
@@ -95,3 +95,34 @@ def test_quadric_on_a_form_file_exits_zero_one_or_two(tmp_path_factory, operatio
     if p == "same":
         # an --p equal to the file's prime changes nothing
         assert _run(argv[:4] + argv[6:]) == got
+
+
+@st.composite
+def q_pencils(draw):
+    """Two forms in one to four variables over Q, each a sum of up to five
+    random degree-2 terms with coefficients in +-1..3 and +-1/2."""
+    n = draw(st.integers(1, 4))
+    lines = [f"ring n={n} field=q"]
+    for _ in range(2):
+        text = ""
+        for _ in range(draw(st.integers(0, 5))):
+            i, j = sorted(draw(st.integers(1, n)) for _ in range(2))
+            factors = f"x{i}^2" if i == j else f"x{i}*x{j}"
+            sign = draw(st.sampled_from(("+", "-")))
+            text += f" {sign} {draw(st.sampled_from(('1', '2', '3', '1/2')))}*{factors}"
+        lines.append(text.removeprefix(" +").lstrip() or "0")
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(text=q_pencils(), p=st.sampled_from((None,) + PRIMES), as_json=st.booleans())
+def test_quadric_minrank_on_a_q_pencil_exits_zero_one_or_two(tmp_path_factory, text, p, as_json):
+    # without --p the pencil is diagonalized over Q; with it, scanned mod p
+    path = tmp_path_factory.getbasetemp() / "fuzz-q-pencil.txt"
+    path.write_text(text)
+    argv = ["quadric", "minrank", "--in", str(path)]
+    if p is not None:
+        argv += ["--p", str(p)]
+    if as_json:
+        argv.append("--json")
+    _run(argv)

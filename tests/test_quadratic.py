@@ -11,10 +11,10 @@ from formstrength.parse import parse_poly
 from formstrength.poly import Ring
 from formstrength.quadratic import (
     DegenerateFormError,
-    DiagonalPair,
     QuadraticForm,
     collective_strength_quadrics,
     combine,
+    diagonal_pair_mod,
     jacobian_minor_ideal,
     minrank_bruteforce,
     minrank_formula,
@@ -25,7 +25,14 @@ from formstrength.quadratic import (
 )
 from formstrength.strength import _quadric_codes
 
-from conftest import coordinate_ideals, minrank_identity
+from conftest import (
+    block_sizes,
+    coordinate_ideals,
+    diagonal_pair,
+    minrank_identity,
+    pencil_ratios,
+    ratio_jacobian_ideal,
+)
 
 
 def _fraction_free_rank(int_matrix):
@@ -130,23 +137,25 @@ def test_simultaneous_diagonalize_diagonal_inputs():
     ring = Ring.flat(3, QQ)
     f1 = QuadraticForm.diagonal(ring, [1, 1, 1])
     f2 = QuadraticForm.diagonal(ring, [1, 2, 2])
-    dp = simultaneous_diagonalize(f1, f2)
-    assert dp is not None
-    assert sorted(dp.ratios) == [Fraction(1), Fraction(2), Fraction(2)]
-    assert sorted(dp.lambdas) == [1, 2]
+    pencil = simultaneous_diagonalize(f1, f2)
+    assert pencil is not None
+    g1, g2, _ = pencil
+    assert sorted(pencil_ratios(g1, g2)) == [Fraction(1), Fraction(2), Fraction(2)]
+    assert sorted(block_sizes(g1, g2)) == [1, 2]
 
 
 def test_simultaneous_diagonalize_cross_term():
     ring = Ring.flat(2, QQ)
     f1 = QuadraticForm.from_poly(parse_poly("x1^2 + x2^2", ring))
     f2 = QuadraticForm.from_poly(parse_poly("2*x1*x2", ring))
-    dp = simultaneous_diagonalize(f1, f2)
-    assert dp is not None
-    assert sorted(dp.ratios) == [Fraction(-1), Fraction(1)]
+    pencil = simultaneous_diagonalize(f1, f2)
+    assert pencil is not None
+    g1, g2, t = pencil
+    assert sorted(pencil_ratios(g1, g2)) == [Fraction(-1), Fraction(1)]
     # the recorded transform reproduces both Gram matrices
-    t = dp.transform
     dom = QQ
-    for gram, diag in ((f1.gram, dp.a), (f2.gram, dp.b)):
+    for gram, g in ((f1.gram, g1), (f2.gram, g2)):
+        diag = [g.gram[i][i] for i in range(2)]
         check = mat_mul(mat_mul(transpose(t), gram, dom), t, dom)
         for i in range(2):
             for j in range(2):
@@ -170,24 +179,43 @@ def test_simultaneous_diagonalize_degenerate_base():
 
 
 def test_minrank_formula_examples():
-    dp = DiagonalPair([1, 1, 1, 1], [1, 1, 2, 3])
-    res = minrank_formula(dp)
+    res = minrank_formula(*diagonal_pair([1, 1, 1, 1], [1, 1, 2, 3]))
     assert res.value == 2
     assert res.witness == (Fraction(-1), Fraction(1))  # f2 - f1
-    assert minrank_formula(DiagonalPair([1, 1, 1], [5, 5, 5])).value == 0
-    assert minrank_formula(DiagonalPair([1, 1, 1], [1, 2, 3])).value == 2
+    assert minrank_formula(*diagonal_pair([1, 1, 1], [5, 5, 5])).value == 0
+    assert minrank_formula(*diagonal_pair([1, 1, 1], [1, 2, 3])).value == 2
+
+
+def test_minrank_formula_refuses_a_pair_that_is_not_diagonal_or_a_degenerate_first_form():
+    ring = Ring.flat(2, QQ)
+    f1 = QuadraticForm.from_poly(parse_poly("x1^2 + x2^2", ring))
+    cross = QuadraticForm.from_poly(parse_poly("2*x1*x2", ring))
+    for pair in ((f1, cross), (cross, f1)):
+        with pytest.raises(ValueError, match="diagonal pair") as info:
+            minrank_formula(*pair)
+        assert not isinstance(info.value, DegenerateFormError)
+    with pytest.raises(DegenerateFormError):
+        minrank_formula(*diagonal_pair([1, 0, 1], [1, 2, 3]))
+
+
+def test_diagonal_pair_mod_refuses_a_vanishing_entry_or_collapsing_blocks():
+    with pytest.raises(ValueError, match="diagonal entry vanishes mod 7"):
+        diagonal_pair_mod(*diagonal_pair([1, 7], [1, 2]), 7)
+    with pytest.raises(ValueError, match="block structure collapses mod 7"):
+        diagonal_pair_mod(*diagonal_pair([1, 1], [1, 8]), 7)
+    g1, g2 = diagonal_pair_mod(*diagonal_pair([2, 1], [1, 8]), 7)
+    assert (g1, g2) == diagonal_pair([2, 1], [1, 1], GF(7))
 
 
 def test_minrank_witness_rank_matches_value():
     rng = random.Random(63)
     for _ in range(20):
         n = rng.randint(2, 5)
-        dp = DiagonalPair(
+        q1, q2 = diagonal_pair(
             [rng.choice([1, 2, 3]) for _ in range(n)],
             [rng.randint(-3, 3) for _ in range(n)],
         )
-        res = minrank_formula(dp)
-        q1, q2 = dp.forms()
+        res = minrank_formula(q1, q2)
         assert combine((q1, q2), res.witness).rank() == res.value
 
 
@@ -204,47 +232,84 @@ def test_minrank_formula_matches_bruteforce_on_random_pairs():
     rng = random.Random(67)
     for _ in range(200):
         n = rng.randint(2, 5)
-        dp = DiagonalPair(
+        pair = diagonal_pair(
             [rng.choice([1, 2, 3, 4, 5]) for _ in range(n)],
             [rng.randint(-5, 5) for _ in range(n)],
         )
-        image = dp.reduce_mod(101)
-        scan = minrank_bruteforce(*image.forms())
-        assert scan.value == minrank_formula(dp).value
+        scan = minrank_bruteforce(*diagonal_pair_mod(*pair, 101))
+        assert scan.value == minrank_formula(*pair).value
 
 
 def test_jacobian_minor_ideal_examples():
     ring2 = Ring.flat(2, QQ)
-    ideal = jacobian_minor_ideal(DiagonalPair([1, 1], [1, 2]))
+    ideal = jacobian_minor_ideal(*diagonal_pair([1, 1], [1, 2]))
     assert ideal.equals(Ideal(ring2, [parse_poly("x1*x2", ring2)]))
     ring3 = Ring.flat(3, QQ)
-    ideal = jacobian_minor_ideal(DiagonalPair([1, 1, 1], [4, 4, 7]))
+    ideal = jacobian_minor_ideal(*diagonal_pair([1, 1, 1], [4, 4, 7]))
     assert ideal.equals(
         Ideal(ring3, [parse_poly("x1*x3", ring3), parse_poly("x2*x3", ring3)])
     )
-    assert not jacobian_minor_ideal(DiagonalPair([1, 1], [3, 3])).gens
+    assert not jacobian_minor_ideal(*diagonal_pair([1, 1], [3, 3])).gens
+
+
+def test_jacobian_minor_ideal_matches_the_ratio_construction_on_diagonal_pairs():
+    rng = random.Random(79)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        dom = rng.choice([QQ, GF(7)])
+        firsts = [1, 2, 3, -1] + ([Fraction(1, 2)] if dom == QQ else [])
+        pair = diagonal_pair(
+            [rng.choice(firsts) for _ in range(n)],
+            [rng.randint(-3, 3) for _ in range(n)],
+            dom,
+        )
+        assert jacobian_minor_ideal(*pair).equals(ratio_jacobian_ideal(*pair))
+
+
+def test_jacobian_minor_codimension_is_a_congruence_invariant():
+    # J is built from the Gram matrices of any pair, so it can be compared
+    # across a change of variables: for invertible T, the pair T^t A T,
+    # T^t B T has a Jacobian-minor ideal of the codimension of A, B's.  (codim
+    # J is not asserted equal to the minrank here: that identity is for
+    # diagonalizable pencils.)
+    rng = random.Random(83)
+    dom = QQ
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        pair = diagonal_pair(
+            [rng.choice([1, 2, 3]) for _ in range(n)],
+            [rng.choice([-1, 0, 1, 2]) for _ in range(n)],
+        )
+        while True:
+            t = [[Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)] for _ in range(n)]
+            if mat_rank(t, dom) == n:
+                break
+        moved = [
+            QuadraticForm(q.ring, mat_mul(mat_mul(transpose(t), q.gram, dom), t, dom))
+            for q in pair
+        ]
+        assert codimension(jacobian_minor_ideal(*moved)) == codimension(jacobian_minor_ideal(*pair))
 
 
 def test_coordinate_primary_components():
     # pins the conftest helper that the minrank identity checks rest on
-    dp = DiagonalPair([1, 1, 1], [4, 4, 7])  # blocks {0,1} and {2}
-    comps = coordinate_ideals(dp)
+    comps = coordinate_ideals(*diagonal_pair([1, 1, 1], [4, 4, 7]))  # blocks {0,1} and {2}
     ring = comps[0].ring
     assert comps[0].equals(Ideal(ring, [ring.var(2)]))
     assert comps[1].equals(Ideal(ring, [ring.var(0), ring.var(1)]))
 
-    single = coordinate_ideals(DiagonalPair([1, 1], [3, 3]))
+    single = coordinate_ideals(*diagonal_pair([1, 1], [3, 3]))
     assert len(single) == 1 and not single[0].gens
 
-    distinct = coordinate_ideals(DiagonalPair([1, 1, 1], [1, 2, 3]))
+    distinct = coordinate_ideals(*diagonal_pair([1, 1, 1], [1, 2, 3]))
     assert len(distinct) == 3
     assert all(codimension(c) == 2 for c in distinct)
 
 
 def test_minrank_identity_report():
-    rep = minrank_identity(DiagonalPair([1, 1, 1], [4, 4, 7]))
+    rep = minrank_identity(*diagonal_pair([1, 1, 1], [4, 4, 7]))
     assert rep.passed and rep.jacobian_codim == 1
-    rep = minrank_identity(DiagonalPair([1, 1], [3, 3]))
+    rep = minrank_identity(*diagonal_pair([1, 1], [3, 3]))
     assert rep.passed and rep.jacobian_codim == 0 and rep.formula_value == 0
 
 
@@ -252,29 +317,29 @@ def test_minrank_identity_on_random_pairs():
     rng = random.Random(71)
     for _ in range(15):
         n = rng.randint(2, 5)
-        dp = DiagonalPair(
+        pair = diagonal_pair(
             [rng.choice([1, 2, 3]) for _ in range(n)],
             [rng.randint(-5, 5) for _ in range(n)],
         )
-        assert minrank_identity(dp).passed
+        assert minrank_identity(*pair).passed
 
 
 def test_prime_certificate():
-    assert prime_certificate(DiagonalPair([1] * 6, [1, 2, 3, 4, 5, 6])).certified
-    cert = prime_certificate(DiagonalPair([1] * 4, [1, 2, 3, 4]))
-    assert not cert.certified and cert.jacobian_codim == 3
-    assert not prime_certificate(DiagonalPair([1, 1], [3, 3])).certified
+    assert prime_certificate(*diagonal_pair([1] * 6, [1, 2, 3, 4, 5, 6]))["status"] == "certified-prime"
+    cert = prime_certificate(*diagonal_pair([1] * 4, [1, 2, 3, 4]))
+    assert cert["status"] != "certified-prime" and cert["jacobian_codim"] == 3
+    assert prime_certificate(*diagonal_pair([1, 1], [3, 3]))["status"] != "certified-prime"
 
 
 def test_prime_certificate_never_fires_in_low_dimension():
     rng = random.Random(73)
     for _ in range(30):
         n = rng.randint(1, 4)
-        dp = DiagonalPair(
+        pair = diagonal_pair(
             [rng.choice([1, 2]) for _ in range(n)],
             [rng.randint(-2, 2) for _ in range(n)],
         )
-        assert not prime_certificate(dp).certified
+        assert prime_certificate(*pair)["status"] != "certified-prime"
 
 
 def test_collective_strength_of_minor_triple_is_one():
@@ -335,10 +400,10 @@ def test_triple_report_on_certifying_sample():
     f3 = QuadraticForm.from_poly(
         parse_poly("x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x6 + x1*x6 + x1*x3", ring)
     )
-    dp = simultaneous_diagonalize(f1, f2)
-    assert minrank_formula(dp).value == 5
+    g1, g2, _ = simultaneous_diagonalize(f1, f2)
+    assert minrank_formula(g1, g2).value == 5
     assert minrank_bruteforce(f1.reduce_mod(11), f2.reduce_mod(11)).value == 5
-    assert prime_certificate(dp).status == "certified-prime"
+    assert prime_certificate(g1, g2)["status"] == "certified-prime"
     assert is_regular_sequence_codim([q.to_poly() for q in (f1, f2, f3)])
 
 
@@ -348,7 +413,7 @@ def test_triple_report_on_dependent_pair():
     f2 = QuadraticForm.diagonal(ring, [2, 2, 2])
     f3 = QuadraticForm.from_poly(parse_poly("x1*x2", ring))
     assert collective_strength_quadrics([q.reduce_mod(11) for q in (f1, f2, f3)]) == -1
-    assert minrank_formula(simultaneous_diagonalize(f1, f2)).value == 0
+    assert minrank_formula(*simultaneous_diagonalize(f1, f2)[:2]).value == 0
     assert not is_regular_sequence_codim([q.to_poly() for q in (f1, f2, f3)])
 
 
