@@ -131,7 +131,10 @@ class _Parser:
                 den = int(dtok)
                 if den == 0:
                     raise PolyParseError("invalid rational: zero denominator", dpos)
-                return dom(num, den)
+                try:
+                    return dom(num, den)
+                except ZeroDivisionError as exc:  # den divisible by p over F_p
+                    raise PolyParseError(f"invalid rational: {exc}", dpos) from None
             return dom.from_int(num)
         raise PolyParseError(f"expected coefficient or variable, got {tok!r}", pos)
 

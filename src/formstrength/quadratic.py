@@ -238,15 +238,15 @@ SCAN_WORK_LIMIT = 4 * 10**6
 """Most work one F_p scan may do, as points x (n+1)^2 for forms in n
 variables.  A larger scan is refused with ValueError before any rank is
 computed.  The points of a scan lie on lines A + u*B (see ``_gram_ranks``):
-on a line whose determinant det(A + u*B) is not identically 0, only the
-first n + 1 points and the roots of that determinant are eliminated, and
-every other point costs n additions mod p.  Only on a singular line, such
-as every line of the 3x2 minor family, is every point eliminated, at about
-1-1.7 us per unit; so a scan takes at most about 4-7 s.  The all-nonzero
-rank scan is counted at all p^r - 1 tuples, though it ranks one point per
-projective class, (p^r - 1)/(p - 1) in all: the largest scan in the
-certificates and the benchmark, the 3x2 minor family over F_31, counts as
-29790 x 49 units and ranks 993 points."""
+a line of more than n + 1 points eliminates at most (n + 1) + (k + 1) + k
+of them, k its largest rank, and every other point costs k additions mod
+p.  An eliminated point costs about 1-1.7 us per unit, so a scan takes at
+most about 4-7 s, a time reached only where lines have about 3n + 2 points
+or fewer.  The all-nonzero rank scan is counted at all p^r - 1 tuples, though
+it ranks one point per projective class, (p^r - 1)/(p - 1) in all: the
+largest scan in the certificates and the benchmark, the 3x2 minor family
+over F_31, counts as 29790 x 49 units, ranks 993 points and eliminates 385
+of them (about 410 after a random change of variables)."""
 
 
 def _scan_prime(forms, what, count):
@@ -278,16 +278,21 @@ def _gram_ranks(forms, points, p):
     symmetric forms is symmetric, so no form is built per point.
 
     Consecutive points that share ``point[:-1]`` and whose last coordinate u
-    steps by 1 lie on one line A + u*B of Gram matrices.  There, unless
-    D(u) = det(A + u*B), a polynomial of degree at most n, is identically 0,
-    the rank falls below n only at the roots of D.  The first n + 1 points
-    of a line are ranked by elimination, each recording its determinant (the
-    product of the pivots when the rank is n, else 0), and the backward
-    differences of those values are kept.  The (n+1)-th difference of D is 0, so D at each later
-    point comes from n additions mod p, exactly; where it is nonzero the
-    rank is n and nothing is eliminated.  When the n + 1 values are all 0
-    the pencil is singular (D is 0 at n + 1 distinct u, so everywhere) and
-    every point of the line is eliminated.  A point that breaks the pattern
+    steps by 1 lie on one line A + u*B of Gram matrices.  The first n + 1
+    points of a line are ranked by elimination; let r be the largest of
+    their ranks.  Every (r+1)-minor of A + u*B is a polynomial in u of
+    degree at most r + 1 that vanishes at those n + 1 >= r + 2 points, so
+    the rank is at most r on the whole line.  The pivot columns S of a
+    rank-r point index a nonsingular principal submatrix (the matrix is
+    symmetric, so rows S span its row space as columns S span its column
+    space), so D_S(u) = det((A + u*B)[S, S]), of degree at most r, is not
+    identically 0, and wherever it is nonzero the rank is r.  Once a line
+    goes on past n + 1 points, D_S is taken at the last r + 1 of them and
+    the backward differences of those values are kept (see
+    ``_minor_differences``); the (r+1)-th difference of D_S is 0, so D_S at
+    each later point comes from r additions mod p, exactly, and only where
+    it is 0 is the point eliminated.  So such a line makes at most
+    (n + 1) + (r + 1) + r eliminations.  A point that breaks the pattern
     starts a new line, so the ranks never depend on the order of the points.
     """
     ring = forms[0].ring
@@ -299,15 +304,18 @@ def _gram_ranks(forms, points, p):
     for point in points:
         u = point[-1]
         if point[:-1] != prefix or u != last + 1:
-            # backward differences of D at the line's last point; None on a
-            # singular pencil
-            prefix, diffs = point[:-1], []
+            # the line's first n + 1 points as (flat matrix, pivots,
+            # determinant), then the rank bound r and the backward
+            # differences of D_S at the line's last point
+            prefix, head, diffs = point[:-1], [], None
         last = u
-        if diffs is not None and len(diffs) > n:
-            for k in range(n - 1, -1, -1):
+        if len(head) > n:
+            if diffs is None:
+                r, diffs = _minor_differences(head, n, p)
+            for k in range(r - 1, -1, -1):
                 diffs[k] = (diffs[k] + diffs[k + 1]) % p
             if diffs[0]:
-                yield point, n
+                yield point, r
                 continue
         acc = None
         for c, g in zip(point, flats):
@@ -315,13 +323,35 @@ def _gram_ranks(forms, points, p):
                 acc = [c * v for v in g] if acc is None else [s + c * v for s, v in zip(acc, g)]
         acc = [v % p for v in acc]
         m = [acc[i:i + n] for i in range(0, n * n, n)]
-        rank = len(eliminate(m, n, p))
-        if diffs is not None and len(diffs) <= n:
-            recorded = [prod(m[i][i] for i in range(n)) % p if rank == n else 0]
-            for d in diffs:
-                recorded.append((recorded[-1] - d) % p)
-            diffs = recorded if len(recorded) <= n or any(recorded) else None
-        yield point, rank
+        pivots = eliminate(m, n, p)
+        if len(head) <= n:
+            head.append((acc, pivots, prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0))
+        yield point, len(pivots)
+
+
+def _minor_differences(head, n, p):
+    """(r, backward differences of D_S at the last point) for a line whose
+    first n + 1 points are ``head``, each as (flat matrix, pivot columns,
+    determinant): r is the largest rank among them and S the pivot columns
+    of the first point of that rank.  When r = n, S is every column and the
+    recorded determinants are the values of D_S; otherwise the S x S
+    submatrix of each of the last r + 1 points is eliminated, its
+    determinant the product of its diagonal."""
+    r = max(len(pivots) for _, pivots, _ in head)
+    s = next(pivots for _, pivots, _ in head if len(pivots) == r)
+    values = []
+    for flat, _, det in head[n - r:]:
+        if r < n:
+            sub = [[flat[i * n + j] for j in s] for i in s]
+            det = prod(sub[i][i] for i in range(r)) % p if len(eliminate(sub, r, p)) == r else 0
+        values.append(det)
+    diffs = []
+    for v in values:
+        recorded = [v]
+        for d in diffs:
+            recorded.append((recorded[-1] - d) % p)
+        diffs = recorded
+    return r, diffs
 
 
 def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:

@@ -210,3 +210,31 @@ def test_row_echelon_diagonal_is_the_determinant(case):
         assert det == want
     else:
         assert want == dom.zero
+
+
+@st.composite
+def symmetric_of_planted_rank(draw):
+    """(field, matrix): L D L^t over F_3, F_31 or F_101 for an n-by-k L and
+    a k-by-k diagonal D of nonzero entries, so symmetric of rank at most k;
+    0 to 6 rows."""
+    dom = draw(st.sampled_from([GF(3), GF(31), GF(101)]))
+    p = dom.characteristic
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n))
+    lower = [[draw(_entries(dom)) for _ in range(k)] for _ in range(n)]
+    diag = [draw(st.integers(1, p - 1)) for _ in range(k)]
+    return dom, [[sum(lower[i][t] * diag[t] * lower[j][t] for t in range(k)) % p for j in range(n)]
+                 for i in range(n)]
+
+
+@SETTINGS
+@given(case=symmetric_of_planted_rank())
+@example(case=(GF(3), [[0, 1], [1, 0]]))
+@example(case=(GF(31), [[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+def test_pivot_columns_of_a_symmetric_matrix_index_a_nonsingular_principal_submatrix(case):
+    # the F_p Gram scans track det of M[S, S], S the pivot columns of a
+    # point of largest rank on a line
+    dom, m = case
+    pivots = eliminate([list(row) for row in m], len(m), dom.characteristic)
+    sub = [[m[i][j] for j in pivots] for i in pivots]
+    assert ref_rank(sub, dom) == len(pivots) == ref_rank(m, dom)

@@ -1,11 +1,13 @@
 """The F_p Gram-rank scans agree with a per-point reference that builds each
 combination with ``combine`` and ranks it as a form: same histogram, same
 first offender, same minrank witness, same collective strength.  The cases
-with p > n + 1 are where a scan reads det(A + u*B) off its difference table
+with p > n + 1 are where a scan reads a principal minor of A + u*B
+(det(A + u*B) itself on a nonsingular line) off its difference table
 instead of eliminating; there the references are also compared point by
 point."""
 
 import random
+from itertools import groupby
 
 import pytest
 
@@ -194,7 +196,7 @@ def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lines A + u*B: the difference table of det(A + u*B)
+# lines A + u*B: the difference table of the principal minor D_S(u)
 
 
 def ref_point_ranks(forms, points):
@@ -294,24 +296,109 @@ def test_planted_low_rank_point_beyond_the_first_n_plus_one(p, n, r):
         assert minrank_bruteforce(*forms).value <= 2
 
 
+def _without_last_variable(q):
+    """q with the last row and column of its Gram matrix set to 0."""
+    n = q.n
+    return QuadraticForm(q.ring, [[v if i < n - 1 and j < n - 1 else 0 for j, v in enumerate(row)]
+                                  for i, row in enumerate(q.gram)])
+
+
+def _lines(ref):
+    """The (point, rank) pairs of a projective scan, cut into its lines: the
+    runs of points that share all coordinates but the last."""
+    return [list(line) for _, line in groupby(ref, key=lambda tv: tv[0][:-1])]
+
+
+def _eliminations_per_line(monkeypatch, forms, ref):
+    """How many eliminations each line of the scan makes on its own."""
+    calls = _counting_eliminate(monkeypatch)
+    counts = []
+    for line in _lines(ref):
+        calls.clear()
+        assert list(quadratic._gram_ranks(forms, [t for t, _ in line], forms[0].domain.p)) == line
+        counts.append(len(calls))
+    return counts
+
+
 @pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
-def test_singular_pencil_eliminates_every_point(monkeypatch, p, n, r):
+def test_singular_pencil_eliminates_few_points_per_line(monkeypatch, p, n, r):
     # forms that do not involve the last variable, in random coordinates,
-    # share a kernel vector, so det(A + u*B) is 0 on every line
+    # share a kernel vector, so det(A + u*B) is 0 on every line.  A line of
+    # more than n + 1 points eliminates its first n + 1, the S x S submatrix
+    # at k + 1 of them, k its largest rank, and the at most k roots of D_S
+    # after them; here p > 3n + 2, so that is fewer than its points
     rng = random.Random(f"singular:{p}:{n}:{r}")
     ring = Ring.flat(n, GF(p))
-    forms = []
-    for _ in range(r):
-        g = _random_form(rng, ring).gram
-        forms.append(QuadraticForm(ring, [[v if i < n - 1 and j < n - 1 else 0 for j, v in enumerate(row)]
-                                          for i, row in enumerate(g)]))
-    forms = _congruent(forms, rng)
-    calls = _counting_eliminate(monkeypatch)
+    forms = _congruent([_without_last_variable(_random_form(rng, ring)) for _ in range(r)], rng)
     ref = _check_every_scan(forms, n - 1)
     assert all(value < n for _, value in ref)
-    calls.clear()
-    list(quadratic._gram_ranks(forms, projective_points(p, r), p))
-    assert len(calls) == len(ref) == (p**r - 1) // (p - 1)
+    counts = _eliminations_per_line(monkeypatch, forms, ref)
+    assert p > 3 * n + 2
+    for line, count in zip(_lines(ref), counts):
+        if len(line) > n + 1:
+            k = max(value for _, value in line)
+            assert count <= (n + 1) + (k + 1) + k < len(line)
+
+
+def test_minor_family_in_random_coordinates_eliminates_a_pinned_count(monkeypatch):
+    # every nonzero combination of the 3x2 minor family has Gram rank 4 < 6,
+    # so every line is singular.  Its 32 lines of 31 points eliminate 7
+    # points and five 4 x 4 submatrices each, 385 with the point (0, 0, 1),
+    # plus the roots of D_S; while a singular line was ranked point by point
+    # all 993 points were eliminated
+    p = 31
+    family = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p))).minors]
+    forms = _congruent(family, random.Random("minors:3x2"))
+    ref = _check_every_scan(forms, 4)
+    assert {value for _, value in ref} == {4}
+    calls = _counting_eliminate(monkeypatch)
+    list(quadratic._gram_ranks(forms, projective_points(p, 3), p))
+    assert len(calls) == 440
+
+
+@pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
+def test_singular_pencil_with_a_planted_low_rank_point(p, n, r):
+    # as in the planted test above, in forms that share a kernel vector: the
+    # combination (1, [a,] u), u past the first n + 1 points, has Gram rank
+    # at most 2 on a line of rank n - 1 elsewhere, so D_S vanishes there.
+    # With the low form first, the line (1, 0, ..., u) starts at its
+    # low-rank point
+    rng = random.Random(f"planted-singular:{p}:{n}:{r}")
+    ring = Ring.flat(n, GF(p))
+    others = [_without_last_variable(_random_form(rng, ring)) for _ in range(r - 1)]
+    low = _without_last_variable(_random_form(rng, ring, rank=1))
+    head = [1] + [rng.randrange(1, p) for _ in range(r - 2)]
+    u = rng.randrange(n + 1, p)
+    inv = pow(u, -1, p)
+    last = combine([low] + others, [inv] + [(p - c) * inv % p for c in head])
+    forms = _congruent(others + [last, low], rng)
+    planted = tuple(head) + (u,)
+    ref = dict(_check_every_scan(forms[:-1], n - 1))
+    assert ref[planted] <= 2 < n - 1 == max(ref.values())
+    ref = _check_every_scan([forms[-1]] + forms[:-2], n - 1)
+    first = next(line for line in _lines(ref) if line[0][0][:-1] == (1,) + (0,) * (r - 2))
+    assert first[0][1] <= 2 < n - 1 == max(value for _, value in first)
+
+
+@pytest.mark.parametrize("p,n", [(31, 4), (101, 2)])
+def test_all_zero_and_constant_lines(monkeypatch, p, n):
+    # the net q, 0, 0: the line (0, 1, u) is all zero, so its rank bound is
+    # 0, S is empty and D_S = 1; each line (1, a, u) is q itself (B = 0), of
+    # rank n - 1.  Past the first n + 1 points only the S x S submatrices are
+    # eliminated, 1 for the zero line and n for each constant one
+    rng = random.Random(f"constant:{p}:{n}")
+    ring = Ring.flat(n, GF(p))
+    q = _congruent([_without_last_variable(_random_form(rng, ring))], rng)[0]
+    zero = QuadraticForm(ring, [[0] * n for _ in range(n)])
+    forms = [q, zero, zero]
+    ref = _check_every_scan(forms, n - 1)
+    assert q.rank() == n - 1
+    counts = _eliminations_per_line(monkeypatch, forms, ref)
+    lines = _lines(ref)
+    assert [len(line) for line in lines] == [1] + [p] * (p + 1)
+    assert {value for _, value in lines[1]} == {0} and counts[1] == (n + 1) + 1
+    assert all({value for _, value in line} == {n - 1} for line in lines[2:])
+    assert counts[2:] == [(n + 1) + n] * p
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (5, 3)])
@@ -331,14 +418,15 @@ def test_lines_no_longer_than_n_plus_one_are_eliminated_whole(p, r):
 def test_point_order_changes_no_rank(p, n):
     # shuffled; each line in its own shuffled order, so u runs through no
     # arithmetic progression; and each line started at a random u and
-    # wrapped round, so lines start mid-way and break where u wraps
+    # wrapped round, so lines start mid-way and break where u wraps.  The
+    # same net without its last variable, in random coordinates, is
+    # singular on every line
     rng = random.Random(f"order:{p}:{n}")
     ring = Ring.flat(n, GF(p))
     low = _random_form(rng, ring, rank=1)
     q1, q2 = _random_form(rng, ring), _random_form(rng, ring)
-    forms = [q1, q2, combine([low, q1], [1, p - 1])]
+    net = [q1, q2, combine([low, q1], [1, p - 1])]
     points = list(projective_points(p, 3))
-    want = sorted(ref_point_ranks(forms, points))
     shuffled = list(points)
     rng.shuffle(shuffled)
     mixed, rotated = points[:1], points[:1]
@@ -349,8 +437,11 @@ def test_point_order_changes_no_rank(p, n):
         rng.shuffle(line)
         mixed += line
     assert sorted(rotated) == sorted(mixed) == sorted(points)
-    for order in (points, shuffled, mixed, rotated):
-        assert sorted(quadratic._gram_ranks(forms, order, p)) == want
+    singular = _congruent([_without_last_variable(q) for q in net], rng)
+    for forms in (net, singular):
+        want = sorted(ref_point_ranks(forms, points))
+        for order in (points, shuffled, mixed, rotated):
+            assert sorted(quadratic._gram_ranks(forms, order, p)) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
