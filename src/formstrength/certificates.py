@@ -113,6 +113,22 @@ class Certificate:
 # N(3,2) >= 2: the 3x2 minor family
 
 
+def _principal_minor_ideal(grams, k) -> Ideal:
+    """Ideal of the nonzero principal k x k minors of sum_i c_i * G_i, the
+    generic combination of the rational Gram matrices G_1..G_r, in
+    Q[c_1..c_r].  It holds only some of the k x k minors, so where it
+    vanishes only at the origin so does every k x k minor.  The converse
+    holds where the combination has rank at most k: a symmetric matrix of
+    rank s has a nonsingular principal s x s submatrix."""
+    r, n = len(grams), len(grams[0])
+    ring = Ring.flat(r, QQ)
+    units = [tuple(1 if t == c else 0 for t in range(r)) for c in range(r)]
+    sym = [[Poly(ring, {units[c]: g[i][j] for c, g in enumerate(grams) if g[i][j]}) for j in range(n)]
+           for i in range(n)]
+    minors = (determinant_laplace([[sym[i][j] for j in s] for i in s], ring) for s in combinations(range(n), k))
+    return Ideal(ring, [m for m in minors if m.terms])
+
+
 def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     """Three quadrics of collective strength 1 that are not a regular
     sequence: the maximal minors of the generic 3x2 matrix."""
@@ -157,35 +173,10 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
         )
     )
 
-    # symbolic closure of the scan: the 4x4 minors of the generic combination
-    # vanish simultaneously only at the zero combination
-    coeff_ring = Ring.flat(3, QQ)
-    grams = [q.gram for q in forms]
-    n = ring.nvars
-    sym = [
-        [
-            Poly(
-                coeff_ring,
-                {
-                    tuple(1 if t == k else 0 for t in range(3)): grams[k][i][j]
-                    for k in range(3)
-                    if grams[k][i][j]
-                },
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    minors4 = set()
-    for rows in combinations(range(n), 4):
-        for cols in combinations(range(n), 4):
-            if rows > cols:
-                continue  # symmetric matrix: minor(I,J) = minor(J,I)
-            grid = [[sym[i][j] for j in cols] for i in rows]
-            m4 = determinant_laplace(grid, coeff_ring)
-            if m4.terms:
-                minors4.add(m4)
-    minor_codim = codimension(Ideal(coeff_ring, list(minors4)))
+    # symbolic closure of the scan: the generic combination has rank at most
+    # 4, and its principal 4x4 minors vanish together only at the zero
+    # combination
+    minor_codim = codimension(_principal_minor_ideal([q.gram for q in forms], 4))
     subs.append(
         SubVerdict(
             "rank_below_4_locus_is_trivial_symbolically",

@@ -33,6 +33,7 @@ from .parse import (
     dump_ideal_text,
     format_poly,
     load_ideal_file,
+    load_ideal_text,
     parse_poly,
     parse_ring_header,
 )
@@ -79,22 +80,18 @@ def _load_system(args):
     return load_ideal_file(args.infile, ring)
 
 
-def _load_gram_file(path):
-    """A bare symmetric matrix of numbers, read over Q."""
+def _gram_form(lines):
+    """A bare symmetric matrix of numbers, one row per line, read over Q."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            entries = []
-            for tok in line.replace(",", " ").split():
-                if "/" in tok:
-                    num, den = tok.split("/", 1)
-                    entries.append(QQ(int(num), int(den)))
-                else:
-                    entries.append(QQ.from_int(int(tok)))
-            rows.append(entries)
+    for line in lines:
+        entries = []
+        for tok in line.replace(",", " ").split():
+            if "/" in tok:
+                num, den = tok.split("/", 1)
+                entries.append(QQ(int(num), int(den)))
+            else:
+                entries.append(QQ.from_int(int(tok)))
+        rows.append(entries)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("Gram matrix file must be square")
@@ -108,13 +105,14 @@ def _load_forms(args):
     if args.infile is None:
         raise ValueError("--in <file> is required here")
     with open(args.infile, "r", encoding="utf-8") as fh:
-        stripped = [ln.split("#", 1)[0].strip() for ln in fh]
+        text = fh.read()
+    stripped = [ln.split("#", 1)[0].strip() for ln in text.split("\n")]
     stripped = [ln for ln in stripped if ln]
     if not stripped:
         raise ValueError(f"{args.infile} holds no quadratic forms")
     if not args.ring and not stripped[0].startswith("ring "):
-        return [_load_gram_file(args.infile)]
-    _, polys = _load_system(args)
+        return [_gram_form(stripped)]
+    _, polys = load_ideal_text(text, parse_ring_header("ring " + args.ring) if args.ring else None)
     if not polys:
         raise ValueError(f"{args.infile} holds no quadratic forms")
     return [QuadraticForm.from_poly(f) for f in polys]

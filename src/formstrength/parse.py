@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .domains import domain_from_name
-from .orders import DEGREVLEX
+from .orders import DEGREVLEX, MAX_EXPONENT
 from .poly import Poly, Ring
 
 
@@ -150,6 +150,9 @@ class _Parser:
                 raise PolyParseError("expected integer exponent after '^'", self.pos())
             exp = int(self.next()[0])
         exps[idx] += exp
+        if exps[idx] > MAX_EXPONENT:
+            # summed over the term's factors, so x1^20000*x1^20000 is refused
+            raise PolyParseError(f"exponent above {MAX_EXPONENT}, the packed key limit", pos)
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:

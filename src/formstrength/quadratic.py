@@ -11,7 +11,7 @@ the one-sided primality certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, prod
 
 from .domains import GF, PrimeField
@@ -235,38 +235,37 @@ def diagonal_pair_mod(f1: QuadraticForm, f2: QuadraticForm, p: int):
 
 
 SCAN_WORK_LIMIT = 4 * 10**6
-"""Most work one F_p scan may do, as points x (n+1)^2 for forms in n
-variables.  A larger scan is refused with ValueError before any rank is
-computed.  The points of a scan lie on lines A + u*B (see ``_gram_ranks``):
-a line of more than n + 1 points eliminates at most (n + 1) + (k + 1) + k
-of them, k its largest rank, and every other point costs k additions mod
-p.  An eliminated point costs about 1-1.7 us per unit, so a scan takes at
-most about 4-7 s, a time reached only where lines have about 3n + 2 points
-or fewer.  The all-nonzero rank scan is counted at all p^r - 1 tuples, though
-it ranks one point per projective class, (p^r - 1)/(p - 1) in all: the
-largest scan in the certificates and the benchmark, the 3x2 minor family
-over F_31, counts as 29790 x 49 units, ranks 993 points and eliminates 385
-of them (about 410 after a random change of variables)."""
+"""Most work one F_p scan may do, as points x (n+1)^2 for r forms in n
+variables, where the points are the (p^r - 1)/(p - 1) projective points the
+scan ranks.  A larger scan is refused with ValueError before any rank is
+computed.  The points lie on lines A + u*B (see ``_gram_ranks``): a line of
+more than n + 1 points eliminates at most (n + 1) + (k + 1) + k of them, k
+its largest rank, and every other point costs k additions mod p.  An
+eliminated point costs about 1-1.7 us per unit, so a scan takes at most
+about 4-7 s, a time reached only where lines have about 3n + 2 points or
+fewer.  The largest scan in the certificates and the benchmark, the 3x2
+minor family over F_31, ranks 993 points (993 x 49 units) and eliminates
+385 of them (about 410 after a random change of variables)."""
 
 
-def _scan_prime(forms, what, count):
-    """The prime of a scan over the forms, after refusing a field that is not
-    F_p and a scan whose ``count(p)`` points exceed SCAN_WORK_LIMIT once
-    weighted by (n+1)^2."""
+def _projective_ranks(forms, what):
+    """Stream (point, Gram rank) over ``projective_points(p, r)`` for r
+    forms over F_p, after refusing a field that is not F_p and a scan above
+    SCAN_WORK_LIMIT."""
     if not forms:
         raise ValueError("no forms to scan")
     dom = forms[0].domain
     if not isinstance(dom, PrimeField):
         raise ValueError(f"{what} needs a prime field")
     _check_char(dom)
-    points = count(dom.p)
-    n = forms[0].n
+    p, r, n = dom.p, len(forms), forms[0].n
+    points = (p**r - 1) // (p - 1)
     if points * (n + 1) ** 2 > SCAN_WORK_LIMIT:
         raise ValueError(
-            f"{what} over F_{dom.p} would visit {points} points in {n} variables, "
+            f"{what} over F_{p} would visit {points} points in {n} variables, "
             f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
-    return dom.p
+    return _gram_ranks(forms, projective_points(p, r), p)
 
 
 def _gram_ranks(forms, points, p):
@@ -356,60 +355,52 @@ def _minor_differences(head, n, p):
 
 def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:
     """Exhaustive minrank over F_p: scan all p+1 points of the projective
-    line of combinations."""
-    p = _scan_prime([f1, f2], "brute-force minrank", lambda p: p + 1)
-    points = chain(((1, t) for t in range(p)), [(0, 1)])
+    line of combinations; the witness is the first point of least rank."""
     best, witness = None, None
-    for point, value in _gram_ranks([f1, f2], points, p):
+    for point, value in _projective_ranks([f1, f2], "brute-force minrank"):
         if best is None or value < best:
             best, witness = value, point
     return MinrankResult(best, witness, "finite-field-scan")
 
 
 def projective_points(p, r):
-    """Representatives of P^(r-1) over F_p, first nonzero coordinate 1,
-    streamed in lexicographic order: the position of that 1 runs from r-1
-    down to 0, and the tail after it runs lexicographically.  The rank scan
-    and the collective-strength scan share this order."""
-    for lead in range(r - 1, -1, -1):
+    """Representatives of P^(r-1) over F_p, first nonzero coordinate 1: the
+    position of that 1 runs from 0 up to r-1, and the tail after it runs
+    lexicographically, so a pencil streams (1, 0), ..., (1, p-1), (0, 1).
+    Every F_p scan ranks these points in this order."""
+    for lead in range(r):
         head = (0,) * lead + (1,)
         for tail in product(range(p), repeat=r - lead - 1):
             yield head + tail
 
 
-def rank_scan_all_nonzero(forms, expect=None):
+def rank_scan_all_nonzero(forms, expect):
     """Gram rank of every combination over all nonzero coefficient tuples of
-    F_p^r.  Returns (histogram, first offender) where the offender is the
-    lexicographically first tuple whose rank differs from ``expect`` (None
-    when unused).
+    F_p^r.  Returns (histogram, offender) where the offender is the
+    lexicographically least tuple whose rank differs from ``expect``, or
+    None.
 
     c*G has the rank of G for every c != 0, so one point per projective
     class is ranked, (p^r - 1)/(p - 1) in all, and each rank counts p - 1
     times; the histogram still sums to p^r - 1.  The least tuple of a class
-    is its representative with first nonzero coordinate 1, and
-    ``projective_points`` streams those in lexicographic order, so the first
-    bad point is the first bad tuple.  The work limit still counts all
-    p^r - 1 tuples, so a scan is refused exactly where a per-tuple scan
-    would be."""
-    r = len(forms)
-    p = _scan_prime(forms, "rank scan", lambda p: p**r - 1)
-    histogram = {}
-    offender = None
-    for t, value in _gram_ranks(forms, projective_points(p, r), p):
-        histogram[value] = histogram.get(value, 0) + p - 1
-        if expect is not None and value != expect and offender is None:
-            offender = {"point": list(t), "rank": value}
-    return histogram, offender
+    is its representative with first nonzero coordinate 1, so the offender
+    is the least offending point of the scan."""
+    ranks = _projective_ranks(forms, "rank scan")
+    scale = forms[0].domain.p - 1
+    histogram, bad = {}, None
+    for t, value in ranks:
+        histogram[value] = histogram.get(value, 0) + scale
+        if value != expect and (bad is None or t < bad[0]):
+            bad = t, value
+    return histogram, None if bad is None else {"point": list(bad[0]), "rank": bad[1]}
 
 
 def collective_strength_quadrics(forms) -> int:
     """Minimum closed-field strength over all nontrivial combinations of the
     forms (quadratic forms in one ring), by exhaustive projective scan over
     F_p."""
-    r = len(forms)
-    p = _scan_prime(forms, "collective-strength scan", lambda p: (p**r - 1) // (p - 1))
     # strength is nondecreasing in the rank
-    return strength_from_rank(min(k for _, k in _gram_ranks(forms, projective_points(p, r), p)))
+    return strength_from_rank(min(k for _, k in _projective_ranks(forms, "collective-strength scan")))
 
 
 # ---------------------------------------------------------------------------

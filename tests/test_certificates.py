@@ -1,9 +1,13 @@
 import json
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from formstrength.certificates import (
     BUILDERS,
+    _principal_minor_ideal,
     build_certificate,
     certify_n32_lower,
     certify_n32_upper_sample,
@@ -11,9 +15,11 @@ from formstrength.certificates import (
     certify_small_r,
     recheck_certificate,
 )
-from formstrength.domains import GF
-from formstrength.minors import GenericMatrix, maximal_minors
+from formstrength.domains import GF, QQ
+from formstrength.groebner import Ideal, codimension
+from formstrength.minors import GenericMatrix, determinant_laplace, maximal_minors
 from formstrength.parse import parse_poly
+from formstrength.poly import Poly, Ring
 from formstrength.quadratic import QuadraticForm, rank_scan_all_nonzero
 
 
@@ -132,3 +138,61 @@ def test_golden_fixtures_match(tmp_path):
         assert path.exists(), f"missing golden certificate {path}"
         assert path.read_text() == builder().to_json()
         assert recheck_certificate(json.loads(path.read_text())).passed
+
+
+def _all_minor_ideal(grams, k):
+    """Reference: every k x k minor of the generic combination sum_i c_i *
+    G_i, rows and columns chosen apart (a symmetric matrix has
+    minor(I, J) = minor(J, I))."""
+    r, n = len(grams), len(grams[0])
+    ring = Ring.flat(r, QQ)
+    units = [tuple(1 if t == c else 0 for t in range(r)) for c in range(r)]
+    sym = [[Poly(ring, {units[c]: g[i][j] for c, g in enumerate(grams) if g[i][j]}) for j in range(n)]
+           for i in range(n)]
+    minors = []
+    for rows in combinations(range(n), k):
+        for cols in combinations(range(n), k):
+            if rows <= cols:
+                m = determinant_laplace([[sym[i][j] for j in cols] for i in rows], ring)
+                if m.terms:
+                    minors.append(m)
+    return Ideal(ring, minors)
+
+
+def _random_symmetric(rng, n):
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3))
+    return g
+
+
+def _random_bilinear(rng, a, b):
+    """Gram matrix of x^t B y, x the first a and y the last b variables: of
+    rank 2 * rank(B), at most 2 * min(a, b)."""
+    g = [[Fraction(0)] * (a + b) for _ in range(a + b)]
+    for i in range(a):
+        for j in range(a, a + b):
+            g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), 2)
+    return g
+
+
+def test_principal_minors_decide_the_rank_locus_as_all_minors_do():
+    # the n32-lower combination has rank at most 4 everywhere, so its
+    # principal 4 x 4 minors vanish exactly where all its 4 x 4 minors do
+    forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, QQ)).minors]
+    grams = [q.gram for q in forms]
+    assert codimension(_principal_minor_ideal(grams, 4)) == codimension(_all_minor_ideal(grams, 4)) == 3
+    rng = random.Random("principal")
+    # random nets: generic ones for every k, and bilinear ones at
+    # k = 2 * min(a, b), of rank at most k, with codimension 1, 2 and 3
+    cases = [([_random_symmetric(rng, n) for _ in range(3)], k) for n in (3, 4, 5) for k in range(1, n + 1)]
+    cases += [([_random_bilinear(rng, a, b) for _ in range(3)], 2 * min(a, b))
+              for a, b in ((1, 3), (2, 2), (2, 3), (2, 4))]
+    for grams, k in cases:
+        assert codimension(_principal_minor_ideal(grams, k)) == codimension(_all_minor_ideal(grams, k))
+    # the converse needs enough principal minors: at n = 2 the two diagonal
+    # entries of a net cannot cut out the origin of Q^3, though all entries
+    # do, so the principal ideal's codimension is only a lower bound
+    grams = [_random_symmetric(rng, 2) for _ in range(3)]
+    assert codimension(_principal_minor_ideal(grams, 1)) == 2 < codimension(_all_minor_ideal(grams, 1)) == 3

@@ -13,6 +13,7 @@ import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
 from formstrength.domains import GF, QQ
+from formstrength.orders import MAX_EXPONENT
 from formstrength.parse import dump_ideal_text
 from formstrength.poly import Poly, Ring
 
@@ -75,6 +76,19 @@ def test_quadric_minrank_json_deterministic(capsys):
     doc = json.loads(first)
     assert doc["result"]["minrank"] == 2
     assert doc["environment"]["seed"] == 0  # seed recorded even when unused
+
+
+def test_quadric_minrank_scan_witness_is_the_first_least_rank_point(capsys):
+    # over F_7, diag(1, 1, 1) and diag(1, 2, 7): the combinations (1, 3),
+    # (1, 6) and (0, 1) all have rank 2.  The scan visits (1, t) for
+    # t = 0..6 before (0, 1), so its witness is (1, 3)
+    assert run(["quadric", "minrank", "--diag", "1,2,7", "--p", "7", "--json"]) == 0
+    out, _ = _capture(capsys)
+    scan = json.loads(out)["result"]["scan"]
+    assert (scan["value"], scan["witness"]) == (2, ["1", "3"])
+    assert run(["quadric", "rank", "--diag", "1,2,7", "--p", "7", "--json"]) == 0
+    out, _ = _capture(capsys)
+    assert json.loads(out)["result"]["rank"] == 2
 
 
 PENCIL = "x1^2 + x2^2\nx1^2 + 2*x1*x2\n"  # t*f1 + f2 has a double root: no diagonal form
@@ -385,11 +399,25 @@ def test_minors_outside_the_column_limit_exit_two_before_any_determinant(capsys,
 
 
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
+    # every input exponent is within the key limit, but reduction by
+    # x1*x2 - x3^2 carries x3 past it: an engine overflow, not bad input
     path = tmp_path / "sys.txt"
-    path.write_text("ring n=2 field=fp:32003\nx1^40000 - x2\n")
+    path.write_text("ring n=3 field=fp:32003\nx1*x2 - x3^2\nx1^20000*x2^20000\n")
     assert run(["gb", "basis", "--in", str(path)]) == 3
     _, err = _capture(capsys)
     assert "KeyWidthError" in err
+
+
+@pytest.mark.parametrize("line", ["x1^40000 - x2", "x1^70000", "x2 + x1^20000*x1^20000", "x1^99999999999999999999"])
+@pytest.mark.parametrize("command", [["gb", "basis"], ["gb", "codim"], ["regseq"]])
+def test_input_exponent_beyond_packed_keys_exits_two(tmp_path, capsys, line, command):
+    # an exponent past the limit, written out or assembled from the factors
+    # of one term, is refused as bad input when the file is read
+    path = tmp_path / "sys.txt"
+    path.write_text(f"ring n=2 field=fp:32003\n{line}\n")
+    assert run(command + ["--in", str(path)]) == 2
+    _, err = _capture(capsys)
+    assert f"exponent above {MAX_EXPONENT}" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("operation", ["rank", "strength", "collective", "minrank"])

@@ -1,8 +1,9 @@
-"""Fuzzing of the ``quadric`` command: on random ``--diag`` lists, small
-F_p form files, singular F_p pencils and nets, and small Q pencils, every
-operation passes (0), fails a verdict (1) or refuses the invocation (2)
-within CASE_SECONDS, and never reports an internal error (3).  The inputs
-are written here as text, without the package's own formatter."""
+"""Fuzzing of the ``quadric`` and ``gb codim|dim`` commands: on random
+``--diag`` lists, small F_p form files, singular F_p pencils and nets, small
+Q pencils and small F_p ideal files, every operation passes (0), fails a
+verdict (1) or refuses the invocation (2) within CASE_SECONDS, and never
+reports an internal error (3).  The inputs are written here as text,
+without the package's own formatter."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from formstrength.cli import run
+from formstrength.orders import MAX_EXPONENT
 
 PRIMES = (3, 5, 7, 11, 31)
 OPERATIONS = ("rank", "strength", "minrank", "collective")
@@ -171,3 +173,45 @@ def test_quadric_scans_of_singular_pencils_and_nets_exit_zero_one_or_two(tmp_pat
     argv = ["quadric", operation, "--in", str(path)] + (["--json"] if as_json else [])
     got = _run(argv)
     assert _run(argv + ["--p", str(prime)]) == got
+
+
+@st.composite
+def ideal_files(draw):
+    """(raised, file text): up to three forms in one to three variables
+    over F_7 or F_32003, each a sum of up to four terms of one degree at
+    most 4 (``gb codim`` refuses a generator that is not homogeneous).  In
+    one file of four with a form, one term is raised past MAX_EXPONENT, by
+    one factor or by two that are each within it."""
+    p = draw(st.sampled_from((7, 32003)))
+    n = draw(st.integers(1, 3))
+    variable = st.integers(1, n).map(lambda i: f"x{i}")
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(0, 4))
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            factors = [draw(variable) for _ in range(degree)]
+            terms.append("*".join([str(draw(st.integers(1, p - 1)))] + factors))
+        gens.append(terms)
+    raised = bool(gens) and draw(st.integers(0, 3)) == 0
+    if raised:
+        terms = draw(st.sampled_from(gens))
+        k = draw(st.integers(0, len(terms) - 1))
+        x = draw(variable)
+        terms[k] += draw(st.sampled_from([f"*{x}^{draw(st.integers(MAX_EXPONENT + 1, 10**6))}",
+                                          f"*{x}^{MAX_EXPONENT}*{x}"]))
+    lines = [f"ring n={n} field=fp:{p}"] + [" + ".join(terms) for terms in gens]
+    return raised, "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(operation=st.sampled_from(("codim", "dim")), case=ideal_files(), as_json=st.booleans())
+def test_gb_codim_and_dim_on_an_ideal_file_exit_zero_or_two(tmp_path_factory, operation, case, as_json):
+    # an exponent past the packed-key limit is bad input (2); every other
+    # file is decided (0)
+    raised, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-ideal.txt"
+    path.write_text(text)
+    argv = ["gb", operation, "--in", str(path)] + (["--json"] if as_json else [])
+    rc, _ = _run(argv)
+    assert rc == (2 if raised else 0), (text, rc)

@@ -1,6 +1,6 @@
 """The F_p Gram-rank scans agree with a per-point reference that builds each
 combination with ``combine`` and ranks it as a form: same histogram, same
-first offender, same minrank witness, same collective strength.  The cases
+least offender, same minrank witness, same collective strength.  The cases
 with p > n + 1 are where a scan reads a principal minor of A + u*B
 (det(A + u*B) itself on a nonsingular line) off its difference table
 instead of eliminating; there the references are also compared point by
@@ -128,8 +128,8 @@ def test_planted_offender_is_found_first_as_by_the_reference(p):
 def test_offender_with_leading_zeros_is_the_first_bad_tuple(p, c):
     # with c None q3 itself has Gram rank at most 2, so the offender is
     # (0, 0, 1); otherwise q2 + c*q3 has, so it is (0, 1, t) for some t <= c;
-    # either way (1, a, b) is bad too, and is found first if the scan runs
-    # the leading coordinate's position in ascending order
+    # either way (1, a, b) is bad too, and the scan reaches it first, since
+    # the position of the leading 1 runs from first to last
     rng = random.Random(f"{p}:{c}")
     ring = Ring.flat(5, GF(p))
     low, low2 = _random_form(rng, ring, rank=1), _random_form(rng, ring, rank=1)
@@ -183,16 +183,87 @@ def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
         raise AssertionError("a refused scan computed a rank")
 
     monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
-    # in 2 variables, 9 units per point: 101^3 - 1 tuples, 1009^2 + 1009 + 1
-    # projective points, 10^6 + 4 points; in 10 variables, 121 units per
-    # point: 99992 points, under 10^6 but above the limit in work
-    for p, n, r, scan in ((101, 2, 3, rank_scan_all_nonzero), (1009, 2, 3, collective_strength_quadrics),
+    # in 2 variables, 9 units per point: 673^2 + 673 + 1 = 453603 and
+    # 1009^2 + 1009 + 1 projective points, 10^6 + 4 points; in 10 variables,
+    # 121 units per point: 99992 points, under 10^6 but above the limit in
+    # work
+    for p, n, r, scan in ((673, 2, 3, lambda forms: rank_scan_all_nonzero(forms, expect=2)),
+                          (1009, 2, 3, collective_strength_quadrics),
                           (1000003, 2, 2, lambda forms: minrank_bruteforce(*forms)),
                           (99991, 10, 2, lambda forms: minrank_bruteforce(*forms))):
         ring = Ring.flat(n, GF(p))
         forms = [QuadraticForm.diagonal(ring, [k + 1] * n) for k in range(r)]
         with pytest.raises(ValueError, match=str(SCAN_WORK_LIMIT)):
             scan(forms)
+
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+
+SCANS = {
+    "rank": lambda forms: rank_scan_all_nonzero(forms, expect=forms[0].n),
+    "collective": collective_strength_quadrics,
+    "minrank": lambda forms: minrank_bruteforce(*forms),
+}
+
+
+@pytest.mark.parametrize("scan,n,r", [("rank", 2, 3), ("rank", 6, 2), ("collective", 2, 3),
+                                      ("collective", 10, 2), ("minrank", 2, 2), ("minrank", 10, 2)])
+def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_limit(monkeypatch, scan, n, r):
+    # the largest prime whose (p^r - 1)/(p - 1) points x (n+1)^2 are within
+    # the limit is scanned, and the next prime is refused before any rank
+    handed = []
+
+    def first_point(forms, points, p):
+        handed.append(p)
+        yield next(iter(points)), forms[0].n
+
+    monkeypatch.setattr(quadratic, "_gram_ranks", first_point)
+
+    def work(p):
+        return (p**r - 1) // (p - 1) * (n + 1) ** 2
+
+    lo, hi = 2, SCAN_WORK_LIMIT  # work(lo) <= limit < work(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if work(mid) <= SCAN_WORK_LIMIT else (lo, mid)
+    below = next(p for p in range(lo, 2, -1) if _is_prime(p))
+    above = next(p for p in range(hi, 2 * hi) if _is_prime(p))
+    for p in (below, above):
+        ring = Ring.flat(n, GF(p))
+        forms = [QuadraticForm.diagonal(ring, [k + 1] * n) for k in range(r)]
+        if work(p) <= SCAN_WORK_LIMIT:
+            SCANS[scan](forms)
+            assert handed == [p]
+        else:
+            with pytest.raises(ValueError, match=f"would visit {work(p) // (n + 1) ** 2} points"):
+                SCANS[scan](forms)
+            assert handed == [below]
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_every_scan_hands_gram_ranks_the_same_point_stream(monkeypatch, p):
+    # the leading 1 moves from the first coordinate to the last, and the
+    # tail after it runs lexicographically
+    streams = []
+    gram_ranks = quadratic._gram_ranks
+
+    def recording(forms, points, p):
+        points = list(points)
+        streams.append(points)
+        return gram_ranks(forms, points, p)
+
+    monkeypatch.setattr(quadratic, "_gram_ranks", recording)
+    rng = random.Random(f"stream:{p}")
+    forms = [_random_form(rng, Ring.flat(3, GF(p))) for _ in range(3)]
+    pencil = [(1, t) for t in range(p)] + [(0, 1)]
+    net = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+    minrank_bruteforce(*forms[:2])
+    for family in (forms[:2], forms):
+        rank_scan_all_nonzero(family, expect=3)
+        collective_strength_quadrics(family)
+    assert streams == [pencil] * 3 + [net] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +291,18 @@ def _check_every_scan(forms, expect):
     """Each scan against the per-point reference on every projective point;
     returns that reference.  rank_scan_all_nonzero counts each point's rank
     p - 1 times, as the projective-class test above checks against the
-    per-tuple reference, and is refused above the work limit."""
+    per-tuple reference, reports the least offending point, and is refused
+    above the work limit."""
     p, r = forms[0].domain.p, len(forms)
     points = list(projective_points(p, r))
     ref = ref_point_ranks(forms, points)
     assert list(quadratic._gram_ranks(forms, points, p)) == ref
-    histogram, offender = {}, None
+    histogram = {}
     for t, value in ref:
         histogram[value] = histogram.get(value, 0) + p - 1
-        if value != expect and offender is None:
-            offender = {"point": list(t), "rank": value}
-    if (p**r - 1) * (forms[0].n + 1) ** 2 <= SCAN_WORK_LIMIT:
+    bad = min(((list(t), value) for t, value in ref if value != expect), default=None)
+    offender = bad and {"point": bad[0], "rank": bad[1]}
+    if len(points) * (forms[0].n + 1) ** 2 <= SCAN_WORK_LIMIT:
         assert rank_scan_all_nonzero(forms, expect=expect) == (histogram, offender)
     else:
         with pytest.raises(ValueError, match=str(SCAN_WORK_LIMIT)):
@@ -382,10 +454,11 @@ def test_singular_pencil_with_a_planted_low_rank_point(p, n, r):
 
 @pytest.mark.parametrize("p,n", [(31, 4), (101, 2)])
 def test_all_zero_and_constant_lines(monkeypatch, p, n):
-    # the net q, 0, 0: the line (0, 1, u) is all zero, so its rank bound is
-    # 0, S is empty and D_S = 1; each line (1, a, u) is q itself (B = 0), of
-    # rank n - 1.  Past the first n + 1 points only the S x S submatrices are
-    # eliminated, 1 for the zero line and n for each constant one
+    # the net q, 0, 0: each line (1, a, u) is q itself (B = 0), of rank
+    # n - 1; the line (0, 1, u) is all zero, so its rank bound is 0, S is
+    # empty and D_S = 1; the point (0, 0, 1) comes last.  Past the first
+    # n + 1 points only the S x S submatrices are eliminated, n for each
+    # constant line and 1 for the zero line
     rng = random.Random(f"constant:{p}:{n}")
     ring = Ring.flat(n, GF(p))
     q = _congruent([_without_last_variable(_random_form(rng, ring))], rng)[0]
@@ -395,10 +468,11 @@ def test_all_zero_and_constant_lines(monkeypatch, p, n):
     assert q.rank() == n - 1
     counts = _eliminations_per_line(monkeypatch, forms, ref)
     lines = _lines(ref)
-    assert [len(line) for line in lines] == [1] + [p] * (p + 1)
-    assert {value for _, value in lines[1]} == {0} and counts[1] == (n + 1) + 1
-    assert all({value for _, value in line} == {n - 1} for line in lines[2:])
-    assert counts[2:] == [(n + 1) + n] * p
+    assert [len(line) for line in lines] == [p] * (p + 1) + [1]
+    assert all({value for _, value in line} == {n - 1} for line in lines[:p])
+    assert counts[:p] == [(n + 1) + n] * p
+    assert {value for _, value in lines[p]} == {0} and counts[p] == (n + 1) + 1
+    assert lines[-1] == [((0, 0, 1), 0)]
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (5, 3)])
