@@ -3,12 +3,16 @@
 Every command is a pure function of (inputs, flags, seed): two runs with the
 same arguments produce byte-identical output.  Exit code 0 means the verdict
 passed or the query succeeded, 1 means a computational verdict failed (the
-witness is printed), 2 means the invocation or its input was refused, and 3
-means an internal error (a broken engine invariant, recursion too deep, an
-exponent beyond the packed monomial keys, or any other exception), reported
-on stderr.  Each subcommand, and each operation of ``quadric`` and ``gb``,
-declares only the flags it reads, so a flag that would be ignored is
-refused; only ``gb basis`` has an answer that depends on ``--order``.
+witness is printed), 2 means the invocation or its input was refused (a
+``ValueError``, an unreadable file or malformed JSON, and nothing else), and
+3 means an internal error (a broken engine invariant, recursion too deep, an
+exponent beyond the packed monomial keys, or any other exception, a
+``KeyError`` or ``ZeroDivisionError`` included), reported on stderr.  Each
+subcommand, and each operation of ``quadric`` and ``gb``, declares only the
+flags it reads, so a flag that would be ignored is refused; only ``gb
+basis`` has an answer that depends on ``--order``.  Every command but
+``recheck`` accepts ``--seed`` and records it in its JSON environment, but
+only ``certify small-r`` reads it.
 """
 
 from __future__ import annotations
@@ -87,8 +91,10 @@ def _gram_form(lines):
         entries = []
         for tok in line.replace(",", " ").split():
             if "/" in tok:
-                num, den = tok.split("/", 1)
-                entries.append(QQ(int(num), int(den)))
+                num, den = (int(v) for v in tok.split("/", 1))
+                if not den:
+                    raise ValueError("invalid rational: zero denominator")
+                entries.append(QQ(num, den))
             else:
                 entries.append(QQ.from_int(int(tok)))
         rows.append(entries)
@@ -164,7 +170,10 @@ def _scan_forms(args):
     forms = _load_forms(args)
     dom = forms[0].domain
     if args.p and not dom.characteristic:
-        forms = [q.reduce_mod(args.p) for q in forms]
+        try:
+            forms = [q.reduce_mod(args.p) for q in forms]
+        except ZeroDivisionError as exc:  # --p divides a denominator
+            raise ValueError(str(exc)) from None
     elif args.p and dom.p != args.p:
         raise ValueError(f"--p {args.p} differs from the field {dom.name} of {args.infile}")
     return forms
@@ -401,7 +410,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -30,7 +30,6 @@ from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, elimination, packing
 from .poly import (
     Poly,
     Ring,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -470,16 +469,3 @@ def is_regular_sequence_direct(fs) -> bool:
         if not prefix.contains_ideal(quotient):
             return False
     return True
-
-
-def spolynomial(f: Poly, g: Poly, order=DEGREVLEX) -> Poly:
-    """S-polynomial of two nonzero polynomials (test oracle helper)."""
-    fm = f.monic(order)
-    gm = g.monic(order)
-    lmf = fm.leading_monomial(order)
-    lmg = gm.leading_monomial(order)
-    l = mono_lcm(lmf, lmg)
-    one = f.ring.domain.one
-    qf = Poly(f.ring, {mono_div(l, lmf): one}, _clean=False)
-    qg = Poly(f.ring, {mono_div(l, lmg): one}, _clean=False)
-    return qf * fm - qg * gm

@@ -28,11 +28,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(map(operator.sub, a, b))
-
-
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 

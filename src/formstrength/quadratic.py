@@ -238,94 +238,86 @@ SCAN_WORK_LIMIT = 4 * 10**6
 """Most work one F_p scan may do, as points x (n+1)^2 for r forms in n
 variables, where the points are the (p^r - 1)/(p - 1) projective points the
 scan ranks.  A larger scan is refused with ValueError before any rank is
-computed.  The points lie on lines A + u*B (see ``_gram_ranks``): a line of
-more than n + 1 points eliminates at most (n + 1) + (k + 1) + k of them, k
-its largest rank, and every other point costs k additions mod p.  An
-eliminated point costs about 1-1.7 us per unit, so a scan takes at most
-about 4-7 s, a time reached only where lines have about 3n + 2 points or
-fewer.  The largest scan in the certificates and the benchmark, the 3x2
-minor family over F_31, ranks 993 points (993 x 49 units) and eliminates
-385 of them (about 410 after a random change of variables)."""
+computed.  The scan walks the lines A + u*B, u = 0, ..., p - 1 (see
+``_projective_ranks``): a line of more than n + 1 points eliminates at most
+(n + 1) + (k + 1) + k of them, k its largest rank, and every other point
+costs k additions mod p.  An eliminated point costs about 1-1.7 us per
+unit, so a scan takes at most about 4-7 s, a time reached only where lines
+have about 3n + 2 points or fewer.  The largest scan in the certificates and
+the benchmark, the 3x2 minor family over F_31, ranks 993 points (993 x 49
+units) on 32 lines and the point (0, 0, 1), and eliminates 385 of them
+(about 410 after a random change of variables)."""
 
 
 def _projective_ranks(forms, what):
-    """Stream (point, Gram rank) over ``projective_points(p, r)`` for r
-    forms over F_p, after refusing a field that is not F_p and a scan above
-    SCAN_WORK_LIMIT."""
+    """Yield (point, Gram rank of sum_i point[i] * forms[i]) over
+    ``projective_points(p, r)`` for r forms over F_p, after refusing a field
+    that is not F_p, forms in different rings and a scan above
+    SCAN_WORK_LIMIT.  In that order P^(r-1) is the lines c + u*e_r, u = 0,
+    ..., p - 1, for c in ``projective_points(p, r - 1)``, then e_r: a line's
+    A = sum_i c_i * G_i is formed once and ranked with B = G_r by
+    ``_gram_ranks``, and e_r by one elimination."""
     if not forms:
         raise ValueError("no forms to scan")
-    dom = forms[0].domain
+    ring = forms[0].ring
+    dom = ring.domain
     if not isinstance(dom, PrimeField):
         raise ValueError(f"{what} needs a prime field")
     _check_char(dom)
-    p, r, n = dom.p, len(forms), forms[0].n
+    if any(q.ring != ring for q in forms):
+        raise ValueError("forms live in different rings")
+    p, r, n = dom.p, len(forms), ring.nvars
     points = (p**r - 1) // (p - 1)
     if points * (n + 1) ** 2 > SCAN_WORK_LIMIT:
         raise ValueError(
             f"{what} over F_{p} would visit {points} points in {n} variables, "
             f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
-    return _gram_ranks(forms, projective_points(p, r), p)
+    *rest, b = ([v % p for row in q.gram for v in row] for q in forms)
+    for c in projective_points(p, r - 1):
+        a = [sum(ci * v for ci, v in zip(c, entry)) % p for entry in zip(*rest)]
+        for u, rank in enumerate(_gram_ranks(a, b, n, p)):
+            yield c + (u,), rank
+    yield (0,) * (r - 1) + (1,), len(eliminate([b[i:i + n] for i in range(0, n * n, n)], n, p))
 
 
-def _gram_ranks(forms, points, p):
-    """Yield (point, Gram rank of sum_i point[i] * forms[i]) for every
-    nonzero coefficient tuple in ``points``, in their order.
+def _gram_ranks(a, b, n, p):
+    """Yield the rank of A + u*B for u = 0, ..., p - 1, for symmetric n x n
+    matrices A and B over F_p, flat int vectors reduced mod p.
 
-    Each Gram matrix is flattened once; a combination is one int vector,
-    reduced mod p once and ranked by ``linalg.eliminate``.  A combination of
-    symmetric forms is symmetric, so no form is built per point.
-
-    Consecutive points that share ``point[:-1]`` and whose last coordinate u
-    steps by 1 lie on one line A + u*B of Gram matrices.  The first n + 1
-    points of a line are ranked by elimination; let r be the largest of
-    their ranks.  Every (r+1)-minor of A + u*B is a polynomial in u of
-    degree at most r + 1 that vanishes at those n + 1 >= r + 2 points, so
-    the rank is at most r on the whole line.  The pivot columns S of a
+    The first n + 1 points are ranked by ``linalg.eliminate``; let r be the
+    largest of their ranks.  Every (r+1)-minor of A + u*B is a polynomial in
+    u of degree at most r + 1 that vanishes at those n + 1 >= r + 2 points,
+    so the rank is at most r on the whole line.  The pivot columns S of a
     rank-r point index a nonsingular principal submatrix (the matrix is
     symmetric, so rows S span its row space as columns S span its column
     space), so D_S(u) = det((A + u*B)[S, S]), of degree at most r, is not
-    identically 0, and wherever it is nonzero the rank is r.  Once a line
-    goes on past n + 1 points, D_S is taken at the last r + 1 of them and
-    the backward differences of those values are kept (see
-    ``_minor_differences``); the (r+1)-th difference of D_S is 0, so D_S at
-    each later point comes from r additions mod p, exactly, and only where
-    it is 0 is the point eliminated.  So such a line makes at most
-    (n + 1) + (r + 1) + r eliminations.  A point that breaks the pattern
-    starts a new line, so the ranks never depend on the order of the points.
+    identically 0, and wherever it is nonzero the rank is r.  Past the first
+    n + 1 points, D_S is taken at the last r + 1 of them and the backward
+    differences of those values are kept (see ``_minor_differences``); the
+    (r+1)-th difference of D_S is 0, so D_S at each later point comes from r
+    additions mod p, exactly, and only where it is 0 is the point
+    eliminated.  So a line of more than n + 1 points makes at most
+    (n + 1) + (r + 1) + r eliminations.
     """
-    ring = forms[0].ring
-    if any(q.ring != ring for q in forms):
-        raise ValueError("forms live in different rings")
-    n = ring.nvars
-    flats = [[v for row in q.gram for v in row] for q in forms]
-    prefix = last = None
-    for point in points:
-        u = point[-1]
-        if point[:-1] != prefix or u != last + 1:
-            # the line's first n + 1 points as (flat matrix, pivots,
-            # determinant), then the rank bound r and the backward
-            # differences of D_S at the line's last point
-            prefix, head, diffs = point[:-1], [], None
-        last = u
+    # the first n + 1 points as (flat matrix, pivots, determinant), then
+    # the rank bound r and the backward differences of D_S at the last point
+    head, diffs = [], None
+    for u in range(p):
         if len(head) > n:
             if diffs is None:
                 r, diffs = _minor_differences(head, n, p)
             for k in range(r - 1, -1, -1):
                 diffs[k] = (diffs[k] + diffs[k + 1]) % p
             if diffs[0]:
-                yield point, r
+                yield r
                 continue
-        acc = None
-        for c, g in zip(point, flats):
-            if c:
-                acc = [c * v for v in g] if acc is None else [s + c * v for s, v in zip(acc, g)]
-        acc = [v % p for v in acc]
+        acc = [(x + u * y) % p for x, y in zip(a, b)]
         m = [acc[i:i + n] for i in range(0, n * n, n)]
         pivots = eliminate(m, n, p)
         if len(head) <= n:
             head.append((acc, pivots, prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0))
-        yield point, len(pivots)
+        yield len(pivots)
 
 
 def _minor_differences(head, n, p):
@@ -367,7 +359,9 @@ def projective_points(p, r):
     """Representatives of P^(r-1) over F_p, first nonzero coordinate 1: the
     position of that 1 runs from 0 up to r-1, and the tail after it runs
     lexicographically, so a pencil streams (1, 0), ..., (1, p-1), (0, 1).
-    Every F_p scan ranks these points in this order."""
+    The order is that of the lines c + u*e_r, u = 0, ..., p-1, for c in
+    ``projective_points(p, r-1)``, then the point e_r; every F_p scan walks
+    those lines and yields its ranks in this order."""
     for lead in range(r):
         head = (0,) * lead + (1,)
         for tail in product(range(p), repeat=r - lead - 1):
@@ -385,11 +379,9 @@ def rank_scan_all_nonzero(forms, expect):
     times; the histogram still sums to p^r - 1.  The least tuple of a class
     is its representative with first nonzero coordinate 1, so the offender
     is the least offending point of the scan."""
-    ranks = _projective_ranks(forms, "rank scan")
-    scale = forms[0].domain.p - 1
     histogram, bad = {}, None
-    for t, value in ranks:
-        histogram[value] = histogram.get(value, 0) + scale
+    for t, value in _projective_ranks(forms, "rank scan"):
+        histogram[value] = histogram.get(value, 0) + forms[0].domain.p - 1
         if value != expect and (bad is None or t < bad[0]):
             bad = t, value
     return histogram, None if bad is None else {"point": list(bad[0]), "rank": bad[1]}

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from formstrength.domains import GF, QQ
 from formstrength.groebner import Ideal, codimension, ideal_intersection
 from formstrength.minors import GenericMatrix, maximal_minors
-from formstrength.poly import Poly, Ring
+from formstrength.orders import DEGREVLEX
+from formstrength.poly import Poly, Ring, mono_lcm
 from formstrength.quadratic import (
     QuadraticForm,
     combine,
@@ -41,6 +44,25 @@ def random_poly(rng, ring, max_degree=3, max_terms=4, homogeneous=False, degree=
 
 def random_homogeneous(rng, ring, degree, max_terms=4):
     return random_poly(rng, ring, homogeneous=True, degree=degree, max_terms=max_terms)
+
+
+def mono_div(a, b):
+    """Quotient a / b of two monomials, b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def spolynomial(f, g, order=DEGREVLEX):
+    """S-polynomial of two nonzero polynomials, from their monic forms; the
+    tests check a basis by reducing every one of its S-polynomials to 0."""
+    fm = f.monic(order)
+    gm = g.monic(order)
+    lmf = fm.leading_monomial(order)
+    lmg = gm.leading_monomial(order)
+    l = mono_lcm(lmf, lmg)
+    one = f.ring.domain.one
+    qf = Poly(f.ring, {mono_div(l, lmf): one}, _clean=False)
+    qg = Poly(f.ring, {mono_div(l, lmg): one}, _clean=False)
+    return qf * fm - qg * gm
 
 
 def diagonal_pair(a, b, domain=QQ):
@@ -117,6 +139,18 @@ def minrank_identity(f1, f2, prime=101):
         and report.witness_rank_ok
     )
     return report
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """The benchmark's tracer module, ``perfbench/tracing.py``, loaded from
+    its file (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from formstrength.groebner import (
     is_regular_sequence_codim,
     is_regular_sequence_direct,
     normal_form,
-    spolynomial,
 )
 from formstrength.linalg import mat_mul, mat_rank, transpose
 from formstrength.minors import GenericMatrix, laplace_strength_bound, maximal_minors
@@ -28,7 +27,7 @@ from formstrength.poly import Grading, Poly, Ring
 from formstrength.quadratic import QuadraticForm, strength_from_rank
 from formstrength.strength import class_ideals, exclusion_matrix, strength_bruteforce_small
 
-from conftest import block_sizes, diagonal_pair, minrank_identity, random_homogeneous, random_poly
+from conftest import block_sizes, diagonal_pair, minrank_identity, random_homogeneous, random_poly, spolynomial
 
 
 def _report(name, ok, elapsed, budget, detail=""):

@@ -324,6 +324,35 @@ def test_any_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
     assert err == "internal error: TypeError: unsupported operand\n"
 
 
+def test_zero_denominators_in_the_input_exit_two(tmp_path, capsys):
+    # a Gram-file entry over 0, and a --p that divides a denominator of a Q
+    # form file, are the input paths that once raised ZeroDivisionError
+    gram = tmp_path / "gram.txt"
+    gram.write_text("1 1/0\n1/0 2\n")
+    forms = tmp_path / "forms.txt"
+    forms.write_text("ring n=2 field=q\nx1^2 + 1/7*x2^2\nx1*x2\n")
+    assert run(["quadric", "rank", "--in", str(gram)]) == 2
+    for operation in ("rank", "collective", "minrank"):
+        assert run(["quadric", operation, "--in", str(forms), "--p", "7"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == "error: invalid rational: zero denominator\n" + "error: invalid denominator 7 mod 7\n" * 3
+
+
+@pytest.mark.parametrize("fault", [KeyError("x9"), ZeroDivisionError("singular matrix")])
+def test_key_and_zero_division_errors_in_the_engine_exit_three(tmp_path, capsys, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "codimension", broken)
+    path = tmp_path / "sys.txt"
+    path.write_text("ring n=2 field=q\nx1\n")
+    assert run(["gb", "codim", "--in", str(path)]) == 3
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
 def test_flags_a_command_does_not_read_exit_two(tmp_path, capsys):
     path = tmp_path / "sys.txt"
     path.write_text("ring n=2 field=q\nx1\nx2\n")

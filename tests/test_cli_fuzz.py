@@ -1,12 +1,15 @@
-"""Fuzzing of the ``quadric`` and ``gb codim|dim`` commands: on random
-``--diag`` lists, small F_p form files, singular F_p pencils and nets, small
-Q pencils and small F_p ideal files, every operation passes (0), fails a
-verdict (1) or refuses the invocation (2) within CASE_SECONDS, and never
-reports an internal error (3).  The inputs are written here as text,
-without the package's own formatter."""
+"""Fuzzing of the ``quadric``, ``gb codim|dim`` and ``recheck`` commands:
+on random ``--diag`` lists, small F_p form files, singular F_p pencils and
+nets, small Q pencils, small F_p ideal files and golden certificates with
+one field changed, every operation passes (0), fails a verdict (1) or
+refuses the invocation (2) within CASE_SECONDS, and never reports an
+internal error (3).  The inputs are written here as text, without the
+package's own formatter."""
 
 import contextlib
 import io
+import json
+import pathlib
 import time
 
 import pytest
@@ -14,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from formstrength.certificates import CLAIMS
 from formstrength.cli import run
 from formstrength.orders import MAX_EXPONENT
 
@@ -215,3 +219,57 @@ def test_gb_codim_and_dim_on_an_ideal_file_exit_zero_or_two(tmp_path_factory, op
     argv = ["gb", operation, "--in", str(path)] + (["--json"] if as_json else [])
     rc, _ = _run(argv)
     assert rc == (2 if raised else 0), (text, rc)
+
+
+FIXTURES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0").glob("*.json"))
+RECHECK_PRIMES = (0, -3, 2, 3, 4, 7, 11, 101, 10**30)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """(field, certificate): a golden certificate with one field changed.
+    A prime of the environment becomes one of RECHECK_PRIMES; the seed
+    another integer; the claim another certificate's claim, an unknown
+    string or a non-string; the version another value; one sub-verdict's
+    ``passed`` flips or that sub-verdict is dropped; or the environment
+    becomes a non-object."""
+    doc = json.loads(draw(st.sampled_from(FIXTURES)).read_text())
+    env, subverdicts = doc["environment"], doc["subverdicts"]
+    field = draw(st.sampled_from(("prime", "seed", "claim", "version", "passed", "dropped", "environment")))
+    k = draw(st.integers(0, len(subverdicts) - 1))
+    if field == "prime":
+        env["primes"][draw(st.integers(0, len(env["primes"]) - 1))] = draw(st.sampled_from(RECHECK_PRIMES))
+    elif field == "seed":
+        env["seed"] = draw(st.integers(-5, 10**6))
+    elif field == "claim":
+        others = [c for c in CLAIMS.values() if c != doc["claim"]]
+        doc["claim"] = draw(st.sampled_from(others + ["N(4,2) = 3", 3, None, [doc["claim"]]]))
+    elif field == "version":
+        env["version"] = draw(st.sampled_from(("0.0.9", "0.2.0", "", 1, None)))
+    elif field == "passed":
+        subverdicts[k]["passed"] = not subverdicts[k]["passed"]
+    elif field == "dropped":
+        del subverdicts[k]
+    else:
+        doc["environment"] = draw(st.sampled_from((None, [], "fp:7", 7)))
+    return field, doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=mutated_certificates(), as_json=st.booleans())
+def test_recheck_of_a_mutated_certificate_exits_zero_one_or_two(tmp_path_factory, case, as_json):
+    # a changed version or sub-verdict fails the recheck (1), and an
+    # environment that is not an object is refused (2); another claim fails
+    # (1) or is refused where its builder refuses the recorded primes (2);
+    # a changed prime or seed may rebuild the same certificate (0), another
+    # one (1), or be refused (2)
+    field, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-certificate.json"
+    path.write_text(json.dumps(doc))
+    rc, _ = _run(["recheck", str(path)] + (["--json"] if as_json else []))
+    if field in ("version", "passed", "dropped"):
+        assert rc == 1, (field, rc)
+    elif field == "claim":
+        assert rc in (1, 2)
+    elif field == "environment":
+        assert rc == 2

@@ -10,12 +10,11 @@ from formstrength.groebner import (
     ideal_intersection,
     ideal_quotient,
     normal_form,
-    spolynomial,
 )
 from formstrength.orders import DEGREVLEX
-from formstrength.poly import Poly, Ring, mono_div, mono_divides, mono_mul
+from formstrength.poly import Poly, Ring, mono_divides, mono_mul
 
-from conftest import random_homogeneous, random_poly
+from conftest import mono_div, random_homogeneous, random_poly, spolynomial
 
 
 def _naive_reduce(f, basis, order):

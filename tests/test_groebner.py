@@ -10,13 +10,12 @@ from formstrength.groebner import (
     dimension,
     groebner_basis,
     normal_form,
-    spolynomial,
 )
 from formstrength.orders import LEX
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 
-from conftest import random_homogeneous, random_poly
+from conftest import random_homogeneous, random_poly, spolynomial
 
 
 def test_coordinate_ideal_already_reduced():

@@ -1,13 +1,15 @@
-"""Every name the package exports is used by the package itself.
+"""Every name the package exports, and every function and class defined at
+the top of a package module, is used by the package itself.
 
-A public function or class earns its place by feeding a certificate or a
-CLI command; a name that only the tests call is a second implementation
-waiting to drift.  For each non-module name in ``formstrength.__all__``, the
-package source outside ``__init__.py`` must reference it somewhere other than
-its own definition, and a reference from inside another exported name that
-fails this check does not count (so a dead name cannot keep its helpers
-alive).  Independent oracles, which the tests compare the engine against,
-are the one exception.
+A function or class earns its place by feeding a certificate or a CLI
+command; a name that only the tests call is a second implementation waiting
+to drift.  For each such name, the package source outside ``__init__.py``
+must reference it somewhere other than its own definition, and a reference
+from inside another name that fails this check does not count (so a dead
+name cannot keep its helpers alive).  Independent oracles, which the tests
+compare the engine against, are one exception; the functions the
+benchmark's tracer wraps (``perfbench/tracing.py``, ``LAYERS``) are the
+other, since ``tests/test_tracing_names.py`` requires them to exist.
 """
 
 import ast
@@ -15,6 +17,8 @@ import inspect
 from pathlib import Path
 
 import formstrength
+
+from conftest import load_tracing
 
 PACKAGE = Path(formstrength.__file__).resolve().parent
 
@@ -53,12 +57,8 @@ def _definitions():
     return out
 
 
-def unused_public_names():
-    public = {
-        name
-        for name in formstrength.__all__
-        if not inspect.ismodule(getattr(formstrength, name)) and name not in ORACLES
-    }
+def _unused(names):
+    """The names in ``names`` that no live package code reads."""
     definitions = _definitions()
     dead = set()
     while True:
@@ -66,12 +66,37 @@ def unused_public_names():
         for owner, reads in definitions:
             if owner not in dead:
                 used |= reads - {owner}
-        now = {name for name in public if name not in used}
+        now = {name for name in names if name not in used}
         if now == dead:
             return sorted(dead)
         dead = now
 
 
+def unused_public_names():
+    return _unused({
+        name
+        for name in formstrength.__all__
+        if not inspect.ismodule(getattr(formstrength, name)) and name not in ORACLES
+    })
+
+
+def unused_top_level_names():
+    functions_and_classes = {
+        stmt.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    # the module-level functions the benchmark's tracer wraps
+    traced = {attr for targets in load_tracing().LAYERS.values() for _, attr in targets if "." not in attr}
+    return _unused(functions_and_classes - ORACLES - traced)
+
+
 def test_every_public_name_is_used_by_the_package():
     assert ORACLES <= set(formstrength.__all__)
     assert unused_public_names() == []
+
+
+def test_every_top_level_function_and_class_is_used_by_the_package():
+    assert unused_top_level_names() == []

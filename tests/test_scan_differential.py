@@ -160,14 +160,14 @@ def test_rank_scan_ranks_one_point_per_projective_class(monkeypatch, p, family):
         rng = random.Random(p)
         forms = [_random_form(rng, Ring.flat(4, GF(p))) for _ in range(3)]
     ranked = []
-    gram_ranks = quadratic._gram_ranks
+    projective_ranks = quadratic._projective_ranks
 
-    def counting(forms, points, p):
-        for point, value in gram_ranks(forms, points, p):
+    def counting(forms, what):
+        for point, value in projective_ranks(forms, what):
             ranked.append(point)
             yield point, value
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", counting)
+    monkeypatch.setattr(quadratic, "_projective_ranks", counting)
     histogram, offender = rank_scan_all_nonzero(forms, expect=4)
     assert len(ranked) == len(set(ranked)) == (p**3 - 1) // (p - 1)
     assert all(next(v for v in t if v) == 1 for t in ranked)
@@ -212,12 +212,14 @@ SCANS = {
                                       ("collective", 10, 2), ("minrank", 2, 2), ("minrank", 10, 2)])
 def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_limit(monkeypatch, scan, n, r):
     # the largest prime whose (p^r - 1)/(p - 1) points x (n+1)^2 are within
-    # the limit is scanned, and the next prime is refused before any rank
+    # the limit is scanned, one _gram_ranks call for each of its
+    # (p^(r-1) - 1)/(p - 1) lines, and the next prime is refused before any
+    # rank
     handed = []
 
-    def first_point(forms, points, p):
+    def first_point(a, b, n, p):
         handed.append(p)
-        yield next(iter(points)), forms[0].n
+        yield n
 
     monkeypatch.setattr(quadratic, "_gram_ranks", first_point)
 
@@ -233,28 +235,31 @@ def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_lim
     for p in (below, above):
         ring = Ring.flat(n, GF(p))
         forms = [QuadraticForm.diagonal(ring, [k + 1] * n) for k in range(r)]
+        handed.clear()
         if work(p) <= SCAN_WORK_LIMIT:
             SCANS[scan](forms)
-            assert handed == [p]
+            assert handed == [p] * ((p ** (r - 1) - 1) // (p - 1))
         else:
             with pytest.raises(ValueError, match=f"would visit {work(p) // (n + 1) ** 2} points"):
                 SCANS[scan](forms)
-            assert handed == [below]
+            assert handed == []
 
 
 @pytest.mark.parametrize("p", [3, 7])
-def test_every_scan_hands_gram_ranks_the_same_point_stream(monkeypatch, p):
-    # the leading 1 moves from the first coordinate to the last, and the
-    # tail after it runs lexicographically
+def test_every_scan_ranks_the_same_point_stream(monkeypatch, p):
+    # projective_points(p, r) in its order: the leading 1 moves from the
+    # first coordinate to the last, and the tail after it runs
+    # lexicographically
     streams = []
-    gram_ranks = quadratic._gram_ranks
+    projective_ranks = quadratic._projective_ranks
 
-    def recording(forms, points, p):
-        points = list(points)
-        streams.append(points)
-        return gram_ranks(forms, points, p)
+    def recording(forms, what):
+        streams.append([])
+        for point, value in projective_ranks(forms, what):
+            streams[-1].append(point)
+            yield point, value
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", recording)
+    monkeypatch.setattr(quadratic, "_projective_ranks", recording)
     rng = random.Random(f"stream:{p}")
     forms = [_random_form(rng, Ring.flat(3, GF(p))) for _ in range(3)]
     pencil = [(1, t) for t in range(p)] + [(0, 1)]
@@ -264,6 +269,7 @@ def test_every_scan_hands_gram_ranks_the_same_point_stream(monkeypatch, p):
         rank_scan_all_nonzero(family, expect=3)
         collective_strength_quadrics(family)
     assert streams == [pencil] * 3 + [net] * 2
+    assert (pencil, net) == (list(projective_points(p, 2)), list(projective_points(p, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +278,15 @@ def test_every_scan_hands_gram_ranks_the_same_point_stream(monkeypatch, p):
 
 def ref_point_ranks(forms, points):
     return [(t, combine(forms, t).rank()) for t in points]
+
+
+def _flat(q):
+    return [v for row in q.gram for v in row]
+
+
+def _line(forms, c):
+    """The flat (A, B) of the line c + u*e_r: A = sum_i c_i * G_i, B = G_r."""
+    return _flat(combine(forms[:-1], c)), _flat(forms[-1])
 
 
 def _counting_eliminate(monkeypatch):
@@ -296,7 +311,7 @@ def _check_every_scan(forms, expect):
     p, r = forms[0].domain.p, len(forms)
     points = list(projective_points(p, r))
     ref = ref_point_ranks(forms, points)
-    assert list(quadratic._gram_ranks(forms, points, p)) == ref
+    assert list(quadratic._projective_ranks(forms, "scan")) == ref
     histogram = {}
     for t, value in ref:
         histogram[value] = histogram.get(value, 0) + p - 1
@@ -335,7 +350,7 @@ def test_scans_where_the_difference_table_runs(monkeypatch, p, n, r):
     calls = _counting_eliminate(monkeypatch)
     ref = _check_every_scan(forms, n)
     calls.clear()
-    list(quadratic._gram_ranks(forms, projective_points(p, r), p))
+    list(quadratic._projective_ranks(forms, "scan"))
     # each line of p points eliminates its first n + 1 and its roots only
     lines = 1 if r == 2 else p + 1
     roots = sum(1 for t, value in ref if value < n and t[-1] > n)
@@ -376,18 +391,23 @@ def _without_last_variable(q):
 
 
 def _lines(ref):
-    """The (point, rank) pairs of a projective scan, cut into its lines: the
-    runs of points that share all coordinates but the last."""
+    """The (point, rank) pairs of a projective scan, cut into its lines c +
+    u*e_r and, last, the point e_r: the runs of points that share all
+    coordinates but the last."""
     return [list(line) for _, line in groupby(ref, key=lambda tv: tv[0][:-1])]
 
 
 def _eliminations_per_line(monkeypatch, forms, ref):
-    """How many eliminations each line of the scan makes on its own."""
+    """How many eliminations ``_gram_ranks`` makes on each line c + u*e_r of
+    the scan, ranked on its own; the lines' ranks are checked against
+    ``ref`` in order, u = 0, ..., p - 1."""
+    n, p = forms[0].n, forms[0].domain.p
     calls = _counting_eliminate(monkeypatch)
     counts = []
-    for line in _lines(ref):
+    for line in _lines(ref)[:-1]:
         calls.clear()
-        assert list(quadratic._gram_ranks(forms, [t for t, _ in line], forms[0].domain.p)) == line
+        assert list(quadratic._gram_ranks(*_line(forms, line[0][0][:-1]), n, p)) == [v for _, v in line]
+        assert [t[-1] for t, _ in line] == list(range(p))
         counts.append(len(calls))
     return counts
 
@@ -424,7 +444,7 @@ def test_minor_family_in_random_coordinates_eliminates_a_pinned_count(monkeypatc
     ref = _check_every_scan(forms, 4)
     assert {value for _, value in ref} == {4}
     calls = _counting_eliminate(monkeypatch)
-    list(quadratic._gram_ranks(forms, projective_points(p, 3), p))
+    list(quadratic._projective_ranks(forms, "scan"))
     assert len(calls) == 440
 
 
@@ -489,33 +509,28 @@ def test_lines_no_longer_than_n_plus_one_are_eliminated_whole(p, r):
 
 
 @pytest.mark.parametrize("p,n", [(31, 6), (101, 2)])
-def test_point_order_changes_no_rank(p, n):
-    # shuffled; each line in its own shuffled order, so u runs through no
-    # arithmetic progression; and each line started at a random u and
-    # wrapped round, so lines start mid-way and break where u wraps.  The
-    # same net without its last variable, in random coordinates, is
-    # singular on every line
+def test_walking_a_line_from_either_end_or_from_any_point_changes_no_rank(p, n):
+    # A' = A + (p - 1)*B with B' = -B walks the line A + u*B from its other
+    # end, and A' = A + s*B with B' = B starts it at u = s and wraps round,
+    # so other points form the first n + 1 that are eliminated.  The same
+    # net without its last variable, in random coordinates, is singular on
+    # every line
     rng = random.Random(f"order:{p}:{n}")
     ring = Ring.flat(n, GF(p))
     low = _random_form(rng, ring, rank=1)
     q1, q2 = _random_form(rng, ring), _random_form(rng, ring)
     net = [q1, q2, combine([low, q1], [1, p - 1])]
-    points = list(projective_points(p, 3))
-    shuffled = list(points)
-    rng.shuffle(shuffled)
-    mixed, rotated = points[:1], points[:1]
-    for k in range(1, len(points), p):
-        line = points[k:k + p]
-        s = rng.randrange(p)
-        rotated += line[s:] + line[:s]
-        rng.shuffle(line)
-        mixed += line
-    assert sorted(rotated) == sorted(mixed) == sorted(points)
     singular = _congruent([_without_last_variable(q) for q in net], rng)
     for forms in (net, singular):
-        want = sorted(ref_point_ranks(forms, points))
-        for order in (points, shuffled, mixed, rotated):
-            assert sorted(quadratic._gram_ranks(forms, order, p)) == want
+        for line in _lines(ref_point_ranks(forms, list(projective_points(p, 3))))[:-1]:
+            want = [v for _, v in line]
+            a, b = _line(forms, line[0][0][:-1])
+            s = rng.randrange(1, p)
+            assert list(quadratic._gram_ranks(a, b, n, p)) == want
+            assert list(quadratic._gram_ranks([(x + (p - 1) * y) % p for x, y in zip(a, b)],
+                                              [-y % p for y in b], n, p)) == want[::-1]
+            assert list(quadratic._gram_ranks([(x + s * y) % p for x, y in zip(a, b)], b, n, p)) == \
+                want[s:] + want[:s]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])

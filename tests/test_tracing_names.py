@@ -3,21 +3,12 @@
 fails here and not only in traced benchmark runs."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tracing
 
 
 def test_every_traced_name_resolves():
-    layers = _load_tracing().LAYERS
+    layers = load_tracing().LAYERS
     assert layers
     for layer, targets in layers.items():
         for module_name, attr in targets:
