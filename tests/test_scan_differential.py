@@ -3,8 +3,9 @@ combination with ``combine`` and ranks it as a form: same histogram, same
 least offender, same minrank witness, same collective strength.  The cases
 with p > n + 1 are where a scan reads a principal minor of A + u*B
 (det(A + u*B) itself on a nonsingular line) off its difference table
-instead of eliminating; there the references are also compared point by
-point."""
+instead of eliminating, and where a net's line takes det(A + u*B) at
+u <= n from the lines before it; there the references are also compared
+point by point."""
 
 import random
 from itertools import groupby
@@ -217,7 +218,7 @@ def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_lim
     # rank
     handed = []
 
-    def first_point(a, b, n, p):
+    def first_point(a, b, n, p, dets=None):
         handed.append(p)
         yield n
 
@@ -340,7 +341,35 @@ def _congruent(forms, rng):
                                   for j in range(n)] for i in range(n)]) for q in forms]
 
 
-TABLE_NETS = [(p, n, r) for p in (31, 101) for n in (2, 4, 6) for r in (2, 3)]
+# r = 4 over F_7: runs of p lines for each c' = (1, a) and (0, 1), then the
+# one-line run (0, 0, 1); at n = 6, p = n + 1 and no table is used
+TABLE_NETS = [(p, n, r) for p in (31, 101) for n in (2, 4, 6) for r in (2, 3)] + [(7, n, 4) for n in (2, 4, 6)]
+
+
+def _is_head(t, n):
+    """Whether the point t of a scan is among the first n + 1 points of a
+    line that is ranked without the lines before it: one of the first
+    n + 1 lines (c', v), v <= n, of its run, or a run of one line, c' = 0."""
+    c = t[:-1]
+    return t[-1] <= n and (c[-1] <= n or not any(c[:-1]))
+
+
+def _spy_lines(monkeypatch):
+    """Record, in order, the determinants each line the scans rank is
+    handed ([] or the n + 1 values taken from the lines before it), and the
+    eliminations it makes."""
+    handed, counts = [], []
+    calls = _counting_eliminate(monkeypatch)
+    gram_ranks = quadratic._gram_ranks
+
+    def spying(a, b, n, p, dets=None):
+        handed.append(None if dets is None else list(dets))
+        start = len(calls)
+        yield from gram_ranks(a, b, n, p, dets)
+        counts.append(len(calls) - start)
+
+    monkeypatch.setattr(quadratic, "_gram_ranks", spying)
+    return handed, counts
 
 
 @pytest.mark.parametrize("p,n,r", TABLE_NETS)
@@ -349,12 +378,97 @@ def test_scans_where_the_difference_table_runs(monkeypatch, p, n, r):
     forms = [_random_form(rng, Ring.flat(n, GF(p))) for _ in range(r)]
     calls = _counting_eliminate(monkeypatch)
     ref = _check_every_scan(forms, n)
+    # no line is singular, so each has a point of rank n
+    assert all(max(value for _, value in line) == n for line in _lines(ref)[:-1])
     calls.clear()
     list(quadratic._projective_ranks(forms, "scan"))
-    # each line of p points eliminates its first n + 1 and its roots only
-    lines = 1 if r == 2 else p + 1
-    roots = sum(1 for t, value in ref if value < n and t[-1] > n)
-    assert len(calls) == len(ref) - lines * (p - n - 1) + roots
+    # n + 1 heads on the first n + 1 lines of each run and on a run of one
+    # line, 1 for e_r, and every other point of rank < n
+    heads = sum(1 for t, _ in ref[:-1] if _is_head(t, n))
+    low = sum(1 for t, value in ref[:-1] if value < n and not _is_head(t, n))
+    assert len(calls) == heads + 1 + low
+    # lines ranked without a table: min(p, n + 1) of each run of p lines,
+    # and each run of one line
+    first = min(p, n + 1)
+    assert heads == (n + 1) * {2: 1, 3: first + 1, 4: (p + 1) * first + 1}[r]
+
+
+def test_net_shaped_like_the_benchmark_eliminates_a_pinned_count(monkeypatch):
+    # three quadrics in 8 variables over F_61, one combination planted at
+    # Gram rank at most 4: 9 heads on each of the first 9 lines of the run
+    # (1, v) and on the line (0, 1), 1 for (0, 0, 1), and the other points
+    # of rank < 8.  While every line eliminated its own first 9 points, the
+    # 62 lines made 558 head eliminations, 609 in all
+    p, n = 61, 8
+    rng = random.Random("benchmark-net")
+    ring = Ring.flat(n, GF(p))
+    q1, q2, low = _random_form(rng, ring), _random_form(rng, ring), _random_form(rng, ring, rank=2)
+    a, b = rng.randrange(1, p), rng.randrange(1, p)
+    forms = [q1, q2, combine([low, q1, q2], [1, p - a, p - b])]
+    ref = _check_every_scan(forms, n)
+    assert combine(forms, [a, b, 1]).rank() <= 4
+    calls = _counting_eliminate(monkeypatch)
+    list(quadratic._projective_ranks(forms, "scan"))
+    low = sum(1 for t, value in ref[:-1] if value < n and not _is_head(t, n))
+    assert len(calls) == 10 * (n + 1) + 1 + low == 146
+
+
+@pytest.mark.parametrize("p,n,r,at", [(31, 4, 3, 0), (31, 6, 3, "n"), (101, 4, 3, 1), (7, 4, 4, "n")])
+def test_planted_low_rank_point_at_a_known_determinant(monkeypatch, p, n, r, at):
+    # the combination (1, [a,] v, u) is low, of Gram rank at most 2, with v
+    # past the first n + 1 lines of its run and u <= n, so the line takes
+    # det = 0 at u from the lines before it and eliminates that point
+    rng = random.Random(f"planted-head:{p}:{n}:{r}:{at}")
+    ring = Ring.flat(n, GF(p))
+    forms = [_random_form(rng, ring) for _ in range(r)]
+    low = _random_form(rng, ring, rank=1)
+    u = n if at == "n" else at
+    planted = (1,) + tuple(rng.randrange(p) for _ in range(r - 3)) + (rng.randrange(n + 1, p), u)
+    # solve sum_i planted[i] * forms[i] = low for the last form with a
+    # nonzero coefficient
+    k = max(i for i, c in enumerate(planted) if c)
+    inv = pow(planted[k], -1, p)
+    others = [q for i, q in enumerate(forms) if i != k]
+    forms[k] = combine([low] + others, [inv] + [(p - c) * inv % p for i, c in enumerate(planted) if i != k])
+    handed, counts = _spy_lines(monkeypatch)
+    ref = dict(_check_every_scan(forms, n))
+    assert ref[planted] <= 2 < n
+    handed.clear()
+    counts.clear()
+    list(quadratic._projective_ranks(forms, "scan"))
+    line = list(projective_points(p, r - 1)).index(planted[:-1])
+    dets = handed[line]
+    assert len(dets) == n + 1 and dets[u] == 0 and any(dets)
+    assert counts[line] == sum(1 for t, value in ref.items() if t[:-1] == planted[:-1] and value < n)
+
+
+@pytest.mark.parametrize("p,n,r", [(31, 4, 3), (31, 6, 3), (7, 4, 4)])
+def test_singular_line_past_the_first_n_plus_one_of_its_run(monkeypatch, p, n, r):
+    # the first form is k1 - v0*q, q the last form but one, and k1 shares a
+    # kernel vector with the last form, so of all lines only (1, [0,] v0),
+    # v0 > n, is singular: the n + 1 determinants it takes from the lines
+    # before it are all 0, and it is ranked from its first n + 1 points and
+    # a principal minor, as a line whose determinants are not known, making
+    # at most (n + 1) + (k + 1) + k eliminations, k its largest rank
+    rng = random.Random(f"singular-line:{p}:{n}:{r}")
+    ring = Ring.flat(n, GF(p))
+    k1, k3 = _congruent([_without_last_variable(_random_form(rng, ring)) for _ in range(2)], rng)
+    q2 = _random_form(rng, ring)
+    v0 = rng.randrange(n + 1, p)
+    forms = [combine([k1, q2], [1, p - v0])] + [_random_form(rng, ring) for _ in range(r - 3)] + [q2, k3]
+    line = (1,) + (0,) * (r - 3) + (v0,)
+    handed, counts = _spy_lines(monkeypatch)
+    ref = _check_every_scan(forms, n)
+    by_line = {group[0][0][:-1]: [value for _, value in group] for group in _lines(ref)[:-1]}
+    k = max(by_line[line])
+    assert k < n
+    assert sum(1 for values in by_line.values() if max(values) < n) == 1
+    handed.clear()
+    counts.clear()
+    list(quadratic._projective_ranks(forms, "scan"))
+    index = list(projective_points(p, r - 1)).index(line)
+    assert handed[index] == [0] * (n + 1)
+    assert counts[index] <= (n + 1) + (k + 1) + k
 
 
 # F_101 only with r = 2: a net over F_101 has 10303 points, each ranked by
