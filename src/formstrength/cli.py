@@ -169,19 +169,19 @@ def _scan_forms(args):
     another F_p than --p are refused."""
     forms = _load_forms(args)
     dom = forms[0].domain
-    if args.p and not dom.characteristic:
+    if args.p is not None and not dom.characteristic:
         try:
             forms = [q.reduce_mod(args.p) for q in forms]
         except ZeroDivisionError as exc:  # --p divides a denominator
             raise ValueError(str(exc)) from None
-    elif args.p and dom.p != args.p:
+    elif args.p is not None and dom.p != args.p:
         raise ValueError(f"--p {args.p} differs from the field {dom.name} of {args.infile}")
     return forms
 
 
 def cmd_rank(args):
     if args.diag:
-        dom = GF(args.p) if args.p else QQ
+        dom = QQ if args.p is None else GF(args.p)
         q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
     else:
         q = _scan_forms(args)[0]
@@ -203,7 +203,7 @@ def cmd_minrank(args):
         formula = minrank_formula(f1, f2)
         result = {"minrank": formula.value, "method": "formula", "witness": [str(c) for c in formula.witness]}
         primes = []
-        if args.p:
+        if args.p is not None:
             scan = minrank_bruteforce(*diagonal_pair_mod(f1, f2, args.p))
             result["scan"] = scan.to_dict()
             result["scan_agrees"] = scan.value == formula.value
@@ -303,7 +303,7 @@ def cmd_certify(args):
     names = list(BUILDERS) if args.target == "all" else [args.target]
     certs = []
     for name in names:
-        overrides = {PRIME_PARAMS[name][0]: args.p} if args.p else {}
+        overrides = {} if args.p is None else {PRIME_PARAMS[name][0]: args.p}
         certs.append(build_certificate(name, seed=args.seed, **overrides))
     if args.json:
         docs = [c.to_dict() for c in certs]

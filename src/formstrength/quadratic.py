@@ -256,40 +256,36 @@ SCAN_WORK_LIMIT = 4 * 10**6
 """Most work one F_p scan may do, as points x (n+1)^2 for r forms in n
 variables, where the points are the (p^r - 1)/(p - 1) projective points the
 scan ranks.  A larger scan is refused with ValueError before any rank is
-computed.  The scan walks the lines A + u*B, u = 0, ..., p - 1 (see
-``_projective_ranks``): a line of more than n + 1 points eliminates at most
-(n + 1) + (k + 1) + k of them, k its largest rank, and every other point
-costs k additions mod p; a line whose determinants at u <= n come from the
-lines before it eliminates only its points of rank below n, unless all
-n + 1 of those determinants are 0.  An eliminated point costs about
-1-1.7 us per unit, so a scan takes at most about 4-7 s, a time reached only
-where lines have about 3n + 2 points or fewer.  The largest scan in the
+computed.  The scan ranks planes of p lines of p points (see
+``_projective_ranks``).  A plane of largest rank R eliminates at most its
+(n + 1)^2 corner points, the R x R submatrix at (R + 1)^2 <= (n + 1)^2 of
+them, the at most R*p roots of D_S past the corner, and at most R lines
+where D_S is 0, at most (n + 1) + (R + 1) + R eliminations each; every
+other point costs R additions mod p (see ``_plane_ranks``).  So nearly
+every point is eliminated only where p is about n + 1 or less.  An
+eliminated point cost 0.7-1.1 us per unit in these measurements (Python
+3.11 on a 2-core machine): ten forms in 10 variables over F_3, 29524
+points and 0.89 of the limit, each eliminated, took 2.6 s; five forms in
+8 variables over F_11 with a common kernel vector, 16105 points and 0.33
+of the limit, eliminated 11272 points and 8520 7 x 7 submatrices in
+1.0 s.  So a scan takes at most about 3-4.5 s.  The largest scan in the
 certificates and the benchmark, the 3x2 minor family over F_31, ranks 993
-points (993 x 49 units) on 32 lines and the point (0, 0, 1), and eliminates
-385 of them (about 410 after a random change of variables)."""
+points (993 x 49 units) on the plane (1, v, u), the line (0, 1, u) and the
+point (0, 0, 1), and eliminates 87 matrices: the plane's 49 corner points
+and 25 submatrices, the line's 7 points and 5 submatrices, and (0, 0, 1);
+after a random change of variables, 30-62 roots of D_S more."""
 
 
 def _projective_ranks(forms, what):
     """Yield (point, Gram rank of sum_i point[i] * forms[i]) over
     ``projective_points(p, r)`` for r forms over F_p, after refusing a field
     that is not F_p, forms in different rings and a scan above
-    SCAN_WORK_LIMIT.  In that order P^(r-1) is the lines c + u*e_r, u = 0,
-    ..., p - 1, for c in ``projective_points(p, r - 1)``, then e_r: a line's
-    A = sum_i c_i * G_i is formed once and ranked with B = G_r by
-    ``_gram_ranks``, and e_r by one elimination.
-
-    Consecutive c = (c', v), v = 0, 1, ..., p - 1, with c' fixed, form a run
-    of lines with A(v) = A(c', 0) + v*G_(r-1), so for each u <= n the
-    determinant E_u(v) = det(A(v) + u*B) is a polynomial in v of degree at
-    most n.
-    When p > n + 1, the first n + 1 lines of a run record those
-    determinants, and each later line of the run takes its n + 1 of them
-    from one backward difference table per u (see ``_differences``), at n
-    additions mod p each, instead of eliminating its first n + 1 points.
-    The tables start again at each new c', and a run of one line, c' = 0,
-    never fills them.  A run whose first n + 1 lines have only determinants
-    0 has E_u = 0 for every u, so all its lines are singular; it keeps no
-    tables, and each line is ranked on its own."""
+    SCAN_WORK_LIMIT.  In that order P^(r-1) is the planes c + v*e_(r-1) +
+    u*e_r, v, u < p, for c in ``projective_points(p, r - 2)``, then the line
+    e_(r-1) + u*e_r, then e_r.  A plane's A = sum_i c_i * G_i is formed once
+    and ranked with G = G_(r-1) and B = G_r by ``_plane_ranks``, the line
+    as a plane of one line (A = G_(r-1), G = 0), and e_r by one
+    elimination."""
     if not forms:
         raise ValueError("no forms to scan")
     ring = forms[0].ring
@@ -307,93 +303,79 @@ def _projective_ranks(forms, what):
             f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
     *rest, b = ([v % p for row in q.gram for v in row] for q in forms)
-    run = None
-    for c in projective_points(p, r - 1):
-        if c[:-1] != run:
-            # recorded: the determinants at u <= n of its first n + 1 lines
-            run, recorded, tables = c[:-1], [], None
-        a = [sum(ci * v for ci, v in zip(c, entry)) % p for entry in zip(*rest)]
-        dets = [] if tables is None else [_advance(t, p) for t in tables]
-        for u, rank in enumerate(_gram_ranks(a, b, n, p, dets)):
-            yield c + (u,), rank
-        if p > n + 1 and len(recorded) <= n:
-            recorded.append(dets)
-            # if every recorded determinant is 0, every E_u is 0 and the
-            # rest of the run is singular
-            if len(recorded) > n and any(map(any, recorded)):
-                tables = [_differences(column, p) for column in zip(*recorded)]
+    for c in projective_points(p, r - 2):
+        a = [sum(ci * v for ci, v in zip(c, entry)) % p for entry in zip(*rest[:-1])]
+        yield from zip((c + vu for vu in product(range(p), repeat=2)), _plane_ranks(a, rest[-1], b, p, n, p))
+    if rest:
+        line = _plane_ranks(rest[-1], [0] * (n * n), b, 1, n, p)
+        yield from zip(((0,) * (r - 2) + (1, u) for u in range(p)), line)
     yield (0,) * (r - 1) + (1,), len(eliminate([b[i:i + n] for i in range(0, n * n, n)], n, p))
 
 
-def _gram_ranks(a, b, n, p, dets=None):
-    """Yield the rank of A + u*B for u = 0, ..., p - 1, for symmetric n x n
-    matrices A and B over F_p, flat int vectors reduced mod p.
+def _plane_ranks(a, g, b, lines, n, p):
+    """Yield the rank of A + v*G + u*B for v < ``lines`` and u < p, line by
+    line, for symmetric n x n matrices A, G and B over F_p, flat int vectors
+    reduced mod p; ``lines`` is p, or 1 for a line (G = 0).
 
-    ``dets`` is None, an empty list, or the n + 1 determinants
-    det(A + u*B), u = 0, ..., n.  If some of those is nonzero, D = det(A +
-    u*B), of degree at most n in u, is not identically 0: a point where it
-    is nonzero has rank n, only the others are eliminated, and S below is
-    every column, r = n.  Otherwise the first n + 1 points are ranked by
-    ``linalg.eliminate``, their determinants (the product of the pivots at
-    rank n, else 0) appended to an empty ``dets``; let r be the largest of
-    their ranks.  Every (r+1)-minor of A + u*B is a polynomial in u of
-    degree at most r + 1 that vanishes at those n + 1 >= r + 2 points, so
-    the rank is at most r on the whole line.  The pivot columns S of a
-    rank-r point index a nonsingular principal submatrix (the matrix is
-    symmetric, so rows S span its row space as columns S span its column
-    space), so D_S(u) = det((A + u*B)[S, S]), of degree at most r, is not
-    identically 0, and wherever it is nonzero the rank is r.  Past the first
-    n + 1 points, D_S is taken at the last r + 1 of them and the backward
-    differences of those values are kept (see ``_minor_differences``); the
-    (r+1)-th difference of D_S is 0, so D_S at each later point comes from r
-    additions mod p, exactly, and only where it is 0 is the point
-    eliminated.  So a line of more than n + 1 points makes at most
-    (n + 1) + (r + 1) + r eliminations.
-    """
-    known = bool(dets) and any(dets)
-    # with the determinants unknown or all 0, the first n + 1 points as
-    # (flat matrix, pivots, determinant), then the rank bound r and the
-    # backward differences of D_S at the last point
-    head, fill = [], dets == []
-    r, diffs = (n, _differences(dets, p)) if known else (None, None)
-    for u in range(p):
-        if u > n:
-            if diffs is None:
-                r, diffs = _minor_differences(head, n, p)
-            if _advance(diffs, p):
-                yield r
-                continue
-        elif known and dets[u]:
-            yield n
-            continue
-        acc = [(x + u * y) % p for x, y in zip(a, b)]
-        m = [acc[i:i + n] for i in range(0, n * n, n)]
+    The corner, the first min(lines, n + 1) lines by their first
+    min(p, n + 1) points, is ranked by ``linalg.eliminate``; where p <= n + 1
+    it is the whole plane.  Let R be the largest rank in the corner.  Every
+    (R+1)-minor has degree at most R + 1 <= n in v and in u and vanishes on
+    the corner, so the rank is at most R on the whole plane.  The pivot
+    columns S of the first rank-R point of the corner index a nonsingular
+    principal submatrix (the matrix is symmetric; Gantmacher, The Theory of
+    Matrices, vol. 2, ch. XII), so D_S(v, u) = det((A + v*G + u*B)[S, S]),
+    of total degree at most R, is not identically 0, and wherever it is
+    nonzero the rank is R.  D_S is taken at the corner points v, u <= R: the
+    product of the pivots when R = n, else the det of the S x S submatrix.
+    A backward difference table for each u <= R (see ``_differences``)
+    carries it to each later line, and one for each line to each later
+    point, at R additions mod p a value, so only the zeros of D_S past the
+    corner are eliminated.  A line where D_S is 0 at u <= R has D_S = 0
+    throughout, and v - v0 divides D_S, so at most R lines are like that;
+    each is ranked as a plane of one line, with the corner's points of it
+    not eliminated again."""
+    side = min(p, n + 1)
+
+    def point(v, u):
+        flat = [(x + v * y + u * z) % p for x, y, z in zip(a, g, b)]
+        m = [flat[i:i + n] for i in range(0, n * n, n)]
         pivots = eliminate(m, n, p)
-        if u <= n and not known:
-            det = prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0
-            head.append((acc, pivots, det))
-            if fill:
-                dets.append(det)
-        yield len(pivots)
+        return flat, pivots, prod(m[i][i] for i in range(n)) % p if len(pivots) == n else 0
 
+    # the rule, on a plane of ``lines`` lines with its ranked corner; ``at``
+    # ranks a point past it
+    def ranks(corner, lines, at):
+        rank = max(len(pivots) for row in corner for _, pivots, _ in row)
+        s = next(pivots for row in corner for _, pivots, _ in row if len(pivots) == rank)
 
-def _minor_differences(head, n, p):
-    """(r, backward differences of D_S at the last point) for a line whose
-    first n + 1 points are ``head``, each as (flat matrix, pivot columns,
-    determinant): r is the largest rank among them and S the pivot columns
-    of the first point of that rank.  When r = n, S is every column and the
-    recorded determinants are the values of D_S; otherwise the S x S
-    submatrix of each of the last r + 1 points is eliminated, its
-    determinant the product of its diagonal."""
-    r = max(len(pivots) for _, pivots, _ in head)
-    s = next(pivots for _, pivots, _ in head if len(pivots) == r)
-    values = []
-    for flat, _, det in head[n - r:]:
-        if r < n:
+        def minor(flat, pivots, det):
+            if rank == n:
+                return det
             sub = [[flat[i * n + j] for j in s] for i in s]
-            det = prod(sub[i][i] for i in range(r)) % p if len(eliminate(sub, r, p)) == r else 0
-        values.append(det)
-    return r, _differences(values, p)
+            return prod(sub[i][i] for i in range(rank)) % p if len(eliminate(sub, rank, p)) == rank else 0
+
+        heads = [[minor(*corner[v][u]) for u in range(rank + 1)] for v in range(min(lines, rank + 1))]
+        columns = [_differences(column, p) for column in zip(*heads)]
+        for v in range(lines):
+            values = heads[v] if v <= rank else [_advance(t, p) for t in columns]
+            row = corner[v] if v < len(corner) else []
+            if not any(values):
+                yield from ranks([row or [at(v, u) for u in range(side)]], 1, lambda _, u: at(v, u))
+                continue
+            diffs = _differences(values, p)
+            for u in range(p):
+                d_s = values[u] if u <= rank else _advance(diffs, p)
+                if u < len(row):
+                    yield len(row[u][1])
+                else:
+                    yield rank if d_s else len(at(v, u)[1])
+
+    corner = [[point(v, u) for u in range(side)] for v in range(min(lines, side))]
+    if side == p:
+        yield from (len(pivots) for row in corner for _, pivots, _ in row)
+    else:
+        yield from ranks(corner, lines, point)
 
 
 def _differences(values, p):

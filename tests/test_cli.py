@@ -228,6 +228,10 @@ def test_certify_with_prime_override(capsys):
     assert run(["certify", "n32-lower", "--p", "7", "--json"]) == 0
     out, _ = _capture(capsys)
     assert json.loads(out)["environment"]["primes"] == [7]
+    # --p 0 is a prime override like any other, refused as no prime
+    assert run(["certify", "n32-lower", "--p", "0", "--json"]) == 2
+    out, err = _capture(capsys)
+    assert out == "" and "modulus 0 is not prime" in err
 
 
 def test_recheck_cli_round_trip(tmp_path, capsys):
@@ -466,7 +470,7 @@ def test_scan_above_the_point_limit_exits_two_before_scanning(capsys, monkeypatc
     def no_scan(*args):
         raise AssertionError("a refused scan computed a rank")
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
+    monkeypatch.setattr(quadratic, "_plane_ranks", no_scan)
     # 10^9 + 8 points; then 999984 points in 10 variables, under 10^6
     # points but not under the work limit
     for diag, p in (("1,2", "1000000007"), ("27,51,27,37,27,51,20,37,51,37", "999983")):

@@ -1,6 +1,7 @@
-"""Fuzzing of the ``quadric``, ``gb codim|dim`` and ``recheck`` commands:
-on random ``--diag`` lists, small F_p form files, singular F_p pencils and
-nets, small Q pencils, small F_p ideal files and golden certificates with
+"""Fuzzing of the ``quadric``, ``gb codim|dim|intersect|quotient``,
+``minors`` and ``recheck`` commands: on random ``--diag`` lists, small F_p
+form files, singular F_p pencils and nets, small Q pencils, small ideal
+files and pairs of them, ``--matrix`` shapes and golden certificates with
 one field changed, every operation passes (0), fails a verdict (1) or
 refuses the invocation (2) within CASE_SECONDS, and never reports an
 internal error (3).  The inputs are written here as text, without the
@@ -15,7 +16,7 @@ import time
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formstrength.certificates import CLAIMS
 from formstrength.cli import run
@@ -54,14 +55,18 @@ def diagonals(draw):
 
 @SETTINGS
 @given(operation=st.sampled_from(OPERATIONS), diag=diagonals(),
-       p=st.sampled_from((None,) + PRIMES), as_json=st.booleans())
+       p=st.sampled_from((None, 0) + PRIMES), as_json=st.booleans())
+@example(operation="rank", diag="1,2", p=0, as_json=False)
 def test_quadric_on_a_diagonal_exits_zero_one_or_two(operation, diag, p, as_json):
+    # --p 0 names no field, so it is refused (2), never read as "no --p"
     argv = ["quadric", operation, "--diag", diag]
     if p is not None:
         argv += ["--p", str(p)]
     if as_json:
         argv.append("--json")
-    _run(argv)
+    rc, _ = _run(argv)
+    if p == 0:
+        assert rc == 2, argv
 
 
 @st.composite
@@ -88,8 +93,10 @@ def form_files(draw):
 
 @SETTINGS
 @given(operation=st.sampled_from(OPERATIONS), case=form_files(),
-       p=st.sampled_from(("none", "none", "same", "same") + PRIMES), as_json=st.booleans())
+       p=st.sampled_from(("none", "none", "same", "same", 0) + PRIMES), as_json=st.booleans())
+@example(operation="rank", case=(7, "ring n=2 field=fp:7\nx1^2 + x2^2\n"), p=0, as_json=False)
 def test_quadric_on_a_form_file_exits_zero_one_or_two(tmp_path_factory, operation, case, p, as_json):
+    # --p 0 differs from the file's prime, so it is refused (2)
     prime, text = case
     path = tmp_path_factory.getbasetemp() / "fuzz-forms.txt"
     path.write_text(text)
@@ -99,6 +106,8 @@ def test_quadric_on_a_form_file_exits_zero_one_or_two(tmp_path_factory, operatio
     if as_json:
         argv.append("--json")
     got = _run(argv)
+    if p == 0:
+        assert got[0] == 2, argv
     if p == "same":
         # an --p equal to the file's prime changes nothing
         assert _run(argv[:4] + argv[6:]) == got
@@ -122,9 +131,11 @@ def q_pencils(draw):
 
 
 @SETTINGS
-@given(text=q_pencils(), p=st.sampled_from((None,) + PRIMES), as_json=st.booleans())
+@given(text=q_pencils(), p=st.sampled_from((None, 0) + PRIMES), as_json=st.booleans())
+@example(text="ring n=2 field=q\nx1^2 + x2^2\nx1^2 - x2^2\n", p=0, as_json=False)
 def test_quadric_minrank_on_a_q_pencil_exits_zero_one_or_two(tmp_path_factory, text, p, as_json):
-    # without --p the pencil is diagonalized over Q; with it, scanned mod p
+    # without --p the pencil is diagonalized over Q; with it, scanned mod p,
+    # and --p 0, which names no field, is refused (2)
     path = tmp_path_factory.getbasetemp() / "fuzz-q-pencil.txt"
     path.write_text(text)
     argv = ["quadric", "minrank", "--in", str(path)]
@@ -132,7 +143,9 @@ def test_quadric_minrank_on_a_q_pencil_exits_zero_one_or_two(tmp_path_factory, t
         argv += ["--p", str(p)]
     if as_json:
         argv.append("--json")
-    _run(argv)
+    rc, _ = _run(argv)
+    if p == 0:
+        assert rc == 2, argv
 
 
 @st.composite
@@ -219,6 +232,85 @@ def test_gb_codim_and_dim_on_an_ideal_file_exit_zero_or_two(tmp_path_factory, op
     argv = ["gb", operation, "--in", str(path)] + (["--json"] if as_json else [])
     rc, _ = _run(argv)
     assert rc == (2 if raised else 0), (text, rc)
+
+
+def _polynomials(n):
+    """Text of 0, 1, or a sum of one to three terms of degree at most 3 in
+    x1..xn, homogeneous or not.  The coefficients are 1 and 1/2, and no sum
+    of up to three of them is 0 over Q or F_7, so only the text "0" is the
+    zero polynomial."""
+    factors = st.lists(st.integers(1, n).map(lambda i: f"*x{i}"), max_size=3).map("".join)
+    terms = st.lists(st.tuples(st.sampled_from(("1", "1/2")), factors).map("".join),
+                     min_size=1, max_size=3)
+    return st.one_of(st.sampled_from(("0", "1")), terms.map(" + ".join))
+
+
+@st.composite
+def ideal_pairs(draw):
+    """(n, conflict, first file, second file): ideals in one to three
+    variables over F_7 or Q, each of up to three generators from
+    ``_polynomials``, so the empty, zero and unit ideals and inhomogeneous
+    ones occur; now and then the second file's header names another number
+    of variables or another field (``conflict``)."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(("fp:7", "q")))
+    header = f"ring n={n} field={field}"
+    other = draw(st.sampled_from([header] * 3 + [f"ring n={n % 3 + 1} field={field}",
+                                                 f"ring n={n} field={'q' if field != 'q' else 'fp:7'}"]))
+    first, second = ([head] + draw(st.lists(_polynomials(n), max_size=3)) for head in (header, other))
+    return n, other != header, "\n".join(first) + "\n", "\n".join(second) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(operation=st.sampled_from(("intersect", "quotient")), case=ideal_pairs(), data=st.data(),
+       as_json=st.booleans())
+def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_factory, operation, case, data,
+                                                                    as_json):
+    # intersect is refused (2) where the second file's ring conflicts with
+    # the first; quotient where --f is missing, 0 or names a variable past
+    # the ring; every other pair is decided (0)
+    n, conflict, first, second = case
+    paths = [tmp_path_factory.getbasetemp() / f"fuzz-gb-{k}.txt" for k in (1, 2)]
+    for path, text in zip(paths, (first, second)):
+        path.write_text(text)
+    argv = ["gb", operation, "--in", str(paths[0])] + (["--json"] if as_json else [])
+    if operation == "intersect":
+        refused = conflict
+        argv += ["--in2", str(paths[1])]
+    else:
+        divisor = data.draw(st.sampled_from((None, f"x{n + 1}", "f", "f")))
+        if divisor == "f":
+            divisor = data.draw(_polynomials(n))
+        refused = divisor in (None, "0", f"x{n + 1}")
+        argv += [] if divisor is None else ["--f", divisor]
+    rc, _ = _run(argv)
+    assert rc == (2 if refused else 0), (argv, first, second, rc)
+
+
+@st.composite
+def matrix_shapes(draw):
+    """(valid, --matrix text): R x C with R, C at most 7, half the time
+    R = C + 1, so at most 7 x 6 (8 x 7 takes about 5 s), or a malformed
+    shape."""
+    cols = draw(st.integers(0, 7))
+    rows = cols + 1 if draw(st.booleans()) else draw(st.integers(0, 7))
+    if rows > 7:
+        rows = 7
+    bad = draw(st.sampled_from([None] * 6 + ["3x", "x2", "axb", "3x2x1", "", "3*2"]))
+    if bad is not None:
+        return False, bad
+    return rows == cols + 1 and cols >= 1, f"{rows}x{cols}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(shape=matrix_shapes(), field=st.sampled_from(("q", "fp:7", "fp:2", "fp:4", "fp:0", "z")),
+       as_json=st.booleans())
+def test_minors_on_a_matrix_shape_exits_zero_or_two(shape, field, as_json):
+    # an (n + 1) x n shape over q or a prime field is built (0); any other
+    # shape or field is refused (2)
+    valid, text = shape
+    rc, _ = _run(["minors", "--matrix", text, "--field", field] + (["--json"] if as_json else []))
+    assert rc == (0 if valid and field in ("q", "fp:7", "fp:2") else 2), (text, field, rc)
 
 
 FIXTURES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0").glob("*.json"))

@@ -1,11 +1,13 @@
 """The F_p Gram-rank scans agree with a per-point reference that builds each
 combination with ``combine`` and ranks it as a form: same histogram, same
-least offender, same minrank witness, same collective strength.  The cases
-with p > n + 1 are where a scan reads a principal minor of A + u*B
-(det(A + u*B) itself on a nonsingular line) off its difference table
-instead of eliminating, and where a net's line takes det(A + u*B) at
-u <= n from the lines before it; there the references are also compared
-point by point."""
+least offender, same minrank witness, same collective strength.  A scan
+ranks the planes A + v*G + u*B of P^(r-1), and a line as a plane of one
+line; the cases with p > n + 1 are where a plane ranks the corner v, u <= n
+and reads a principal minor D_S(v, u) (det(A + v*G + u*B) itself where the
+corner has a nonsingular point) off its difference tables everywhere else,
+eliminating only its zeros, and ranks a line where D_S vanishes throughout
+as a plane of one line; there the references are also compared point by
+point, and the eliminations are counted."""
 
 import random
 from itertools import groupby
@@ -183,7 +185,7 @@ def test_scans_above_the_point_limit_are_refused_before_any_rank(monkeypatch):
     def no_scan(*args):
         raise AssertionError("a refused scan computed a rank")
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", no_scan)
+    monkeypatch.setattr(quadratic, "_plane_ranks", no_scan)
     # in 2 variables, 9 units per point: 673^2 + 673 + 1 = 453603 and
     # 1009^2 + 1009 + 1 projective points, 10^6 + 4 points; in 10 variables,
     # 121 units per point: 99992 points, under 10^6 but above the limit in
@@ -213,16 +215,16 @@ SCANS = {
                                       ("collective", 10, 2), ("minrank", 2, 2), ("minrank", 10, 2)])
 def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_limit(monkeypatch, scan, n, r):
     # the largest prime whose (p^r - 1)/(p - 1) points x (n+1)^2 are within
-    # the limit is scanned, one _gram_ranks call for each of its
-    # (p^(r-1) - 1)/(p - 1) lines, and the next prime is refused before any
-    # rank
+    # the limit is scanned, one _plane_ranks call of p lines for each of its
+    # (p^(r-2) - 1)/(p - 1) planes and one of 1 line for the line
+    # e_(r-1) + u*e_r, and the next prime is refused before any rank
     handed = []
 
-    def first_point(a, b, n, p, dets=None):
-        handed.append(p)
+    def first_point(a, g, b, lines, n, p):
+        handed.append((lines, p))
         yield n
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", first_point)
+    monkeypatch.setattr(quadratic, "_plane_ranks", first_point)
 
     def work(p):
         return (p**r - 1) // (p - 1) * (n + 1) ** 2
@@ -239,7 +241,7 @@ def test_each_scan_is_refused_exactly_where_its_projective_points_exceed_the_lim
         handed.clear()
         if work(p) <= SCAN_WORK_LIMIT:
             SCANS[scan](forms)
-            assert handed == [p] * ((p ** (r - 1) - 1) // (p - 1))
+            assert handed == [(p, p)] * ((p ** (r - 2) - 1) // (p - 1)) + [(1, p)]
         else:
             with pytest.raises(ValueError, match=f"would visit {work(p) // (n + 1) ** 2} points"):
                 SCANS[scan](forms)
@@ -274,7 +276,7 @@ def test_every_scan_ranks_the_same_point_stream(monkeypatch, p):
 
 
 # ---------------------------------------------------------------------------
-# lines A + u*B: the difference table of the principal minor D_S(u)
+# planes A + v*G + u*B: the difference tables of the principal minor D_S
 
 
 def ref_point_ranks(forms, points):
@@ -341,35 +343,41 @@ def _congruent(forms, rng):
                                   for j in range(n)] for i in range(n)]) for q in forms]
 
 
-# r = 4 over F_7: runs of p lines for each c' = (1, a) and (0, 1), then the
-# one-line run (0, 0, 1); at n = 6, p = n + 1 and no table is used
+# r = 4 over F_7: planes of p lines for each c = (1, a) and (0, 1), then the
+# line (0, 0, 1, u); at n = 6, p = n + 1 and each plane is its corner
 TABLE_NETS = [(p, n, r) for p in (31, 101) for n in (2, 4, 6) for r in (2, 3)] + [(7, n, 4) for n in (2, 4, 6)]
 
 
 def _is_head(t, n):
-    """Whether the point t of a scan is among the first n + 1 points of a
-    line that is ranked without the lines before it: one of the first
-    n + 1 lines (c', v), v <= n, of its run, or a run of one line, c' = 0."""
+    """Whether the point t of a scan is in the corner of its plane: u <= n
+    and, on a plane c + v*e_(r-1) + u*e_r, v <= n too; the line
+    e_(r-1) + u*e_r is a plane of one line."""
     c = t[:-1]
     return t[-1] <= n and (c[-1] <= n or not any(c[:-1]))
 
 
-def _spy_lines(monkeypatch):
-    """Record, in order, the determinants each line the scans rank is
-    handed ([] or the n + 1 values taken from the lines before it), and the
-    eliminations it makes."""
-    handed, counts = [], []
-    calls = _counting_eliminate(monkeypatch)
-    gram_ranks = quadratic._gram_ranks
+def _eliminations_by_point(monkeypatch, forms):
+    """The (point, rank) stream of the projective scan of ``forms``, and for
+    each elimination it makes, (the point the scan yields next, the rows it
+    is handed, as they were before the call).  A plane eliminates its corner
+    before it yields its first point."""
+    stream, calls = [], []
+    eliminate = quadratic.eliminate
 
-    def spying(a, b, n, p, dets=None):
-        handed.append(None if dets is None else list(dets))
-        start = len(calls)
-        yield from gram_ranks(a, b, n, p, dets)
-        counts.append(len(calls) - start)
+    def recording(a, *args, **kwargs):
+        calls.append((len(stream), tuple(map(tuple, a))))
+        return eliminate(a, *args, **kwargs)
 
-    monkeypatch.setattr(quadratic, "_gram_ranks", spying)
-    return handed, counts
+    monkeypatch.setattr(quadratic, "eliminate", recording)
+    for item in quadratic._projective_ranks(forms, "scan"):
+        stream.append(item)
+    return stream, [(stream[k][0], rows) for k, rows in calls]
+
+
+def _rows(forms, t):
+    """The Gram matrix of sum_i t[i] * forms[i], as the rows a scan hands to
+    an elimination."""
+    return tuple(map(tuple, combine(forms, t).gram))
 
 
 @pytest.mark.parametrize("p,n,r", TABLE_NETS)
@@ -382,23 +390,23 @@ def test_scans_where_the_difference_table_runs(monkeypatch, p, n, r):
     assert all(max(value for _, value in line) == n for line in _lines(ref)[:-1])
     calls.clear()
     list(quadratic._projective_ranks(forms, "scan"))
-    # n + 1 heads on the first n + 1 lines of each run and on a run of one
-    # line, 1 for e_r, and every other point of rank < n
+    # the corner of each plane and of the line e_(r-1) + u*e_r, 1 for e_r,
+    # and every other point of rank < n
     heads = sum(1 for t, _ in ref[:-1] if _is_head(t, n))
     low = sum(1 for t, value in ref[:-1] if value < n and not _is_head(t, n))
     assert len(calls) == heads + 1 + low
-    # lines ranked without a table: min(p, n + 1) of each run of p lines,
-    # and each run of one line
+    # the corner's lines: min(p, n + 1) of each plane of p lines, and the
+    # line
     first = min(p, n + 1)
     assert heads == (n + 1) * {2: 1, 3: first + 1, 4: (p + 1) * first + 1}[r]
 
 
 def test_net_shaped_like_the_benchmark_eliminates_a_pinned_count(monkeypatch):
     # three quadrics in 8 variables over F_61, one combination planted at
-    # Gram rank at most 4: 9 heads on each of the first 9 lines of the run
-    # (1, v) and on the line (0, 1), 1 for (0, 0, 1), and the other points
-    # of rank < 8.  While every line eliminated its own first 9 points, the
-    # 62 lines made 558 head eliminations, 609 in all
+    # Gram rank at most 4: the 9 x 9 corner of the plane (1, v, u), the
+    # first 9 points of the line (0, 1, u), 1 for (0, 0, 1), and the other
+    # points of rank < 8.  While every line eliminated its own first 9
+    # points, the 62 lines made 558 such eliminations, 609 in all
     p, n = 61, 8
     rng = random.Random("benchmark-net")
     ring = Ring.flat(n, GF(p))
@@ -416,8 +424,8 @@ def test_net_shaped_like_the_benchmark_eliminates_a_pinned_count(monkeypatch):
 @pytest.mark.parametrize("p,n,r,at", [(31, 4, 3, 0), (31, 6, 3, "n"), (101, 4, 3, 1), (7, 4, 4, "n")])
 def test_planted_low_rank_point_at_a_known_determinant(monkeypatch, p, n, r, at):
     # the combination (1, [a,] v, u) is low, of Gram rank at most 2, with v
-    # past the first n + 1 lines of its run and u <= n, so the line takes
-    # det = 0 at u from the lines before it and eliminates that point
+    # past the corner of its plane and u <= n, so its line takes det = 0 at
+    # u from the plane's column tables and eliminates that point, once
     rng = random.Random(f"planted-head:{p}:{n}:{r}:{at}")
     ring = Ring.flat(n, GF(p))
     forms = [_random_form(rng, ring) for _ in range(r)]
@@ -430,57 +438,63 @@ def test_planted_low_rank_point_at_a_known_determinant(monkeypatch, p, n, r, at)
     inv = pow(planted[k], -1, p)
     others = [q for i, q in enumerate(forms) if i != k]
     forms[k] = combine([low] + others, [inv] + [(p - c) * inv % p for i, c in enumerate(planted) if i != k])
-    handed, counts = _spy_lines(monkeypatch)
     ref = dict(_check_every_scan(forms, n))
     assert ref[planted] <= 2 < n
-    handed.clear()
-    counts.clear()
-    list(quadratic._projective_ranks(forms, "scan"))
-    line = list(projective_points(p, r - 1)).index(planted[:-1])
-    dets = handed[line]
-    assert len(dets) == n + 1 and dets[u] == 0 and any(dets)
-    assert counts[line] == sum(1 for t, value in ref.items() if t[:-1] == planted[:-1] and value < n)
+    stream, calls = _eliminations_by_point(monkeypatch, forms)
+    assert stream == list(ref.items())
+    line = planted[:-1]
+    # det(A + v*G + u*B) is not 0 at every u <= n of the line
+    assert any(ref[line + (w,)] == n for w in range(n + 1))
+    assert [t for t, _ in calls if t[:-1] == line] == [t for t, value in ref.items() if t[:-1] == line and value < n]
+    assert [rows for _, rows in calls].count(_rows(forms, planted)) == 1
 
 
-@pytest.mark.parametrize("p,n,r", [(31, 4, 3), (31, 6, 3), (7, 4, 4)])
-def test_singular_line_past_the_first_n_plus_one_of_its_run(monkeypatch, p, n, r):
+@pytest.mark.parametrize("p,n,r,where", [(31, 4, 3, "past"), (31, 6, 3, "past"), (7, 4, 4, "past"),
+                                         (31, 4, 3, "corner"), (31, 6, 3, "corner"), (7, 4, 4, "corner")])
+def test_singular_line_past_the_first_n_plus_one_of_its_run(monkeypatch, p, n, r, where):
     # the first form is k1 - v0*q, q the last form but one, and k1 shares a
     # kernel vector with the last form, so of all lines only (1, [0,] v0),
-    # v0 > n, is singular: the n + 1 determinants it takes from the lines
-    # before it are all 0, and it is ranked from its first n + 1 points and
-    # a principal minor, as a line whose determinants are not known, making
-    # at most (n + 1) + (k + 1) + k eliminations, k its largest rank
-    rng = random.Random(f"singular-line:{p}:{n}:{r}")
+    # v0 > 0, is singular, past the plane's corner (v0 > n) or in it.  The
+    # plane's D_S is det(A + v*G + u*B), 0 throughout that line, so the line
+    # is ranked as a plane of one line: its first n + 1 points, eliminated
+    # once (in the corner when v0 <= n), the S x S submatrix at k + 1 of
+    # them, k its largest rank, and the at most k roots of its own D_S, at
+    # most (n + 1) + (k + 1) + k eliminations
+    rng = random.Random(f"singular-line:{p}:{n}:{r}:{where}")
     ring = Ring.flat(n, GF(p))
     k1, k3 = _congruent([_without_last_variable(_random_form(rng, ring)) for _ in range(2)], rng)
     q2 = _random_form(rng, ring)
-    v0 = rng.randrange(n + 1, p)
+    v0 = rng.randrange(1, n + 1) if where == "corner" else rng.randrange(n + 1, p)
     forms = [combine([k1, q2], [1, p - v0])] + [_random_form(rng, ring) for _ in range(r - 3)] + [q2, k3]
     line = (1,) + (0,) * (r - 3) + (v0,)
-    handed, counts = _spy_lines(monkeypatch)
     ref = _check_every_scan(forms, n)
     by_line = {group[0][0][:-1]: [value for _, value in group] for group in _lines(ref)[:-1]}
     k = max(by_line[line])
     assert k < n
     assert sum(1 for values in by_line.values() if max(values) < n) == 1
-    handed.clear()
-    counts.clear()
-    list(quadratic._projective_ranks(forms, "scan"))
-    index = list(projective_points(p, r - 1)).index(line)
-    assert handed[index] == [0] * (n + 1)
-    assert counts[index] <= (n + 1) + (k + 1) + k
+    stream, calls = _eliminations_by_point(monkeypatch, forms)
+    assert stream == ref
+    points = {_rows(forms, t): t for t, _ in ref}
+    assert len(points) == len(ref)
+    # the points each n x n elimination ranks: none twice, and the line's
+    # first n + 1 among them
+    own = [points[rows] for _, rows in calls if len(rows) == n]
+    assert len(own) == len(set(own))
+    assert {line + (u,) for u in range(n + 1)} <= set(own)
+    minors = [t for t, rows in calls if len(rows) < n]
+    assert sum(1 for t in own + minors if t[:-1] == line) <= (n + 1) + (k + 1) + k
 
 
 # F_101 only with r = 2: a net over F_101 has 10303 points, each ranked by
-# the reference
-PENCILS_AND_NETS = [(31, 4, 3), (31, 6, 3), (101, 4, 2), (101, 6, 2)]
+# the reference; r = 4 over F_17 has 5220
+PENCILS_AND_NETS = [(31, 4, 3), (31, 6, 3), (101, 4, 2), (101, 6, 2), (17, 4, 4)]
 
 
 @pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
 def test_planted_low_rank_point_beyond_the_first_n_plus_one(p, n, r):
-    # the last form is (low - q1 - a*q2)/u, so the combination (1, [a,] u)
-    # is low, of Gram rank at most 2, with u past the points that are
-    # eliminated to fill the table
+    # the last form is (low - q1 - a*q2 - ...)/u, so the combination
+    # (1, [a, ...,] u) is low, of Gram rank at most 2, with u past the
+    # corner of its plane
     rng = random.Random(f"planted:{p}:{n}:{r}")
     ring = Ring.flat(n, GF(p))
     others = [_random_form(rng, ring) for _ in range(r - 1)]
@@ -512,27 +526,46 @@ def _lines(ref):
 
 
 def _eliminations_per_line(monkeypatch, forms, ref):
-    """How many eliminations ``_gram_ranks`` makes on each line c + u*e_r of
-    the scan, ranked on its own; the lines' ranks are checked against
-    ``ref`` in order, u = 0, ..., p - 1."""
+    """How many eliminations ``_plane_ranks`` makes on each line c + u*e_r
+    of the scan, ranked as a plane of one line; the lines' ranks are checked
+    against ``ref`` in order, u = 0, ..., p - 1."""
     n, p = forms[0].n, forms[0].domain.p
     calls = _counting_eliminate(monkeypatch)
     counts = []
     for line in _lines(ref)[:-1]:
         calls.clear()
-        assert list(quadratic._gram_ranks(*_line(forms, line[0][0][:-1]), n, p)) == [v for _, v in line]
+        a, b = _line(forms, line[0][0][:-1])
+        assert list(quadratic._plane_ranks(a, [0] * (n * n), b, 1, n, p)) == [v for _, v in line]
         assert [t[-1] for t, _ in line] == list(range(p))
         counts.append(len(calls))
     return counts
+
+
+def _work_bound(ref, n, p):
+    """The most eliminations a scan with the ranks ``ref`` makes, p > n + 1:
+    on a line, ranked as a plane of one line with largest rank R, its
+    n + 1 first points, the S x S submatrix at R + 1 of them and the at
+    most R roots of D_S; on a plane of p lines, its (n + 1)^2 corner
+    points, the S x S submatrix at (R + 1)^2 of them, at most R*p roots of
+    D_S, and at most R lines where D_S is 0 throughout, each ranked as a
+    line; and 1 for e_r."""
+    total = 1
+    for _, group in groupby(ref[:-1], key=lambda tv: tv[0][:-2] if any(tv[0][:-2]) else tv[0][:-1]):
+        values = [value for _, value in group]
+        rank = max(values)
+        line = (n + 1) + (rank + 1) + rank
+        total += line if len(values) == p else (n + 1) ** 2 + (rank + 1) ** 2 + rank * p + rank * line
+    return total
 
 
 @pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
 def test_singular_pencil_eliminates_few_points_per_line(monkeypatch, p, n, r):
     # forms that do not involve the last variable, in random coordinates,
     # share a kernel vector, so det(A + u*B) is 0 on every line.  A line of
-    # more than n + 1 points eliminates its first n + 1, the S x S submatrix
-    # at k + 1 of them, k its largest rank, and the at most k roots of D_S
-    # after them; here p > 3n + 2, so that is fewer than its points
+    # more than n + 1 points, ranked as a plane of one line, eliminates its
+    # first n + 1, the S x S submatrix at k + 1 of them, k its largest rank,
+    # and the at most k roots of D_S after them; here p > 3n + 2, so that is
+    # fewer than its points.  The scan keeps within the work of its planes
     rng = random.Random(f"singular:{p}:{n}:{r}")
     ring = Ring.flat(n, GF(p))
     forms = _congruent([_without_last_variable(_random_form(rng, ring)) for _ in range(r)], rng)
@@ -544,14 +577,19 @@ def test_singular_pencil_eliminates_few_points_per_line(monkeypatch, p, n, r):
         if len(line) > n + 1:
             k = max(value for _, value in line)
             assert count <= (n + 1) + (k + 1) + k < len(line)
+    calls = _counting_eliminate(monkeypatch)
+    list(quadratic._projective_ranks(forms, "scan"))
+    assert len(calls) <= _work_bound(ref, n, p)
 
 
 def test_minor_family_in_random_coordinates_eliminates_a_pinned_count(monkeypatch):
     # every nonzero combination of the 3x2 minor family has Gram rank 4 < 6,
-    # so every line is singular.  Its 32 lines of 31 points eliminate 7
-    # points and five 4 x 4 submatrices each, 385 with the point (0, 0, 1),
-    # plus the roots of D_S; while a singular line was ranked point by point
-    # all 993 points were eliminated
+    # so every line is singular.  The plane (1, v, u) eliminates its 7 x 7
+    # corner and twenty-five 4 x 4 submatrices, the line (0, 1, u) 7 points
+    # and five submatrices, (0, 0, 1) 1, 87 in all, and 62 roots of D_S.
+    # While each line was ranked on its own, 7 points and five submatrices
+    # each, 440 were eliminated; while a singular line was ranked point by
+    # point, all 993 points
     p = 31
     family = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p))).minors]
     forms = _congruent(family, random.Random("minors:3x2"))
@@ -559,16 +597,16 @@ def test_minor_family_in_random_coordinates_eliminates_a_pinned_count(monkeypatc
     assert {value for _, value in ref} == {4}
     calls = _counting_eliminate(monkeypatch)
     list(quadratic._projective_ranks(forms, "scan"))
-    assert len(calls) == 440
+    assert len(calls) == 87 + 62 == 149
 
 
 @pytest.mark.parametrize("p,n,r", PENCILS_AND_NETS)
 def test_singular_pencil_with_a_planted_low_rank_point(p, n, r):
     # as in the planted test above, in forms that share a kernel vector: the
-    # combination (1, [a,] u), u past the first n + 1 points, has Gram rank
-    # at most 2 on a line of rank n - 1 elsewhere, so D_S vanishes there.
-    # With the low form first, the line (1, 0, ..., u) starts at its
-    # low-rank point
+    # combination (1, [a, ...,] u), u past the corner, has Gram rank at
+    # most 2 on a line of rank n - 1 elsewhere, so D_S vanishes there.
+    # With the low form first, the line (1, 0, ..., u) and its plane start
+    # at a low-rank point, so S must come from another point
     rng = random.Random(f"planted-singular:{p}:{n}:{r}")
     ring = Ring.flat(n, GF(p))
     others = [_without_last_variable(_random_form(rng, ring)) for _ in range(r - 1)]
@@ -590,9 +628,11 @@ def test_singular_pencil_with_a_planted_low_rank_point(p, n, r):
 def test_all_zero_and_constant_lines(monkeypatch, p, n):
     # the net q, 0, 0: each line (1, a, u) is q itself (B = 0), of rank
     # n - 1; the line (0, 1, u) is all zero, so its rank bound is 0, S is
-    # empty and D_S = 1; the point (0, 0, 1) comes last.  Past the first
-    # n + 1 points only the S x S submatrices are eliminated, n for each
-    # constant line and 1 for the zero line
+    # empty and D_S = 1; the point (0, 0, 1) comes last.  Ranked as a plane
+    # of one line, each constant line eliminates its first n + 1 points and
+    # the S x S submatrix at n of them, and the zero line its first n + 1
+    # and 1; the plane (1, v, u) eliminates its (n + 1)^2 corner and the
+    # S x S submatrix at n^2 of it, and has no other point where D_S is 0
     rng = random.Random(f"constant:{p}:{n}")
     ring = Ring.flat(n, GF(p))
     q = _congruent([_without_last_variable(_random_form(rng, ring))], rng)[0]
@@ -607,11 +647,14 @@ def test_all_zero_and_constant_lines(monkeypatch, p, n):
     assert counts[:p] == [(n + 1) + n] * p
     assert {value for _, value in lines[p]} == {0} and counts[p] == (n + 1) + 1
     assert lines[-1] == [((0, 0, 1), 0)]
+    calls = _counting_eliminate(monkeypatch)
+    list(quadratic._projective_ranks(forms, "scan"))
+    assert len(calls) == (n + 1) ** 2 + n**2 + counts[p] + 1
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (5, 3)])
 def test_lines_no_longer_than_n_plus_one_are_eliminated_whole(p, r):
-    # at n = 6 a line of p <= n points never fills the table
+    # at n = 6 a plane of p <= n lines of p points is all corner
     rng = random.Random(f"short:{p}:{r}")
     ring = Ring.flat(6, GF(p))
     forms = [_random_form(rng, ring) for _ in range(r - 1)] + [_random_form(rng, ring, rank=2)]
@@ -626,8 +669,9 @@ def test_lines_no_longer_than_n_plus_one_are_eliminated_whole(p, r):
 def test_walking_a_line_from_either_end_or_from_any_point_changes_no_rank(p, n):
     # A' = A + (p - 1)*B with B' = -B walks the line A + u*B from its other
     # end, and A' = A + s*B with B' = B starts it at u = s and wraps round,
-    # so other points form the first n + 1 that are eliminated.  The same
-    # net without its last variable, in random coordinates, is singular on
+    # so other points form the corner; walking the plane A + v*G + u*B
+    # along v likewise puts other lines in its corner.  The same net
+    # without its last variable, in random coordinates, is singular on
     # every line
     rng = random.Random(f"order:{p}:{n}")
     ring = Ring.flat(n, GF(p))
@@ -635,16 +679,22 @@ def test_walking_a_line_from_either_end_or_from_any_point_changes_no_rank(p, n):
     q1, q2 = _random_form(rng, ring), _random_form(rng, ring)
     net = [q1, q2, combine([low, q1], [1, p - 1])]
     singular = _congruent([_without_last_variable(q) for q in net], rng)
+    zero = [0] * (n * n)
+
+    def walks(a, b, want):
+        # (A', B', ranks) for the walks from either end and from u = s
+        s = rng.randrange(1, p)
+        return [(a, b, want), ([(x + (p - 1) * y) % p for x, y in zip(a, b)], [-y % p for y in b], want[::-1]),
+                ([(x + s * y) % p for x, y in zip(a, b)], b, want[s:] + want[:s])]
+
     for forms in (net, singular):
-        for line in _lines(ref_point_ranks(forms, list(projective_points(p, 3))))[:-1]:
-            want = [v for _, v in line]
-            a, b = _line(forms, line[0][0][:-1])
-            s = rng.randrange(1, p)
-            assert list(quadratic._gram_ranks(a, b, n, p)) == want
-            assert list(quadratic._gram_ranks([(x + (p - 1) * y) % p for x, y in zip(a, b)],
-                                              [-y % p for y in b], n, p)) == want[::-1]
-            assert list(quadratic._gram_ranks([(x + s * y) % p for x, y in zip(a, b)], b, n, p)) == \
-                want[s:] + want[:s]
+        lines = _lines(ref_point_ranks(forms, list(projective_points(p, 3))))[:-1]
+        for line in lines:
+            for a, b, want in walks(*_line(forms, line[0][0][:-1]), [v for _, v in line]):
+                assert list(quadratic._plane_ranks(a, zero, b, 1, n, p)) == want
+        a, g, b = (_flat(q) for q in forms)
+        for a, g, want in walks(a, g, [[v for _, v in line] for line in lines[:p]]):
+            assert list(quadratic._plane_ranks(a, g, b, p, n, p)) == [v for row in want for v in row]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
