@@ -247,7 +247,10 @@ def cmd_collective(args):
 def cmd_minors(args):
     if not args.matrix:
         raise ValueError("--matrix RxC is required")
-    rows, cols = (int(v) for v in args.matrix.lower().split("x"))
+    try:
+        rows, cols = (int(v) for v in args.matrix.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--matrix takes RxC, two integers such as 4x3; got {args.matrix!r}") from None
     domain = domain_from_name(args.field)
     matrix = GenericMatrix(rows, cols, domain)
     family = maximal_minors(matrix)

@@ -1,8 +1,36 @@
 """Buchberger engine and ideal-theoretic queries.
 
-The basis computation is plain Buchberger with the Gebauer-Moeller pair
+The basis computation is Buchberger with the Gebauer-Moeller pair
 eliminations and normal (smallest-lcm-first) selection; bases are always
 interreduced, so the result is the unique reduced basis for (ideal, order).
+
+For r ≤ n homogeneous generators of degrees d_i under degrevlex, pairs
+leave the heap by ascending degree, and a Hilbert-driven criterion
+(Traverso, J. Symbolic Comput. 22, 1996) drops pairs that would reduce to
+zero.  Let L be the ideal of the leads found so far and CI(k) the t^k
+coefficient of ∏(1 - t^d_i)/(1 - t)^n, the Hilbert function of a complete
+intersection.  Once HF(R/L)(k) = CI(k), every remaining pair of degree k is
+dropped unreduced.  The equality is tested when a pair of degree k leaves
+the heap while another pair of degree k still waits, since on the last
+pair of a degree a test could save only one reduction.  This is sound
+over any field:
+
+* over the algebraic closure, which changes no Hilbert function, regular
+  sequences of r ≤ n forms of these degrees (x_i^d_i among them) form a
+  dense open set, and so do the forms where the multiplication map
+  ⊕ R_(k-d_i) → R_k has its largest rank; the two sets meet, so that rank
+  is the one of a regular sequence, dim R_k - CI(k), and HF(R/I)(k) ≥ CI(k);
+* L ⊆ in(I), so HF(R/L)(k) ≥ HF(R/in(I))(k) = HF(R/I)(k);
+* so HF(R/L)(k) = CI(k) forces L_k = in(I)_k, and an S-polynomial of
+  degree k, a member of I_k, has no lead outside L: it reduces to zero.
+
+HF(R/L) comes from the Hilbert numerator N(L) of the series N(t)/(1 - t)^n,
+kept up to date as leads arrive by N(L + (m)) = N(L) - t^|m|·N(L : m), with
+the numerators of the monomial ideals L : m by the pivot recursion of
+Bayer & Stillman (J. Symbolic Comput. 14, 1992).  The reduced basis is
+unique, so the criterion changes no result; non-homogeneous input, other
+orders and r > n (where CI(k) is no bound) run without it.
+
 Dimension comes from maximal independent variable sets of the leading-term
 ideal; every intersection, principal ones too, eliminates one auxiliary
 variable, and quotients divide an intersection through by the quotienting
@@ -25,6 +53,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from itertools import combinations
+from math import comb
 
 from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, elimination, packing
 from .poly import (
@@ -205,6 +234,95 @@ def _spair(ri, rj, lcm_key, dom):
     return work
 
 
+# ---------------------------------------------------------------------------
+# Hilbert numerators
+
+
+def _add_shifted(num, other, shift, sign):
+    """num(t) + sign·t^shift·other(t), coefficient lists from t^0 up."""
+    out = num + [0] * (shift + len(other) - len(num))
+    for j, c in enumerate(other):
+        out[j + shift] += sign * c
+    return out
+
+
+def _hilbert_numerator(monos):
+    """The numerator N of the Hilbert series N(t)/(1 - t)^n of R/L, L the
+    ideal of the given monomials, as coefficients of t^0, t^1, ...
+
+    Pivot recursion after Bayer & Stillman (J. Symbolic Comput. 14, 1992):
+    the exact sequence 0 → R/(L : p)(-|p|) → R/L → R/(L + p) → 0 gives
+    N(L) = N(L + p) + t^|p|·N(L : p).  The pivot p is x_i^e, x_i the
+    variable in most minimal generators and e the median of its exponents
+    in those of two or more variables, so L + p drops such a generator and
+    L : p lowers exponents.  Pairwise coprime generators are a regular
+    sequence, with N = ∏(1 - t^|m|).
+    """
+    gens = monos
+    if len(monos) > 1:
+        gens = []
+        for m in sorted(monos, key=sum):
+            if not any(mono_divides(g, m) for g in gens):
+                gens.append(m)
+        counts = [sum(1 for m in gens if m[v]) for v in range(len(gens[0]))]
+        i = max(range(len(counts)), key=counts.__getitem__)
+        if counts[i] > 1:
+            exps = sorted(m[i] for m in gens if m[i] and sum(1 for x in m if x) > 1)
+            e = exps[len(exps) // 2]
+            pivot = tuple(e if v == i else 0 for v in range(len(counts)))
+            colon = [_mono_colon(m, pivot) for m in gens]
+            return _add_shifted(_hilbert_numerator(gens + [pivot]), _hilbert_numerator(colon), e, 1)
+    num = [1]
+    for m in gens:
+        num = _add_shifted(num, num, sum(m), -1)
+    return num
+
+
+def _mono_colon(m, p):
+    """The generator m / gcd(m, p) of (m) : p."""
+    return tuple(a - b if a > b else 0 for a, b in zip(m, p))
+
+
+def _hilbert_value(num, n, k):
+    """The t^k coefficient of num(t)/(1 - t)^n."""
+    return sum(c * comb(k - j + n - 1, n - 1) for j, c in enumerate(num[: k + 1]))
+
+
+class _HilbertBound:
+    """The complete-intersection bound of Traverso's Hilbert-driven
+    Buchberger (see the module docstring) for r ≤ n homogeneous forms of
+    degrees d_i under degrevlex.  It keeps the leads L it has taken in and
+    ``excess``, N(L) - ∏(1 - t^d_i), the numerator of HF(R/L) - CI."""
+
+    __slots__ = ("n", "leads", "excess")
+
+    def __init__(self, n, degrees):
+        ci = [1]
+        for d in degrees:
+            ci = _add_shifted(ci, ci, d, -1)
+        self.n = n
+        self.leads = []
+        self.excess = [-c for c in ci]
+        self.excess[0] += 1
+
+    @classmethod
+    def of(cls, gens, n):
+        """The bound for the generators, or None where it does not hold."""
+        degrees = [{sum(m) for m in g.terms} for g in gens]
+        if len(gens) <= n and all(len(d) == 1 for d in degrees):
+            return cls(n, [d.pop() for d in degrees])
+        return None
+
+    def full(self, leads, k):
+        """True when HF(R/L)(k) = CI(k), that is L_k = in(I)_k, after taking
+        in the leads past those it has, by N(L + (m)) = N(L) - t^|m|·N(L : m)."""
+        for m in leads[len(self.leads):]:
+            colon = _hilbert_numerator([_mono_colon(g, m) for g in self.leads])
+            self.excess = _add_shifted(self.excess, colon, sum(m), -1)
+            self.leads.append(m)
+        return not _hilbert_value(self.excess, self.n, k)
+
+
 def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``."""
     gens = [g for g in gens if g.terms]
@@ -272,11 +390,28 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
         if rem:
             add_element(rem)
 
+    # pairs leave the heap by ascending degree.  The Hilbert bound is tested
+    # at a pair only while another pair of its degree waits: on the last one
+    # a test could save one reduction, which on small input costs no more
+    # than the test.  The bound is set up at its first test.
+    hilbert = order == DEGREVLEX
+    bound = degree = full = None
     while heap:
         _, i, j = heappop(heap)
         l = pairs.pop((i, j), None)
         if l is None:
             continue
+        if hilbert:
+            if sum(l) != degree:
+                degree, full = sum(l), False
+            waiting = pairs.get(heap[0][1:]) if heap else None
+            if not full and heap and (waiting is None or sum(waiting) == degree):
+                if bound is None:
+                    bound = _HilbertBound.of(gens, ring.nvars)
+                    hilbert = bound is not None
+                full = hilbert and bound.full(lms, degree)
+            if full:
+                continue
         work = _spair(reducers[i], reducers[j], enc(l), dom)
         if not work:
             continue

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +45,14 @@ def random_poly(rng, ring, max_degree=3, max_terms=4, homogeneous=False, degree=
 
 def random_homogeneous(rng, ring, degree, max_terms=4):
     return random_poly(rng, ring, homogeneous=True, degree=degree, max_terms=max_terms)
+
+
+def dense_form(rng, ring, degree, tails=False):
+    """Every monomial of the degree (and of every lower degree, with
+    ``tails``) with a coefficient drawn from 1..6."""
+    monos = product(range(degree + 1), repeat=ring.nvars)
+    return Poly(ring, {m: ring.domain.from_int(rng.randint(1, 6)) for m in monos
+                       if sum(m) == degree or tails and sum(m) < degree})
 
 
 def mono_div(a, b):

@@ -431,6 +431,14 @@ def test_minors_outside_the_column_limit_exit_two_before_any_determinant(capsys,
     assert f"between 1 and {minors.MINOR_COLS_LIMIT}" in err
 
 
+@pytest.mark.parametrize("shape", ["3x2x1", "axb", "3x", "x2", "3*2"])
+def test_malformed_matrix_shape_names_the_option(capsys, shape):
+    assert run(["minors", "--matrix", shape]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "--matrix" in err and "RxC" in err and repr(shape) in err
+
+
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
     # every input exponent is within the key limit, but reduction by
     # x1*x2 - x3^2 carries x3 past it: an engine overflow, not bad input

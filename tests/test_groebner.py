@@ -1,21 +1,27 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import formstrength.groebner as groebner
 from formstrength.domains import GF, QQ
 from formstrength.groebner import (
     Ideal,
+    _add_shifted,
+    _hilbert_numerator,
+    _hilbert_value,
+    _HilbertBound,
     codimension,
     dimension,
     groebner_basis,
     normal_form,
 )
+from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.orders import LEX
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 
-from conftest import random_homogeneous, random_poly, spolynomial
+from conftest import dense_form, random_homogeneous, random_poly, spolynomial
 
 
 def test_coordinate_ideal_already_reduced():
@@ -169,3 +175,109 @@ def test_spolynomial_certificate_on_minor_bases(family_3x2_q, family_4x3_f7):
         basis = family.ideal().groebner()
         for f, g in combinations(basis.elements, 2):
             assert normal_form(spolynomial(f, g), basis).is_zero()
+
+
+def _box_numerator(gens, n):
+    """Brute-force Hilbert numerator of R/(gens), gens exponent tuples.
+
+    Divisibility by a generator reads each exponent only up to a_i, the
+    largest exponent of x_i among the generators, so a monomial m is
+    standard exactly when its cap min(m, a) is.  Counting the standard caps
+    in the box [0, a] gives HS(R/L) = Σ_c ∏_i s_i(c_i), s_i(c) = t^c below
+    a_i and t^(a_i)/(1 - t) at it; times (1 - t)^n that is the numerator."""
+    a = [max((g[i] for g in gens), default=0) for i in range(n)]
+    num = {}
+    for cap in product(*(range(e + 1) for e in a)):
+        if any(all(x >= y for x, y in zip(cap, g)) for g in gens):
+            continue
+        # each factor is t^(c_i) - t^(c_i + 1) or t^(a_i): one sign, one shift
+        shift = sum(cap)
+        for below in product(*((0,) if c == e else (0, 1) for c, e in zip(cap, a))):
+            j = shift + sum(below)
+            num[j] = num.get(j, 0) + (-1) ** sum(below)
+    top = max((j for j, c in num.items() if c), default=-1)
+    return [num.get(j, 0) for j in range(top + 1)]
+
+
+def _standard_count(gens, n, k):
+    """The number of monomials of degree k outside the ideal of gens."""
+    return sum(
+        1
+        for m in product(range(k + 1), repeat=n)
+        if sum(m) == k and not any(all(x >= y for x, y in zip(m, g)) for g in gens)
+    )
+
+
+def _strip(num):
+    num = list(num)
+    while num and not num[-1]:
+        num.pop()
+    return num
+
+
+def _monomial_ideals():
+    rng = random.Random(19)
+    for n in range(1, 5):
+        yield n, []                                        # the zero ideal
+        yield n, [(0,) * n]                                # the unit ideal
+        yield n, [(0,) * n, (1,) + (0,) * (n - 1)]
+        # pairwise coprime: pure powers, then disjoint mixed supports
+        yield n, [tuple(rng.randint(1, 8) if v == i else 0 for v in range(n)) for i in range(n)]
+        if n >= 2:
+            yield n, [(2, 3) + (0,) * (n - 2)] + ([(0, 0, 1, 4)[:n]] if n == 4 else [])
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                m = [0] * n
+                for _ in range(rng.randint(1, 8)):
+                    m[rng.randrange(n)] += 1
+                gens.append(tuple(m))
+            yield n, gens
+
+
+def test_hilbert_numerator_counts_standard_monomials():
+    for n, gens in _monomial_ideals():
+        num = _hilbert_numerator(gens)
+        assert _strip(num) == _box_numerator(gens, n), gens
+        for k in range(11):
+            assert _hilbert_value(num, n, k) == _standard_count(gens, n, k), (gens, k)
+        # the bound's incremental update, N(L + (m)) = N(L) - t^|m| N(L : m);
+        # with no forms CI = 1, so its excess is N(L) - 1
+        bound = _HilbertBound(n, [])
+        for t in range(1, len(gens) + 1):
+            bound.full(gens[:t], 0)
+            assert _strip(_add_shifted(bound.excess, [1], 0, 1)) == _strip(_hilbert_numerator(gens[:t]))
+
+
+@pytest.mark.parametrize("n, degree", [(6, 2), (5, 3)])
+def test_dense_regular_triples_reach_zero_in_no_reduction(monkeypatch, n, degree):
+    # a regular sequence meets the complete-intersection bound in every
+    # degree, so each S-pair that would reduce to zero is dropped unreduced
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(n)
+    forms = [dense_form(rng, ring, degree) for _ in range(3)]
+    reduce_terms = groebner._reduce_terms
+    zeros = []
+
+    def counted(work, *args):
+        rem = reduce_terms(work, *args)
+        zeros.append(not rem)
+        return rem
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counted)
+    basis = groebner_basis(forms)
+    assert zeros and not any(zeros)
+    assert codimension(Ideal(ring, forms)) == 3
+    for f, g in combinations(basis.elements, 2):
+        assert normal_form(spolynomial(f, g), basis).is_zero()
+
+
+@pytest.mark.parametrize("rows, domain", [(4, QQ), (7, GF(32003))])
+def test_maximal_minor_bases_are_the_minors(rows, domain):
+    # maximal minors are a universal Groebner basis (Bernstein & Zelevinsky,
+    # J. Algebraic Combin. 2, 1993), so their reduced basis is the monic
+    # minors themselves; the minors are not a regular sequence, and the
+    # bound must leave that basis as it was
+    family = maximal_minors(GenericMatrix(rows, rows - 1, domain))
+    basis = groebner_basis(family.minors)
+    assert sorted(basis.elements, key=str) == sorted((f.monic() for f in family.minors), key=str)

@@ -6,11 +6,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from formstrength.domains import QQ
+import formstrength.groebner as groebner
+from formstrength.domains import GF, QQ
 from formstrength.groebner import groebner_basis
 from formstrength.poly import Ring
 
-from conftest import random_poly
+from conftest import dense_form, random_homogeneous, random_poly
 
 
 def _to_sympy(f, xs):
@@ -47,3 +48,66 @@ def test_reduced_bases_match_sympy():
         assert _monic_strings([_to_sympy(g, xs) for g in mine.elements], xs) == _monic_strings(
             list(theirs.exprs), xs
         )
+
+
+def _system(rng, kind, ring):
+    """Generators of one of the shapes the Hilbert-driven pair criterion
+    sees, or (r > n, inhomogeneous) must stay off for."""
+    n = ring.nvars
+
+    def forms(count, max_terms=4):
+        return [random_homogeneous(rng, ring, rng.randint(1, 3), max_terms) for _ in range(count)]
+
+    def dense(count, tails=False):
+        # the criterion drops pairs where a degree has several, and dense
+        # forms of degree 2 and 3 give it many
+        return [dense_form(rng, ring, rng.randint(2, 3), tails) for _ in range(count)]
+
+    if kind == "regular":
+        return dense(rng.randint(2, n))
+    if kind == "planted":
+        g = random_homogeneous(rng, ring, rng.randint(1, 2), 3)
+        return [g * f for f in forms(rng.randint(2, n))]
+    if kind == "repeated":
+        fs = forms(rng.randint(1, n - 1))
+        return fs + [fs[0]]
+    if kind == "monomial":
+        return [random_homogeneous(rng, ring, rng.randint(1, 4), 1) for _ in range(rng.randint(1, n + 1))]
+    if kind == "artinian":
+        return dense(n)
+    if kind == "inhomogeneous":
+        return dense(rng.randint(2, min(n, 3)), tails=True)
+    assert kind == "overdetermined"
+    return forms(n + rng.randint(1, 2))
+
+
+def _sympy_poly(expr, xs, modulus):
+    p = sympy.Poly(expr, *xs, modulus=modulus) if modulus else sympy.Poly(expr, *xs, domain="QQ")
+    return p.monic()
+
+
+KINDS = ["regular", "planted", "repeated", "monomial", "artinian", "overdetermined", "inhomogeneous"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)], ids=["q", "f7", "f32003"])
+def test_bases_around_the_hilbert_criterion_match_sympy(monkeypatch, kind, domain):
+    fired = []
+    full = groebner._HilbertBound.full
+    monkeypatch.setattr(groebner._HilbertBound, "full", lambda self, leads, k: fired.append(full(self, leads, k)) or fired[-1])
+    rng = random.Random(f"{kind}:{domain.name}")
+    p = domain.characteristic
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        ring = Ring.flat(n, domain)
+        gens = _system(rng, kind, ring)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        mine = [_sympy_poly(_to_sympy(g, xs), xs, p) for g in groebner_basis(gens)]
+        theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order="grevlex", modulus=p or None)
+        theirs = [_sympy_poly(e, xs, p) for e in theirs.exprs]
+        assert sorted(map(str, mine)) == sorted(map(str, theirs)), [str(g) for g in gens]
+    # the criterion runs for r <= n forms only, and drops pairs on these inputs
+    if kind in ("overdetermined", "inhomogeneous"):
+        assert not fired
+    elif kind in ("regular", "artinian"):
+        assert any(fired)
