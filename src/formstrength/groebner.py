@@ -34,8 +34,12 @@ orders and r > n (where CI(k) is no bound) run without it.
 Dimension comes from maximal independent variable sets of the leading-term
 ideal; every intersection, principal ones too, eliminates one auxiliary
 variable, and quotients divide an intersection through by the quotienting
-element.  Nothing here computes a gcd, so the direct regular-sequence test
-never shares code with the gcd route of the two-form check.
+element.  For homogeneous ideals the Hilbert series of I ∩ J is known in
+advance, N(R/I) + N(R/J) - N(R/(I + J)) over (1 - t)^n, so the elimination
+basis stops once its t-free leads reach it (proof at ``ideal_intersection``)
+and the pairs left are never reduced.  Nothing here computes a gcd, so the
+direct regular-sequence test never shares code with the gcd route of the
+two-form check.
 
 All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
 (CASC 2007).  Inside it a monomial is its packed order key (see
@@ -289,37 +293,41 @@ def _hilbert_value(num, n, k):
 
 
 class _HilbertBound:
-    """The complete-intersection bound of Traverso's Hilbert-driven
-    Buchberger (see the module docstring) for r ≤ n homogeneous forms of
-    degrees d_i under degrevlex.  It keeps the leads L it has taken in and
-    ``excess``, N(L) - ∏(1 - t^d_i), the numerator of HF(R/L) - CI."""
+    """N(L) - T, the numerator of HF(R/L) minus the Hilbert function with
+    numerator T, for the leads L it has taken in.  Under degrevlex T is the
+    complete-intersection numerator ∏(1 - t^d_i) of Traverso's bound (see
+    the module docstring); for an intersection it is that of R/(I ∩ J) (see
+    ``ideal_intersection``)."""
 
     __slots__ = ("n", "leads", "excess")
 
-    def __init__(self, n, degrees):
-        ci = [1]
-        for d in degrees:
-            ci = _add_shifted(ci, ci, d, -1)
+    def __init__(self, n, target):
         self.n = n
         self.leads = []
-        self.excess = [-c for c in ci]
-        self.excess[0] += 1
+        self.excess = _add_shifted([1], target, 0, -1)
 
     @classmethod
     def of(cls, gens, n):
         """The bound for the generators, or None where it does not hold."""
         degrees = [{sum(m) for m in g.terms} for g in gens]
         if len(gens) <= n and all(len(d) == 1 for d in degrees):
-            return cls(n, [d.pop() for d in degrees])
+            ci = [1]
+            for d in degrees:
+                ci = _add_shifted(ci, ci, d.pop(), -1)
+            return cls(n, ci)
         return None
 
-    def full(self, leads, k):
-        """True when HF(R/L)(k) = CI(k), that is L_k = in(I)_k, after taking
-        in the leads past those it has, by N(L + (m)) = N(L) - t^|m|·N(L : m)."""
-        for m in leads[len(self.leads):]:
+    def take(self, leads):
+        """Take in more leads, by N(L + (m)) = N(L) - t^|m|·N(L : m)."""
+        for m in leads:
             colon = _hilbert_numerator([_mono_colon(g, m) for g in self.leads])
             self.excess = _add_shifted(self.excess, colon, sum(m), -1)
             self.leads.append(m)
+
+    def full(self, leads, k):
+        """True when HF(R/L)(k) = CI(k), that is L_k = in(I)_k, after taking
+        in the leads past those it has."""
+        self.take(leads[len(self.leads):])
         return not _hilbert_value(self.excess, self.n, k)
 
 
@@ -335,7 +343,15 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
             raise ValueError("generators live in different rings")
     if not gens:
         return GroebnerBasis(ring, order, [])
+    return _reduced(*_buchberger(gens, order, ring), order, ring)
 
+
+def _buchberger(gens, order, ring, stop=None):
+    """The reducers and leading monomials of a Groebner basis of the nonzero
+    ``gens``, not minimal and not reduced.  ``stop``, called before each
+    pair is reduced with the leads and the number of other pairs waiting,
+    ends the pair loop when it returns True; the basis is then partial, so
+    only ``ideal_intersection`` passes one."""
     dom = ring.domain
     pk = packing(order, ring.nvars)
     enc = pk.key
@@ -412,13 +428,22 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
                 full = hilbert and bound.full(lms, degree)
             if full:
                 continue
+        elif stop is not None and stop(lms, len(pairs)):
+            break
         work = _spair(reducers[i], reducers[j], enc(l), dom)
         if not work:
             continue
         rem = _reduce_terms(work, reducers, pk, dom)
         if rem:
             add_element(rem)
+    return reducers, lms
 
+
+def _reduced(reducers, lms, order, ring):
+    """The reduced basis of a Groebner basis given as ``_buchberger`` leaves
+    it: minimalized, interreduced, monic, by descending leads."""
+    pk = packing(order, ring.nvars)
+    dom = ring.domain
     # minimalize: drop elements whose lead is divisible by another lead
     order_idx = sorted(range(len(reducers)), key=lambda t: -reducers[t][0])
     minimal = []
@@ -527,9 +552,33 @@ def _unshift_poly(f, ring):
     return Poly(ring, terms, _clean=False)
 
 
-def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
+def ideal_intersection(I: Ideal, J: Ideal, _sum=None) -> Ideal:
     """I ∩ J via the auxiliary-variable construction: eliminate t from
-    t*I + (1-t)*J; for <f> and <g> this yields <monic lcm(f, g)>."""
+    K = t·I + (1 - t)·J; for <f> and <g> this yields <monic lcm(f, g)>.
+
+    For homogeneous I and J the elimination basis stops as soon as the
+    leads L0 of its t-free elements B0 have the Hilbert numerator
+    N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J), read off the exact sequence
+    0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0.  That is sound:
+
+    * with deg t = 0 the generators of K are homogeneous in x, so B0 lies in
+      K ∩ k[x] = I ∩ J and L0 ⊆ in(I ∩ J), degrevlex being the order the
+      block order induces on t-free monomials;
+    * a monomial ideal inside another with the same Hilbert series is equal
+      to it, so L0 = in(I ∩ J), and B0 is a Groebner basis of I ∩ J;
+    * under the block order a lead with t divides no t-free monomial, so
+      minimalizing and interreducing B0 alone gives the t-free part of the
+      reduced basis of K, the unique reduced basis of I ∩ J, as a full run.
+
+    The test is made before a pair is reduced, and only when t-free leads
+    have arrived since the last test.  Its target needs N(R/(f)) = 1 - t^deg f
+    for a principal ideal and a degrevlex basis, cached on the ``Ideal``, for
+    any other; it is computed at the first test where at least
+    ``_PAIRS_PER_BASIS`` pairs wait for each basis not yet cached, since on
+    small input a basis costs more than the pairs it could save.  ``_sum``,
+    an ideal equal to I + J, lends its cached basis
+    (``is_regular_sequence_direct`` passes the next prefix).  Non-homogeneous
+    input runs to the end."""
     ring = I.ring
     if ring != J.ring:
         raise ValueError("ideals live in different rings")
@@ -540,9 +589,56 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     one = ext.one()
     gens = [t * _shift_poly(g, ext) for g in I.gens]
     gens += [(one - t) * _shift_poly(g, ext) for g in J.gens]
-    basis = groebner_basis(gens, elimination(1), ring=ext)
-    kept = [g for g in basis if not any(m[0] for m in g.terms)]
-    return Ideal(ring, [_unshift_poly(g, ring) for g in kept])
+    stop = None
+    if I.is_homogeneous() and J.is_homogeneous():
+        stop = _IntersectionStop(I, J, _sum if _sum is not None else Ideal(ring, I.gens + J.gens))
+    order = elimination(1)
+    reducers, lms = _buchberger(gens, order, ext, stop)
+    kept = [e for e, m in enumerate(lms) if not m[0]]
+    basis = _reduced([reducers[e] for e in kept], [lms[e] for e in kept], order, ext)
+    return Ideal(ring, [_unshift_poly(g, ring) for g in basis])
+
+
+def _numerator(ideal):
+    """The Hilbert numerator of R/I for a homogeneous ideal."""
+    if len(ideal.gens) == 1:
+        return _add_shifted([1], [1], ideal.gens[0].degree(), -1)
+    return _hilbert_numerator(ideal.groebner().lead_monomials)
+
+
+# An intersection's target is computed once this many pairs wait for each
+# degrevlex basis it still needs: on small input a basis costs about as much
+# as that many reductions of the elimination basis.
+_PAIRS_PER_BASIS = 4
+
+
+class _IntersectionStop:
+    """The stop rule of ``ideal_intersection``: True once the t-free leads
+    have the Hilbert numerator of R/(I ∩ J)."""
+
+    __slots__ = ("ideals", "bound")
+
+    def __init__(self, I, J, joined):
+        self.ideals = (I, J, joined)
+        self.bound = None
+
+    def __call__(self, lms, waiting):
+        """Test the t-free leads among ``lms`` when some are new since the
+        last test, ``waiting`` other pairs waiting."""
+        leads = [m[1:] for m in lms if not m[0]]
+        bound = self.bound
+        if bound is None:
+            missing = sum(len(i.gens) > 1 and i._basis is None for i in self.ideals)
+            if not leads or waiting < _PAIRS_PER_BASIS * missing:
+                return False
+            I, J, joined = self.ideals
+            target = _add_shifted(_numerator(I), _numerator(J), 0, 1)
+            target = _add_shifted(target, _numerator(joined), 0, -1)
+            bound = self.bound = _HilbertBound(I.ring.nvars, target)
+        elif len(bound.leads) == len(leads):
+            return False
+        bound.take(leads[len(bound.leads):])
+        return not any(bound.excess)
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly:
@@ -560,14 +656,15 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return _decode(pk, {q: mul(c, inv) for q, c in quot.items()}, ring)
 
 
-def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
-    """(I : f) computed as (I ∩ <f>) / f."""
+def ideal_quotient(I: Ideal, f: Poly, _sum=None) -> Ideal:
+    """(I : f) computed as (I ∩ <f>) / f; ``_sum`` as in
+    ``ideal_intersection``."""
     if not f.terms:
         raise ValueError("ideal quotient by the zero polynomial")
     ring = I.ring
     if not I.gens:
         return Ideal(ring, [])
-    inter = ideal_intersection(I, Ideal(ring, [f]))
+    inter = ideal_intersection(I, Ideal(ring, [f]), _sum)
     return Ideal(ring, [exact_divide(g, f).monic() for g in inter.gens])
 
 
@@ -595,12 +692,18 @@ def is_regular_sequence_codim(fs) -> bool:
 
 def is_regular_sequence_direct(fs) -> bool:
     """Definition-based test: each form a nonzerodivisor modulo its
-    predecessors, via ideal quotients."""
+    predecessors, via ideal quotients.  The I + (f) of one step is the
+    prefix I of the next, so each prefix's degrevlex basis is computed once,
+    ahead of the step before it, whose intersection stop needs it too."""
     _check_regseq_input(fs)
     ring = fs[0].ring
+    prefix = Ideal(ring, fs[:1])
     for i in range(1, len(fs)):
-        prefix = Ideal(ring, fs[:i])
-        quotient = ideal_quotient(prefix, fs[i])
+        joined = Ideal(ring, fs[: i + 1])
+        if i + 1 < len(fs):
+            joined.groebner()
+        quotient = ideal_quotient(prefix, fs[i], joined)
         if not prefix.contains_ideal(quotient):
             return False
+        prefix = joined
     return True

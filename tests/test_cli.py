@@ -13,7 +13,7 @@ import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
 from formstrength.domains import GF, QQ
-from formstrength.orders import MAX_EXPONENT
+from formstrength.orders import DEGREVLEX, MAX_EXPONENT
 from formstrength.parse import dump_ideal_text
 from formstrength.poly import Poly, Ring
 
@@ -842,21 +842,34 @@ def test_regseq_on_dense_cubic_multiples_over_q_finds_the_common_cubic(tmp_path,
     assert report["gcd"] == str(g.monic()) and report["agree"]
 
 
-def test_two_form_regseq_computes_one_gcd_and_three_bases(tmp_path, capsys, monkeypatch):
-    calls = {"gcd": 0, "basis": 0}
+@pytest.mark.parametrize(
+    "text, code, counts",
+    [
+        # the codim basis, the prefix (f1) and one elimination
+        (REGSEQ_PAIR_F7, 1, {"gcd": 1, "degrevlex": 2, "elimination": 1}),
+        # the codim basis, the prefixes (f1) and (f1, f2), two eliminations,
+        # and (f1, f2, f3) for the Hilbert target of the last elimination
+        (REGSEQ_NET_F7, 0, {"gcd": 0, "degrevlex": 4, "elimination": 2}),
+    ],
+    ids=["pair", "net"],
+)
+def test_regseq_computes_one_gcd_per_pair_and_a_pinned_count_of_bases(tmp_path, capsys, monkeypatch, text, code, counts):
+    calls = {"gcd": 0, "degrevlex": 0, "elimination": 0}
+    gcd_fn, buchberger = polygcd.multivariate_gcd, groebner._buchberger
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def gcd(*args):
+        calls["gcd"] += 1
+        return gcd_fn(*args)
 
-    gcd = counted("gcd", polygcd.multivariate_gcd)
+    def basis(gens, order, ring, stop=None):
+        calls["degrevlex" if order == DEGREVLEX else "elimination"] += 1
+        return buchberger(gens, order, ring, stop)
+
     monkeypatch.setattr(polygcd, "multivariate_gcd", gcd)
     monkeypatch.setattr(cli, "multivariate_gcd", gcd)
-    monkeypatch.setattr(groebner, "groebner_basis", counted("basis", groebner.groebner_basis))
+    monkeypatch.setattr(groebner, "_buchberger", basis)
     path = tmp_path / "sys.txt"
-    path.write_text(REGSEQ_PAIR_F7)
-    assert run(["regseq", "--json", "--in", str(path)]) == 1
+    path.write_text(text)
+    assert run(["regseq", "--json", "--in", str(path)]) == code
     _capture(capsys)
-    assert calls == {"gcd": 1, "basis": 3}
+    assert calls == counts

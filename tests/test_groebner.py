@@ -14,10 +14,12 @@ from formstrength.groebner import (
     codimension,
     dimension,
     groebner_basis,
+    ideal_intersection,
+    is_regular_sequence_direct,
     normal_form,
 )
 from formstrength.minors import GenericMatrix, maximal_minors
-from formstrength.orders import LEX
+from formstrength.orders import LEX, elimination, packing
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 
@@ -242,8 +244,8 @@ def test_hilbert_numerator_counts_standard_monomials():
         for k in range(11):
             assert _hilbert_value(num, n, k) == _standard_count(gens, n, k), (gens, k)
         # the bound's incremental update, N(L + (m)) = N(L) - t^|m| N(L : m);
-        # with no forms CI = 1, so its excess is N(L) - 1
-        bound = _HilbertBound(n, [])
+        # against the target numerator 1, CI of no forms, its excess is N(L) - 1
+        bound = _HilbertBound(n, [1])
         for t in range(1, len(gens) + 1):
             bound.full(gens[:t], 0)
             assert _strip(_add_shifted(bound.excess, [1], 0, 1)) == _strip(_hilbert_numerator(gens[:t]))
@@ -281,3 +283,44 @@ def test_maximal_minor_bases_are_the_minors(rows, domain):
     family = maximal_minors(GenericMatrix(rows, rows - 1, domain))
     basis = groebner_basis(family.minors)
     assert sorted(basis.elements, key=str) == sorted((f.monic() for f in family.minors), key=str)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_direct_route_eliminations_on_dense_regular_triples_reach_zero_in_no_reduction(monkeypatch, n):
+    # each step's elimination basis stops once its t-free leads have the
+    # Hilbert numerator of I ∩ (f), so the pairs that would reduce to zero
+    # after that are dropped unreduced; with the stop never firing they are not
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(n)
+    forms = [dense_form(rng, ring, 2) for _ in range(3)]
+    elim = packing(elimination(1), n + 1)
+    reduce_terms, stop = groebner._reduce_terms, groebner._IntersectionStop.__call__
+    zeros, fired = [], []
+
+    def counted(work, reducers, pk, *args):
+        rem = reduce_terms(work, reducers, pk, *args)
+        if pk is elim:
+            zeros.append(not rem)
+        return rem
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counted)
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: fired.append(stop(self, *a)) or fired[-1])
+    assert is_regular_sequence_direct(forms)
+    assert zeros and not any(zeros)
+    assert fired.count(True) == 2  # one stop in each of the two eliminations
+    zeros.clear()
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: False)
+    assert is_regular_sequence_direct(forms)
+    assert zeros.count(True) == 8
+
+
+def test_inhomogeneous_intersection_never_tests_the_stop(monkeypatch):
+    ring = Ring.flat(2, QQ)
+    x1, x2 = ring.gens()
+    calls = []
+    stop = groebner._IntersectionStop.__call__
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: calls.append(a) or stop(self, *a))
+    one = ring.one()
+    inter = ideal_intersection(Ideal(ring, [x1 + one]), Ideal(ring, [x2 + one]))
+    assert inter.gens == [(x1 + one) * (x2 + one)]
+    assert not calls

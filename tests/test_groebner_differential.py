@@ -8,7 +8,7 @@ sympy = pytest.importorskip("sympy")
 
 import formstrength.groebner as groebner
 from formstrength.domains import GF, QQ
-from formstrength.groebner import groebner_basis
+from formstrength.groebner import Ideal, groebner_basis, ideal_intersection, ideal_quotient
 from formstrength.poly import Ring
 
 from conftest import dense_form, random_homogeneous, random_poly
@@ -111,3 +111,92 @@ def test_bases_around_the_hilbert_criterion_match_sympy(monkeypatch, kind, domai
         assert not fired
     elif kind in ("regular", "artinian"):
         assert any(fired)
+
+
+
+def _intersection_case(rng, kind, ring):
+    """(I, J), generator lists of one of the shapes the stop rule of
+    ``ideal_intersection`` meets; J[0] is also the quotient's divisor."""
+
+    def forms(count, degree=None, max_terms=3):
+        return [random_homogeneous(rng, ring, degree or rng.randint(1, 2), max_terms) for _ in range(count)]
+
+    if kind == "regular":
+        return forms(rng.randint(1, 2)), forms(rng.randint(1, 2))
+    if kind == "planted":
+        # a common factor g makes g·h a zerodivisor modulo I
+        g = forms(1, 1)[0]
+        return [g * h for h in forms(rng.randint(1, 2), 1)], [g * forms(1, 1)[0]]
+    if kind == "contained":
+        I = forms(rng.randint(1, 2))
+        return I, [I[0] * forms(1, 1)[0]]
+    if kind == "equal":
+        I = forms(rng.randint(1, 2))
+        return I, I[::-1]
+    if kind == "unit":
+        return forms(rng.randint(1, 2)), [ring.one()]
+    if kind == "zero":
+        return forms(rng.randint(1, 2)), []
+    assert kind == "monomial"
+    return forms(rng.randint(1, 3), max_terms=1), forms(rng.randint(1, 2), max_terms=1)
+
+
+def _sympy_poly_in(expr, xs, modulus):
+    return sympy.Poly(expr, *xs, modulus=modulus) if modulus else sympy.Poly(expr, *xs, domain="QQ")
+
+
+def _sympy_intersection(I, J, xs, p):
+    """The t-free elements of sympy's lex basis of t·I + (1 - t)·J."""
+    if not I or not J:
+        return []
+    t = sympy.Symbol("t")
+    gens = [t * _to_sympy(f, xs) for f in I] + [(1 - t) * _to_sympy(g, xs) for g in J]
+    basis = sympy.groebner(gens, t, *xs, order="lex", modulus=p or None)
+    return [e for e in basis.exprs if not e.has(t)]
+
+
+def _reduced_grevlex(exprs, xs, p):
+    if not exprs:
+        return []
+    basis = sympy.groebner(exprs, *xs, order="grevlex", modulus=p or None)
+    return sorted(str(_sympy_poly(e, xs, p)) for e in basis.exprs)
+
+
+INTERSECTION_KINDS = ["regular", "planted", "contained", "equal", "unit", "zero", "monomial"]
+
+
+@pytest.mark.parametrize("kind", INTERSECTION_KINDS)
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)], ids=["q", "f7", "f32003"])
+def test_intersections_and_quotients_match_sympy_elimination(monkeypatch, kind, domain):
+    # each case runs with the stop's target gated as shipped and with it
+    # computed at the first t-free lead: the gate must change no result
+    fired = []
+    stop = groebner._IntersectionStop.__call__
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: fired.append(stop(self, *a)) or fired[-1])
+    gated = groebner._PAIRS_PER_BASIS
+    rng = random.Random(f"intersect:{kind}:{domain.name}")
+    p = domain.characteristic
+    for _ in range(5):
+        n = rng.randint(2, 3)
+        ring = Ring.flat(n, domain)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        I, J = _intersection_case(rng, kind, ring)
+        expected = _reduced_grevlex(_sympy_intersection(I, J, xs, p), xs, p)
+        if J:
+            f = _sympy_poly_in(_to_sympy(J[0], xs), xs, p)
+            multiples = _sympy_intersection(I, J[:1], xs, p)
+            expected_quotient = _reduced_grevlex([_sympy_poly_in(e, xs, p).exquo(f).as_expr() for e in multiples], xs, p)
+        for gate in (gated, 0):
+            monkeypatch.setattr(groebner, "_PAIRS_PER_BASIS", gate)
+            mine = ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens
+            # the generators are the reduced basis itself, as a full run gives
+            assert sorted(str(_sympy_poly(_to_sympy(g, xs), xs, p)) for g in mine) == expected, (gate, I, J)
+            if not J:
+                with pytest.raises(ValueError):
+                    ideal_quotient(Ideal(ring, I), ring.zero())
+                continue
+            quotient = ideal_quotient(Ideal(ring, I), J[0]).gens
+            assert _reduced_grevlex([_to_sympy(g, xs) for g in quotient], xs, p) == expected_quotient, (gate, I, J[0])
+    # the zero ideal returns before any basis, and with J = (1) the element
+    # 1 - t turns each t·f into f before any pair; elsewhere the stop fires
+    assert any(fired) == (kind not in ("zero", "unit"))
