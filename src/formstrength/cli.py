@@ -161,7 +161,14 @@ def _prime_list(domain):
 
 
 def _parse_diag(text):
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    """The --diag integers; an empty entry, and so an empty list, is refused."""
+    tokens = text.split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise ValueError(f"--diag {text!r} has an empty entry; give integers a1,...,an")
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"--diag {text!r} is not a list of integers a1,...,an") from None
 
 
 def _scan_forms(args):
@@ -180,9 +187,10 @@ def _scan_forms(args):
 
 
 def cmd_rank(args):
-    if args.diag:
+    if args.diag is not None:
         dom = QQ if args.p is None else GF(args.p)
-        q = QuadraticForm.diagonal(Ring.flat(len(_parse_diag(args.diag)), dom), _parse_diag(args.diag))
+        diag = _parse_diag(args.diag)
+        q = QuadraticForm.diagonal(Ring.flat(len(diag), dom), diag)
     else:
         q = _scan_forms(args)[0]
     r = q.rank()
@@ -196,7 +204,7 @@ def cmd_rank(args):
 
 
 def cmd_minrank(args):
-    if args.diag:
+    if args.diag is not None:
         b = _parse_diag(args.diag)
         ring = Ring.flat(len(b), QQ)
         f1, f2 = QuadraticForm.diagonal(ring, [1] * len(b)), QuadraticForm.diagonal(ring, b)

@@ -10,8 +10,16 @@ there.  Short of the reduced form, each row swap negates the row moved
 down, so no step changes the determinant: once ``eliminate`` has brought a
 square n x n matrix of rank n to row-echelon form, the product of its
 diagonal is its determinant.  The F_p Gram-rank scans read determinants
-this way.  The symmetric congruence diagonalization used for quadratic
-forms lives here as well.
+this way.
+
+The rank of one Gram matrix (``QuadraticForm.rank``) comes instead from
+``gram_diagonal``, which diagonalizes a symmetric matrix by congruence: it
+clears each pivot's column over the indices still live, so every step works
+on a smaller block and the symmetry spares reading the pivot column.  Its
+steps are congruences by matrices of determinant 1, so the number of
+entries it returns is the rank and, at full rank, their product is the
+determinant.  ``congruence_diagonalize``, which also returns the transform,
+serves the rational pencil diagonalization.
 """
 
 from __future__ import annotations
@@ -101,6 +109,61 @@ def eliminate(a, ncols, p, reduced=False):
             inv = pow(row[col], -1, p) if p else 1 / Fraction(row[col])
             a[top] = [v * inv % p for v in row] if p else [v * inv for v in row]
     return pivots
+
+
+def gram_diagonal(a, p):
+    """The nonzero diagonal entries of a congruence diagonalization of the
+    symmetric matrix ``a``, which is worked on in place; ``p`` and the
+    entries follow ``eliminate`` (p odd over F_p).
+
+    A list of live indices replaces row and column swaps.  Each step takes
+    the first live index k with a_kk != 0 as the pivot, drops k from the
+    live list and clears column k from the live rows, over the live columns
+    only; by symmetry the factor for row r is a_kr / a_kk.  When every live
+    diagonal entry is 0 but some live a_ij is not, the congruence
+    x_i -> x_i + x_j (row i += row j, then column i += column j) first makes
+    a_ii = 2 a_ij, nonzero as 2 is a unit.  Every step is a congruence by a
+    matrix of determinant 1, so the entries number the rank, and for a
+    nonsingular matrix their product is its determinant exactly.  Entries
+    outside the live block are left stale.
+    """
+    live = list(range(len(a)))
+    out = []
+    while live:
+        for k in live:
+            if a[k][k]:
+                break
+        else:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            rk, rj = a[k], a[j]
+            for c in live:
+                rk[c] = (rk[c] + rj[c]) % p if p else rk[c] + rj[c]
+            for r in live:
+                row = a[r]
+                row[k] = (row[k] + row[j]) % p if p else row[k] + row[j]
+        live.remove(k)
+        prow = a[k]
+        d = prow[k]
+        out.append(d)
+        inv = None
+        for r in live:
+            f = prow[r]
+            if f:
+                if inv is None:
+                    inv = pow(d, -1, p) if p else 1 / Fraction(d)
+                row = a[r]
+                if p:
+                    f = f * inv % p
+                    for c in live:
+                        row[c] = (row[c] - f * prow[c]) % p
+                else:
+                    f *= inv
+                    for c in live:
+                        row[c] -= f * prow[c]
+    return out
 
 
 def _field_copy(m, dom):

@@ -17,8 +17,10 @@ from math import gcd, prod
 from .domains import GF, PrimeField
 from .groebner import Ideal, codimension
 from .linalg import (
+    _field_copy,
     congruence_diagonalize,
     eliminate,
+    gram_diagonal,
     is_symmetric,
     kernel_basis,
     mat_inverse,
@@ -137,7 +139,9 @@ class QuadraticForm:
         return Poly(self.ring, terms, _clean=False)
 
     def rank(self) -> int:
-        return mat_rank(self.gram, self.domain)
+        """Rank of the Gram matrix: the number of entries of a congruence
+        diagonalization of a copy (see ``linalg.gram_diagonal``)."""
+        return len(gram_diagonal(*_field_copy(self.gram, self.domain)))
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
         """Image over F_p, on the same variables; raises ZeroDivisionError
@@ -564,7 +568,7 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
     dom = f1.domain
     _check_char(dom)
     n = f1.n
-    if mat_rank(f1.gram, dom) < n:
+    if f1.rank() < n:
         raise DegenerateFormError(
             "first form is degenerate; drop its kernel variables and retry"
         )

@@ -91,6 +91,15 @@ def test_quadric_minrank_scan_witness_is_the_first_least_rank_point(capsys):
     assert json.loads(out)["result"]["rank"] == 2
 
 
+@pytest.mark.parametrize("operation", ["rank", "strength", "minrank"])
+@pytest.mark.parametrize("diag", ["1,,2", ",", ",,"])
+def test_a_diag_with_an_empty_entry_is_refused(operation, diag, capsys):
+    assert run(["quadric", operation, "--diag", diag]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "--diag" in err
+
+
 PENCIL = "x1^2 + x2^2\nx1^2 + 2*x1*x2\n"  # t*f1 + f2 has a double root: no diagonal form
 
 
