@@ -12,27 +12,20 @@ square n x n matrix of rank n to row-echelon form, the product of its
 diagonal is its determinant.  The F_p Gram-rank scans read determinants
 this way.
 
-The rank of one Gram matrix (``QuadraticForm.rank``) comes instead from
-``gram_diagonal``, which diagonalizes a symmetric matrix by congruence: it
-clears each pivot's column over the indices still live, so every step works
-on a smaller block and the symmetry spares reading the pivot column.  Its
-steps are congruences by matrices of determinant 1, so the number of
+One congruence kernel, ``gram_diagonal``, serves both the rank of one Gram
+matrix (``QuadraticForm.rank``) and the transforms of the pencil
+diagonalization.  It diagonalizes a symmetric matrix by congruence,
+clearing each pivot's column over the indices still live, so every step
+works on a smaller block and the symmetry spares reading the pivot column.
+Its steps are congruences by matrices of determinant 1, so the number of
 entries it returns is the rank and, at full rank, their product is the
-determinant.  ``congruence_diagonalize``, which also returns the transform,
-serves the rational pencil diagonalization.
+determinant.  Columns appended to the matrix receive every row operation,
+so an identity appended to it ends as the transposed transform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
-def identity(n, dom):
-    return [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, dom):
@@ -113,21 +106,28 @@ def eliminate(a, ncols, p, reduced=False):
 
 def gram_diagonal(a, p):
     """The nonzero diagonal entries of a congruence diagonalization of the
-    symmetric matrix ``a``, which is worked on in place; ``p`` and the
-    entries follow ``eliminate`` (p odd over F_p).
+    symmetric n x n block of the n x w matrix ``a``, which is worked on in
+    place; ``p`` and the entries follow ``eliminate`` (p odd over F_p).
 
     A list of live indices replaces row and column swaps.  Each step takes
     the first live index k with a_kk != 0 as the pivot, drops k from the
-    live list and clears column k from the live rows, over the live columns
-    only; by symmetry the factor for row r is a_kr / a_kk.  When every live
-    diagonal entry is 0 but some live a_ij is not, the congruence
-    x_i -> x_i + x_j (row i += row j, then column i += column j) first makes
-    a_ii = 2 a_ij, nonzero as 2 is a unit.  Every step is a congruence by a
-    matrix of determinant 1, so the entries number the rank, and for a
-    nonsingular matrix their product is its determinant exactly.  Entries
-    outside the live block are left stale.
+    live list and clears column k from the live rows: row r -= f * row k,
+    over the live columns and the columns past n, with f = a_kr / a_kk by
+    symmetry.  The matching column op, column r -= f * column k, would only
+    touch row k, which is no longer live, so it is not made.  When every
+    live diagonal entry is 0 but some live a_ij is not, the congruence
+    x_i -> x_i + x_j (row i += row j, then column i += column j within the
+    block) first makes a_ii = 2 a_ij, nonzero as 2 is a unit.  Every step is
+    a congruence by a matrix of determinant 1, so the entries number the
+    rank, and for a nonsingular block their product is its determinant
+    exactly.  The columns past n receive every row op, so n of them that
+    start as the identity end as T^t, with T^t G T diagonal, the entries
+    its nonzero diagonal.  Entries of the block outside the live indices
+    are left stale.
     """
-    live = list(range(len(a)))
+    n = len(a)
+    live = list(range(n))
+    tail = list(range(n, len(a[0]))) if a else []
     out = []
     while live:
         for k in live:
@@ -139,12 +139,13 @@ def gram_diagonal(a, p):
                 break
             k, j = pair
             rk, rj = a[k], a[j]
-            for c in live:
+            for c in live + tail:
                 rk[c] = (rk[c] + rj[c]) % p if p else rk[c] + rj[c]
             for r in live:
                 row = a[r]
                 row[k] = (row[k] + row[j]) % p if p else row[k] + row[j]
         live.remove(k)
+        span = live + tail
         prow = a[k]
         d = prow[k]
         out.append(d)
@@ -157,11 +158,11 @@ def gram_diagonal(a, p):
                 row = a[r]
                 if p:
                     f = f * inv % p
-                    for c in live:
+                    for c in span:
                         row[c] = (row[c] - f * prow[c]) % p
                 else:
                     f *= inv
-                    for c in live:
+                    for c in span:
                         row[c] -= f * prow[c]
     return out
 
@@ -184,7 +185,8 @@ def mat_rank(m, dom):
 def mat_inverse(m, dom):
     """Inverse of a square matrix; raises on singular input."""
     n = len(m)
-    a, p = _field_copy([list(row) + e for row, e in zip(m, identity(n, dom))], dom)
+    unit = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+    a, p = _field_copy([list(row) + e for row, e in zip(m, unit)], dom)
     if len(eliminate(a, n, p, reduced=True)) < n:
         raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a]
@@ -203,56 +205,6 @@ def kernel_basis(m, dom):
             vec[pc] = dom.neg(a[r][fc])
         basis.append(vec)
     return basis
-
-
-def congruence_diagonalize(gram, dom):
-    """Invertible T with T^t G T diagonal, for symmetric G over char != 2.
-
-    Returns (T, diag) where diag is the list of diagonal entries.
-    """
-    n = len(gram)
-    a = mat_copy(gram)
-    t = identity(n, dom)
-
-    def add_col(dst, src, factor):
-        # column op on a (and mirror row op), recorded in t
-        for r in range(n):
-            a[r][dst] = dom.add(a[r][dst], dom.mul(factor, a[r][src]))
-        for c in range(n):
-            a[dst][c] = dom.add(a[dst][c], dom.mul(factor, a[src][c]))
-        for r in range(n):
-            t[r][dst] = dom.add(t[r][dst], dom.mul(factor, t[r][src]))
-
-    def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    for k in range(n):
-        if not a[k][k]:
-            swap = None
-            for j in range(k + 1, n):
-                if a[j][j]:
-                    swap = j
-                    break
-            if swap is not None:
-                swap_cols(k, swap)
-            else:
-                off = None
-                for j in range(k + 1, n):
-                    if a[k][j]:
-                        off = j
-                        break
-                if off is None:
-                    continue
-                add_col(k, off, dom.one)  # makes a[k][k] = 2*a[k][off] != 0
-        pivot = a[k][k]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                add_col(j, k, dom.neg(dom.div(a[k][j], pivot)))
-    return t, [a[i][i] for i in range(n)]
 
 
 def is_symmetric(m):

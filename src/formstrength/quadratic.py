@@ -17,8 +17,6 @@ from math import gcd, prod
 from .domains import GF, PrimeField
 from .groebner import Ideal, codimension
 from .linalg import (
-    _field_copy,
-    congruence_diagonalize,
     eliminate,
     gram_diagonal,
     is_symmetric,
@@ -73,14 +71,19 @@ class QuadraticForm:
     __slots__ = ("ring", "gram")
 
     def __init__(self, ring, gram):
+        """Over F_p the entries are reduced into [0, p) before the checks,
+        so every form over F_p holds reduced entries (``from_poly`` builds
+        them so)."""
         _check_char(ring.domain)
         n = ring.nvars
         if len(gram) != n or any(len(row) != n for row in gram):
             raise ValueError("Gram matrix shape does not match the ring")
+        p = ring.domain.characteristic
+        gram = [[v % p for v in row] for row in gram] if p else [list(row) for row in gram]
         if not is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
         self.ring = ring
-        self.gram = [list(row) for row in gram]
+        self.gram = gram
 
     @property
     def n(self):
@@ -141,7 +144,7 @@ class QuadraticForm:
     def rank(self) -> int:
         """Rank of the Gram matrix: the number of entries of a congruence
         diagonalization of a copy (see ``linalg.gram_diagonal``)."""
-        return len(gram_diagonal(*_field_copy(self.gram, self.domain)))
+        return len(gram_diagonal([list(row) for row in self.gram], self.domain.characteristic))
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
         """Image over F_p, on the same variables; raises ZeroDivisionError
@@ -306,7 +309,7 @@ def _projective_ranks(forms, what):
             f"{what} over F_{p} would visit {points} points in {n} variables, "
             f"above the limit of {SCAN_WORK_LIMIT} points x (n+1)^2"
         )
-    *rest, b = ([v % p for row in q.gram for v in row] for q in forms)
+    *rest, b = ([v for row in q.gram for v in row] for q in forms)
     for c in projective_points(p, r - 2):
         a = [sum(ci * v for ci, v in zip(c, entry)) % p for entry in zip(*rest[:-1])]
         yield from zip((c + vu for vu in product(range(p), repeat=2)), _plane_ranks(a, rest[-1], b, p, n, p))
@@ -579,8 +582,6 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
         return None  # characteristic polynomial does not split here
     ordered = sorted(roots.items(), key=lambda kv: _root_sort_key(kv[0]))
     columns = []
-    a_diag = []
-    b_diag = []
     for alpha, mult in ordered:
         shifted = [
             [dom.sub(m[i][j], alpha if i == j else dom.zero) for j in range(n)]
@@ -589,27 +590,23 @@ def simultaneous_diagonalize(f1: QuadraticForm, f2: QuadraticForm):
         eig = kernel_basis(shifted, dom)
         if len(eig) != mult:
             return None  # defective eigenvalue: not simultaneously diagonalizable
-        basis_cols = transpose(eig)  # n x mult
-        restricted = mat_mul(mat_mul(transpose(basis_cols), f1.gram, dom), basis_cols, dom)
-        s, diag = congruence_diagonalize(restricted, dom)
-        if any(not d for d in diag):
+        # E^t G1 E, E the basis as columns, with the identity appended: it
+        # ends as S^t, S^t E^t G1 E S diagonal
+        restricted = mat_mul(mat_mul(eig, f1.gram, dom), transpose(eig), dom)
+        a = [row + [dom.one if i == j else dom.zero for j in range(mult)] for i, row in enumerate(restricted)]
+        if len(gram_diagonal(a, dom.characteristic)) < mult:
             return None
-        block = mat_mul(basis_cols, s, dom)
-        for k in range(mult):
-            columns.append([block[i][k] for i in range(n)])
-            a_diag.append(diag[k])
-            b_diag.append(dom.mul(alpha, diag[k]))
+        columns += mat_mul([row[mult:] for row in a], eig, dom)  # the columns of E S
     t = transpose(columns)
     if mat_rank(t, dom) < n:
         return None
-    for gram, expect in ((f1.gram, a_diag), (f2.gram, b_diag)):
-        check = mat_mul(mat_mul(transpose(t), gram, dom), t, dom)
-        for i in range(n):
-            for j in range(n):
-                want = expect[i] if i == j else dom.zero
-                if check[i][j] != want:
-                    return None
-    return QuadraticForm.diagonal(f1.ring, a_diag), QuadraticForm.diagonal(f1.ring, b_diag), t
+    images = []
+    for gram in (f1.gram, f2.gram):
+        check = mat_mul(mat_mul(columns, gram, dom), t, dom)  # columns is t^t
+        if any(check[i][j] for i in range(n) for j in range(n) if i != j):
+            return None
+        images.append(QuadraticForm.diagonal(f1.ring, [check[i][i] for i in range(n)]))
+    return images[0], images[1], t
 
 
 def _root_sort_key(value):

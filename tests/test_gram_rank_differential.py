@@ -123,3 +123,16 @@ def test_unreduced_entries_over_fp():
     assert gram == [[-1, 7, 0], [7, 10, -3], [0, -3, 12]]
     # entries that vanish mod 5 only after reduction: rank 1
     assert _check([[5, -10], [-10, 6]], dom) == 1
+
+
+def test_forms_over_fp_hold_reduced_entries():
+    """A form built over F_7 from negative or large ints holds its entries
+    reduced into [0, 7), and its rank is mat_rank's on the unreduced ints."""
+    dom = GF(7)
+    rng = random.Random(71)
+    for n in range(1, 6):
+        for _ in range(10):
+            gram = _symmetric(n, lambda: rng.randrange(-30, 30))
+            q = QuadraticForm(Ring.flat(n, dom), gram)
+            assert q.gram == [[v % 7 for v in row] for row in gram]
+            assert q.rank() == mat_rank(gram, dom)

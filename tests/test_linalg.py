@@ -4,8 +4,7 @@ import pytest
 
 from formstrength.domains import GF, QQ
 from formstrength.linalg import (
-    congruence_diagonalize,
-    identity,
+    gram_diagonal,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -31,7 +30,7 @@ def test_rank_inverse_roundtrip():
                     mat_inverse(m, dom)
                 continue
             inv = mat_inverse(m, dom)
-            assert mat_mul(m, inv, dom) == identity(n, dom)
+            assert mat_mul(m, inv, dom) == [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
 
 
 def test_kernel_vectors_annihilate():
@@ -50,19 +49,35 @@ def test_kernel_vectors_annihilate():
             assert all(v == 0 for v in image)
 
 
-def test_congruence_diagonalize():
+def _symmetric_cases(rng, dom):
+    """Random symmetric matrices G, G with its diagonal set to 0 (only the
+    x_i -> x_i + x_j step can start those), and the singular M^t G M with
+    the first row of M zero."""
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        raw = _random_matrix(rng, n, n, dom)
+        gram = [[dom.add(raw[i][j], raw[j][i]) for j in range(n)] for i in range(n)]
+        yield gram
+        yield [[dom.zero if i == j else gram[i][j] for j in range(n)] for i in range(n)]
+        m = _random_matrix(rng, n, n, dom)
+        m[0] = [dom.zero] * n
+        yield mat_mul(mat_mul(transpose(m), gram, dom), m, dom)
+
+
+def test_gram_diagonal_transform():
+    """With the identity appended, gram_diagonal leaves T^t in the appended
+    columns: T is invertible, T^t G T is diagonal, and its nonzero diagonal
+    entries are the returned entries, as many as the rank of G."""
     rng = random.Random(57)
     for dom in (QQ, GF(7)):
-        for _ in range(15):
-            n = rng.randint(1, 5)
-            raw = _random_matrix(rng, n, n, dom)
-            gram = [
-                [dom.add(raw[i][j], raw[j][i]) for j in range(n)] for i in range(n)
-            ]
-            t, diag = congruence_diagonalize(gram, dom)
+        for gram in _symmetric_cases(rng, dom):
+            n = len(gram)
+            a = [list(row) + [dom.one if i == j else dom.zero for j in range(n)] for i, row in enumerate(gram)]
+            entries = gram_diagonal(a, dom.characteristic)
+            tail = [row[n:] for row in a]
+            t = transpose(tail)
             assert mat_rank(t, dom) == n
-            check = mat_mul(mat_mul(transpose(t), gram, dom), t, dom)
-            for i in range(n):
-                for j in range(n):
-                    expect = diag[i] if i == j else dom.zero
-                    assert check[i][j] == expect
+            check = mat_mul(mat_mul(tail, gram, dom), t, dom)
+            assert all(not check[i][j] for i in range(n) for j in range(n) if i != j)
+            assert sorted(check[i][i] for i in range(n) if check[i][i]) == sorted(entries)
+            assert len(entries) == mat_rank(gram, dom)

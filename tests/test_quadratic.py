@@ -133,6 +133,24 @@ def test_rank_is_congruence_invariant():
             assert QuadraticForm(ring, moved).rank() == base
 
 
+def _check_pencil(f1, f2, source):
+    """simultaneous_diagonalize(f1, f2) returns a checked transform t, and
+    its diagonal pair has the ratios and the formula minrank of the diagonal
+    pair ``source``; returns the formula's result."""
+    dom = f1.domain
+    n = f1.n
+    pencil = simultaneous_diagonalize(f1, f2)
+    assert pencil is not None
+    g1, g2, t = pencil
+    assert mat_rank(t, dom) == n
+    for q, g in ((f1, g1), (f2, g2)):
+        assert mat_mul(mat_mul(transpose(t), q.gram, dom), t, dom) == g.gram
+    assert sorted(pencil_ratios(g1, g2)) == sorted(pencil_ratios(*source))
+    result = minrank_formula(g1, g2)
+    assert result.value == minrank_formula(*source).value
+    return result
+
+
 def test_simultaneous_diagonalize_diagonal_inputs():
     ring = Ring.flat(3, QQ)
     f1 = QuadraticForm.diagonal(ring, [1, 1, 1])
@@ -148,18 +166,7 @@ def test_simultaneous_diagonalize_cross_term():
     ring = Ring.flat(2, QQ)
     f1 = QuadraticForm.from_poly(parse_poly("x1^2 + x2^2", ring))
     f2 = QuadraticForm.from_poly(parse_poly("2*x1*x2", ring))
-    pencil = simultaneous_diagonalize(f1, f2)
-    assert pencil is not None
-    g1, g2, t = pencil
-    assert sorted(pencil_ratios(g1, g2)) == [Fraction(-1), Fraction(1)]
-    # the recorded transform reproduces both Gram matrices
-    dom = QQ
-    for gram, g in ((f1.gram, g1), (f2.gram, g2)):
-        diag = [g.gram[i][i] for i in range(2)]
-        check = mat_mul(mat_mul(transpose(t), gram, dom), t, dom)
-        for i in range(2):
-            for j in range(2):
-                assert check[i][j] == (diag[i] if i == j else 0)
+    _check_pencil(f1, f2, diagonal_pair([1, 1], [-1, 1]))
 
 
 def test_simultaneous_diagonalize_irrational_pencil_unsupported():
@@ -176,6 +183,37 @@ def test_simultaneous_diagonalize_degenerate_base():
     f2 = QuadraticForm.from_poly(parse_poly("x2^2", ring))
     with pytest.raises(DegenerateFormError):
         simultaneous_diagonalize(f1, f2)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7), GF(13)], ids=["q", "fp:7", "fp:13"])
+def test_simultaneous_diagonalize_moved_diagonal_pairs(dom):
+    """Diagonal pairs with repeated ratios, moved by a random invertible T:
+    each repeated ratio gives an eigenspace of dimension above 1, whose
+    restriction of the first form is no longer diagonal."""
+    rng = random.Random(f"pencil:{dom}")
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        ratios = [dom.from_int(rng.choice([0, 1, 2, -3])) for _ in range(n)]
+        a = [dom.from_int(rng.choice([1, 2, 3, -1, -5])) for _ in range(n)]
+        source = diagonal_pair(a, [dom.mul(r, v) for r, v in zip(ratios, a)], dom)
+        while True:
+            t = [[dom.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            if mat_rank(t, dom) == n:
+                break
+        ring = source[0].ring
+        moved = [QuadraticForm(ring, mat_mul(mat_mul(transpose(t), q.gram, dom), t, dom)) for q in source]
+        _check_pencil(*moved, source)
+
+
+def test_simultaneous_diagonalize_isotropic_block():
+    """The ratio 3 has the eigenspace x1, x2, on which the first form is
+    2*x1*x2, with a zero diagonal; the witness kills that block."""
+    ring = Ring.flat(3, QQ)
+    f1 = QuadraticForm.from_poly(parse_poly("2*x1*x2 + x3^2", ring))
+    f2 = QuadraticForm.from_poly(parse_poly("6*x1*x2 + 2*x3^2", ring))
+    result = _check_pencil(f1, f2, diagonal_pair([1, 1, 1], [2, 3, 3]))
+    assert result.value == 1
+    assert result.witness == (-3, 1)
 
 
 def test_minrank_formula_examples():
