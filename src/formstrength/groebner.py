@@ -55,8 +55,6 @@ criteria.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-
-from itertools import combinations
 from math import comb
 
 from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, elimination, packing
@@ -517,9 +515,30 @@ class Ideal:
         return f"Ideal({len(self.gens)} generators in {self.ring!r})"
 
 
+def _transversal_number(supports):
+    """The least number of variables meeting every set in ``supports``.
+
+    Some variable of the smallest set not yet met belongs to every least
+    transversal, so the search branches over that set's variables and drops
+    a branch that cannot beat the best count found so far."""
+    best = len(supports)  # one variable from each set
+    stack = [(supports, 0)]
+    while stack:
+        sets, chosen = stack.pop()
+        if not sets:
+            best = min(best, chosen)
+        elif chosen + 1 < best:
+            for v in min(sets, key=len):
+                stack.append(([s for s in sets if v not in s], chosen + 1))
+    return best
+
+
 def dimension(ideal: Ideal) -> int:
-    """Krull dimension of R/I via independent variable sets of the
-    leading-term ideal; -1 for the unit ideal."""
+    """Krull dimension of R/I; -1 for the unit ideal.
+
+    A set of variables is independent modulo the leading-term ideal when it
+    contains the support of no lead monomial, so the largest one is the
+    complement of a least set of variables meeting every lead support."""
     n = ideal.ring.nvars
     if not ideal.gens:
         return n
@@ -527,12 +546,7 @@ def dimension(ideal: Ideal) -> int:
     if basis.is_unit():
         return -1
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in basis.lead_monomials]
-    for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            chosen = set(subset)
-            if not any(s <= chosen for s in supports):
-                return size
-    return 0
+    return n - _transversal_number(supports)
 
 
 def codimension(ideal: Ideal) -> int:

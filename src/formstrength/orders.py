@@ -147,7 +147,8 @@ class Packing:
         self.key = key
         self.vector = vector
         self.monomial = monomial
-        self.guard = sum(1 << (WIDTH * i + WIDTH - 1) for i in range(nvars))
+        # the top bit of every slot: the base-2^WIDTH repunit, shifted
+        self.guard = ((1 << WIDTH * nvars) - 1) // ((1 << WIDTH) - 1) << (WIDTH - 1)
 
 
 def _degrevlex_packing(nvars):

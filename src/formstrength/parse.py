@@ -1,4 +1,4 @@
-"""Polynomial text grammar and ideal-file input/output.
+r"""Polynomial text grammar and ideal-file input/output.
 
 Grammar (whitespace insignificant)::
 
@@ -8,6 +8,31 @@ Grammar (whitespace insignificant)::
     varpow := var ('^' uint)?
     var    := 'x' uint ('_' uint)?
     coeff  := int ('/' uint)?
+
+A line is read in three steps.
+1. Validate.  '+' and '-' occur in the grammar only between terms, so the
+   line is cut at each '+' and before each '-', and each piece (an optional
+   '-', then one term between blanks) must ``fullmatch`` one pattern built
+   from the grammar's factor and term patterns; a blank first piece stands
+   for the blanks before a leading sign.  Matching a term at a time keeps
+   the matcher's backtracking records as short as a term: one pattern over
+   a whole line keeps one per factor, about 3 MB on the 720-term lines of
+   the 7x6 maximal minors.
+2. Split.  The blanks of valid text are removed: a factor is always
+   followed by ``*``, ``+``, ``-`` or the end, so no two tokens that a blank
+   separates can merge (``x1 2`` is refused, never read as ``x12``).  The
+   text then splits into signed terms and each term into factors on ``*``.
+3. Resolve.  A factor is resolved by partitioning it on ``^`` or ``/``,
+   once per distinct factor string of the line.
+
+Only refused text is read again, token by token, to report the first fault
+with its position: a character no token starts with, anywhere in the text,
+comes first, then syntax and factor faults in reading order.
+
+Every pattern runs in time linear in its input because no two blank runs
+meet around an optional character: a piece's '-' is its first character,
+so its pattern starts ``-?\s*``, where ``\s*-?\s*`` would let ``fullmatch``
+try every split of a long run of blanks, quadratic in its length.
 
 Canonical output: terms in descending degrevlex order, coefficient 1
 suppressed, subtraction rendered as ``a - b`` rather than ``a + -b``.
@@ -33,134 +58,149 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(x\d+(?:_\d+)?|\d+|[-+*/^])")
+_VAR = r"x\d+(?:_\d+)?"
+_FACTOR = rf"(?:{_VAR}(?:\s*\^\s*\d+)?|\d+(?:\s*/\s*\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+# one term of a line cut at each '+' and before each '-' (see the module docstring)
+_PIECE = rf"-?\s*{_TERM}\s*"
+_TOKEN = rf"\s*({_VAR}|\d+|[-+*/^])"
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+def _factor(ring, factor):
+    """Resolve one factor without blanks: (variable index, exponent) for a
+    variable power, (None, value) for a coefficient.  Raises KeyError for an
+    unknown variable and ZeroDivisionError for a denominator that is zero or,
+    over F_p, divisible by p."""
+    if factor[0] == "x":
+        name, _, exp = factor.partition("^")
+        return ring.index_of(name), int(exp) if exp else 1
+    num, _, den = factor.partition("/")
+    if not den:
+        return None, ring.domain.from_int(int(num))
+    if int(den) == 0:
+        raise ZeroDivisionError("zero denominator")
+    return None, ring.domain(int(num), int(den))
 
 
-class _Parser:
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][0]
-        return None
-
-    def pos(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return self.tokens[-1][1] if self.tokens else 0
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        dom = self.ring.domain
-        add, zero = dom.add, dom.zero
-        terms = {}
-
-        def accumulate(mono, c):
-            if not c:
-                return
-            s = add(terms.get(mono, zero), c)
+def _terms(text, ring):
+    """The term dict of valid text, or None when a term's exponents exceed
+    MAX_EXPONENT."""
+    dom = ring.domain
+    mul, add, neg, one = dom.mul, dom.add, dom.neg, dom.one
+    n = ring.nvars
+    factors = {}
+    terms = {}
+    for term in "".join(text.split()).replace("-", "+-").split("+"):
+        if not term:
+            continue
+        negative = term[0] == "-"
+        fs = (term[1:] if negative else term).split("*")
+        exps = [0] * n
+        c = one
+        for f in fs:
+            r = factors.get(f)
+            if r is None:
+                r = factors[f] = _factor(ring, f)
+            i, v = r
+            if i is None:
+                c = mul(c, v)
+            else:
+                exps[i] += v
+        # without a '^', no exponent exceeds the number of factors
+        if ("^" in term or len(fs) > MAX_EXPONENT) and max(exps, default=0) > MAX_EXPONENT:
+            return None
+        if not c:
+            continue
+        if negative:
+            c = neg(c)
+        mono = tuple(exps)
+        s = terms.get(mono)
+        if s is None:
+            terms[mono] = c
+        else:
+            s = add(s, c)
             if s:
                 terms[mono] = s
             else:
-                terms.pop(mono, None)
+                del terms[mono]
+    return terms
 
-        sign = 1
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.next()
-            sign = -1 if tok == "-" else 1
-        accumulate(*self.term(sign))
-        while self.peek() is not None:
-            tok, pos = self.next()
-            if tok == "+":
-                accumulate(*self.term(1))
-            elif tok == "-":
-                accumulate(*self.term(-1))
-            else:
-                raise PolyParseError(f"expected '+' or '-', got {tok!r}", pos)
-        return Poly(self.ring, terms, _clean=False)
 
-    def term(self, sign):
-        """One product of factors, as (exponent tuple, coefficient)."""
-        dom = self.ring.domain
-        exps = [0] * self.ring.nvars
-        coeff = dom.mul(dom.from_int(sign), self.factor(exps))
-        while self.peek() == "*":
-            self.next()
-            coeff = dom.mul(coeff, self.factor(exps))
-        return tuple(exps), coeff
+def _next_token(text, pos):
+    """The token at or after pos, and where it starts; (None, pos) at the end."""
+    m = re.compile(_TOKEN).match(text, pos)
+    return (m.group(1), m.start(1)) if m else (None, pos)
 
-    def factor(self, exps):
-        """Read one factor: a variable power is added into ``exps``, and the
-        factor's coefficient (one for a variable power) is returned."""
-        if self.peek() is None:
-            raise PolyParseError("unexpected end of input", self.pos())
-        tok, pos = self.next()
-        dom = self.ring.domain
-        if tok[0] == "x":
-            self.varpow(tok, pos, exps)
-            return dom.one
-        if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.next()
-                dtok, dpos = self.next() if self.i < len(self.tokens) else (None, self.pos())
-                if dtok is None or not dtok.isdigit():
-                    raise PolyParseError("expected denominator after '/'", dpos)
-                den = int(dtok)
-                if den == 0:
-                    raise PolyParseError("invalid rational: zero denominator", dpos)
-                try:
-                    return dom(num, den)
-                except ZeroDivisionError as exc:  # den divisible by p over F_p
-                    raise PolyParseError(f"invalid rational: {exc}", dpos) from None
-            return dom.from_int(num)
-        raise PolyParseError(f"expected coefficient or variable, got {tok!r}", pos)
 
-    def varpow(self, name, pos, exps):
+def _fault(text, ring):
+    """The PolyParseError of the first fault in text that parse_poly refused,
+    in the order a left-to-right reading meets it: a character no token
+    starts with anywhere in the text, then the first syntax or factor fault.
+    Runs only on refused text."""
+    token = re.compile(_TOKEN).match
+    end, m = 0, token(text)
+    while m:
+        end = m.end()
+        m = token(text, end)
+    rest = text[end:].strip()
+    if rest:
+        return PolyParseError(f"unexpected character {rest[0]!r}", end)
+    if not text.strip():
+        return PolyParseError("empty polynomial text", 0)
+    tok, pos = _next_token(text, 0)
+    if tok in ("+", "-"):
+        tok, pos = _next_token(text, pos + 1)
+    exps = [0] * ring.nvars
+    while True:
+        if tok is None:  # the last token is the operator before the missing factor
+            return PolyParseError("unexpected end of input", len(text.rstrip()) - 1)
+        m = re.compile(_FACTOR).match(text, pos)
+        if m is None:
+            return PolyParseError(f"expected coefficient or variable, got {tok!r}", pos)
+        factor = "".join(m.group().split())
         try:
-            idx = self.ring.index_of(name)
+            i, v = _factor(ring, factor)
         except KeyError:
-            raise PolyParseError(f"unknown variable name {name!r}", pos) from None
-        exp = 1
-        if self.peek() == "^":
-            self.next()
-            if self.peek() is None or not self.peek().isdigit():
-                raise PolyParseError("expected integer exponent after '^'", self.pos())
-            exp = int(self.next()[0])
-        exps[idx] += exp
-        if exps[idx] > MAX_EXPONENT:
-            # summed over the term's factors, so x1^20000*x1^20000 is refused
-            raise PolyParseError(f"exponent above {MAX_EXPONENT}, the packed key limit", pos)
+            return PolyParseError(f"unknown variable name {tok!r}", pos)
+        except ZeroDivisionError as exc:
+            den_pos = m.end() - len(factor.partition("/")[2])
+            return PolyParseError(f"invalid rational: {exc}", den_pos)
+        if i is not None:
+            exps[i] += v
+            if exps[i] > MAX_EXPONENT:
+                # summed over the term's factors, so x1^20000*x1^20000 is refused
+                return PolyParseError(f"exponent above {MAX_EXPONENT}, the packed key limit", pos)
+        tok, pos = _next_token(text, m.end())
+        if tok is None:
+            raise AssertionError(f"no fault found in refused text {text!r}")
+        if tok in ("+", "-"):
+            exps = [0] * ring.nvars
+        elif tok == "^" and factor[0] == "x" and "^" not in factor:
+            after, after_pos = _next_token(text, pos + 1)
+            return PolyParseError("expected integer exponent after '^'", after_pos if after else pos)
+        elif tok == "/" and factor[0] != "x" and "/" not in factor:
+            after, after_pos = _next_token(text, pos + 1)
+            return PolyParseError("expected denominator after '/'", after_pos if after else pos)
+        elif tok != "*":
+            return PolyParseError(f"expected '+' or '-', got {tok!r}", pos)
+        tok, pos = _next_token(text, pos + 1)
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
     """Parse polynomial text in the given ring."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyParseError("empty polynomial text", 0)
-    return _Parser(ring, tokens).parse()
+    pieces = text.replace("-", "+-").split("+")
+    if not pieces[0].strip():  # the blanks before a leading sign, or all of the text
+        del pieces[0]
+    # re compiles the pattern on first use, so importing the package does
+    # not pay for it
+    if pieces and all(map(re.compile(_PIECE).fullmatch, pieces)):
+        try:
+            terms = _terms(text, ring)
+        except (KeyError, ValueError, ZeroDivisionError):
+            terms = None  # _fault finds it again, with its position
+        if terms is not None:
+            return Poly(ring, terms, _clean=False)
+    raise _fault(text, ring)
 
 
 def format_poly(f: Poly) -> str:

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +10,8 @@ import pytest
 from formstrength.domains import GF, QQ
 from formstrength.groebner import Ideal, codimension, ideal_intersection
 from formstrength.minors import GenericMatrix, maximal_minors
-from formstrength.orders import DEGREVLEX
+from formstrength.orders import DEGREVLEX, MAX_EXPONENT
+from formstrength.parse import PolyParseError
 from formstrength.poly import Poly, Ring, mono_lcm
 from formstrength.quadratic import (
     QuadraticForm,
@@ -148,6 +150,141 @@ def minrank_identity(f1, f2, prime=101):
         and report.witness_rank_ok
     )
     return report
+
+
+# ---------------------------------------------------------------------------
+# the token-by-token recursive-descent parser that parse_poly replaced, kept
+# as an independent oracle for the differential fuzz
+
+_TOKEN = re.compile(r"\s*(x\d+(?:_\d+)?|\d+|[-+*/^])")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, ring, tokens):
+        self.ring = ring
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i][0]
+        return None
+
+    def pos(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i][1]
+        return self.tokens[-1][1] if self.tokens else 0
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        dom = self.ring.domain
+        add, zero = dom.add, dom.zero
+        terms = {}
+
+        def accumulate(mono, c):
+            if not c:
+                return
+            s = add(terms.get(mono, zero), c)
+            if s:
+                terms[mono] = s
+            else:
+                terms.pop(mono, None)
+
+        sign = 1
+        tok = self.peek()
+        if tok in ("+", "-"):
+            self.next()
+            sign = -1 if tok == "-" else 1
+        accumulate(*self.term(sign))
+        while self.peek() is not None:
+            tok, pos = self.next()
+            if tok == "+":
+                accumulate(*self.term(1))
+            elif tok == "-":
+                accumulate(*self.term(-1))
+            else:
+                raise PolyParseError(f"expected '+' or '-', got {tok!r}", pos)
+        return Poly(self.ring, terms, _clean=False)
+
+    def term(self, sign):
+        """One product of factors, as (exponent tuple, coefficient)."""
+        dom = self.ring.domain
+        exps = [0] * self.ring.nvars
+        coeff = dom.mul(dom.from_int(sign), self.factor(exps))
+        while self.peek() == "*":
+            self.next()
+            coeff = dom.mul(coeff, self.factor(exps))
+        return tuple(exps), coeff
+
+    def factor(self, exps):
+        """Read one factor: a variable power is added into ``exps``, and the
+        factor's coefficient (one for a variable power) is returned."""
+        if self.peek() is None:
+            raise PolyParseError("unexpected end of input", self.pos())
+        tok, pos = self.next()
+        dom = self.ring.domain
+        if tok[0] == "x":
+            self.varpow(tok, pos, exps)
+            return dom.one
+        if tok.isdigit():
+            num = int(tok)
+            if self.peek() == "/":
+                self.next()
+                dtok, dpos = self.next() if self.i < len(self.tokens) else (None, self.pos())
+                if dtok is None or not dtok.isdigit():
+                    raise PolyParseError("expected denominator after '/'", dpos)
+                den = int(dtok)
+                if den == 0:
+                    raise PolyParseError("invalid rational: zero denominator", dpos)
+                try:
+                    return dom(num, den)
+                except ZeroDivisionError as exc:  # den divisible by p over F_p
+                    raise PolyParseError(f"invalid rational: {exc}", dpos) from None
+            return dom.from_int(num)
+        raise PolyParseError(f"expected coefficient or variable, got {tok!r}", pos)
+
+    def varpow(self, name, pos, exps):
+        try:
+            idx = self.ring.index_of(name)
+        except KeyError:
+            raise PolyParseError(f"unknown variable name {name!r}", pos) from None
+        exp = 1
+        if self.peek() == "^":
+            self.next()
+            if self.peek() is None or not self.peek().isdigit():
+                raise PolyParseError("expected integer exponent after '^'", self.pos())
+            exp = int(self.next()[0])
+        exps[idx] += exp
+        if exps[idx] > MAX_EXPONENT:
+            # summed over the term's factors, so x1^20000*x1^20000 is refused
+            raise PolyParseError(f"exponent above {MAX_EXPONENT}, the packed key limit", pos)
+
+
+def reference_parse_poly(text, ring):
+    """Parse polynomial text token by token, as parse_poly did before it
+    read a line at a time."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial text", 0)
+    return _Parser(ring, tokens).parse()
 
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -190,6 +190,16 @@ def test_gb_operations(tmp_path, capsys):
     _capture(capsys)
 
 
+def test_gb_codim_of_one_linear_form_in_many_variables(tmp_path, capsys):
+    path = tmp_path / "line.txt"
+    path.write_text("ring n=50000 field=q\nx1 + x2\n")
+    start = time.perf_counter()
+    assert run(["gb", "codim", "--in", str(path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    out, _ = _capture(capsys)
+    assert out.strip() == "1"
+
+
 def test_gb_basis_lex_order(tmp_path, capsys):
     ideal = tmp_path / "ideal.txt"
     ideal.write_text("ring n=3 field=q\nx1^2 - x2\nx1^3 - x3\n")

@@ -136,6 +136,43 @@ def test_dimension_and_codimension_examples():
     assert dimension(Ideal(ring, [ring.one()])) == -1
 
 
+def _dimension_by_subsets(n, supports):
+    """Krull dimension of R/I from the lead supports of I by trying every
+    variable subset from size n down: the largest one containing no
+    support."""
+    for size in range(n, 0, -1):
+        for subset in combinations(range(n), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+    return 0
+
+
+def test_dimension_matches_the_subset_search_on_monomial_ideals():
+    # the supports of a monomial ideal's generators decide its dimension,
+    # with no Groebner basis in the oracle
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        ring = Ring.flat(n, GF(7))
+        monos = [tuple(rng.randint(0, 2) if rng.random() < 0.35 else 0 for _ in range(n))
+                 for _ in range(rng.randint(1, 6))]
+        monos = [m for m in monos if any(m)] or [(1,) + (0,) * (n - 1)]
+        supports = [frozenset(i for i, e in enumerate(m) if e) for m in monos]
+        ideal = Ideal(ring, [Poly(ring, {m: 1}) for m in monos])
+        assert dimension(ideal) == _dimension_by_subsets(n, supports)
+
+
+def test_dimension_matches_the_subset_search_on_random_ideals():
+    rng = random.Random(32)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        ring = Ring.flat(n, GF(7))
+        ideal = Ideal(ring, [random_homogeneous(rng, ring, rng.randint(1, 2), max_terms=2)
+                             for _ in range(rng.randint(1, 4))])
+        supports = [frozenset(i for i, e in enumerate(m) if e) for m in ideal.groebner().lead_monomials]
+        assert dimension(ideal) == _dimension_by_subsets(n, supports)
+
+
 def test_codimension_requires_homogeneous_input():
     ring = Ring.flat(2, QQ)
     x, y = ring.gens()

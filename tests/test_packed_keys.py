@@ -9,6 +9,7 @@ from formstrength.orders import (
     DEGREVLEX,
     LEX,
     MAX_EXPONENT,
+    WIDTH,
     KeyWidthError,
     elimination,
     packing,
@@ -81,3 +82,8 @@ def test_exponent_past_the_limit_is_refused(order):
     pk.key((MAX_EXPONENT, 0, MAX_EXPONENT))
     with pytest.raises(KeyWidthError):
         pk.key((0, MAX_EXPONENT + 1, 0))
+
+
+def test_guard_is_the_top_bit_of_every_slot():
+    for n in range(40):
+        assert packing(DEGREVLEX, n).guard == sum(1 << (WIDTH * i + WIDTH - 1) for i in range(n))

@@ -1,8 +1,12 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from formstrength.domains import GF, QQ
+from formstrength.minors import GenericMatrix, maximal_minors
+from formstrength.orders import MAX_EXPONENT
 from formstrength.parse import (
     PolyParseError,
     dump_ideal_text,
@@ -106,3 +110,78 @@ def test_ideal_file_comments_and_conflicts():
         load_ideal_text(text, Ring.flat(3, QQ))
     with pytest.raises(ValueError, match="before any ring"):
         load_ideal_text("x1 + x2\n")
+
+
+# one case per refusal: (field, text, message, position)
+REFUSALS = [
+    (QQ, "x1 + @", "unexpected character '@'", 4),
+    (QQ, "x1 x2", "expected '+' or '-', got 'x2'", 3),
+    (QQ, "x1^2^3", "expected '+' or '-', got '^'", 4),
+    (QQ, "x1 + * x2", "expected coefficient or variable, got '*'", 5),
+    (QQ, "x1 +", "unexpected end of input", 3),
+    (QQ, "x1*", "unexpected end of input", 2),
+    (QQ, "3/x1", "expected denominator after '/'", 2),
+    (QQ, "3 / ", "expected denominator after '/'", 2),
+    (QQ, "3/0*x1", "invalid rational: zero denominator", 2),
+    (GF(7), "3/0*x1", "invalid rational: zero denominator", 2),
+    (GF(7), "x2 + 3/14", "invalid rational: invalid denominator 14 mod 7", 7),
+    (QQ, "x1 + x9", "unknown variable name 'x9'", 5),
+    (QQ, "x1^x2", "expected integer exponent after '^'", 3),
+    (QQ, "x1 ^ +", "expected integer exponent after '^'", 5),
+    (QQ, "x1^40000", f"exponent above {MAX_EXPONENT}, the packed key limit", 0),
+    (QQ, "x1^20000*x1^20000", f"exponent above {MAX_EXPONENT}, the packed key limit", 9),
+    (QQ, "", "empty polynomial text", 0),
+    (QQ, "   ", "empty polynomial text", 0),
+]
+
+
+@pytest.mark.parametrize("field, text, message, pos", REFUSALS)
+def test_refusal_message_and_position(field, text, message, pos):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text, Ring.flat(3, field))
+    assert str(info.value) == f"{message} (at position {pos})"
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text, pos", [("x1 2", 3), ("2 3", 2), ("x1 x2", 3), ("x1\t2", 3)])
+def test_adjacent_tokens_without_star_are_refused(text, pos):
+    # x12 names a variable of this ring: a blank inside never merges two tokens
+    with pytest.raises(PolyParseError, match="expected '\\+' or '-'") as info:
+        parse_poly(text, Ring.flat(12, QQ))
+    assert info.value.pos == pos
+
+
+def test_blanks_around_caret_slash_and_star():
+    ring = Ring.flat(2, QQ)
+    expected = parse_poly("3/4*x1^2*x2", ring)
+    for text in ("3 / 4 * x1 ^ 2 * x2", "3\t/\t4\t*\tx1\t^\t2\t*\tx2", " 3/ 4 *x1^ 2*  x2 "):
+        assert parse_poly(text, ring) == expected
+
+
+def test_coefficient_types():
+    f = parse_poly("-1/2*x1 + 3 - 5/3*x2", Ring.flat(2, QQ))
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert sorted(f.terms.values()) == [Fraction(-5, 3), Fraction(-1, 2), Fraction(3)]
+    f = parse_poly("-1/2*x1 + 3 - 5/3*x2 + 10", Ring.flat(2, GF(7)))
+    assert all(type(c) is int and 0 <= c < 7 for c in f.terms.values())
+    assert sorted(f.terms.values()) == [3, 3, 6]  # -1/2 = 3, -5/3 = 3, 3 + 10 = 6 mod 7
+
+
+@pytest.mark.parametrize("place", ["leading", "inner", "trailing"])
+@pytest.mark.parametrize("bad", ["a", "@", "x2"])
+def test_long_blank_runs_are_refused_in_linear_time(place, bad):
+    run = " " * 10**5 + bad
+    text = {"leading": run + " x1", "inner": "x1" + run + " + x2", "trailing": "x1 + x2" + run}[place]
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError):
+        parse_poly(text, Ring.flat(3, QQ))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 3), (7, 6)])
+@pytest.mark.parametrize("field", [GF(32003), QQ])
+def test_minor_families_round_trip(rows, cols, field):
+    family = maximal_minors(GenericMatrix(rows, cols, field))
+    ring, polys = load_ideal_text(dump_ideal_text(family.ring, family.minors))
+    assert ring == family.ring
+    assert polys == list(family.minors)

@@ -1,7 +1,8 @@
-"""Fuzzing of the polynomial parser: ``parse_poly`` on polynomial text with
-random edits returns a ``Poly`` or raises ``PolyParseError``, never another
-exception, and the text ``format_poly`` writes parses back to the same
-polynomial."""
+"""Fuzzing of the polynomial parser.  On polynomial text with random edits,
+``parse_poly`` and the token-by-token reference parser in ``conftest`` both
+accept, with equal polynomials, or both refuse, with a ``PolyParseError`` of
+the same message and position and never another exception; and the text
+``format_poly`` writes parses back to the same polynomial."""
 
 import random
 
@@ -14,13 +15,13 @@ from formstrength.domains import GF, QQ
 from formstrength.parse import PolyParseError, format_poly, parse_poly
 from formstrength.poly import Poly, Ring
 
-from conftest import random_poly
+from conftest import random_poly, reference_parse_poly
 
 RINGS = [Ring.flat(3, QQ), Ring.flat(4, GF(7)), Ring.matrix(3, 2, QQ)]
-# tokens of the grammar, pieces of them, and characters outside it
+# tokens of the grammar, pieces of them, blank runs, and characters outside it
 PIECES = ["x", "x1", "x4", "x9", "x0", "x01", "x2_1", "x3_2", "_", "_1", "^", "^2", "^0", "*", "/", "/0", "/7",
           "/14", "1/7*", " + 3/14", "+", "-", " ", "\t", "0", "1", "7", "14", "10000000000000000000000", "(", ".",
-          "e", "é", ""]
+          "e", "é", "", "  ", "\t\t", " \t ", " " * 7]
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -40,17 +41,23 @@ def edited_texts(draw):
     return ring, f, text
 
 
+def _outcome(parse, text, ring):
+    try:
+        return parse(text, ring)
+    except PolyParseError as exc:
+        return str(exc), exc.pos
+
+
 @SETTINGS
 @given(case=edited_texts())
 def test_parse_poly_on_edited_text_returns_a_poly_or_a_parse_error(case):
     ring, f, text = case
     assert parse_poly(format_poly(f), ring) == f
-    try:
-        g = parse_poly(text, ring)
-    except PolyParseError:
-        return
-    assert isinstance(g, Poly) and g.ring == ring
-    assert parse_poly(format_poly(g), ring) == g
+    got = _outcome(parse_poly, text, ring)
+    assert got == _outcome(reference_parse_poly, text, ring)
+    if isinstance(got, Poly):
+        assert got.ring == ring
+        assert parse_poly(format_poly(got), ring) == got
 
 
 def test_denominator_divisible_by_p_is_a_parse_error():
