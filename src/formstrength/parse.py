@@ -44,6 +44,7 @@ variables name the entries of a generic matrix).
 from __future__ import annotations
 
 import re
+import sys
 
 from .domains import domain_from_name
 from .orders import DEGREVLEX, MAX_EXPONENT
@@ -66,11 +67,19 @@ _PIECE = rf"-?\s*{_TERM}\s*"
 _TOKEN = rf"\s*({_VAR}|\d+|[-+*/^])"
 
 
+def _digit_limit():
+    """The most digits ``int()`` converts to a number: Python's
+    ``sys.get_int_max_str_digits()``, or 0 (no limit) where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _factor(ring, factor):
     """Resolve one factor without blanks: (variable index, exponent) for a
     variable power, (None, value) for a coefficient.  Raises KeyError for an
-    unknown variable and ZeroDivisionError for a denominator that is zero or,
-    over F_p, divisible by p."""
+    unknown variable, ZeroDivisionError for a denominator that is zero or,
+    over F_p, divisible by p, and ValueError for a number of more digits
+    than ``_digit_limit()``."""
     if factor[0] == "x":
         name, _, exp = factor.partition("^")
         return ring.index_of(name), int(exp) if exp else 1
@@ -165,6 +174,11 @@ def _fault(text, ring):
         except ZeroDivisionError as exc:
             den_pos = m.end() - len(factor.partition("/")[2])
             return PolyParseError(f"invalid rational: {exc}", den_pos)
+        except ValueError:
+            # int() refused the factor's first number of too many digits
+            limit = _digit_limit()
+            digits = next(d for d in re.finditer(r"\d+", m.group()) if len(d.group()) > limit)
+            return PolyParseError(f"number of more than {limit} digits", m.start() + digits.start())
         if i is not None:
             exps[i] += v
             if exps[i] > MAX_EXPONENT:
@@ -241,6 +255,9 @@ def parse_ring_header(text: str) -> Ring:
     m = _RING_RE.match(text.strip())
     if m is None:
         raise ValueError(f"bad ring header: {text.strip()!r}")
+    limit = _digit_limit()
+    if limit and any(len(d) > limit for d in re.findall(r"\d+", m.group())):
+        raise ValueError(f"bad ring header: a number of more than {limit} digits")
     nvars = int(m.group(1))
     domain = domain_from_name(m.group(2))
     if m.group(3):

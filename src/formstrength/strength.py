@@ -18,15 +18,20 @@ monomials in a fixed order m_0, m_1, ..., sum c_k m_k has code sum c_k p^k.
 The products scalar * l1 * l2 of linear forms are enumerated once per
 (p, n) as codes, and two codes add digit by digit mod p through tables over
 chunks of w digits with p^w <= 243, one lookup per chunk.  Over F_3 with at
-most four variables, "strength <= 1" is a byte map over all 3^10 codes,
-filled from every sum of two products; a form has strength 2 when adding
-some product lands on that map.  Over F_5 one product is subtracted and the
-rest looked up among the products.
+most four variables, "strength <= 1" is a byte map over all 3^10 codes.  A
+quadric is zero, a product or a sum of two products exactly when it lies in
+(a, b)_2 = {a*m1 + b*m2} for some plane <a, b> of linear forms, so the map
+is filled one plane at a time: the [n choose 2]_p planes (130 for n = 4)
+are taken once each as reduced echelon pairs, and each span (a, b)_2 is
+built from its 2n - 1 generators a*x_k (every k) and b*x_k (k != t), where
+a has its leading 1 at t: writing a*b two ways makes b*x_t a combination of
+them.  A form has strength 2 when adding some product lands on that map.
+Over F_5 one product is subtracted and the rest looked up among the
+products.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from operator import add
 
 from .domains import PrimeField
@@ -138,9 +143,11 @@ class _QuadricCodes:
     docstring), the codes of the products among them, and the chunk tables
     that add two codes digit by digit mod p."""
 
-    __slots__ = ("size", "weights", "products", "product_set", "_base", "_tables", "_columns", "_le_one")
+    __slots__ = ("p", "n", "size", "weights", "products", "product_set", "_base", "_tables", "_columns", "_le_one")
 
     def __init__(self, p, n):
+        self.p = p
+        self.n = n
         pairs = [(i, j) for i in range(n) for j in range(i, n)]  # monomial x_i x_j
         m = len(pairs)
         powers = [p**k for k in range(m)]
@@ -183,27 +190,74 @@ class _QuadricCodes:
         weights = self.weights
         return sum(c * weights[mono] for mono, c in terms.items())
 
-    def sums(self, code, start=0):
-        """code + q digit by digit mod p, for the products q from index start on."""
+    def sums(self, code):
+        """code + q digit by digit mod p, for every product q."""
+        return self._add(code, self._columns)
+
+    def _add(self, code, columns):
+        """code + q digit by digit mod p, for the codes q whose chunks (as
+        integers below p^w) are listed in columns, one list per chunk."""
         base = self._base
         total = None
-        for table, column in zip(self._tables, self._columns):
+        for table, column in zip(self._tables, columns):
             row = table[code % base]
             code //= base
-            part = map(row.__getitem__, islice(column, start, None))
+            part = map(row.__getitem__, column)
             total = part if total is None else map(add, total, part)
         return total
 
     def le_one(self):
         """Byte map over all codes: 1 exactly on the quadrics that are zero,
-        a product or a sum of two products (strength at most 1)."""
+        a product or a sum of two products (strength at most 1).
+
+        Such a quadric is a*m1 + b*m2 with linear a, b, m1, m2, so it lies
+        in (a, b)_2 = {a*m1 + b*m2} for a plane <a, b> of linear forms, and
+        every element of (a, b)_2 is such a sum.  Each plane is taken once,
+        as its reduced echelon pair: a with its leading 1 at t, b with its
+        leading 1 at j > t and a_j = 0, [n choose 2]_p planes in all (130
+        for p = 3, n = 4).  (a, b)_2 is spanned by the 2n - 1 quadrics
+        a*x_k (every k) and b*x_k (k != t): writing a*b two ways and using
+        a_t = 1 gives b*x_t = sum_k b_k*(a*x_k) - sum_{k != t} a_k*(b*x_k).
+        The span of each plane is grown from its generators through the
+        chunk tables, S -> S + {0, g, ..., (p-1)*g}, and marked as soon as
+        it is complete.  Zero and the products are marked directly: with
+        n = 1 there is no plane.
+        """
         if self._le_one is None:
+            p, n, base, rows = self.p, self.n, self._base, self._tables[0]
+            # square[i][k]: the weight of the monomial x_i x_k
+            square = [
+                [self.weights[tuple((v == i) + (v == k) for v in range(n))] for k in range(n)]
+                for i in range(n)
+            ]
             table = bytearray(self.size)
             table[0] = 1
-            for i, q in enumerate(self.products):
+            for q in self.products:
                 table[q] = 1
-                for c in self.sums(q, i):
-                    table[c] = 1
+            lins = _linear_forms(p, n)
+            for a in lins:
+                t = a.index(1)
+                for b in lins:
+                    j = b.index(1)
+                    if j <= t or a[j]:
+                        continue
+                    generators = [(a, k) for k in range(n)] + [(b, k) for k in range(n) if k != t]
+                    # per generator u*x_k, the codes of s*u*x_k for s = 0, ..., p-1
+                    multiples = [
+                        [sum(s * ui % p * w for ui, w in zip(u, square[k])) for s in range(p)]
+                        for u, k in generators
+                    ]
+                    # the span of all generators but the last, as chunk columns
+                    columns = [[0] for _ in self._tables]
+                    for codes in multiples[:-1]:
+                        for c, column in enumerate(columns):
+                            span = column[:]
+                            for g in codes[1:]:
+                                row = rows[g // base**c % base]
+                                column.extend(map(row.__getitem__, span))
+                    for g in multiples[-1]:
+                        for code in self._add(g, columns):
+                            table[code] = 1
             self._le_one = table
         return self._le_one
 

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import sys
 import time
 from itertools import combinations_with_replacement
 
@@ -478,6 +479,26 @@ def test_input_exponent_beyond_packed_keys_exits_two(tmp_path, capsys, line, com
     assert run(command + ["--in", str(path)]) == 2
     _, err = _capture(capsys)
     assert f"exponent above {MAX_EXPONENT}" in err and "internal error" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() converts numbers of any length")
+@pytest.mark.parametrize("where", ["header", "coefficient", "exponent", "denominator"])
+def test_numbers_longer_than_int_converts_exit_two(tmp_path, capsys, where):
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    text = {
+        "header": f"ring n={long} field=q\nx1\n",
+        "coefficient": f"ring n=2 field=q\n{long}*x1\n",
+        "exponent": f"ring n=2 field=q\nx1^{long}\n",
+        "denominator": f"ring n=2 field=q\nx2 + 1/{long}\n",
+    }[where]
+    path = tmp_path / "sys.txt"
+    path.write_text(text)
+    assert run(["gb", "codim", "--in", str(path)]) == 2
+    _, err = _capture(capsys)
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert ("bad ring header" in err) == (where == "header")
+    assert ("(at position" in err) == (where != "header")
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("operation", ["rank", "strength", "collective", "minrank"])

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -90,6 +91,46 @@ def test_ring_headers():
         parse_ring_header("ring n=5 field=fp:32003 matrix=4x3")
     with pytest.raises(ValueError):
         parse_ring_header("ring field=q")
+
+
+# the most digits int() converts (0: no limit in this Python)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (INT_DIGITS + 1)
+needs_int_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() converts numbers of any length")
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        (f"{LONG}*x1", 0),  # coefficient
+        (f"x1^{LONG}", 3),  # exponent
+        (f"x1 ^ {LONG} + x2", 5),
+        (f"x2 + 3/{LONG}", 7),  # denominator
+        (f"x1 - {LONG}/2", 5),  # numerator of a fraction
+    ],
+)
+@pytest.mark.parametrize("domain", [QQ, GF(7)])
+def test_numbers_longer_than_int_converts_are_refused_with_position(text, pos, domain):
+    with pytest.raises(PolyParseError, match=f"number of more than {INT_DIGITS} digits") as info:
+        parse_poly(text, Ring.flat(2, domain))
+    assert info.value.pos == pos
+
+
+@needs_int_digit_limit
+def test_numbers_as_long_as_int_converts_are_read():
+    ring = Ring.flat(2, QQ)
+    longest = "1" * INT_DIGITS
+    assert parse_poly(f"{longest}*x1", ring).terms == {(1, 0): int(longest)}
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "header", [f"ring n={LONG} field=q", f"ring n=2 field=fp:{LONG}", f"ring n=4 field=q matrix={LONG}x2"]
+)
+def test_ring_header_numbers_longer_than_int_converts_are_refused(header):
+    with pytest.raises(ValueError, match=f"bad ring header: a number of more than {INT_DIGITS} digits"):
+        parse_ring_header(header)
 
 
 def test_ideal_file_round_trip():

@@ -124,6 +124,27 @@ def test_oracle_equals_reference_on_sampled_f5_ternary_forms():
             assert strength_bruteforce_small(f, s_max=s_max) == reference.strength(f, s_max), (str(f), s_max)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_le_one_marks_the_reference_sums_of_two_products(n):
+    codes = _quadric_codes(3, n)
+    reference = _Reference(Ring.flat(n, GF(3)))
+    marked = {code for code, flag in enumerate(codes.le_one()) if flag}
+    assert marked == {codes.code(dict(key)) for key in reference.le_one()}
+
+
+def test_le_one_equals_the_pairwise_fill_over_products_f3_four_variables():
+    # the byte map from planes of linear forms against every sum of two
+    # product codes, and zero and the products themselves
+    codes = _quadric_codes(3, 4)
+    pairwise = bytearray(codes.size)
+    pairwise[0] = 1
+    for q in codes.products:
+        pairwise[q] = 1
+        for code in codes.sums(q):
+            pairwise[code] = 1
+    assert codes.le_one() == pairwise
+
+
 def test_oracle_invariants_f3_four_variables():
     ring = Ring.flat(4, GF(3))
     codes = _quadric_codes(3, 4)
