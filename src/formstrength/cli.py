@@ -34,6 +34,8 @@ from .groebner import (
 from .minors import GenericMatrix, laplace_strength_bound, maximal_minors
 from .orders import order_from_name
 from .parse import (
+    _digit_limit,
+    _too_long,
     dump_ideal_text,
     format_poly,
     load_ideal_file,
@@ -87,9 +89,12 @@ def _load_system(args):
 def _gram_form(lines):
     """A bare symmetric matrix of numbers, one row per line, read over Q."""
     rows = []
-    for line in lines:
+    for row, line in enumerate(lines, 1):
         entries = []
-        for tok in line.replace(",", " ").split():
+        for entry, tok in enumerate(line.replace(",", " ").split(), 1):
+            # int() ignores underscores when it counts digits
+            if _too_long(tok.replace("_", "")):
+                raise ValueError(f"Gram matrix row {row}, entry {entry}: a number of more than {_digit_limit()} digits")
             if "/" in tok:
                 num, den = (int(v) for v in tok.split("/", 1))
                 if not den:

@@ -1,8 +1,11 @@
 """Buchberger engine and ideal-theoretic queries.
 
 The basis computation is Buchberger with the Gebauer-Moeller pair
-eliminations and normal (smallest-lcm-first) selection; bases are always
-interreduced, so the result is the unique reduced basis for (ideal, order).
+eliminations and normal (smallest-lcm-first) selection.  Its bases are
+minimal and stay packed (see ``GroebnerBasis``): leads, dimension,
+membership and normal forms need no more, since a remainder on division by
+any Groebner basis is unique.  The elements are interreduced and decoded on
+first read, into the unique reduced basis for (ideal, order).
 
 For r ≤ n homogeneous generators of degrees d_i under degrevlex, pairs
 leave the heap by ascending degree, and a Hilbert-driven criterion
@@ -48,8 +51,8 @@ under multiplication.  A term dict maps keys to coefficients; shifting a
 reducer by the quotient monomial adds one int to each of its keys, a
 divisibility test is one subtraction and one mask, and a min-heap of the
 keys in the work dict yields each leading term.  Exponent tuples appear
-only where polynomials enter and leave the engine and in the pair
-criteria.
+only where polynomials enter the engine, in the leads and the pair
+criteria, and where a basis's elements are first read.
 """
 
 from __future__ import annotations
@@ -72,30 +75,41 @@ class GroebnerError(RuntimeError):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, descending leading terms."""
+    """Groebner basis: lead monomials in descending order, and elements.
 
-    __slots__ = ("ring", "order", "elements", "lead_monomials", "_reducers")
+    It holds one reducer per lead in the kernel's packed form (see
+    ``_reduce_terms``), which is all that leads, membership and normal forms
+    read: the remainder on division by any Groebner basis is unique.  An
+    engine basis (``_reduced``) is minimal, and ``elements``, its reduced
+    basis, is interreduced and decoded on first read; a basis built from
+    polynomials holds them as its elements."""
 
-    def __init__(self, ring, order, elements, _lead_monomials=None):
+    __slots__ = ("ring", "order", "lead_monomials", "_reducers", "_elements")
+
+    def __init__(self, ring, order, elements):
+        pk = packing(order, ring.nvars)
         self.ring = ring
         self.order = order
-        self.elements = list(elements)
-        if _lead_monomials is None:
-            _lead_monomials = [g.leading_monomial(order) for g in self.elements]
-        self.lead_monomials = _lead_monomials
-        self._reducers = None
+        self._elements = list(elements)
+        self._reducers = [_reducer(_encode(pk, g), pk, ring.domain) for g in self._elements]
+        self.lead_monomials = [pk.monomial(r[0]) for r in self._reducers]
 
-    def _kernel_reducers(self):
-        """The elements in the kernel's form (see ``_reduce_terms``), built
-        on first use."""
-        if self._reducers is None:
-            pk = packing(self.order, self.ring.nvars)
-            dom = self.ring.domain
-            self._reducers = [_reducer(_encode(pk, g), pk, dom) for g in self.elements]
-        return self._reducers
+    @classmethod
+    def _packed(cls, ring, order, reducers, lead_monomials):
+        """A basis of packed reducers, with their leads in descending order,
+        whose elements are built on first read."""
+        basis = cls(ring, order, [])
+        basis._reducers, basis.lead_monomials, basis._elements = reducers, lead_monomials, None
+        return basis
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = _interreduced(self._reducers, self.lead_monomials, self.order, self.ring)
+        return self._elements
 
     def is_unit(self):
-        return len(self.elements) == 1 and not any(self.lead_monomials[0])
+        return len(self.lead_monomials) == 1 and not any(self.lead_monomials[0])
 
     def contains(self, f):
         return not normal_form(f, self).terms
@@ -104,7 +118,7 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.lead_monomials)
 
     def __eq__(self, other):
         return (
@@ -115,7 +129,7 @@ class GroebnerBasis:
         )
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.elements)} elements, {self.order!r})"
+        return f"GroebnerBasis({len(self)} elements, {self.order!r})"
 
 
 def _encode(pk, f):
@@ -212,10 +226,10 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
     """Remainder of f on division by the basis; zero iff f is a member."""
     if f.ring != basis.ring:
         raise ValueError("polynomial and basis live in different rings")
-    if not f.terms or not basis.elements:
+    if not f.terms or not basis.lead_monomials:
         return f
     pk = packing(basis.order, f.ring.nvars)
-    rem = _reduce_terms(_encode(pk, f), basis._kernel_reducers(), pk, f.ring.domain)
+    rem = _reduce_terms(_encode(pk, f), basis._reducers, pk, f.ring.domain)
     return _decode(pk, rem, f.ring)
 
 
@@ -330,7 +344,8 @@ class _HilbertBound:
 
 
 def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
+    """Reduced Groebner basis of the ideal generated by ``gens``, kept
+    minimal and packed until its elements are read."""
     gens = [g for g in gens if g.terms]
     if ring is None:
         if not gens:
@@ -438,24 +453,33 @@ def _buchberger(gens, order, ring, stop=None):
 
 
 def _reduced(reducers, lms, order, ring):
-    """The reduced basis of a Groebner basis given as ``_buchberger`` leaves
-    it: minimalized, interreduced, monic, by descending leads."""
+    """The minimal basis of a Groebner basis given as ``_buchberger`` leaves
+    it: the elements whose lead no other lead divides, packed, by descending
+    leads.  Its reduced elements are built on first read (``_interreduced``)."""
+    guard = packing(order, ring.nvars).guard
+    minimal = []
+    # a lead's divisors are no larger than it, so they come first
+    for t in sorted(range(len(reducers)), key=lambda t: -reducers[t][0]):
+        v = reducers[t][1]
+        if all((v - reducers[u][1]) & guard for u in minimal):
+            minimal.append(t)
+    minimal.reverse()
+    return GroebnerBasis._packed(ring, order, [reducers[t] for t in minimal], [lms[t] for t in minimal])
+
+
+def _interreduced(reducers, leads, order, ring):
+    """The reduced elements of a minimal basis given as packed reducers and
+    their descending leads.  A tail term can only be divisible by a smaller
+    lead, so each tail is divided by the elements after it, last first."""
     pk = packing(order, ring.nvars)
     dom = ring.domain
-    # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(reducers)), key=lambda t: -reducers[t][0])
-    minimal = []
-    for t in order_idx:
-        if not any(mono_divides(lms[u], lms[t]) for u in minimal if u != t):
-            minimal.append(t)
-    # interreduce tails, each against the others as reduced so far
-    kept = [reducers[t] for t in minimal]
-    for pos, (lk, lv, tail) in enumerate(kept):
-        rem = _reduce_terms(dict(tail), kept[:pos] + kept[pos + 1 :], pk, dom)
+    kept = list(reducers)
+    for pos in reversed(range(len(kept))):
+        lk, lv, tail = kept[pos]
+        rem = _reduce_terms(dict(tail), kept[pos + 1 :], pk, dom)
         kept[pos] = (lk, lv, list(rem.items()))
-    kept.sort(key=lambda r: r[0])
     # one tuple per distinct monomial, shared by the elements it occurs in
-    monos = {}
+    monos = {r[0]: m for r, m in zip(kept, leads)}
     monomial = pk.monomial
 
     def decode(k):
@@ -465,11 +489,11 @@ def _reduced(reducers, lms, order, ring):
         return m
 
     result = []
-    for lk, _, tail in kept:
+    for (lk, _, tail), lead in zip(kept, leads):
         terms = {decode(k): c for k, c in tail}
-        terms[decode(lk)] = dom.one
+        terms[lead] = dom.one
         result.append(Poly(ring, terms, _clean=False))
-    return GroebnerBasis(ring, order, result, [decode(lk) for lk, _, _ in kept])
+    return result
 
 
 # ---------------------------------------------------------------------------

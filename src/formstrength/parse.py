@@ -74,6 +74,12 @@ def _digit_limit():
     return get() if get else 0
 
 
+def _too_long(text):
+    """True when text holds a run of more digits than ``int()`` converts."""
+    limit = _digit_limit()
+    return bool(limit) and any(len(d) > limit for d in re.findall(r"\d+", text))
+
+
 def _factor(ring, factor):
     """Resolve one factor without blanks: (variable index, exponent) for a
     variable power, (None, value) for a coefficient.  Raises KeyError for an
@@ -249,16 +255,22 @@ _RING_RE = re.compile(
     r"^ring\s+n=(\d+)\s+field=(q|fp:\d+)(?:\s+matrix=(\d+)x(\d+))?\s*$"
 )
 
+# The most variables a ring header may declare.  A ring holds one name per
+# variable and every monomial one exponent per variable, so a header such
+# as n=10^9 would exhaust memory before any line is read.
+_MAX_VARIABLES = 100_000
+
 
 def parse_ring_header(text: str) -> Ring:
     """Parse ``ring n=<vars> field=q|fp:<p> [matrix=RxC]``."""
     m = _RING_RE.match(text.strip())
     if m is None:
         raise ValueError(f"bad ring header: {text.strip()!r}")
-    limit = _digit_limit()
-    if limit and any(len(d) > limit for d in re.findall(r"\d+", m.group())):
-        raise ValueError(f"bad ring header: a number of more than {limit} digits")
+    if _too_long(m.group()):
+        raise ValueError(f"bad ring header: a number of more than {_digit_limit()} digits")
     nvars = int(m.group(1))
+    if nvars > _MAX_VARIABLES:
+        raise ValueError(f"bad ring header: more than {_MAX_VARIABLES} variables")
     domain = domain_from_name(m.group(2))
     if m.group(3):
         rows, cols = int(m.group(3)), int(m.group(4))

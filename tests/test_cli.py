@@ -15,7 +15,7 @@ import formstrength.quadratic as quadratic
 from formstrength.cli import run
 from formstrength.domains import GF, QQ
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
-from formstrength.parse import dump_ideal_text
+from formstrength.parse import _MAX_VARIABLES, dump_ideal_text
 from formstrength.poly import Poly, Ring
 
 
@@ -199,6 +199,36 @@ def test_gb_codim_of_one_linear_form_in_many_variables(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     out, _ = _capture(capsys)
     assert out.strip() == "1"
+
+
+def test_gb_codim_json_of_the_7x6_maximal_minors_never_builds_the_reduced_basis(tmp_path, capsys, monkeypatch):
+    # the codimension reads only the leads of the packed minimal basis
+    def refused(*args):
+        raise AssertionError("the reduced elements were built")
+
+    monkeypatch.setattr(groebner, "_interreduced", refused)
+    family = minors.maximal_minors(minors.GenericMatrix(7, 6, GF(32003)))
+    path = tmp_path / "minors.txt"
+    path.write_text(dump_ideal_text(family.minors[0].ring, family.minors))
+    assert run(["gb", "codim", "--json", "--in", str(path)]) == 0
+    out, err = _capture(capsys)
+    assert json.loads(out)["result"] == {"codim": 2} and err == ""
+
+
+@pytest.mark.parametrize("ring_flag", [False, True])
+def test_too_many_variables_exit_two_before_any_ring(tmp_path, capsys, monkeypatch, ring_flag):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a refused header built a ring")
+
+    monkeypatch.setattr(Ring, "__init__", no_ring)
+    path = tmp_path / "sys.txt"
+    header = "n=1000000000 field=q"
+    path.write_text("x1 + x2\n" if ring_flag else f"ring {header}\nx1 + x2\n")
+    start = time.perf_counter()
+    assert run(["gb", "codim", "--in", str(path)] + (["--ring", header] if ring_flag else [])) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = _capture(capsys)
+    assert out == "" and f"more than {_MAX_VARIABLES} variables" in err
 
 
 def test_gb_basis_lex_order(tmp_path, capsys):
@@ -499,6 +529,29 @@ def test_numbers_longer_than_int_converts_exit_two(tmp_path, capsys, where):
     assert ("bad ring header" in err) == (where == "header")
     assert ("(at position" in err) == (where != "header")
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() converts numbers of any length")
+@pytest.mark.parametrize("entry", ["{long}", "-{long}", "{long}/3", "3/{long}", "{half}_{half}"])
+def test_gram_numbers_longer_than_int_converts_exit_two(tmp_path, capsys, entry):
+    # int() counts the digits on both sides of an underscore together
+    limit = sys.get_int_max_str_digits()
+    entry = entry.format(long="1" * (limit + 1), half="1" * (limit // 2 + 1))
+    path = tmp_path / "gram.txt"
+    path.write_text(f"# a Gram matrix\n1 0 0\n\n0 1, {entry}\n0 0 1\n")
+    assert run(["quadric", "rank", "--in", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert f"Gram matrix row 2, entry 3: a number of more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_gram_numbers_as_long_as_int_converts_are_read(tmp_path, capsys):
+    longest = "1" * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    path = tmp_path / "gram.txt"
+    path.write_text(f"{longest} 0\n0 1/{longest}\n")
+    assert run(["quadric", "rank", "--in", str(path)]) == 0
+    assert _capture(capsys)[0] == "rank: 2\n"
 
 
 @pytest.mark.parametrize("operation", ["rank", "strength", "collective", "minrank"])

@@ -1,11 +1,12 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import formstrength.groebner as groebner
 from formstrength.domains import GF, QQ
 from formstrength.groebner import (
+    GroebnerBasis,
     Ideal,
     _add_shifted,
     _hilbert_numerator,
@@ -15,13 +16,15 @@ from formstrength.groebner import (
     dimension,
     groebner_basis,
     ideal_intersection,
+    is_regular_sequence_codim,
     is_regular_sequence_direct,
     normal_form,
 )
 from formstrength.minors import GenericMatrix, maximal_minors
-from formstrength.orders import LEX, elimination, packing
+from formstrength.orders import DEGREVLEX, LEX, elimination, packing
 from formstrength.parse import parse_poly
-from formstrength.poly import Poly, Ring
+from formstrength.polygcd import regular_pair_gcd_check
+from formstrength.poly import Poly, Ring, mono_divides
 
 from conftest import dense_form, random_homogeneous, random_poly, spolynomial
 
@@ -361,3 +364,80 @@ def test_inhomogeneous_intersection_never_tests_the_stop(monkeypatch):
     inter = ideal_intersection(Ideal(ring, [x1 + one]), Ideal(ring, [x2 + one]))
     assert inter.gens == [(x1 + one) * (x2 + one)]
     assert not calls
+
+
+def test_leads_and_membership_never_build_the_reduced_elements(monkeypatch):
+    # dimension, membership and normal forms read only the packed minimal
+    # basis; the interreduced, decoded elements are built only when read
+    def refused(*args):
+        raise AssertionError("the reduced elements were built")
+
+    monkeypatch.setattr(groebner, "_interreduced", refused)
+    # the 2x2 minors of a generic 2x3 matrix: codimension 2, three minors
+    ring = Ring.flat(6, GF(32003))
+    x1, x2, x3, x4, x5, x6 = ring.gens()
+    minors = [x1 * x5 - x2 * x4, x1 * x6 - x3 * x4, x2 * x6 - x3 * x5]
+    ideal = Ideal(ring, minors)
+    assert codimension(ideal) == 2
+    assert dimension(ideal) == 4
+    assert ideal.contains(x3 * minors[0] + x1 * minors[2])
+    assert not ideal.contains(x1 * x5)
+    basis = ideal.groebner()
+    assert normal_form(x1 * x5, basis) == normal_form(x2 * x4, basis)
+    assert len(basis) == 3 and not basis.is_unit()
+    assert repr(basis) == f"GroebnerBasis(3 elements, {DEGREVLEX!r})"
+    assert is_regular_sequence_codim(minors[:2])
+    assert is_regular_sequence_codim([x1 * x5, x1 * x6]) is False
+    assert regular_pair_gcd_check(x1 * x2, x1 * x3).codim_route_regular is False
+    assert regular_pair_gcd_check(x1 * x2, x3 * x4).codim_route_regular is True
+    with pytest.raises(AssertionError, match="reduced elements"):
+        basis.elements
+
+
+def _is_reduced(basis):
+    """Monic elements by strictly descending leads, the ones ``lead_monomials``
+    lists, and no term of any element divisible by the lead of another."""
+    order, leads = basis.order, basis.lead_monomials
+    if [g.leading_monomial(order) for g in basis.elements] != leads:
+        return False
+    if [order.key(m) for m in leads] != sorted((order.key(m) for m in leads), reverse=True):
+        return False
+    one = basis.ring.domain.one
+    return all(
+        g.terms[lead] == one
+        and not any(mono_divides(other, m) for other in leads if other != lead for m in g.terms)
+        for g, lead in zip(basis.elements, leads)
+    )
+
+
+def test_packed_basis_divides_as_its_reduced_elements():
+    # a remainder on division by a Groebner basis is unique, so the packed
+    # minimal basis and the reduced elements decoded from it give the same
+    # normal forms; reading the elements changes no lead, length or verdict
+    rng = random.Random(25)
+    fields = [QQ, GF(7), GF(32003)]
+    seen = {"unit": 0, "zero": 0}
+    for case in range(200):
+        ring = Ring.flat(rng.randint(1, 5), fields[case % 3])
+        order = LEX if case % 4 == 3 else DEGREVLEX
+        homogeneous = rng.random() < 0.7
+        gens = [random_poly(rng, ring, max_degree=3, homogeneous=homogeneous) for _ in range(rng.randint(1, 4))]
+        if case % 20 == 0:
+            gens = [ring.zero()]
+        elif case % 20 == 10:
+            gens += [ring.var(0), ring.var(0) + ring.one()]
+        basis = groebner_basis(gens, order, ring=ring)
+        probes = [random_poly(rng, ring, max_degree=3) for _ in range(4)] + gens
+        remainders = [normal_form(f, basis) for f in probes]
+        leads, size, unit = list(basis.lead_monomials), len(basis), basis.is_unit()
+        seen["unit"] += unit
+        seen["zero"] += not leads
+        assert all(not mono_divides(a, b) for a, b in permutations(leads, 2)), (case, leads)
+        assert all(not r.terms for r in remainders[4:])
+        rebuilt = GroebnerBasis(ring, order, basis.elements)
+        assert [normal_form(f, rebuilt) for f in probes] == remainders, case
+        assert basis.lead_monomials == leads and len(basis) == size == len(basis.elements)
+        assert basis.is_unit() == unit == rebuilt.is_unit()
+        assert _is_reduced(basis), case
+        assert basis.elements is basis.elements and basis == rebuilt
+    assert seen["unit"] >= 10 and seen["zero"] == 10

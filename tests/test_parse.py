@@ -9,6 +9,7 @@ from formstrength.domains import GF, QQ
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.orders import MAX_EXPONENT
 from formstrength.parse import (
+    _MAX_VARIABLES,
     PolyParseError,
     dump_ideal_text,
     format_poly,
@@ -131,6 +132,28 @@ def test_numbers_as_long_as_int_converts_are_read():
 def test_ring_header_numbers_longer_than_int_converts_are_refused(header):
     with pytest.raises(ValueError, match=f"bad ring header: a number of more than {INT_DIGITS} digits"):
         parse_ring_header(header)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["ring n=1000000000 field=q", f"ring n={_MAX_VARIABLES + 1} field=fp:7",
+     "ring n=1000000000 field=q matrix=1000x1000000"],
+)
+def test_ring_header_with_too_many_variables_is_refused_before_any_ring(monkeypatch, header):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a refused header built a ring")
+
+    monkeypatch.setattr(Ring, "__init__", no_ring)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"bad ring header: more than {_MAX_VARIABLES} variables"):
+        parse_ring_header(header)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_ring_header_at_the_variable_limit_is_read():
+    # the limit leaves room for the wide linear systems gb codim answers
+    assert _MAX_VARIABLES >= 50000
+    assert parse_ring_header(f"ring n={_MAX_VARIABLES} field=q").nvars == _MAX_VARIABLES
 
 
 def test_ideal_file_round_trip():
