@@ -31,7 +31,7 @@ from .groebner import (
     ideal_quotient,
     is_regular_sequence_direct,
 )
-from .minors import GenericMatrix, laplace_strength_bound, maximal_minors
+from .minors import GenericMatrix, check_family_shape, laplace_strength_bound, maximal_minors
 from .orders import order_from_name
 from .parse import (
     _digit_limit,
@@ -265,6 +265,7 @@ def cmd_minors(args):
     except ValueError:
         raise ValueError(f"--matrix takes RxC, two integers such as 4x3; got {args.matrix!r}") from None
     domain = domain_from_name(args.field)
+    check_family_shape(rows, cols)  # before the ring: a large shape would exhaust memory on its names
     matrix = GenericMatrix(rows, cols, domain)
     family = maximal_minors(matrix)
     grading = Grading.by_columns(matrix.ring)
@@ -366,60 +367,100 @@ _FLAGS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="formstrength",
-        description="Exact certificates for rank, strength and regular-sequence properties of forms.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flags(p, *options):
+    for option in ("--json",) + options:
+        p.add_argument(option, **_FLAGS[option])
 
-    def flags(p, *options):
-        for option in ("--json",) + options:
-            p.add_argument(option, **_FLAGS[option])
 
-    def operations(name, help, table):
-        ops = sub.add_parser(name, help=help).add_subparsers(dest="operation", required=True)
-        for operation, func, *options in table:
-            op = ops.add_parser(operation)
-            flags(op, "--seed", *options)
-            op.set_defaults(func=func)
+def _operations(sub, name, help, table):
+    ops = sub.add_parser(name, help=help).add_subparsers(dest="operation", required=True)
+    for operation, func, *options in table:
+        op = ops.add_parser(operation)
+        _flags(op, "--seed", *options)
+        op.set_defaults(func=func)
 
+
+def _add_regseq(sub):
     p = sub.add_parser("regseq", help="test a system of forms for regularity")
-    flags(p, "--seed", "--in", "--ring")
+    _flags(p, "--seed", "--in", "--ring")
     p.set_defaults(func=cmd_regseq)
 
+
+def _add_quadric(sub):
     forms = ("--in", "--ring", "--p")
-    operations("quadric", "rank / strength / minrank / collective strength", [
+    _operations(sub, "quadric", "rank / strength / minrank / collective strength", [
         ("rank", cmd_rank, *forms, "--diag"), ("strength", cmd_rank, *forms, "--diag"),
         ("minrank", cmd_minrank, *forms, "--diag"), ("collective", cmd_collective, *forms),
     ])
 
+
+def _add_minors(sub):
     p = sub.add_parser("minors", help="build and export maximal-minor families")
-    flags(p, "--seed", "--field", "--matrix")
+    _flags(p, "--seed", "--field", "--matrix")
     p.set_defaults(func=cmd_minors)
 
-    operations("gb", "Groebner basis and ideal queries", [
+
+def _add_gb(sub):
+    _operations(sub, "gb", "Groebner basis and ideal queries", [
         ("basis", cmd_gb, "--in", "--ring", "--order"), ("dim", cmd_gb, "--in", "--ring"),
         ("codim", cmd_gb, "--in", "--ring"), ("intersect", cmd_gb, "--in", "--ring", "--in2"),
         ("quotient", cmd_gb, "--in", "--ring", "--f"),
     ])
 
+
+def _add_certify(sub):
     p = sub.add_parser("certify", help="build a machine-checked certificate")
     p.add_argument("target", choices=sorted(BUILDERS) + ["all"])
-    flags(p, "--seed", "--p")
+    _flags(p, "--seed", "--p")
     p.set_defaults(func=cmd_certify)
 
+
+def _add_recheck(sub):
     p = sub.add_parser("recheck", help="re-verify a serialized certificate")
     p.add_argument("certificate", help="certificate JSON file")
-    flags(p)
+    _flags(p)
     p.set_defaults(func=cmd_recheck)
 
+
+# subcommand -> the function that adds its parser, in the order --help lists them
+_SUBCOMMANDS = {
+    "regseq": _add_regseq,
+    "quadric": _add_quadric,
+    "minors": _add_minors,
+    "gb": _add_gb,
+    "certify": _add_certify,
+    "recheck": _add_recheck,
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with every subcommand, or with ``command`` only
+    that one's.  Its usage line names every subcommand either way, so a
+    usage or error message does not depend on which were built."""
+    parser = argparse.ArgumentParser(
+        prog="formstrength",
+        description="Exact certificates for rank, strength and regular-sequence properties of forms.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # argparse spells the usage of a full parser's subcommands this way
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
+def parser_for(argv):
+    """The parser ``run`` reads ``argv`` with: one subcommand's when argv
+    starts with its name, since only that one is read, else every one, for
+    ``--help``, ``--version`` and the messages of a missing or unknown
+    command."""
+    return build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = parser_for(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

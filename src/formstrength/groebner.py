@@ -40,9 +40,11 @@ variable, and quotients divide an intersection through by the quotienting
 element.  For homogeneous ideals the Hilbert series of I ∩ J is known in
 advance, N(R/I) + N(R/J) - N(R/(I + J)) over (1 - t)^n, so the elimination
 basis stops once its t-free leads reach it (proof at ``ideal_intersection``)
-and the pairs left are never reduced.  Nothing here computes a gcd, so the
-direct regular-sequence test never shares code with the gcd route of the
-two-form check.
+and the pairs left are never reduced.  The direct regular-sequence test
+compares the Hilbert numerators of successive prefixes, from their degrevlex
+bases (see ``is_regular_sequence_direct``): it needs no elimination and no
+quotient.  Nothing here computes a gcd, so that test never shares code with
+the gcd route of the two-form check.
 
 All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
 (CASC 2007).  Inside it a monomial is its packed order key (see
@@ -590,7 +592,7 @@ def _unshift_poly(f, ring):
     return Poly(ring, terms, _clean=False)
 
 
-def ideal_intersection(I: Ideal, J: Ideal, _sum=None) -> Ideal:
+def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the auxiliary-variable construction: eliminate t from
     K = t·I + (1 - t)·J; for <f> and <g> this yields <monic lcm(f, g)>.
 
@@ -613,10 +615,8 @@ def ideal_intersection(I: Ideal, J: Ideal, _sum=None) -> Ideal:
     for a principal ideal and a degrevlex basis, cached on the ``Ideal``, for
     any other; it is computed at the first test where at least
     ``_PAIRS_PER_BASIS`` pairs wait for each basis not yet cached, since on
-    small input a basis costs more than the pairs it could save.  ``_sum``,
-    an ideal equal to I + J, lends its cached basis
-    (``is_regular_sequence_direct`` passes the next prefix).  Non-homogeneous
-    input runs to the end."""
+    small input a basis costs more than the pairs it could save.
+    Non-homogeneous input runs to the end."""
     ring = I.ring
     if ring != J.ring:
         raise ValueError("ideals live in different rings")
@@ -629,7 +629,7 @@ def ideal_intersection(I: Ideal, J: Ideal, _sum=None) -> Ideal:
     gens += [(one - t) * _shift_poly(g, ext) for g in J.gens]
     stop = None
     if I.is_homogeneous() and J.is_homogeneous():
-        stop = _IntersectionStop(I, J, _sum if _sum is not None else Ideal(ring, I.gens + J.gens))
+        stop = _IntersectionStop(I, J, Ideal(ring, I.gens + J.gens))
     order = elimination(1)
     reducers, lms = _buchberger(gens, order, ext, stop)
     kept = [e for e, m in enumerate(lms) if not m[0]]
@@ -694,15 +694,14 @@ def exact_divide(f: Poly, g: Poly) -> Poly:
     return _decode(pk, {q: mul(c, inv) for q, c in quot.items()}, ring)
 
 
-def ideal_quotient(I: Ideal, f: Poly, _sum=None) -> Ideal:
-    """(I : f) computed as (I ∩ <f>) / f; ``_sum`` as in
-    ``ideal_intersection``."""
+def ideal_quotient(I: Ideal, f: Poly) -> Ideal:
+    """(I : f) computed as (I ∩ <f>) / f."""
     if not f.terms:
         raise ValueError("ideal quotient by the zero polynomial")
     ring = I.ring
     if not I.gens:
         return Ideal(ring, [])
-    inter = ideal_intersection(I, Ideal(ring, [f]), _sum)
+    inter = ideal_intersection(I, Ideal(ring, [f]))
     return Ideal(ring, [exact_divide(g, f).monic() for g in inter.gens])
 
 
@@ -730,18 +729,21 @@ def is_regular_sequence_codim(fs) -> bool:
 
 def is_regular_sequence_direct(fs) -> bool:
     """Definition-based test: each form a nonzerodivisor modulo its
-    predecessors, via ideal quotients.  The I + (f) of one step is the
-    prefix I of the next, so each prefix's degrevlex basis is computed once,
-    ahead of the step before it, whose intersection stop needs it too."""
+    predecessors, decided by Hilbert series.
+
+    For I = (f1, ..., fi) and f = f_{i+1} of degree d, the exact sequence
+    0 → (R/(I : f))(-d) → R/I → R/(I + f) → 0 gives
+    HS(R/(I + f)) = HS(R/I) - t^d·HS(R/(I : f)).  As I ⊆ I : f, the two
+    series of I and I : f agree exactly when the ideals do, so f is a
+    nonzerodivisor mod I exactly when N(R/(I + f)) = (1 - t^d)·N(R/I).
+    Each prefix of two or more forms costs one degrevlex basis, computed
+    once; no elimination, quotient or gcd is needed."""
     _check_regseq_input(fs)
     ring = fs[0].ring
-    prefix = Ideal(ring, fs[:1])
+    num = _numerator(Ideal(ring, fs[:1]))
     for i in range(1, len(fs)):
-        joined = Ideal(ring, fs[: i + 1])
-        if i + 1 < len(fs):
-            joined.groebner()
-        quotient = ideal_quotient(prefix, fs[i], joined)
-        if not prefix.contains_ideal(quotient):
+        expected = _add_shifted(num, num, fs[i].degree(), -1)
+        num = _numerator(Ideal(ring, fs[: i + 1]))
+        if any(_add_shifted(num, expected, 0, -1)):
             return False
-        prefix = joined
     return True

@@ -80,6 +80,19 @@ minute and 10x9 and up for minutes or until memory runs out.  A larger
 family is refused with ValueError before any determinant is computed."""
 
 
+def check_family_shape(rows, cols):
+    """Refuse, with ValueError, a shape that is not (n+1) x n with
+    1 <= n <= MINOR_COLS_LIMIT.  It needs no ring, so the CLI checks a shape
+    before it builds one."""
+    if rows != cols + 1:
+        raise ValueError(f"need a (n+1) x n matrix, got {rows}x{cols}")
+    if not 1 <= cols <= MINOR_COLS_LIMIT:
+        raise ValueError(
+            f"a {rows}x{cols} family is refused: the columns must be "
+            f"between 1 and {MINOR_COLS_LIMIT}"
+        )
+
+
 class MinorFamily:
     """All maximal minors of a generic (n+1) x n matrix, 1 <= n <=
     MINOR_COLS_LIMIT.
@@ -90,14 +103,8 @@ class MinorFamily:
     __slots__ = ("source", "minors")
 
     def __init__(self, source: GenericMatrix):
-        rows, cols = source.rows, source.cols
-        if rows != cols + 1:
-            raise ValueError(f"need a (n+1) x n matrix, got {rows}x{cols}")
-        if not 1 <= cols <= MINOR_COLS_LIMIT:
-            raise ValueError(
-                f"a {rows}x{cols} family is refused: the columns must be "
-                f"between 1 and {MINOR_COLS_LIMIT}"
-            )
+        rows = source.rows
+        check_family_shape(rows, source.cols)
         self.source = source
         self.minors = [
             determinant_laplace(source.grid(drop_row=i), source.ring)

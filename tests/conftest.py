@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from formstrength.domains import GF, QQ
-from formstrength.groebner import Ideal, codimension, ideal_intersection
+from formstrength.groebner import Ideal, codimension, ideal_intersection, ideal_quotient
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
 from formstrength.parse import PolyParseError
@@ -150,6 +150,19 @@ def minrank_identity(f1, f2, prime=101):
         and report.witness_rank_ok
     )
     return report
+
+
+def reference_regular_by_quotients(fs):
+    """Each form a nonzerodivisor modulo its predecessors, decided by ideal
+    quotients: f_{i+1} is one exactly when (f1, ..., fi) : f_{i+1} lies in
+    (f1, ..., fi).  This is how ``is_regular_sequence_direct`` decided before
+    it compared Hilbert numerators, kept as an independent reference."""
+    ring = fs[0].ring
+    for i in range(1, len(fs)):
+        prefix = Ideal(ring, fs[:i])
+        if not prefix.contains_ideal(ideal_quotient(prefix, fs[i])):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import random
@@ -213,6 +215,23 @@ def test_gb_codim_json_of_the_7x6_maximal_minors_never_builds_the_reduced_basis(
     assert run(["gb", "codim", "--json", "--in", str(path)]) == 0
     out, err = _capture(capsys)
     assert json.loads(out)["result"] == {"codim": 2} and err == ""
+
+
+def test_regseq_json_of_the_7x6_maximal_minors_finds_a_zero_divisor_within_a_minute(tmp_path, capsys):
+    # the minors generate an ideal of codimension 2, so the third is a zero
+    # divisor modulo the first two; the direct route finds it from the
+    # Hilbert numerators of two degrevlex bases (about 4 s on a 2-core
+    # machine with Python 3.11), where its ideal quotients ran past 120 s
+    family = minors.maximal_minors(minors.GenericMatrix(7, 6, GF(32003)))
+    path = tmp_path / "minors.txt"
+    path.write_text(dump_ideal_text(family.minors[0].ring, family.minors))
+    start = time.monotonic()
+    assert run(["regseq", "--json", "--in", str(path)]) == 1
+    assert time.monotonic() - start < 60.0
+    out, err = _capture(capsys)
+    result = json.loads(out)["result"]
+    assert result["direct_test_regular"] is False and result["codimension"] == 2
+    assert result["tests_agree"] is True and err == ""
 
 
 @pytest.mark.parametrize("ring_flag", [False, True])
@@ -479,6 +498,24 @@ def test_minors_outside_the_column_limit_exit_two_before_any_determinant(capsys,
     out, err = _capture(capsys)
     assert out == ""
     assert f"between 1 and {minors.MINOR_COLS_LIMIT}" in err
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("100000x100000", "need a (n+1) x n matrix, got 100000x100000"),
+    ("100001x100000", "the columns must be between 1 and"),
+])
+def test_huge_minor_shapes_exit_two_before_any_ring(capsys, monkeypatch, shape, message):
+    # a ring of 10^10 entry names would exhaust memory before the family
+    # checked its shape
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a refused shape built a ring")
+
+    monkeypatch.setattr(Ring, "matrix", no_ring)
+    start = time.monotonic()
+    assert run(["minors", "--matrix", shape]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = _capture(capsys)
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("shape", ["3x2x1", "axb", "3x", "x2", "3*2"])
@@ -938,11 +975,11 @@ def test_regseq_on_dense_cubic_multiples_over_q_finds_the_common_cubic(tmp_path,
 @pytest.mark.parametrize(
     "text, code, counts",
     [
-        # the codim basis, the prefix (f1) and one elimination
-        (REGSEQ_PAIR_F7, 1, {"gcd": 1, "degrevlex": 2, "elimination": 1}),
-        # the codim basis, the prefixes (f1) and (f1, f2), two eliminations,
-        # and (f1, f2, f3) for the Hilbert target of the last elimination
-        (REGSEQ_NET_F7, 0, {"gcd": 0, "degrevlex": 4, "elimination": 2}),
+        # the codim basis and the direct route's (f1, f2); the principal
+        # prefix (f1) has its Hilbert numerator 1 - t^d without a basis
+        (REGSEQ_PAIR_F7, 1, {"gcd": 1, "degrevlex": 2, "elimination": 0}),
+        # the codim basis and the direct route's (f1, f2) and (f1, f2, f3)
+        (REGSEQ_NET_F7, 0, {"gcd": 0, "degrevlex": 3, "elimination": 0}),
     ],
     ids=["pair", "net"],
 )
@@ -966,3 +1003,48 @@ def test_regseq_computes_one_gcd_per_pair_and_a_pinned_count_of_bases(tmp_path, 
     assert run(["regseq", "--json", "--in", str(path)]) == code
     _capture(capsys)
     assert calls == counts
+
+
+PARSER_CASES = [
+    [], ["--help"], ["-h"], ["--version"], ["nope"], ["--json"], ["--", "regseq"],
+    *([command, "--help"] for command in cli._SUBCOMMANDS),
+    *(["quadric", op, "--help"] for op in ("rank", "strength", "minrank", "collective")),
+    *(["gb", op, "--help"] for op in ("basis", "dim", "codim", "intersect", "quotient")),
+    ["quadric"], ["quadric", "bogus"], ["gb"], ["gb", "basis", "--order", "bad"],
+    ["gb", "intersect", "--in", "a", "--f", "x"], ["gb", "codim", "--in", "f", "--ring", "n=2 field=q"],
+    ["certify"], ["certify", "bogus"], ["certify", "all", "--p", "x"], ["certify", "n33", "--se", "3"],
+    ["recheck"], ["recheck", "c.json", "--seed", "1"], ["recheck", "c.json"],
+    ["regseq", "--seed", "x"], ["regseq", "--bogus"], ["regseq", "--version"], ["regseq", "--in"],
+    ["regseq", "--js", "--in", "f"], ["regseq", "extra"], ["regseq", "--in", "f", "gb"],
+    ["minors", "--order", "lex"], ["minors", "--matrix", "3x2", "--field", "fp:7"],
+    ["quadric", "rank", "--diag", "1,2", "--p", "7"], ["quadric", "collective", "--diag", "1"],
+]
+
+
+def _parse(parser, argv):
+    """What parsing argv prints and gives: the exit code of a refusal or of
+    --help, else the parsed flags."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return out.getvalue(), err.getvalue(), outcome
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_of_one_subcommand_parses_and_refuses_as_the_full_parser(argv):
+    # run builds only the subcommand argv names; every help text, usage line,
+    # error message, exit code and parse must be the full parser's
+    assert _parse(cli.parser_for(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_a_named_subcommand_builds_only_its_own_parser():
+    def built(argv):
+        return list(cli.parser_for(argv)._subparsers._group_actions[0].choices)
+
+    for command in cli._SUBCOMMANDS:
+        assert built([command, "--help"]) == [command]
+    for argv in ([], ["--help"], ["--version"], ["nope"]):
+        assert built(argv) == list(cli._SUBCOMMANDS)

@@ -326,32 +326,31 @@ def test_maximal_minor_bases_are_the_minors(rows, domain):
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_direct_route_eliminations_on_dense_regular_triples_reach_zero_in_no_reduction(monkeypatch, n):
-    # each step's elimination basis stops once its t-free leads have the
-    # Hilbert numerator of I ∩ (f), so the pairs that would reduce to zero
-    # after that are dropped unreduced; with the stop never firing they are not
+def test_direct_route_on_dense_regular_triples_runs_no_elimination(monkeypatch, n):
+    # the direct route compares the Hilbert numerators of its prefixes, read
+    # from their degrevlex bases, so every reduction it runs is under the
+    # degrevlex packing: no elimination basis, intersection, intersection
+    # stop or quotient
     ring = Ring.flat(n, GF(32003))
     rng = random.Random(n)
     forms = [dense_form(rng, ring, 2) for _ in range(3)]
-    elim = packing(elimination(1), n + 1)
-    reduce_terms, stop = groebner._reduce_terms, groebner._IntersectionStop.__call__
-    zeros, fired = [], []
+    elim, grevlex = packing(elimination(1), n + 1), packing(DEGREVLEX, n)
+    reduce_terms = groebner._reduce_terms
+    packings = []
 
     def counted(work, reducers, pk, *args):
-        rem = reduce_terms(work, reducers, pk, *args)
-        if pk is elim:
-            zeros.append(not rem)
-        return rem
+        packings.append(pk)
+        return reduce_terms(work, reducers, pk, *args)
+
+    def refused(*args):
+        raise AssertionError("the direct route reached the elimination route")
 
     monkeypatch.setattr(groebner, "_reduce_terms", counted)
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: fired.append(stop(self, *a)) or fired[-1])
+    for name in ("_IntersectionStop", "ideal_intersection", "ideal_quotient"):
+        monkeypatch.setattr(groebner, name, refused)
     assert is_regular_sequence_direct(forms)
-    assert zeros and not any(zeros)
-    assert fired.count(True) == 2  # one stop in each of the two eliminations
-    zeros.clear()
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: False)
-    assert is_regular_sequence_direct(forms)
-    assert zeros.count(True) == 8
+    assert packings and elim not in packings
+    assert all(pk is grevlex for pk in packings)
 
 
 def test_inhomogeneous_intersection_never_tests_the_stop(monkeypatch):
