@@ -16,14 +16,14 @@ from .groebner import (
 )
 from .minors import (
     GenericMatrix,
-    MinorFamily,
+    column_multidegree,
     determinant_laplace,
     laplace_strength_bound,
     maximal_minors,
 )
-from .orders import DEGREVLEX, LEX, elimination
+from .orders import DEGREVLEX, LEX
 from .parse import format_poly, load_ideal_file, parse_poly
-from .poly import Grading, Poly, Ring
+from .poly import Poly, Ring
 from .polygcd import multivariate_gcd, regular_pair_gcd_check
 from .quadratic import (
     QuadraticForm,

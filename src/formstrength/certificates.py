@@ -23,11 +23,12 @@ from .groebner import (
 )
 from .minors import (
     GenericMatrix,
+    column_multidegree,
     determinant_laplace,
     laplace_strength_bound,
     maximal_minors,
 )
-from .poly import Grading, Poly, Ring
+from .poly import Poly, Ring
 from .polygcd import regular_pair_gcd_check
 from .quadratic import (
     CERTIFIED_PRIME,
@@ -132,11 +133,12 @@ def _principal_minor_ideal(grams, k) -> Ideal:
 def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     """Three quadrics of collective strength 1 that are not a regular
     sequence: the maximal minors of the generic 3x2 matrix."""
-    family = maximal_minors(GenericMatrix(3, 2, QQ))
-    ring = family.ring
+    matrix = GenericMatrix(3, 2, QQ)
+    ring = matrix.ring
+    minors = maximal_minors(matrix)
     subs = []
 
-    codim = codimension(family.ideal())
+    codim = codimension(Ideal(ring, minors))
     subs.append(
         SubVerdict(
             "minor_ideal_codim_two",
@@ -150,14 +152,14 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
         SubVerdict(
             "not_a_regular_sequence",
             MACHINE,
-            codim != len(family.minors),
+            codim != len(minors),
             witness={"forms": 3, "codim": codim},
             paper_ref="three forms are regular exactly when their ideal has codimension 3",
         )
     )
 
     # every nonzero F_p combination has Gram rank exactly 4
-    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    forms = [QuadraticForm.from_poly(f) for f in minors]
     histogram, bad_point = rank_scan_all_nonzero([q.reduce_mod(scan_prime) for q in forms], expect=4)
     subs.append(
         SubVerdict(
@@ -199,8 +201,8 @@ def certify_n32_lower(seed: int = 0, scan_prime: int = 5) -> Certificate:
     # Laplace expansion gives strength <= 1 for each minor
     all_ok = True
     for i in range(1, 4):
-        bound = laplace_strength_bound(family.source, i)
-        ok = bound.bound == 1 and bound.reconstruct(ring) == family.minors[i - 1]
+        bound = laplace_strength_bound(matrix, i)
+        ok = bound.bound == 1 and bound.reconstruct(ring) == minors[i - 1]
         all_ok = all_ok and ok
     subs.append(
         SubVerdict(
@@ -337,13 +339,15 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     """Three cubics of collective strength 2 that are not a regular
     sequence: three maximal minors of the generic 4x3 matrix, with the
     strength-1 exclusion run exactly over Q."""
-    family_q = maximal_minors(GenericMatrix(4, 3, QQ))
-    ring_q = family_q.ring
+    matrix_q = GenericMatrix(4, 3, QQ)
+    ring_q = matrix_q.ring
+    minors_q = maximal_minors(matrix_q)
     subs = []
 
     # codimension over a large prime field, degrevlex
-    family_p = maximal_minors(GenericMatrix(4, 3, GF(gb_prime)))
-    codim3 = codimension(Ideal(family_p.ring, family_p.minors[:3]))
+    matrix_p = GenericMatrix(4, 3, GF(gb_prime))
+    minors_p = maximal_minors(matrix_p)
+    codim3 = codimension(Ideal(matrix_p.ring, minors_p[:3]))
     subs.append(
         SubVerdict(
             f"triple_codim_two_over_f{gb_prime}",
@@ -353,7 +357,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
             paper_ref="the three minors generate a codimension-2 ideal, so they are not a regular sequence",
         )
     )
-    codim4 = codimension(family_p.ideal())
+    codim4 = codimension(Ideal(matrix_p.ring, minors_p))
     subs.append(
         SubVerdict(
             f"full_family_codim_two_over_f{gb_prime}",
@@ -367,8 +371,8 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     # strength <= 2 via first-column cofactor expansion, witness re-expanded
     all_ok = True
     for i in range(1, 5):
-        bound = laplace_strength_bound(family_q.source, i)
-        ok = bound.bound == 2 and bound.reconstruct(ring_q) == family_q.minors[i - 1]
+        bound = laplace_strength_bound(matrix_q, i)
+        ok = bound.bound == 2 and bound.reconstruct(ring_q) == minors_q[i - 1]
         all_ok = all_ok and ok
     subs.append(
         SubVerdict(
@@ -381,8 +385,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     )
 
     # column multidegrees (1,1,1)
-    grading = Grading.by_columns(ring_q)
-    degs_ok = all(f.multidegree(grading) == (1, 1, 1) for f in family_q.minors)
+    degs_ok = all(column_multidegree(f) == (1, 1, 1) for f in minors_q)
     subs.append(
         SubVerdict(
             "minors_have_column_multidegree_111",
@@ -412,7 +415,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
 
     ideals = class_ideals(ring_q)
     for tag in CLASS_ORDER:
-        report = exclusion_matrix(family_q.minors[:3], ideals[tag])
+        report = exclusion_matrix(minors_q[:3], ideals[tag])
         expected_rows = EXCLUSION_ROWS[tag]
         ok = report.trivial_kernel and report.row_count() == expected_rows
         subs.append(
@@ -433,7 +436,7 @@ def certify_n33(seed: int = 0, gb_prime: int = 32003) -> Certificate:
     four_ok = True
     four_witness = []
     for tag in CLASS_ORDER:
-        report = exclusion_matrix(family_q.minors, ideals[tag])
+        report = exclusion_matrix(minors_q, ideals[tag])
         four_ok = four_ok and report.trivial_kernel
         four_witness.append(
             {"class": tag, "monomial_rows": report.row_count(), "kernel_dim": report.kernel_dim}

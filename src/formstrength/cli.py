@@ -31,7 +31,13 @@ from .groebner import (
     ideal_quotient,
     is_regular_sequence_direct,
 )
-from .minors import GenericMatrix, check_family_shape, laplace_strength_bound, maximal_minors
+from .minors import (
+    GenericMatrix,
+    check_family_shape,
+    column_multidegree,
+    laplace_strength_bound,
+    maximal_minors,
+)
 from .orders import order_from_name
 from .parse import (
     _digit_limit,
@@ -43,7 +49,7 @@ from .parse import (
     parse_poly,
     parse_ring_header,
 )
-from .poly import Grading, Ring
+from .poly import Ring
 from .polygcd import PairReport, multivariate_gcd
 from .quadratic import (
     QuadraticForm,
@@ -86,22 +92,31 @@ def _load_system(args):
     return load_ideal_file(args.infile, ring)
 
 
+def _gram_entry(tok):
+    """One Gram-matrix entry, an integer or a fraction a/b, over Q."""
+    # int() ignores underscores when it counts digits
+    if _too_long(tok.replace("_", "")):
+        raise ValueError(f"a number of more than {_digit_limit()} digits")
+    num, slash, den = tok.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError("not an integer or a fraction a/b") from None
+    if not den:
+        raise ValueError("invalid rational: zero denominator")
+    return QQ(num, den)
+
+
 def _gram_form(lines):
     """A bare symmetric matrix of numbers, one row per line, read over Q."""
     rows = []
     for row, line in enumerate(lines, 1):
         entries = []
         for entry, tok in enumerate(line.replace(",", " ").split(), 1):
-            # int() ignores underscores when it counts digits
-            if _too_long(tok.replace("_", "")):
-                raise ValueError(f"Gram matrix row {row}, entry {entry}: a number of more than {_digit_limit()} digits")
-            if "/" in tok:
-                num, den = (int(v) for v in tok.split("/", 1))
-                if not den:
-                    raise ValueError("invalid rational: zero denominator")
-                entries.append(QQ(num, den))
-            else:
-                entries.append(QQ.from_int(int(tok)))
+            try:
+                entries.append(_gram_entry(tok))
+            except ValueError as exc:
+                raise ValueError(f"Gram matrix row {row}, entry {entry}: {exc}") from None
         rows.append(entries)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -267,18 +282,16 @@ def cmd_minors(args):
     domain = domain_from_name(args.field)
     check_family_shape(rows, cols)  # before the ring: a large shape would exhaust memory on its names
     matrix = GenericMatrix(rows, cols, domain)
-    family = maximal_minors(matrix)
-    grading = Grading.by_columns(matrix.ring)
-    degrees = [list(f.multidegree(grading)) for f in family.minors]
+    minors = maximal_minors(matrix)
     bounds = [laplace_strength_bound(matrix, i) for i in range(1, rows + 1)]
     result = {
         "matrix": f"{rows}x{cols}",
-        "minors": [format_poly(f) for f in family.minors],
-        "column_multidegrees": degrees,
+        "minors": [format_poly(f) for f in minors],
+        "column_multidegrees": [list(column_multidegree(f)) for f in minors],
         "strength_bounds": [b.bound for b in bounds],
     }
     if not _emit(args, "minors", result, domain.name, _prime_list(domain)):
-        print(dump_ideal_text(matrix.ring, family.minors), end="")
+        print(dump_ideal_text(matrix.ring, minors), end="")
     return 0
 
 

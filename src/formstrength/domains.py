@@ -9,6 +9,7 @@ computation context.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -169,10 +170,23 @@ def GF(p: int) -> PrimeField:
     return field
 
 
+def _digit_limit():
+    """The most digits ``int()`` converts to a number: Python's
+    ``sys.get_int_max_str_digits()``, or 0 (no limit) where it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def domain_from_name(name: str):
-    """Resolve a field tag: ``q`` for the rationals, ``fp:<p>`` for F_p."""
+    """Resolve a field tag: exactly ``q`` for the rationals, or ``fp:`` and
+    the decimal digits of p for F_p.  ``int()`` alone would also take
+    blanks, a sign and underscores, which the ring header refuses."""
     if name == "q":
         return QQ
-    if name.startswith("fp:"):
-        return GF(int(name[3:]))
-    raise ValueError(f"unknown field {name!r} (expected 'q' or 'fp:<p>')")
+    digits = name[3:]
+    if not (name.startswith("fp:") and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"unknown field {name!r} (expected 'q' or 'fp:<p>')")
+    limit = _digit_limit()
+    if limit and len(digits) > limit:
+        raise ValueError(f"bad field: a number of more than {limit} digits")
+    return GF(int(digits))

@@ -62,7 +62,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, elimination, packing
+from .orders import DEGREVLEX, ELIMINATION, MAX_EXPONENT, KeyWidthError, packing
 from .poly import (
     Poly,
     Ring,
@@ -112,9 +112,6 @@ class GroebnerBasis:
 
     def is_unit(self):
         return len(self.lead_monomials) == 1 and not any(self.lead_monomials[0])
-
-    def contains(self, f):
-        return not normal_form(f, self).terms
 
     def __iter__(self):
         return iter(self.elements)
@@ -522,18 +519,6 @@ class Ideal:
             self._basis = groebner_basis(self.gens, DEGREVLEX, ring=self.ring)
         return self._basis
 
-    def contains(self, f):
-        if not self.gens:
-            return not f.terms
-        return self.groebner().contains(f)
-
-    def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.gens)
-
-    def equals(self, other):
-        """Ideal equality by mutual generator membership."""
-        return self.contains_ideal(other) and other.contains_ideal(self)
-
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
 
@@ -603,10 +588,10 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     * with deg t = 0 the generators of K are homogeneous in x, so B0 lies in
       K ∩ k[x] = I ∩ J and L0 ⊆ in(I ∩ J), degrevlex being the order the
-      block order induces on t-free monomials;
+      elimination order induces on t-free monomials;
     * a monomial ideal inside another with the same Hilbert series is equal
       to it, so L0 = in(I ∩ J), and B0 is a Groebner basis of I ∩ J;
-    * under the block order a lead with t divides no t-free monomial, so
+    * under the elimination order a lead with t divides no t-free monomial, so
       minimalizing and interreducing B0 alone gives the t-free part of the
       reduced basis of K, the unique reduced basis of I ∩ J, as a full run.
 
@@ -630,10 +615,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     stop = None
     if I.is_homogeneous() and J.is_homogeneous():
         stop = _IntersectionStop(I, J, Ideal(ring, I.gens + J.gens))
-    order = elimination(1)
-    reducers, lms = _buchberger(gens, order, ext, stop)
+    reducers, lms = _buchberger(gens, ELIMINATION, ext, stop)
     kept = [e for e, m in enumerate(lms) if not m[0]]
-    basis = _reduced([reducers[e] for e in kept], [lms[e] for e in kept], order, ext)
+    basis = _reduced([reducers[e] for e in kept], [lms[e] for e in kept], ELIMINATION, ext)
     return Ideal(ring, [_unshift_poly(g, ring) for g in basis])
 
 

@@ -1,15 +1,14 @@
-"""Generic matrices, Laplace determinants and maximal-minor families.
+"""Generic matrices, Laplace determinants and maximal minors.
 
 A generic (n+1) x n matrix of independent variables yields n+1 maximal
 minors f_i = det(drop row i), each column-homogeneous of multidegree
-(1,...,1); the family generates a codimension-2 ideal, and first-column
+(1,...,1); together they generate a codimension-2 ideal, and first-column
 cofactor expansion witnesses the strength bound n-1 for every minor.
 """
 
 from __future__ import annotations
 
 from .domains import QQ
-from .groebner import Ideal
 from .poly import Poly, Ring
 
 
@@ -93,41 +92,30 @@ def check_family_shape(rows, cols):
         )
 
 
-class MinorFamily:
-    """All maximal minors of a generic (n+1) x n matrix, 1 <= n <=
-    MINOR_COLS_LIMIT.
-
-    minors[i] = det(drop row i+1), with no alternating sign.
-    """
-
-    __slots__ = ("source", "minors")
-
-    def __init__(self, source: GenericMatrix):
-        rows = source.rows
-        check_family_shape(rows, source.cols)
-        self.source = source
-        self.minors = [
-            determinant_laplace(source.grid(drop_row=i), source.ring)
-            for i in range(1, rows + 1)
-        ]
-
-    @property
-    def ring(self):
-        return self.source.ring
-
-    def ideal(self) -> Ideal:
-        return Ideal(self.ring, self.minors)
-
-    def __len__(self):
-        return len(self.minors)
-
-    def __iter__(self):
-        return iter(self.minors)
+def maximal_minors(matrix: GenericMatrix) -> list:
+    """The n+1 maximal minors of a generic (n+1) x n matrix, 1 <= n <=
+    MINOR_COLS_LIMIT: entry i is det(drop row i+1), with no alternating
+    sign."""
+    check_family_shape(matrix.rows, matrix.cols)
+    return [
+        determinant_laplace(matrix.grid(drop_row=i), matrix.ring)
+        for i in range(1, matrix.rows + 1)
+    ]
 
 
-def maximal_minors(matrix: GenericMatrix) -> MinorFamily:
-    """All maximal minors of a generic (n+1) x n matrix, as a family."""
-    return MinorFamily(matrix)
+def column_multidegree(f: Poly):
+    """The common column multidegree of the terms of f in a matrix ring,
+    where x<i>_<j> has the j-th unit vector as its degree; None when the
+    terms disagree.  The zero polynomial has no degree, so it raises
+    ValueError, as does a ring that is not a matrix ring."""
+    if f.ring.matrix_shape is None:
+        raise ValueError("column multidegrees need a matrix ring")
+    if not f.terms:
+        raise ValueError("multidegree of the zero polynomial is undefined")
+    cols = f.ring.matrix_shape[1]
+    # entries are flattened row-major, so column j holds slots j, j + cols, ...
+    degrees = {tuple(sum(m[j::cols]) for j in range(cols)) for m in f.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 class StrengthBound:

@@ -17,19 +17,13 @@ from functools import lru_cache
 
 
 class MonomialOrder:
+    """One instance per order (``DEGREVLEX``, ``LEX``, ``ELIMINATION``), so
+    orders compare and hash by identity."""
+
     name = "?"
 
     def key(self, mono):  # pragma: no cover - interface
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def signature(self):
-        return (self.name,)
 
     def __repr__(self):
         return self.name
@@ -57,33 +51,19 @@ class _Lex(MonomialOrder):
 
 
 class _Elimination(MonomialOrder):
-    """Block order eliminating the first ``block`` variables (degrevlex in
-    each block)."""
+    """Eliminates the first variable: its exponent decides first, then
+    degrevlex on the rest."""
 
     name = "elim"
 
-    def __init__(self, block: int):
-        if block < 1:
-            raise ValueError("elimination block must be nonempty")
-        self.block = block
-
-    def signature(self):
-        return (self.name, self.block)
-
-    def key(self, mono):
-        k = self.block
-        return _DegRevLex.key(mono[:k]) + _DegRevLex.key(mono[k:])
-
-    def __repr__(self):
-        return f"elim({self.block})"
+    @staticmethod
+    def key(mono):
+        return (mono[0],) + _DegRevLex.key(mono[1:])
 
 
 DEGREVLEX = _DegRevLex()
 LEX = _Lex()
-
-
-def elimination(block: int) -> MonomialOrder:
-    return _Elimination(block)
+ELIMINATION = _Elimination()
 
 
 def order_from_name(name: str) -> MonomialOrder:
@@ -186,27 +166,26 @@ def _lex_packing(nvars):
     return Packing(nvars, key, vector, monomial)
 
 
-def _elimination_packing(block, nvars):
-    # key = (degrevlex key of the first block << T) + degrevlex key of the
-    # rest; T leaves room for the second part of any product of two
-    # accepted monomials, whose absolute value stays below 2^(T-1)
-    n1 = min(block, nvars)
-    n2 = nvars - n1
-    pack1, _ = _slots(n1)
+def _elimination_packing(nvars):
+    # key = (degrevlex key of the first variable << T) + degrevlex key of the
+    # rest; T leaves room for the second part of any product of two accepted
+    # monomials, whose absolute value stays below 2^(T-1)
+    n2 = nvars - 1
+    pack1, _ = _slots(1)
     pack2, _ = _slots(n2)
     _, unpack = _slots(nvars)
-    s1, s2 = WIDTH * n1, WIDTH * n2
-    mask1, mask2 = (1 << s1) - 1, (1 << s2) - 1
+    s2 = WIDTH * n2
+    mask1, mask2 = (1 << WIDTH) - 1, (1 << s2) - 1
     t = s2 + (n2 << WIDTH).bit_length() + 1
     half = 1 << (t - 1)
 
     def key(m):
-        head, rest = m[:n1], m[n1:]
-        return ((pack1(head) - (sum(head) << s1)) << t) + pack2(rest) - (sum(rest) << s2)
+        head, rest = m[:1], m[1:]
+        return ((pack1(head) - (m[0] << WIDTH)) << t) + pack2(rest) - (sum(rest) << s2)
 
     def vector(k):
         hi = (k + half) >> t
-        return (hi & mask1) | ((k - (hi << t)) & mask2) << s1
+        return (hi & mask1) | ((k - (hi << t)) & mask2) << WIDTH
 
     def monomial(k):
         return unpack(vector(k))
@@ -222,5 +201,5 @@ def packing(order: MonomialOrder, nvars: int) -> Packing:
     if isinstance(order, _Lex):
         return _lex_packing(nvars)
     if isinstance(order, _Elimination):
-        return _elimination_packing(order.block, nvars)
+        return _elimination_packing(nvars)
     raise TypeError(f"no packed keys for the order {order!r}")

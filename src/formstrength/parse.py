@@ -44,9 +44,8 @@ variables name the entries of a generic matrix).
 from __future__ import annotations
 
 import re
-import sys
 
-from .domains import domain_from_name
+from .domains import _digit_limit, domain_from_name
 from .orders import DEGREVLEX, MAX_EXPONENT
 from .poly import Poly, Ring
 
@@ -65,13 +64,6 @@ _TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
 # one term of a line cut at each '+' and before each '-' (see the module docstring)
 _PIECE = rf"-?\s*{_TERM}\s*"
 _TOKEN = rf"\s*({_VAR}|\d+|[-+*/^])"
-
-
-def _digit_limit():
-    """The most digits ``int()`` converts to a number: Python's
-    ``sys.get_int_max_str_digits()``, or 0 (no limit) where it has none."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else 0
 
 
 def _too_long(text):

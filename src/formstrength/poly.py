@@ -1,11 +1,8 @@
-"""Sparse exact multivariate polynomials and the column grading of matrix
-rings.
+"""Sparse exact multivariate polynomials.
 
 Monomials are dense exponent tuples (one slot per ring variable); a
 polynomial is a dict from monomial to nonzero coefficient.  Values are
-immutable by convention: no operation mutates an existing polynomial.  The
-one grading in use is ``Grading.by_columns``, under which every maximal
-minor of a generic matrix has multidegree (1,...,1).
+immutable by convention: no operation mutates an existing polynomial.
 """
 
 from __future__ import annotations
@@ -119,42 +116,6 @@ class Ring:
         return f"Ring({self.nvars} vars, {self.domain!r})"
 
 
-class Grading:
-    """Assignment of a Z^m multidegree to every ring variable."""
-
-    __slots__ = ("m", "vardegs")
-
-    def __init__(self, m, vardegs):
-        vardegs = tuple(tuple(d) for d in vardegs)
-        for d in vardegs:
-            if len(d) != m:
-                raise ValueError("every variable needs a length-m multidegree")
-        self.m = m
-        self.vardegs = vardegs
-
-    @classmethod
-    def by_columns(cls, ring):
-        """Column grading of a matrix ring: deg(x<i>_<j>) is the j-th unit
-        vector."""
-        if ring.matrix_shape is None:
-            raise ValueError("column grading needs a matrix ring")
-        rows, cols = ring.matrix_shape
-        degs = []
-        for i in range(rows):
-            for j in range(cols):
-                degs.append(tuple(1 if k == j else 0 for k in range(cols)))
-        return cls(cols, degs)
-
-    def mono_degree(self, mono):
-        deg = [0] * self.m
-        for i, e in enumerate(mono):
-            if e:
-                d = self.vardegs[i]
-                for k in range(self.m):
-                    deg[k] += e * d[k]
-        return tuple(deg)
-
-
 class Poly:
     """Sparse multivariate polynomial over an exact field."""
 
@@ -167,9 +128,6 @@ class Poly:
         self.terms = terms
 
     # -- predicates ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -274,26 +232,6 @@ class Poly:
         lm = max(self.terms, key=order.key)
         inv = self.ring.domain.inv(self.terms[lm])
         return self.scale(inv)
-
-    def leading_monomial(self, order=DEGREVLEX):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
-
-    # -- grading ------------------------------------------------------------
-
-    def multidegree(self, grading):
-        """Common multidegree of all terms, or None when inhomogeneous.
-
-        The zero polynomial has no degree; that case raises so the caller
-        picks its own convention.
-        """
-        if not self.terms:
-            raise ValueError("multidegree of the zero polynomial is undefined")
-        degs = {grading.mono_degree(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     # -- comparisons / hashing -----------------------------------------------
 

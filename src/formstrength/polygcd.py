@@ -15,8 +15,8 @@ lower j until it is nonzero.  The gcd is g divided by the u-part, and it
 must divide f; either division failing raises ``GroebnerError``, so a wrong
 gcd can never stand as a verdict.  Rank and kernel are the ``linalg``
 elimination kernel.  The gcd is the gcd route of the two-form regularity
-check; ``groebner`` never calls back here, so the quotient-based direct
-test stays independent of it.
+check; ``groebner`` never calls back here, so the direct test, which
+compares Hilbert series, stays independent of it.
 """
 
 from __future__ import annotations

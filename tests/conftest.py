@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from formstrength.domains import GF, QQ
-from formstrength.groebner import Ideal, codimension, ideal_intersection, ideal_quotient
+from formstrength.groebner import Ideal, codimension, ideal_intersection, ideal_quotient, normal_form
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
 from formstrength.parse import PolyParseError
@@ -67,13 +67,27 @@ def spolynomial(f, g, order=DEGREVLEX):
     tests check a basis by reducing every one of its S-polynomials to 0."""
     fm = f.monic(order)
     gm = g.monic(order)
-    lmf = fm.leading_monomial(order)
-    lmg = gm.leading_monomial(order)
+    lmf = max(fm.terms, key=order.key)
+    lmg = max(gm.terms, key=order.key)
     l = mono_lcm(lmf, lmg)
     one = f.ring.domain.one
     qf = Poly(f.ring, {mono_div(l, lmf): one}, _clean=False)
     qg = Poly(f.ring, {mono_div(l, lmg): one}, _clean=False)
     return qf * fm - qg * gm
+
+
+def contains(ideal, f):
+    """Membership: f reduces to zero on the ideal's Groebner basis."""
+    return not normal_form(f, ideal.groebner()).terms
+
+
+def contains_ideal(ideal, other):
+    return all(contains(ideal, g) for g in other.gens)
+
+
+def same_ideal(a, b):
+    """Ideal equality by mutual generator membership."""
+    return contains_ideal(a, b) and contains_ideal(b, a)
 
 
 def diagonal_pair(a, b, domain=QQ):
@@ -137,7 +151,7 @@ def minrank_identity(f1, f2, prime=101):
     formula = minrank_formula(f1, f2).value
     q1, q2 = (f1, f2) if f1.domain.characteristic else diagonal_pair_mod(f1, f2, prime)
     report = SimpleNamespace(
-        intersection_matches=jac.equals(inter),
+        intersection_matches=same_ideal(jac, inter),
         jacobian_codim=codimension(jac),
         formula_value=formula,
         bruteforce_value=minrank_bruteforce(q1, q2).value,
@@ -160,7 +174,7 @@ def reference_regular_by_quotients(fs):
     ring = fs[0].ring
     for i in range(1, len(fs)):
         prefix = Ideal(ring, fs[:i])
-        if not prefix.contains_ideal(ideal_quotient(prefix, fs[i])):
+        if not contains_ideal(prefix, ideal_quotient(prefix, fs[i])):
             return False
     return True
 
@@ -318,15 +332,15 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def family_3x2_q():
+def minors_3x2_q():
     return maximal_minors(GenericMatrix(3, 2, QQ))
 
 
 @pytest.fixture(scope="session")
-def family_4x3_q():
+def minors_4x3_q():
     return maximal_minors(GenericMatrix(4, 3, QQ))
 
 
 @pytest.fixture(scope="session")
-def family_4x3_f7():
+def minors_4x3_f7():
     return maximal_minors(GenericMatrix(4, 3, GF(7)))

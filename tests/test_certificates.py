@@ -69,9 +69,9 @@ def test_tampered_family_fails_the_rank_scan():
     # swapping the third minor for x1_1^2 plants a rank-1 member: the scan
     # reports it with a witness point
     dom = GF(5)
-    family = maximal_minors(GenericMatrix(3, 2, dom))
-    forms = [QuadraticForm.from_poly(f) for f in family.minors[:2]]
-    forms.append(QuadraticForm.from_poly(parse_poly("x1_1^2", family.ring)))
+    matrix = GenericMatrix(3, 2, dom)
+    forms = [QuadraticForm.from_poly(f) for f in maximal_minors(matrix)[:2]]
+    forms.append(QuadraticForm.from_poly(parse_poly("x1_1^2", matrix.ring)))
     histogram, offender = rank_scan_all_nonzero(forms, expect=4)
     assert offender is not None
     assert offender["rank"] != 4
@@ -180,7 +180,7 @@ def _random_bilinear(rng, a, b):
 def test_principal_minors_decide_the_rank_locus_as_all_minors_do():
     # the n32-lower combination has rank at most 4 everywhere, so its
     # principal 4 x 4 minors vanish exactly where all its 4 x 4 minors do
-    forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, QQ)).minors]
+    forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, QQ))]
     grams = [q.gram for q in forms]
     assert codimension(_principal_minor_ideal(grams, 4)) == codimension(_all_minor_ideal(grams, 4)) == 3
     rng = random.Random("principal")

@@ -5,7 +5,7 @@ import pathlib
 import random
 import sys
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -15,9 +15,9 @@ import formstrength.minors as minors
 import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
-from formstrength.domains import GF, QQ
+from formstrength.domains import GF, QQ, domain_from_name
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
-from formstrength.parse import _MAX_VARIABLES, dump_ideal_text
+from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly
 from formstrength.poly import Poly, Ring
 
 
@@ -167,6 +167,33 @@ def test_minors_export_feeds_gb(tmp_path, capsys):
     assert out.strip() == "2"
 
 
+def _leibniz_det(grid, ring):
+    """The determinant as a sum over permutations, independent of the
+    package's Laplace expansion."""
+    total = ring.zero()
+    for perm in permutations(range(len(grid))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        term = ring.one()
+        for row, col in enumerate(perm):
+            term = term * grid[row][col]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (4, 3)])
+def test_minors_json_fields(capsys, rows, cols, field):
+    assert run(["minors", "--matrix", f"{rows}x{cols}", "--field", field, "--json"]) == 0
+    result = json.loads(_capture(capsys)[0])["result"]
+    assert result["matrix"] == f"{rows}x{cols}"
+    assert result["column_multidegrees"] == [[1] * cols] * rows
+    assert result["strength_bounds"] == [None if cols == 1 else cols - 1] * rows
+    ring = Ring.matrix(rows, cols, domain_from_name(field))
+    entries = [[ring.var(ring.entry_index(i, j)) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
+    expected = [format_poly(_leibniz_det(entries[:i] + entries[i + 1:], ring)) for i in range(rows)]
+    assert result["minors"] == expected
+
+
 def test_gb_operations(tmp_path, capsys):
     ideal = tmp_path / "ideal.txt"
     ideal.write_text("ring n=3 field=q\nx1*x2\n")
@@ -209,9 +236,9 @@ def test_gb_codim_json_of_the_7x6_maximal_minors_never_builds_the_reduced_basis(
         raise AssertionError("the reduced elements were built")
 
     monkeypatch.setattr(groebner, "_interreduced", refused)
-    family = minors.maximal_minors(minors.GenericMatrix(7, 6, GF(32003)))
+    matrix = minors.GenericMatrix(7, 6, GF(32003))
     path = tmp_path / "minors.txt"
-    path.write_text(dump_ideal_text(family.minors[0].ring, family.minors))
+    path.write_text(dump_ideal_text(matrix.ring, minors.maximal_minors(matrix)))
     assert run(["gb", "codim", "--json", "--in", str(path)]) == 0
     out, err = _capture(capsys)
     assert json.loads(out)["result"] == {"codim": 2} and err == ""
@@ -222,9 +249,9 @@ def test_regseq_json_of_the_7x6_maximal_minors_finds_a_zero_divisor_within_a_min
     # divisor modulo the first two; the direct route finds it from the
     # Hilbert numerators of two degrevlex bases (about 4 s on a 2-core
     # machine with Python 3.11), where its ideal quotients ran past 120 s
-    family = minors.maximal_minors(minors.GenericMatrix(7, 6, GF(32003)))
+    matrix = minors.GenericMatrix(7, 6, GF(32003))
     path = tmp_path / "minors.txt"
-    path.write_text(dump_ideal_text(family.minors[0].ring, family.minors))
+    path.write_text(dump_ideal_text(matrix.ring, minors.maximal_minors(matrix)))
     start = time.monotonic()
     assert run(["regseq", "--json", "--in", str(path)]) == 1
     assert time.monotonic() - start < 60.0
@@ -409,7 +436,8 @@ def test_zero_denominators_in_the_input_exit_two(tmp_path, capsys):
         assert run(["quadric", operation, "--in", str(forms), "--p", "7"]) == 2
     out, err = _capture(capsys)
     assert out == ""
-    assert err == "error: invalid rational: zero denominator\n" + "error: invalid denominator 7 mod 7\n" * 3
+    assert err == ("error: Gram matrix row 1, entry 2: invalid rational: zero denominator\n"
+                   + "error: invalid denominator 7 mod 7\n" * 3)
 
 
 @pytest.mark.parametrize("fault", [KeyError("x9"), ZeroDivisionError("singular matrix")])
@@ -526,6 +554,29 @@ def test_malformed_matrix_shape_names_the_option(capsys, shape):
     assert "--matrix" in err and "RxC" in err and repr(shape) in err
 
 
+@pytest.mark.parametrize("field", ["fp: 7", "fp:+7", "fp:1_009", "fp:abc", "fp:", "fp:7 ", "fp:٧"])
+def test_field_other_than_q_or_fp_digits_is_refused(capsys, field):
+    # int() would read " 7", "+7", "1_009" and "٧" as numbers
+    assert run(["minors", "--matrix", "3x2", "--field", field]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"error: unknown field {field!r} (expected 'q' or 'fp:<p>')\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() converts numbers of any length")
+def test_field_modulus_longer_than_int_converts_is_refused(capsys):
+    field = "fp:" + "7" * 5000
+    assert run(["minors", "--matrix", "3x2", "--field", field]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"error: bad field: a number of more than {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_field_modulus_with_leading_zeros_is_read(capsys):
+    assert run(["minors", "--matrix", "3x2", "--field", "fp:007"]) == 0
+    assert _capture(capsys)[0].startswith("ring n=6 field=fp:7 matrix=3x2\n")
+
+
 def test_exponent_beyond_packed_keys_exits_three(tmp_path, capsys):
     # every input exponent is within the key limit, but reduction by
     # x1*x2 - x3^2 carries x3 past it: an engine overflow, not bad input
@@ -581,6 +632,23 @@ def test_gram_numbers_longer_than_int_converts_exit_two(tmp_path, capsys, entry)
     assert out == ""
     assert f"Gram matrix row 2, entry 3: a number of more than {sys.get_int_max_str_digits()} digits" in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("a", "not an integer or a fraction a/b"),
+    ("2/3/4", "not an integer or a fraction a/b"),
+    ("0.5", "not an integer or a fraction a/b"),
+    ("1/", "not an integer or a fraction a/b"),
+    ("/2", "not an integer or a fraction a/b"),
+    ("1/0", "invalid rational: zero denominator"),
+])
+def test_refused_gram_entries_name_their_row_and_entry(tmp_path, capsys, entry, message):
+    path = tmp_path / "gram.txt"
+    path.write_text(f"# a Gram matrix\n1 0 0\n\n0 1, {entry}\n0 0 1\n")
+    assert run(["quadric", "rank", "--in", str(path)]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"error: Gram matrix row 2, entry 3: {message}\n"
 
 
 def test_gram_numbers_as_long_as_int_converts_are_read(tmp_path, capsys):

@@ -12,14 +12,14 @@ from formstrength.groebner import (
 from formstrength.poly import Ring
 from formstrength.polygcd import multivariate_gcd
 
-from conftest import random_homogeneous, random_poly
+from conftest import contains, contains_ideal, random_homogeneous, random_poly, same_ideal
 
 
 def test_principal_intersection():
     ring = Ring.flat(2, QQ)
     x, y = ring.gens()
     inter = ideal_intersection(Ideal(ring, [x]), Ideal(ring, [y]))
-    assert inter.equals(Ideal(ring, [x * y]))
+    assert same_ideal(inter, Ideal(ring, [x * y]))
 
 
 @pytest.mark.parametrize("domain", [GF(7), GF(32003), QQ], ids=["f7", "f32003", "q"])
@@ -40,7 +40,7 @@ def test_plane_line_intersection_by_mutual_membership():
     x1, x2, x3 = ring.gens()
     inter = ideal_intersection(Ideal(ring, [x3]), Ideal(ring, [x1, x2]))
     expected = Ideal(ring, [x1 * x3, x2 * x3])
-    assert inter.equals(expected)
+    assert same_ideal(inter, expected)
 
 
 def test_intersection_with_unit_ideal():
@@ -48,7 +48,7 @@ def test_intersection_with_unit_ideal():
     x, y = ring.gens()
     ideal = Ideal(ring, [x * x + y * y, x * y])
     inter = ideal_intersection(ideal, Ideal(ring, [ring.one()]))
-    assert inter.equals(ideal)
+    assert same_ideal(inter, ideal)
 
 
 def test_intersection_with_zero_ideal():
@@ -62,10 +62,10 @@ def test_quotient_examples():
     ring = Ring.flat(2, QQ)
     x, y = ring.gens()
     q1 = ideal_quotient(Ideal(ring, [x * y]), y)
-    assert q1.equals(Ideal(ring, [x]))
+    assert same_ideal(q1, Ideal(ring, [x]))
     # y is a nonzerodivisor mod (x): the quotient does not grow
     q2 = ideal_quotient(Ideal(ring, [x]), y)
-    assert q2.equals(Ideal(ring, [x]))
+    assert same_ideal(q2, Ideal(ring, [x]))
 
 
 def test_quotient_by_zero_rejected():
@@ -85,10 +85,10 @@ def test_quotient_detects_planted_zerodivisor():
         h2 = random_homogeneous(rng, ring, 2, max_terms=2)
         ideal = Ideal(ring, [g * h1, g * h2])
         quotient = ideal_quotient(ideal, h1 * g)
-        assert quotient.contains_ideal(ideal)
-        assert quotient.contains(h2)
-        if not ideal.contains(h2):
-            assert not ideal.contains_ideal(quotient)  # strict growth
+        assert contains_ideal(quotient, ideal)
+        assert contains(quotient, h2)
+        if not contains(ideal, h2):
+            assert not contains_ideal(ideal, quotient)  # strict growth
 
 
 def test_quotient_of_zero_ideal():

@@ -6,13 +6,12 @@ from formstrength.domains import GF, QQ
 from formstrength.groebner import Ideal, codimension
 from formstrength.minors import (
     GenericMatrix,
-    MinorFamily,
+    column_multidegree,
     determinant_laplace,
     laplace_strength_bound,
     maximal_minors,
 )
 from formstrength.parse import parse_poly
-from formstrength.poly import Grading
 
 DELTA1 = (
     "x2_1*x3_2*x4_3 - x2_1*x3_3*x4_2 - x2_2*x3_1*x4_3"
@@ -80,27 +79,27 @@ def test_determinant_alternating_property():
 
 
 def test_maximal_minors_3x2():
-    family = maximal_minors(GenericMatrix(3, 2, QQ))
-    ring = family.ring
-    assert family.minors[0] == parse_poly("x2_1*x3_2 - x3_1*x2_2", ring)
-    assert family.minors[1] == parse_poly("x1_1*x3_2 - x3_1*x1_2", ring)
-    assert family.minors[2] == parse_poly("x1_1*x2_2 - x2_1*x1_2", ring)
+    matrix = GenericMatrix(3, 2, QQ)
+    ring = matrix.ring
+    assert maximal_minors(matrix) == [
+        parse_poly("x2_1*x3_2 - x3_1*x2_2", ring),
+        parse_poly("x1_1*x3_2 - x3_1*x1_2", ring),
+        parse_poly("x1_1*x2_2 - x2_1*x1_2", ring),
+    ]
 
 
 def test_maximal_minors_edge_and_shape():
-    family = maximal_minors(GenericMatrix(2, 1, QQ))
-    ring = family.ring
-    assert family.minors == [ring.var(ring.entry_index(2, 1)), ring.var(ring.entry_index(1, 1))]
+    matrix = GenericMatrix(2, 1, QQ)
+    ring = matrix.ring
+    assert maximal_minors(matrix) == [ring.var(ring.entry_index(2, 1)), ring.var(ring.entry_index(1, 1))]
     with pytest.raises(ValueError):
-        MinorFamily(GenericMatrix(3, 3, QQ))
+        maximal_minors(GenericMatrix(3, 3, QQ))
 
 
 def test_minors_are_column_homogeneous_of_unit_multidegree():
     for rows, cols in ((2, 1), (3, 2), (4, 3)):
-        family = maximal_minors(GenericMatrix(rows, cols, QQ))
-        grading = Grading.by_columns(family.ring)
-        for f in family.minors:
-            assert f.multidegree(grading) == (1,) * cols
+        for f in maximal_minors(GenericMatrix(rows, cols, QQ)):
+            assert column_multidegree(f) == (1,) * cols
 
 
 def _evaluate_mod(f, point, p):
@@ -116,7 +115,8 @@ def _evaluate_mod(f, point, p):
 def test_minors_vanish_on_rank_deficient_matrices():
     rng = random.Random(83)
     dom = GF(101)
-    family = maximal_minors(GenericMatrix(4, 3, dom))
+    matrix = GenericMatrix(4, 3, dom)
+    minors = maximal_minors(matrix)
     for _ in range(200):
         # a random 4x3 matrix of rank < 3, built as (4x2) * (2x3)
         left = [[rng.randrange(101) for _ in range(2)] for _ in range(4)]
@@ -125,8 +125,8 @@ def test_minors_vanish_on_rank_deficient_matrices():
         for i in range(4):
             for j in range(3):
                 value = sum(left[i][k] * right[k][j] for k in range(2)) % 101
-                point[family.ring.entry_index(i + 1, j + 1)] = value
-        for f in family.minors:
+                point[matrix.ring.entry_index(i + 1, j + 1)] = value
+        for f in minors:
             assert _evaluate_mod(f, point, 101) == 0
 
 
@@ -139,25 +139,23 @@ def test_laplace_strength_bound_witnesses():
     bound = laplace_strength_bound(m3, 1)
     assert bound.bound == 1
     assert len(bound.products) == 2
-    assert bound.reconstruct(m3.ring) == maximal_minors(m3).minors[0]
+    assert bound.reconstruct(m3.ring) == maximal_minors(m3)[0]
 
     m4 = GenericMatrix(4, 3, QQ)
-    family = maximal_minors(m4)
+    minors = maximal_minors(m4)
     for i in range(1, 5):
         bound = laplace_strength_bound(m4, i)
         assert bound.bound == 2
         assert len(bound.products) == 3
-        assert bound.reconstruct(m4.ring) == family.minors[i - 1]
+        assert bound.reconstruct(m4.ring) == minors[i - 1]
 
 
 def test_codim_two_checks():
-    assert codimension(maximal_minors(GenericMatrix(3, 2, QQ)).ideal()) == 2
-    assert codimension(maximal_minors(GenericMatrix(2, 1, QQ)).ideal()) == 2
-    f7 = maximal_minors(GenericMatrix(4, 3, GF(7)))
-    assert codimension(f7.ideal()) == 2
+    for matrix in (GenericMatrix(3, 2, QQ), GenericMatrix(2, 1, QQ), GenericMatrix(4, 3, GF(7))):
+        assert codimension(Ideal(matrix.ring, maximal_minors(matrix))) == 2
 
 
-def test_subfamily_not_regular(family_3x2_q, family_4x3_f7):
+def test_subfamily_not_regular(minors_3x2_q, minors_4x3_f7):
     # three minors generate a codimension-2 ideal, so they are not regular
-    for family in (family_3x2_q, family_4x3_f7):
-        assert codimension(Ideal(family.ring, family.minors[:3])) == 2
+    for minors in (minors_3x2_q, minors_4x3_f7):
+        assert codimension(Ideal(minors[0].ring, minors[:3])) == 2

@@ -10,12 +10,12 @@ from formstrength.orders import (
     LEX,
     MAX_EXPONENT,
     WIDTH,
+    ELIMINATION,
     KeyWidthError,
-    elimination,
     packing,
 )
 
-ORDERS = [DEGREVLEX, LEX, elimination(1), elimination(2), elimination(3)]
+ORDERS = [DEGREVLEX, LEX, ELIMINATION]
 
 # small exponents make ties in the leading slots likely; large ones reach
 # the width limit

@@ -80,7 +80,7 @@ def test_round_trip_on_random_polynomials():
 def test_zero_polynomial_formats_as_zero():
     ring = Ring.flat(2, QQ)
     assert format_poly(ring.zero()) == "0"
-    assert parse_poly("0", ring).is_zero()
+    assert not parse_poly("0", ring).terms
 
 
 def test_ring_headers():
@@ -245,7 +245,8 @@ def test_long_blank_runs_are_refused_in_linear_time(place, bad):
 @pytest.mark.parametrize("rows, cols", [(4, 3), (7, 6)])
 @pytest.mark.parametrize("field", [GF(32003), QQ])
 def test_minor_families_round_trip(rows, cols, field):
-    family = maximal_minors(GenericMatrix(rows, cols, field))
-    ring, polys = load_ideal_text(dump_ideal_text(family.ring, family.minors))
-    assert ring == family.ring
-    assert polys == list(family.minors)
+    matrix = GenericMatrix(rows, cols, field)
+    minors = maximal_minors(matrix)
+    ring, polys = load_ideal_text(dump_ideal_text(matrix.ring, minors))
+    assert ring == matrix.ring
+    assert polys == minors

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from formstrength.domains import GF, QQ
-from formstrength.poly import Grading, Poly, Ring
+from formstrength.minors import column_multidegree
+from formstrength.poly import Poly, Ring
 from formstrength.parse import parse_poly
 
 from conftest import random_poly
@@ -12,7 +13,7 @@ from conftest import random_poly
 def test_additive_inverse():
     ring = Ring.flat(3, QQ)
     x1 = ring.var(0)
-    assert (x1 + (-x1)).is_zero()
+    assert not (x1 + (-x1)).terms
 
 
 def test_difference_of_squares():
@@ -49,45 +50,44 @@ def test_mixed_domains_rejected():
 
 def test_multidegree_column_grading():
     ring = Ring.matrix(4, 3, QQ)
-    grading = Grading.by_columns(ring)
     mixed = parse_poly("x1_1 + x2_3", ring)
-    assert mixed.multidegree(grading) is None  # columns 1 and 3 disagree
-    assert parse_poly("x1_1", ring).multidegree(grading) == (1, 0, 0)
+    assert column_multidegree(mixed) is None  # columns 1 and 3 disagree
+    assert column_multidegree(parse_poly("x1_1", ring)) == (1, 0, 0)
+    assert column_multidegree(parse_poly("x4_3^2*x1_2 - 3*x1_3*x2_3*x3_2", ring)) == (0, 1, 2)
 
 
 def test_multidegree_standard_grading():
     # on a one-column matrix ring the column grading is the standard grading
     ring = Ring.matrix(2, 1, QQ)
-    grading = Grading.by_columns(ring)
     f = parse_poly("x1_1^2 + x1_1*x2_1", ring)
-    assert f.multidegree(grading) == (2,)
+    assert column_multidegree(f) == (2,)
 
 
 def test_multidegree_of_zero_raises():
     ring = Ring.matrix(2, 1, QQ)
     with pytest.raises(ValueError):
-        ring.zero().multidegree(Grading.by_columns(ring))
+        column_multidegree(ring.zero())
+    with pytest.raises(ValueError):
+        column_multidegree(Ring.flat(2, QQ).var(0))  # no columns to count
 
 
 def test_multidegree_additive_on_homogeneous_parts():
     rng = random.Random(11)
     ring = Ring.matrix(3, 2, GF(7))
-    grading = Grading.by_columns(ring)
     for _ in range(30):
         f = random_poly(rng, ring, max_degree=2)
         g = random_poly(rng, ring, max_degree=2)
-        df = f.multidegree(grading)
-        dg = g.multidegree(grading)
+        df = column_multidegree(f)
+        dg = column_multidegree(g)
         if df is None or dg is None:
             continue
-        assert (f * g).multidegree(grading) == tuple(a + b for a, b in zip(df, dg))
+        assert column_multidegree(f * g) == tuple(a + b for a, b in zip(df, dg))
 
 
 def test_bidegree_piece_is_spanned_by_cross_column_products():
     # the (1,1,0) piece of the 4x3 matrix ring is spanned by the sixteen
     # products of a column-1 variable with a column-2 variable
     ring = Ring.matrix(4, 3, QQ)
-    grading = Grading.by_columns(ring)
     expected = set()
     for i in range(1, 5):
         for j in range(1, 5):
@@ -96,4 +96,4 @@ def test_bidegree_piece_is_spanned_by_cross_column_products():
     assert len(expected) == 16
     for mono in expected:
         piece = Poly(ring, {mono: QQ(1)})
-        assert piece.multidegree(grading) == (1, 1, 0)
+        assert column_multidegree(piece) == (1, 1, 0)

@@ -1,5 +1,6 @@
-"""Every name the package exports, and every function and class defined at
-the top of a package module, is used by the package itself.
+"""Every name the package exports, every function and class defined at the
+top of a package module, and every method of such a class but the dunders,
+is used by the package itself.
 
 A function or class earns its place by feeding a certificate or a CLI
 command; a name that only the tests call is a second implementation waiting
@@ -8,8 +9,10 @@ must reference it somewhere other than its own definition, and a reference
 from inside another name that fails this check does not count (so a dead
 name cannot keep its helpers alive).  Independent oracles, which the tests
 compare the engine against, are one exception; the functions the
-benchmark's tracer wraps (``perfbench/tracing.py``, ``LAYERS``) are the
-other, since ``tests/test_tracing_names.py`` requires them to exist.
+benchmark's tracer wraps (``perfbench/tracing.py``, ``LAYERS``), methods
+named there as ``Class.method`` included, are the other, since
+``tests/test_tracing_names.py`` requires them to exist.  A method is known
+by its name alone, since an attribute read does not say whose it is.
 """
 
 import ast
@@ -38,22 +41,36 @@ def _referenced(node):
     return names
 
 
-def _definitions():
-    """(defined name or None, names it reads) for every top-level statement
-    of every package module but ``__init__.py``."""
-    out = []
+def _top_level_statements():
+    """Every top-level statement of every package module but ``__init__.py``."""
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                out.append((stmt.name, _referenced(stmt)))
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                owner = targets[0].id if isinstance(targets[0], ast.Name) else None
-                out.append((owner, _referenced(stmt.value)))
-            else:
-                out.append((None, _referenced(stmt)))
+        if path.name != "__init__.py":
+            yield from ast.parse(path.read_text(encoding="utf-8")).body
+
+
+def _definitions():
+    """(names a statement defines, names it reads) for every top-level
+    statement of the package.  A class is split into its methods, each
+    defining the class and the method name, and the rest of its body,
+    defining the class alone."""
+    out = []
+    for stmt in _top_level_statements():
+        if isinstance(stmt, ast.ClassDef):
+            rest = stmt.bases + stmt.decorator_list
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef):
+                    out.append(({stmt.name, sub.name}, _referenced(sub)))
+                else:
+                    rest.append(sub)
+            out.append(({stmt.name}, set().union(*map(_referenced, rest))))
+        elif isinstance(stmt, ast.FunctionDef):
+            out.append(({stmt.name}, _referenced(stmt)))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            owner = {targets[0].id} if isinstance(targets[0], ast.Name) else set()
+            out.append((owner, _referenced(stmt.value)))
+        else:
+            out.append((set(), _referenced(stmt)))
     return out
 
 
@@ -63,9 +80,9 @@ def _unused(names):
     dead = set()
     while True:
         used = set()
-        for owner, reads in definitions:
-            if owner not in dead:
-                used |= reads - {owner}
+        for owners, reads in definitions:
+            if not owners & dead:
+                used |= reads - owners
         now = {name for name in names if name not in used}
         if now == dead:
             return sorted(dead)
@@ -80,17 +97,35 @@ def unused_public_names():
     })
 
 
+def _traced():
+    """The attributes the benchmark's tracer wraps: module-level functions
+    and, as ``Class.method``, methods."""
+    return {attr for targets in load_tracing().LAYERS.values() for _, attr in targets}
+
+
 def unused_top_level_names():
     functions_and_classes = {
         stmt.name
-        for path in PACKAGE.glob("*.py")
-        if path.name != "__init__.py"
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for stmt in _top_level_statements()
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
-    # the module-level functions the benchmark's tracer wraps
-    traced = {attr for targets in load_tracing().LAYERS.values() for _, attr in targets if "." not in attr}
+    traced = {attr for attr in _traced() if "." not in attr}
     return _unused(functions_and_classes - ORACLES - traced)
+
+
+def unused_methods():
+    """``Class.method`` for every method of a package class, dunders aside,
+    whose name no live package code reads."""
+    methods = {
+        (stmt.name, m.name)
+        for stmt in _top_level_statements()
+        if isinstance(stmt, ast.ClassDef)
+        for m in stmt.body
+        if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+    }
+    methods -= {tuple(attr.split(".")) for attr in _traced() if "." in attr}
+    dead = set(_unused({name for _, name in methods}))
+    return sorted(f"{cls}.{name}" for cls, name in methods if name in dead)
 
 
 def test_every_public_name_is_used_by_the_package():
@@ -100,3 +135,7 @@ def test_every_public_name_is_used_by_the_package():
 
 def test_every_top_level_function_and_class_is_used_by_the_package():
     assert unused_top_level_names() == []
+
+
+def test_every_method_is_used_by_the_package():
+    assert unused_methods() == []

@@ -32,6 +32,7 @@ from conftest import (
     minrank_identity,
     pencil_ratios,
     ratio_jacobian_ideal,
+    same_ideal,
 )
 
 
@@ -281,12 +282,10 @@ def test_minrank_formula_matches_bruteforce_on_random_pairs():
 def test_jacobian_minor_ideal_examples():
     ring2 = Ring.flat(2, QQ)
     ideal = jacobian_minor_ideal(*diagonal_pair([1, 1], [1, 2]))
-    assert ideal.equals(Ideal(ring2, [parse_poly("x1*x2", ring2)]))
+    assert same_ideal(ideal, Ideal(ring2, [parse_poly("x1*x2", ring2)]))
     ring3 = Ring.flat(3, QQ)
     ideal = jacobian_minor_ideal(*diagonal_pair([1, 1, 1], [4, 4, 7]))
-    assert ideal.equals(
-        Ideal(ring3, [parse_poly("x1*x3", ring3), parse_poly("x2*x3", ring3)])
-    )
+    assert same_ideal(ideal, Ideal(ring3, [parse_poly("x1*x3", ring3), parse_poly("x2*x3", ring3)]))
     assert not jacobian_minor_ideal(*diagonal_pair([1, 1], [3, 3])).gens
 
 
@@ -301,7 +300,7 @@ def test_jacobian_minor_ideal_matches_the_ratio_construction_on_diagonal_pairs()
             [rng.randint(-3, 3) for _ in range(n)],
             dom,
         )
-        assert jacobian_minor_ideal(*pair).equals(ratio_jacobian_ideal(*pair))
+        assert same_ideal(jacobian_minor_ideal(*pair), ratio_jacobian_ideal(*pair))
 
 
 def test_jacobian_minor_codimension_is_a_congruence_invariant():
@@ -333,8 +332,8 @@ def test_coordinate_primary_components():
     # pins the conftest helper that the minrank identity checks rest on
     comps = coordinate_ideals(*diagonal_pair([1, 1, 1], [4, 4, 7]))  # blocks {0,1} and {2}
     ring = comps[0].ring
-    assert comps[0].equals(Ideal(ring, [ring.var(2)]))
-    assert comps[1].equals(Ideal(ring, [ring.var(0), ring.var(1)]))
+    assert same_ideal(comps[0], Ideal(ring, [ring.var(2)]))
+    assert same_ideal(comps[1], Ideal(ring, [ring.var(0), ring.var(1)]))
 
     single = coordinate_ideals(*diagonal_pair([1, 1], [3, 3]))
     assert len(single) == 1 and not single[0].gens
@@ -381,8 +380,8 @@ def test_prime_certificate_never_fires_in_low_dimension():
 
 
 def test_collective_strength_of_minor_triple_is_one():
-    family = maximal_minors(GenericMatrix(3, 2, GF(5)))
-    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    minors = maximal_minors(GenericMatrix(3, 2, GF(5)))
+    forms = [QuadraticForm.from_poly(f) for f in minors]
     assert collective_strength_quadrics(forms) == 1
 
 
@@ -398,8 +397,8 @@ def test_collective_strength_simple_pencils():
 def test_collective_strength_invariant_under_pencil_remix():
     rng = random.Random(77)
     dom = GF(7)
-    family = maximal_minors(GenericMatrix(3, 2, dom))
-    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    minors = maximal_minors(GenericMatrix(3, 2, dom))
+    forms = [QuadraticForm.from_poly(f) for f in minors]
     base = collective_strength_quadrics(forms)
     for _ in range(5):
         while True:
@@ -411,8 +410,8 @@ def test_collective_strength_invariant_under_pencil_remix():
 
 
 def test_rank_scan_all_nonzero_counts():
-    family = maximal_minors(GenericMatrix(3, 2, GF(5)))
-    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    minors = maximal_minors(GenericMatrix(3, 2, GF(5)))
+    forms = [QuadraticForm.from_poly(f) for f in minors]
     histogram, offender = rank_scan_all_nonzero(forms, expect=4)
     assert offender is None
     assert histogram == {4: 124}
@@ -458,11 +457,11 @@ def test_triple_report_on_dependent_pair():
 def test_triple_report_on_strength_one_family():
     # the 3x2 minors: collective strength 1, not regular; the hypothesis of
     # the upper-bound theorem really is necessary
-    family = maximal_minors(GenericMatrix(3, 2, QQ))
-    forms = [QuadraticForm.from_poly(f) for f in family.minors]
+    minors = maximal_minors(GenericMatrix(3, 2, QQ))
+    forms = [QuadraticForm.from_poly(f) for f in minors]
     scan_forms = [q.reduce_mod(5) for q in forms]
     assert collective_strength_quadrics(scan_forms) == 1
     with pytest.raises(DegenerateFormError):  # f1 has rank 4 < 6
         simultaneous_diagonalize(forms[0], forms[1])
-    assert not is_regular_sequence_codim(family.minors)
+    assert not is_regular_sequence_codim(minors)
     assert minrank_bruteforce(scan_forms[0], scan_forms[1]).value == 4  # every nonzero combination has rank 4

@@ -41,10 +41,10 @@ def test_planted_common_factor_fails_direct():
         assert not is_regular_sequence_codim(fs)
 
 
-def test_minor_triples_are_not_regular(family_3x2_q, family_4x3_f7):
-    assert not is_regular_sequence_codim(family_3x2_q.minors)
-    assert not is_regular_sequence_direct(family_3x2_q.minors)
-    assert not is_regular_sequence_codim(family_4x3_f7.minors[:3])
+def test_minor_triples_are_not_regular(minors_3x2_q, minors_4x3_f7):
+    assert not is_regular_sequence_codim(minors_3x2_q)
+    assert not is_regular_sequence_direct(minors_3x2_q)
+    assert not is_regular_sequence_codim(minors_4x3_f7[:3])
 
 
 def test_zero_and_inhomogeneous_inputs_rejected():

@@ -158,7 +158,7 @@ def test_rank_scan_ranks_one_point_per_projective_class(monkeypatch, p, family):
     # the 3x2 minor family has Gram rank 4 at every nonzero combination; the
     # random net is in 4 variables
     if family:
-        forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p))).minors]
+        forms = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p)))]
     else:
         rng = random.Random(p)
         forms = [_random_form(rng, Ring.flat(4, GF(p))) for _ in range(3)]
@@ -591,7 +591,7 @@ def test_minor_family_in_random_coordinates_eliminates_a_pinned_count(monkeypatc
     # each, 440 were eliminated; while a singular line was ranked point by
     # point, all 993 points
     p = 31
-    family = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p))).minors]
+    family = [QuadraticForm.from_poly(f) for f in maximal_minors(GenericMatrix(3, 2, GF(p)))]
     forms = _congruent(family, random.Random("minors:3x2"))
     ref = _check_every_scan(forms, 4)
     assert {value for _, value in ref} == {4}

@@ -23,10 +23,10 @@ from formstrength.strength import (
 # exclusion matrices
 
 
-def test_exclusion_row_counts_and_kernels(family_4x3_q):
-    ring = family_4x3_q.ring
+def test_exclusion_row_counts_and_kernels(minors_4x3_q):
+    ring = minors_4x3_q[0].ring
     ideals = class_ideals(ring)
-    triple = family_4x3_q.minors[:3]
+    triple = minors_4x3_q[:3]
     expected_rows = {PARALLEL_ROWS: 10, SAME_COLUMN: 10, SKEW: 11}
     for tag, ideal in ideals.items():
         report = exclusion_matrix(triple, ideal)
@@ -34,15 +34,15 @@ def test_exclusion_row_counts_and_kernels(family_4x3_q):
         assert report.trivial_kernel
 
 
-def test_exclusion_dependent_family_has_kernel(family_4x3_q):
-    ring = family_4x3_q.ring
-    f1 = family_4x3_q.minors[0]
+def test_exclusion_dependent_family_has_kernel(minors_4x3_q):
+    ring = minors_4x3_q[0].ring
+    f1 = minors_4x3_q[0]
     report = exclusion_matrix([f1, f1.scale(QQ(2))], class_ideals(ring)[SKEW])
     assert report.kernel_dim >= 1
 
 
-def test_exclusion_detects_strength_one_member(family_4x3_q):
-    ring = family_4x3_q.ring
+def test_exclusion_detects_strength_one_member(minors_4x3_q):
+    ring = minors_4x3_q[0].ring
     x11 = ring.var(ring.entry_index(1, 1))
     q = parse_poly("x2_2*x3_3 - x2_3*x3_2", ring)
     family = [x11 * q]
@@ -52,10 +52,10 @@ def test_exclusion_detects_strength_one_member(family_4x3_q):
     assert report.kernel_dim == 1 and report.row_count() == 0
 
 
-def test_exclusion_kernel_invariant_under_family_remix(family_4x3_q):
+def test_exclusion_kernel_invariant_under_family_remix(minors_4x3_q):
     rng = random.Random(97)
-    ring = family_4x3_q.ring
-    triple = family_4x3_q.minors[:3]
+    ring = minors_4x3_q[0].ring
+    triple = minors_4x3_q[:3]
     ideals = list(class_ideals(ring).values())
     for _ in range(5):
         while True:
@@ -72,30 +72,30 @@ def test_exclusion_kernel_invariant_under_family_remix(family_4x3_q):
             assert exclusion_matrix(mixed, ideal).trivial_kernel
 
 
-def test_strength_one_excluded_with_extra_class(family_4x3_q):
-    ring = family_4x3_q.ring
-    triple = family_4x3_q.minors[:3]
+def test_strength_one_excluded_with_extra_class(minors_4x3_q):
+    ring = minors_4x3_q[0].ring
+    triple = minors_4x3_q[:3]
     ideals = list(class_ideals(ring).values())
     extra = Ideal(ring, [ring.var(ring.entry_index(1, 1)), ring.var(ring.entry_index(1, 3))])
     for ideal in ideals + [extra]:
         assert exclusion_matrix(triple, ideal).trivial_kernel
 
 
-def test_four_minor_exclusion_variant(family_4x3_q):
-    for ideal in class_ideals(family_4x3_q.ring).values():
-        assert exclusion_matrix(family_4x3_q.minors, ideal).trivial_kernel
+def test_four_minor_exclusion_variant(minors_4x3_q):
+    for ideal in class_ideals(minors_4x3_q[0].ring).values():
+        assert exclusion_matrix(minors_4x3_q, ideal).trivial_kernel
 
 
-def test_exhaustive_variable_pair_exclusion(family_4x3_q):
+def test_exhaustive_variable_pair_exclusion(minors_4x3_q):
     # belt-and-braces replacement for the symmetry argument: every ideal
     # generated by two distinct matrix variables excludes the family
-    ring = family_4x3_q.ring
+    ring = minors_4x3_q[0].ring
     rows, cols = ring.matrix_shape
     entries = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
     pairs = list(combinations(entries, 2))
     assert len(pairs) == 66
     tags = set()
-    triple = family_4x3_q.minors[:3]
+    triple = minors_4x3_q[:3]
     for (r1, c1), (r2, c2) in pairs:
         tags.add(SAME_COLUMN if c1 == c2 else PARALLEL_ROWS if r1 == r2 else SKEW)
         ideal = Ideal(ring, [ring.var(ring.entry_index(r1, c1)), ring.var(ring.entry_index(r2, c2))])
