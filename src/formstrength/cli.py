@@ -92,14 +92,33 @@ def _load_system(args):
     return load_ideal_file(args.infile, ring)
 
 
+def _integer(text, signed=False):
+    """The int that ``text`` spells in ASCII decimal digits, after one '-'
+    where ``signed``; ValueError for any other text.  ``int()`` alone would
+    also take blanks, '+', '_' and the digits of other scripts."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _int_option(signed):
+    """The argparse type of an integer option: argparse names the option and
+    the value in its refusal."""
+
+    def integer(text):
+        return _integer(text, signed)
+
+    return integer
+
+
 def _gram_entry(tok):
     """One Gram-matrix entry, an integer or a fraction a/b, over Q."""
-    # int() ignores underscores when it counts digits
-    if _too_long(tok.replace("_", "")):
+    if _too_long(tok):
         raise ValueError(f"a number of more than {_digit_limit()} digits")
     num, slash, den = tok.partition("/")
     try:
-        num, den = int(num), int(den) if slash else 1
+        num, den = _integer(num, signed=True), _integer(den) if slash else 1
     except ValueError:
         raise ValueError("not an integer or a fraction a/b") from None
     if not den:
@@ -186,7 +205,7 @@ def _parse_diag(text):
     if any(not tok.strip() for tok in tokens):
         raise ValueError(f"--diag {text!r} has an empty entry; give integers a1,...,an")
     try:
-        return [int(tok) for tok in tokens]
+        return [_integer(tok, signed=True) for tok in tokens]
     except ValueError:
         raise ValueError(f"--diag {text!r} is not a list of integers a1,...,an") from None
 
@@ -276,7 +295,7 @@ def cmd_minors(args):
     if not args.matrix:
         raise ValueError("--matrix RxC is required")
     try:
-        rows, cols = (int(v) for v in args.matrix.lower().split("x"))
+        rows, cols = (_integer(v) for v in args.matrix.lower().split("x"))
     except ValueError:
         raise ValueError(f"--matrix takes RxC, two integers such as 4x3; got {args.matrix!r}") from None
     domain = domain_from_name(args.field)
@@ -367,14 +386,14 @@ def cmd_recheck(args):
 # option -> add_argument keywords; each subcommand names the ones it reads
 _FLAGS = {
     "--json": {"action": "store_true", "help": "machine-readable output"},
-    "--seed": {"type": int, "default": 0},
+    "--seed": {"type": _int_option(signed=True), "default": 0},
     "--in": {"dest": "infile", "help": "input file"},
     "--ring": {"help": 'ring override, e.g. "n=3 field=q"'},
     "--order": {"default": "degrevlex", "choices": ["degrevlex", "lex"]},
     "--field": {"default": "q", "help": "coefficient field: q or fp:<p>"},
     "--matrix": {"help": "generic matrix shape RxC"},
     "--diag": {"help": "diagonal coefficients a1,...,an"},
-    "--p": {"type": int, "help": "prime for finite-field scans"},
+    "--p": {"type": _int_option(signed=False), "help": "prime for finite-field scans"},
     "--in2": {"dest": "infile2", "help": "second ideal file (intersect)"},
     "--f": {"dest": "divisor", "help": "quotient divisor polynomial"},
 }

@@ -14,9 +14,8 @@ zero.  Let L be the ideal of the leads found so far and CI(k) the t^k
 coefficient of ∏(1 - t^d_i)/(1 - t)^n, the Hilbert function of a complete
 intersection.  Once HF(R/L)(k) = CI(k), every remaining pair of degree k is
 dropped unreduced.  The equality is tested when a pair of degree k leaves
-the heap while another pair of degree k still waits, since on the last
-pair of a degree a test could save only one reduction.  This is sound
-over any field:
+the heap while other pairs still wait, since on the last pair a test could
+save only one reduction.  This is sound over any field:
 
 * over the algebraic closure, which changes no Hilbert function, regular
   sequences of r ≤ n forms of these degrees (x_i^d_i among them) form a
@@ -41,10 +40,10 @@ element.  For homogeneous ideals the Hilbert series of I ∩ J is known in
 advance, N(R/I) + N(R/J) - N(R/(I + J)) over (1 - t)^n, so the elimination
 basis stops once its t-free leads reach it (proof at ``ideal_intersection``)
 and the pairs left are never reduced.  The direct regular-sequence test
-compares the Hilbert numerators of successive prefixes, from their degrevlex
-bases (see ``is_regular_sequence_direct``): it needs no elimination and no
-quotient.  Nothing here computes a gcd, so that test never shares code with
-the gcd route of the two-form check.
+compares the Hilbert numerator of the ideal, from one degrevlex basis, with
+a complete intersection's (see ``is_regular_sequence_direct``).  Nothing
+here computes a gcd, so that test never shares code with the gcd route of
+the two-form check.
 
 All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
 (CASC 2007).  Inside it a monomial is its packed order key (see
@@ -303,30 +302,43 @@ def _hilbert_value(num, n, k):
     return sum(c * comb(k - j + n - 1, n - 1) for j, c in enumerate(num[: k + 1]))
 
 
+def _ci_numerator(degrees):
+    """∏(1 - t^d) over the degrees, a complete intersection's numerator."""
+    num = [1]
+    for d in degrees:
+        num = _add_shifted(num, num, d, -1)
+    return num
+
+
 class _HilbertBound:
     """N(L) - T, the numerator of HF(R/L) minus the Hilbert function with
-    numerator T, for the leads L it has taken in.  Under degrevlex T is the
-    complete-intersection numerator ∏(1 - t^d_i) of Traverso's bound (see
-    the module docstring); for an intersection it is that of R/(I ∩ J) (see
-    ``ideal_intersection``)."""
+    numerator T, for the leads L it has taken in: T = ∏(1 - t^d_i) for
+    Traverso's bound, the prune hook of a degrevlex basis (module docstring),
+    and that of R/(I ∩ J) for an intersection (``ideal_intersection``)."""
 
-    __slots__ = ("n", "leads", "excess")
+    __slots__ = ("n", "leads", "excess", "filled")
 
     def __init__(self, n, target):
         self.n = n
         self.leads = []
         self.excess = _add_shifted([1], target, 0, -1)
+        self.filled = None  # the last degree k found with HF(R/L)(k) = CI(k)
 
     @classmethod
     def of(cls, gens, n):
-        """The bound for the generators, or None where it does not hold."""
-        degrees = [{sum(m) for m in g.terms} for g in gens]
-        if len(gens) <= n and all(len(d) == 1 for d in degrees):
-            ci = [1]
-            for d in degrees:
-                ci = _add_shifted(ci, ci, d.pop(), -1)
-            return cls(n, ci)
-        return None
+        """The bound as a prune hook, set up at its first test (most small
+        bases have none); it never prunes where the bound does not hold."""
+        bound = None
+
+        def prune(lms, lcm, waiting):
+            nonlocal bound
+            if bound is None and waiting:
+                degrees = [{sum(m) for m in g.terms} for g in gens]
+                holds = len(gens) <= n and all(len(d) == 1 for d in degrees)
+                bound = holds and cls(n, _ci_numerator(d.pop() for d in degrees))
+            return bound and bound(lms, lcm, waiting)
+
+        return prune
 
     def take(self, leads):
         """Take in more leads, by N(L + (m)) = N(L) - t^|m|·N(L : m)."""
@@ -335,11 +347,14 @@ class _HilbertBound:
             self.excess = _add_shifted(self.excess, colon, sum(m), -1)
             self.leads.append(m)
 
-    def full(self, leads, k):
-        """True when HF(R/L)(k) = CI(k), that is L_k = in(I)_k, after taking
-        in the leads past those it has."""
-        self.take(leads[len(self.leads):])
-        return not _hilbert_value(self.excess, self.n, k)
+    def __call__(self, lms, lcm, waiting):
+        """True when HF(R/L)(k) = CI(k), L the leads, k the lcm's degree."""
+        k = sum(lcm)
+        if k != self.filled and waiting:
+            self.take(lms[len(self.leads):])
+            if not _hilbert_value(self.excess, self.n, k):
+                self.filled = k
+        return k == self.filled
 
 
 def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
@@ -355,15 +370,16 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
             raise ValueError("generators live in different rings")
     if not gens:
         return GroebnerBasis(ring, order, [])
-    return _reduced(*_buchberger(gens, order, ring), order, ring)
+    prune = _HilbertBound.of(gens, ring.nvars) if order is DEGREVLEX else None
+    return _reduced(*_buchberger(gens, order, ring, prune), order, ring)
 
 
-def _buchberger(gens, order, ring, stop=None):
+def _buchberger(gens, order, ring, prune=None):
     """The reducers and leading monomials of a Groebner basis of the nonzero
-    ``gens``, not minimal and not reduced.  ``stop``, called before each
-    pair is reduced with the leads and the number of other pairs waiting,
-    ends the pair loop when it returns True; the basis is then partial, so
-    only ``ideal_intersection`` passes one."""
+    ``gens``, not minimal and not reduced.  A pair is dropped unreduced when
+    ``prune(lms, lcm, waiting)`` (the leads, its lcm, the number of other
+    pairs waiting) returns True: the Hilbert bound drops pairs that reduce to
+    zero, the intersection stop every pair once its basis is complete."""
     dom = ring.domain
     pk = packing(order, ring.nvars)
     enc = pk.key
@@ -418,30 +434,11 @@ def _buchberger(gens, order, ring, stop=None):
         if rem:
             add_element(rem)
 
-    # pairs leave the heap by ascending degree.  The Hilbert bound is tested
-    # at a pair only while another pair of its degree waits: on the last one
-    # a test could save one reduction, which on small input costs no more
-    # than the test.  The bound is set up at its first test.
-    hilbert = order == DEGREVLEX
-    bound = degree = full = None
     while heap:
         _, i, j = heappop(heap)
         l = pairs.pop((i, j), None)
-        if l is None:
+        if l is None or (prune is not None and prune(lms, l, len(pairs))):
             continue
-        if hilbert:
-            if sum(l) != degree:
-                degree, full = sum(l), False
-            waiting = pairs.get(heap[0][1:]) if heap else None
-            if not full and heap and (waiting is None or sum(waiting) == degree):
-                if bound is None:
-                    bound = _HilbertBound.of(gens, ring.nvars)
-                    hilbert = bound is not None
-                full = hilbert and bound.full(lms, degree)
-            if full:
-                continue
-        elif stop is not None and stop(lms, len(pairs)):
-            break
         work = _spair(reducers[i], reducers[j], enc(l), dom)
         if not work:
             continue
@@ -595,8 +592,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
       minimalizing and interreducing B0 alone gives the t-free part of the
       reduced basis of K, the unique reduced basis of I ∩ J, as a full run.
 
-    The test is made before a pair is reduced, and only when t-free leads
-    have arrived since the last test.  Its target needs N(R/(f)) = 1 - t^deg f
+    The test is made before a pair is reduced.  Its target needs N(R/(f)) = 1 - t^deg f
     for a principal ideal and a degrevlex basis, cached on the ``Ideal``, for
     any other; it is computed at the first test where at least
     ``_PAIRS_PER_BASIS`` pairs wait for each basis not yet cached, since on
@@ -635,8 +631,8 @@ _PAIRS_PER_BASIS = 4
 
 
 class _IntersectionStop:
-    """The stop rule of ``ideal_intersection``: True once the t-free leads
-    have the Hilbert numerator of R/(I ∩ J)."""
+    """The prune hook of ``ideal_intersection``: True for every pair once
+    the t-free leads among ``lms`` have the Hilbert numerator of R/(I ∩ J)."""
 
     __slots__ = ("ideals", "bound")
 
@@ -644,9 +640,7 @@ class _IntersectionStop:
         self.ideals = (I, J, joined)
         self.bound = None
 
-    def __call__(self, lms, waiting):
-        """Test the t-free leads among ``lms`` when some are new since the
-        last test, ``waiting`` other pairs waiting."""
+    def __call__(self, lms, lcm, waiting):
         leads = [m[1:] for m in lms if not m[0]]
         bound = self.bound
         if bound is None:
@@ -657,8 +651,6 @@ class _IntersectionStop:
             target = _add_shifted(_numerator(I), _numerator(J), 0, 1)
             target = _add_shifted(target, _numerator(joined), 0, -1)
             bound = self.bound = _HilbertBound(I.ring.nvars, target)
-        elif len(bound.leads) == len(leads):
-            return False
         bound.take(leads[len(bound.leads):])
         return not any(bound.excess)
 
@@ -712,22 +704,29 @@ def is_regular_sequence_codim(fs) -> bool:
 
 
 def is_regular_sequence_direct(fs) -> bool:
-    """Definition-based test: each form a nonzerodivisor modulo its
-    predecessors, decided by Hilbert series.
+    """Definition-based test by Hilbert series, from one degrevlex basis: r
+    forms of degrees d_i are a regular sequence exactly when r ≤ n and
+    N(R/(f_1, ..., f_r)) = CI_r = ∏_(i ≤ r) (1 - t^d_i) (Stanley, Adv. Math.
+    28, 1978).  For I = (f_1, ..., f_i) and f = f_(i+1) of degree d, the
+    exact sequence 0 → (R/(I : f))(-d) → R/I → R/(I + f) → 0 gives
+    HS(R/(I + f)) = HS(R/I) - t^d·HS(R/(I : f)), and I ⊆ I : f gives
+    HS(R/(I : f)) ≤ HS(R/I) coefficientwise, with equality iff I : f = I,
+    that is iff f is a nonzerodivisor mod I.  No elimination, quotient or
+    gcd is needed.
 
-    For I = (f1, ..., fi) and f = f_{i+1} of degree d, the exact sequence
-    0 → (R/(I : f))(-d) → R/I → R/(I + f) → 0 gives
-    HS(R/(I + f)) = HS(R/I) - t^d·HS(R/(I : f)).  As I ⊆ I : f, the two
-    series of I and I : f agree exactly when the ideals do, so f is a
-    nonzerodivisor mod I exactly when N(R/(I + f)) = (1 - t^d)·N(R/I).
-    Each prefix of two or more forms costs one degrevlex basis, computed
-    once; no elimination, quotient or gcd is needed."""
+    * Regular ⇒ equal numerators: each step multiplies N by (1 - t^d).
+    * Equal numerators ⇒ regular, for r ≤ n: let D_i be the coefficients of
+      HS(R/(f_1, ..., f_i)) - CI_i/(1 - t)^n, D_i ≥ 0 for i ≤ n by the lower
+      bound proved for Traverso's rule (module docstring).  The sequence
+      gives D_(i+1) ≥ D_i - t^d·D_i, with equality iff f_(i+1) is a
+      nonzerodivisor.  So D_(i+1) = 0 forces D_i(k) ≤ D_i(k - d) for all k,
+      hence D_i = 0 by induction on k, equality, and f_(i+1) a
+      nonzerodivisor; repeat downward from i + 1 = r.
+    * r > n is never regular: were f_1, ..., f_(n+1) regular, HS(R/(f_1,
+      ..., f_(n+1))) = (1 - t^d)·∏_(i ≤ n) (1 + t + ... + t^(d_i - 1)) would
+      have the coefficient -1 at its top degree."""
     _check_regseq_input(fs)
-    ring = fs[0].ring
-    num = _numerator(Ideal(ring, fs[:1]))
-    for i in range(1, len(fs)):
-        expected = _add_shifted(num, num, fs[i].degree(), -1)
-        num = _numerator(Ideal(ring, fs[: i + 1]))
-        if any(_add_shifted(num, expected, 0, -1)):
-            return False
-    return True
+    if len(fs) > fs[0].ring.nvars:
+        return False
+    num = _numerator(Ideal(fs[0].ring, fs))
+    return not any(_add_shifted(num, _ci_numerator(f.degree() for f in fs), 0, -1))

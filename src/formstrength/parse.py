@@ -58,18 +58,18 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-_VAR = r"x\d+(?:_\d+)?"
-_FACTOR = rf"(?:{_VAR}(?:\s*\^\s*\d+)?|\d+(?:\s*/\s*\d+)?)"
+_VAR = r"x[0-9]+(?:_[0-9]+)?"
+_FACTOR = rf"(?:{_VAR}(?:\s*\^\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?)"
 _TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
 # one term of a line cut at each '+' and before each '-' (see the module docstring)
 _PIECE = rf"-?\s*{_TERM}\s*"
-_TOKEN = rf"\s*({_VAR}|\d+|[-+*/^])"
+_TOKEN = rf"\s*({_VAR}|[0-9]+|[-+*/^])"
 
 
 def _too_long(text):
     """True when text holds a run of more digits than ``int()`` converts."""
     limit = _digit_limit()
-    return bool(limit) and any(len(d) > limit for d in re.findall(r"\d+", text))
+    return bool(limit) and any(len(d) > limit for d in re.findall(r"[0-9]+", text))
 
 
 def _factor(ring, factor):
@@ -175,7 +175,7 @@ def _fault(text, ring):
         except ValueError:
             # int() refused the factor's first number of too many digits
             limit = _digit_limit()
-            digits = next(d for d in re.finditer(r"\d+", m.group()) if len(d.group()) > limit)
+            digits = next(d for d in re.finditer(r"[0-9]+", m.group()) if len(d.group()) > limit)
             return PolyParseError(f"number of more than {limit} digits", m.start() + digits.start())
         if i is not None:
             exps[i] += v
@@ -244,7 +244,7 @@ def format_poly(f: Poly) -> str:
 # ideal files
 
 _RING_RE = re.compile(
-    r"^ring\s+n=(\d+)\s+field=(q|fp:\d+)(?:\s+matrix=(\d+)x(\d+))?\s*$"
+    r"^ring\s+n=([0-9]+)\s+field=(q|fp:[0-9]+)(?:\s+matrix=([0-9]+)x([0-9]+))?\s*$"
 )
 
 # The most variables a ring header may declare.  A ring holds one name per

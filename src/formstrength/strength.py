@@ -56,18 +56,16 @@ _CLASS_REPRESENTATIVES = {
 
 
 class ExclusionReport:
-    """Family reduced modulo one class ideal: surviving monomials, the exact
-    coefficient matrix (rows = monomials, columns = family members) and its
-    kernel."""
+    """Family reduced modulo one class ideal: surviving monomials (the rows
+    of the coefficient matrix, whose columns are the family members) and
+    the dimension of that matrix's kernel."""
 
-    __slots__ = ("ideal_gens", "monomials", "matrix", "kernel_dim", "kernel")
+    __slots__ = ("ideal_gens", "monomials", "kernel_dim")
 
-    def __init__(self, ideal_gens, monomials, matrix, kernel):
+    def __init__(self, ideal_gens, monomials, kernel_dim):
         self.ideal_gens = ideal_gens
         self.monomials = monomials
-        self.matrix = matrix
-        self.kernel = kernel
-        self.kernel_dim = len(kernel)
+        self.kernel_dim = kernel_dim
 
     @property
     def trivial_kernel(self):
@@ -96,13 +94,8 @@ def exclusion_matrix(family, class_ideal: Ideal) -> ExclusionReport:
     ]
     if not matrix:
         # everything reduced to zero: full kernel
-        kern = [
-            [dom.one if i == j else dom.zero for j in range(len(family))]
-            for i in range(len(family))
-        ]
-        return ExclusionReport(class_ideal.gens, [], [], kern)
-    kern = kernel_basis(matrix, dom)
-    return ExclusionReport(class_ideal.gens, monomials, matrix, kern)
+        return ExclusionReport(class_ideal.gens, [], len(family))
+    return ExclusionReport(class_ideal.gens, monomials, len(kernel_basis(matrix, dom)))
 
 
 def class_ideals(ring: Ring):

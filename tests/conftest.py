@@ -183,7 +183,7 @@ def reference_regular_by_quotients(fs):
 # the token-by-token recursive-descent parser that parse_poly replaced, kept
 # as an independent oracle for the differential fuzz
 
-_TOKEN = re.compile(r"\s*(x\d+(?:_\d+)?|\d+|[-+*/^])")
+_TOKEN = re.compile(r"\s*(x[0-9]+(?:_[0-9]+)?|[0-9]+|[-+*/^])")
 
 
 def _tokenize(text):

@@ -287,7 +287,7 @@ def test_hilbert_numerator_counts_standard_monomials():
         # against the target numerator 1, CI of no forms, its excess is N(L) - 1
         bound = _HilbertBound(n, [1])
         for t in range(1, len(gens) + 1):
-            bound.full(gens[:t], 0)
+            bound.take(gens[t - 1 : t])
             assert _strip(_add_shifted(bound.excess, [1], 0, 1)) == _strip(_hilbert_numerator(gens[:t]))
 
 
@@ -351,6 +351,50 @@ def test_direct_route_on_dense_regular_triples_runs_no_elimination(monkeypatch, 
     assert is_regular_sequence_direct(forms)
     assert packings and elim not in packings
     assert all(pk is grevlex for pk in packings)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_direct_route_builds_one_basis_of_up_to_n_forms_and_none_past_n(monkeypatch, n):
+    # r ≤ n forms are regular exactly when the numerator of their one basis
+    # is ∏(1 - t^d_i), and r > n forms never are; a single form needs none
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(n)
+    buchberger = groebner._buchberger
+    orders = []
+
+    def counted(gens, order, *args):
+        orders.append(order)
+        return buchberger(gens, order, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    x1 = ring.var(0)
+    for r in range(1, n + 3):
+        regular = [dense_form(rng, ring, rng.randint(1, 2)) for _ in range(r)]
+        # a common factor: a zerodivisor at the second form already
+        planted = [x1 * random_homogeneous(rng, ring, 1) for _ in range(r)]
+        for forms, verdict in ((regular, r <= n), (planted, r == 1)):
+            orders.clear()
+            assert is_regular_sequence_direct(forms) is verdict, (r, forms)
+            assert orders == ([DEGREVLEX] if 2 <= r <= n else []), r
+
+
+def test_no_pair_is_reduced_once_the_intersection_stop_fires(monkeypatch):
+    # two dense quadrics each in 4 variables: the t-free leads reach the
+    # numerator of R/(I ∩ J) while 24 pairs still wait
+    ring = Ring.flat(4, GF(32003))
+    rng = random.Random(4)
+    I = [dense_form(rng, ring, 2) for _ in range(2)]
+    J = [dense_form(rng, ring, 2) for _ in range(2)]
+    events = []
+    stop, spair = groebner._IntersectionStop.__call__, groebner._spair
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: events.append(stop(self, *a)) or events[-1])
+    monkeypatch.setattr(groebner, "_spair", lambda *a: events.append("spair") or spair(*a))
+    inter = ideal_intersection(Ideal(ring, I), Ideal(ring, J))
+    fired = events.index(True)
+    assert "spair" in events[:fired] and events[fired:] == [True] * 25
+    # the partial basis gives the generators of a run that reduces every pair
+    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: False)
+    assert ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens == inter.gens
 
 
 def test_inhomogeneous_intersection_never_tests_the_stop(monkeypatch):

@@ -21,7 +21,7 @@ RINGS = [Ring.flat(3, QQ), Ring.flat(4, GF(7)), Ring.matrix(3, 2, QQ)]
 # tokens of the grammar, pieces of them, blank runs, and characters outside it
 PIECES = ["x", "x1", "x4", "x9", "x0", "x01", "x2_1", "x3_2", "_", "_1", "^", "^2", "^0", "*", "/", "/0", "/7",
           "/14", "1/7*", " + 3/14", "+", "-", " ", "\t", "0", "1", "7", "14", "10000000000000000000000", "(", ".",
-          "e", "é", "", "  ", "\t\t", " \t ", " " * 7]
+          "e", "é", "٣", "x٣", "", "  ", "\t\t", " \t ", " " * 7]
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
