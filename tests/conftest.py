@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from formstrength.domains import GF, QQ
-from formstrength.groebner import Ideal, codimension, ideal_intersection, ideal_quotient, normal_form
+from formstrength.groebner import Ideal, codimension, exact_divide, ideal_intersection, ideal_quotient, normal_form
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
 from formstrength.parse import PolyParseError
@@ -312,6 +312,93 @@ def reference_parse_poly(text, ring):
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
     return _Parser(ring, tokens).parse()
+
+
+# ---------------------------------------------------------------------------
+# the recursive primitive PRS that the multiplier-matrix gcd replaced, kept as
+# an independent reference: pseudo-remainder sequences recursing on the
+# lowest-index variable the inputs share
+
+
+def _deg_in(f, v):
+    if not f.terms:
+        return -1
+    return max(m[v] for m in f.terms)
+
+
+def _coeff_in(f, v, k):
+    """Coefficient of v^k, as a polynomial not involving v."""
+    terms = {}
+    for m, c in f.terms.items():
+        if m[v] == k:
+            mm = list(m)
+            mm[v] = 0
+            terms[tuple(mm)] = c
+    return Poly(f.ring, terms)
+
+
+def _var_power(ring, v, k):
+    mono = tuple(k if i == v else 0 for i in range(ring.nvars))
+    return Poly(ring, {mono: ring.domain.one})
+
+
+def _pseudo_rem(F, G, v):
+    dg = _deg_in(G, v)
+    lg = _coeff_in(G, v, dg)
+    R = F
+    while R.terms and _deg_in(R, v) >= dg:
+        dr = _deg_in(R, v)
+        lr = _coeff_in(R, v, dr)
+        R = lg * R - lr * _var_power(F.ring, v, dr - dg) * G
+    return R
+
+
+def _content(f, v):
+    """Monic gcd of the univariate coefficients of f with respect to v."""
+    coeffs = [_coeff_in(f, v, k) for k in range(_deg_in(f, v) + 1)]
+    coeffs = [c for c in coeffs if c.terms]
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        if g.is_constant():
+            break
+        g = _ref_gcd(g, c)
+    return g.monic()
+
+
+def _primitive_part(f, v):
+    if not f.terms:
+        return f
+    cont = _content(f, v)
+    if cont.is_constant():
+        return f
+    return exact_divide(f, cont)
+
+
+def _ref_gcd(f, g):
+    if not f.terms:
+        return g
+    if not g.terms:
+        return f
+    if f.is_constant() or g.is_constant():
+        return f.ring.one()
+    common = set(f.variables()) & set(g.variables())
+    if not common:
+        return f.ring.one()
+    v = min(common)
+    c = _ref_gcd(_content(f, v), _content(g, v))
+    F = _primitive_part(f, v)
+    G = _primitive_part(g, v)
+    if _deg_in(F, v) < _deg_in(G, v):
+        F, G = G, F
+    while G.terms:
+        R = _pseudo_rem(F, G, v)
+        F, G = G, _primitive_part(R, v)
+    return c * F
+
+
+def reference_gcd(f, g):
+    """The monic gcd of f and g by primitive PRS."""
+    return _ref_gcd(f, g).monic()
 
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -131,10 +131,36 @@ def test_exact_divide_raises_on_nondivisible():
 
 # multipliers of M_1 for x1*x2, x1*x3: x1, x2, x3 for f, then for g; the true
 # kernel is (x3, x2).  u = x1+x2+x3 does not divide g; u = x1 gives g/u = x3,
-# which does not divide f.
+# which does not divide f.  Over F_p the u-part of the kernel, the last row of
+# the echelon form, is fed to the cofactor step; over Q the exact kernel is.
+@pytest.mark.parametrize("dom", [GF(7), QQ], ids=lambda d: d.name)
 @pytest.mark.parametrize("vector", [[1] * 6, [1, 0, 0, 0, 0, 0]])
-def test_a_wrong_kernel_raises_instead_of_returning_a_gcd(monkeypatch, vector):
-    monkeypatch.setattr(polygcd, "kernel_basis", lambda m, dom: [vector])
-    ring = Ring.flat(3, GF(7))
+def test_a_wrong_kernel_raises_instead_of_returning_a_gcd(monkeypatch, dom, vector):
+    rows = []
+    if dom.characteristic:
+        divide_out = polygcd._divide_out
+
+        def wrong_row(f, g, row, *args):
+            rows.append(list(row))
+            return divide_out(f, g, vector[:3], *args)
+
+        monkeypatch.setattr(polygcd, "_divide_out", wrong_row)
+    else:
+        monkeypatch.setattr(polygcd, "kernel_basis", lambda m, dom: [vector])
+    ring = Ring.flat(3, dom)
     with pytest.raises(GroebnerError):
         multivariate_gcd(parse_poly("x1*x2", ring), parse_poly("x1*x3", ring))
+    # the true row is x3 up to a unit
+    assert [[bool(c) for c in row] for row in rows] == ([[False, False, True]] if dom.characteristic else [])
+
+
+def test_a_kernel_row_off_the_shift_monomial_raises():
+    # over F_p the row holds (g/h) * x_v^(k - 1); a row with a multiplier
+    # that x_v^(k - 1) does not divide is refused, not truncated
+    ring = Ring.flat(3, GF(7))
+    f, g = parse_poly("x1^2*x2", ring), parse_poly("x1^2*x3", ring)
+    multipliers = polygcd._monomials([0, 1, 2], 3, 2, True)
+    assert multipliers[-1] == (0, 0, 2)
+    assert polygcd._divide_out(f, g, [0] * 5 + [1], multipliers, 2, 1) == parse_poly("x1^2", ring)
+    with pytest.raises(GroebnerError):
+        polygcd._divide_out(f, g, [1] * 6, multipliers, 2, 1)

@@ -62,9 +62,9 @@ def test_direct_test_never_reaches_the_gcd(monkeypatch):
     def no_gcd(*args):
         raise AssertionError("the direct test computed a gcd")
 
-    monkeypatch.setattr(polygcd, "multivariate_gcd", no_gcd)
-    monkeypatch.setattr(polygcd, "_multiplier_rows", no_gcd)
-    monkeypatch.setattr(polygcd, "_monomials", no_gcd)
+    # the gcd and every helper it reaches, the elimination of M_1 included
+    for name in ("multivariate_gcd", "_multiplier_rows", "_monomials", "_count", "_divide_out", "eliminate"):
+        monkeypatch.setattr(polygcd, name, no_gcd)
     ring = Ring.flat(3, GF(7))
     x1, x2, x3 = ring.gens()
     assert is_regular_sequence_direct([x1 * x1, x2 * x2])
