@@ -53,6 +53,7 @@ from .poly import Ring
 from .polygcd import PairReport, multivariate_gcd
 from .quadratic import (
     QuadraticForm,
+    check_form_variables,
     collective_strength_quadrics,
     diagonal_pair_mod,
     minrank_bruteforce,
@@ -156,10 +157,12 @@ def _load_forms(args):
     if not stripped:
         raise ValueError(f"{args.infile} holds no quadratic forms")
     if not args.ring and not stripped[0].startswith("ring "):
+        check_form_variables(len(stripped))  # one row per variable
         return [_gram_form(stripped)]
-    _, polys = load_ideal_text(text, parse_ring_header("ring " + args.ring) if args.ring else None)
+    ring, polys = load_ideal_text(text, parse_ring_header("ring " + args.ring) if args.ring else None)
     if not polys:
         raise ValueError(f"{args.infile} holds no quadratic forms")
+    check_form_variables(ring.nvars)
     return [QuadraticForm.from_poly(f) for f in polys]
 
 
@@ -200,10 +203,12 @@ def _prime_list(domain):
 
 
 def _parse_diag(text):
-    """The --diag integers; an empty entry, and so an empty list, is refused."""
+    """The --diag integers; an empty entry, and so an empty list, is refused,
+    as is a list too long for a Gram matrix."""
     tokens = text.split(",")
     if any(not tok.strip() for tok in tokens):
         raise ValueError(f"--diag {text!r} has an empty entry; give integers a1,...,an")
+    check_form_variables(len(tokens))
     try:
         return [_integer(tok, signed=True) for tok in tokens]
     except ValueError:

@@ -151,7 +151,7 @@ def _reducer(work, pk, dom):
     else:
         inv, mul = dom.inv(lc), dom.mul
         tail = [(k, mul(c, inv)) for k, c in work.items()]
-    return lk, pk.vector(lk), tail
+    return lk, lk & pk.mask, tail
 
 
 def _reduce_terms(work, reducers, pk, dom, quotient=None):
@@ -169,7 +169,7 @@ def _reduce_terms(work, reducers, pk, dom, quotient=None):
     """
     heap = list(work)
     heapify(heap)
-    vector, guard = pk.vector, pk.guard
+    mask, guard = pk.mask, pk.guard
     p = dom.characteristic
     remainder = {}
     while heap:
@@ -177,7 +177,7 @@ def _reduce_terms(work, reducers, pk, dom, quotient=None):
         c = work.pop(k, None)
         if c is None:
             continue
-        v = vector(k)
+        v = k & mask
         if v & guard:
             raise KeyWidthError(f"exponent above {MAX_EXPONENT}, the packed key limit")
         for lk, lv, tail in reducers:

@@ -7,7 +7,12 @@ term dicts stay cheap.
 For the division kernel an order also gives a ``Packing``: one int per
 monomial that compares in the order and adds under multiplication, after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (CASC 2007).
+packed exponent vectors" (CASC 2007).  All three orders share one layout,
+the packed exponent vector below a weight the order chooses: degrevlex
+weighs the degree, and lex and elimination, being weight orders with a
+degrevlex tie-break on bounded exponents (Cox, Little & O'Shea, "Ideals,
+Varieties, and Algorithms", ch. 3 §1), weigh the exponents that decide
+first.
 """
 
 from __future__ import annotations
@@ -85,121 +90,83 @@ class KeyWidthError(OverflowError):
     """An exponent beyond MAX_EXPONENT, the limit of the packed keys."""
 
 
-def _slots(nvars):
-    """Pack and unpack ``nvars`` exponents in 16-bit slots, the first
-    exponent in the lowest slot."""
-    layout = struct.Struct(f"<{nvars}h")
-    size = layout.size
-
-    def pack(mono) -> int:
-        try:
-            return int.from_bytes(layout.pack(*mono), "little")
-        except struct.error:
-            raise KeyWidthError(f"exponent above {MAX_EXPONENT}, the packed key limit") from None
-
-    def unpack(vector: int) -> tuple:
-        return layout.unpack(vector.to_bytes(size, "little"))
-
-    return pack, unpack
-
-
 class Packing:
-    """Packed keys of the monomials of an ``nvars``-variable ring.
+    """Packed keys of the monomials of an ``nvars``-variable ring, in the one
+    layout every order shares.
 
-    ``key(m)`` is an int with two properties the division kernel relies on:
-    ``a`` is larger than ``b`` in the order exactly when ``key(a) <
-    key(b)``, so a min-heap of keys yields leading terms first; and
-    ``key(a*b) == key(a) + key(b)``, so shifting a polynomial by a monomial
-    adds one int to each of its keys.  Each exponent sits in a 16-bit slot
-    whose top bit is clear for every monomial ``key`` accepts (exponents up
-    to MAX_EXPONENT; beyond that it raises KeyWidthError).  The product of
-    two such monomials still fits its slots, so its key is exact, and a set
-    top bit flags an exponent past the limit.
+    The vector of a monomial holds its exponents in 16-bit slots, the first
+    in the lowest slot, and its key is ``vector - (weight << S)``, S = WIDTH
+    * nvars, for a weight the order chooses (``packing``): a nonnegative
+    int, additive under multiplication.  A larger weight makes a larger
+    monomial, and between equal weights a smaller vector does, which is
+    degrevlex's tie-break: the last exponent, smallest first.  So ``key``
+    has the two properties the division kernel relies on: ``a`` is larger
+    than ``b`` in the order exactly when ``key(a) < key(b)``, so a min-heap
+    of keys yields leading terms first; and ``key(a*b) == key(a) +
+    key(b)``, so shifting a polynomial by a monomial adds one int to each
+    of its keys.
 
-    ``vector(k)`` is the packed exponent vector of the monomial with key
-    ``k``: ``a`` divides ``b`` exactly when ``(vector(kb) - vector(ka)) &
-    guard == 0``.  ``monomial(k)`` is its exponent tuple.
+    ``key`` accepts exponents up to MAX_EXPONENT (beyond that it raises
+    KeyWidthError), so the top bit of every slot is clear.  The product of
+    two accepted monomials still fits its slots, so its key is exact, and a
+    set top bit flags an exponent past the limit.  The vector of a key
+    ``k`` is ``k & mask`` under every order: ``a`` divides ``b`` exactly
+    when ``((kb & mask) - (ka & mask)) & guard == 0``, and ``monomial(k)``,
+    its exponent tuple, decodes products of two accepted monomials too.
     """
 
-    __slots__ = ("key", "vector", "monomial", "guard")
+    __slots__ = ("key", "monomial", "mask", "guard")
 
-    def __init__(self, nvars, key, vector, monomial):
+    def __init__(self, nvars, weight):
+        signed, unsigned = struct.Struct(f"<{nvars}h"), struct.Struct(f"<{nvars}H")
+        size = signed.size
+        shift = WIDTH * nvars
+        mask = (1 << shift) - 1
+
+        def key(m):
+            try:
+                vector = int.from_bytes(signed.pack(*m), "little")
+            except struct.error:
+                raise KeyWidthError(f"exponent above {MAX_EXPONENT}, the packed key limit") from None
+            return vector - (weight(m) << shift)
+
+        def monomial(k):
+            return unsigned.unpack((k & mask).to_bytes(size, "little"))
+
         self.key = key
-        self.vector = vector
         self.monomial = monomial
+        self.mask = mask
         # the top bit of every slot: the base-2^WIDTH repunit, shifted
-        self.guard = ((1 << WIDTH * nvars) - 1) // ((1 << WIDTH) - 1) << (WIDTH - 1)
-
-
-def _degrevlex_packing(nvars):
-    # key = vector - (degree << S): the degree decides first, then the last
-    # exponent, smallest first, in the highest slot of the vector
-    pack, unpack = _slots(nvars)
-    shift = WIDTH * nvars
-    mask = (1 << shift) - 1
-
-    def key(m):
-        return pack(m) - (sum(m) << shift)
-
-    def vector(k):
-        return k & mask
-
-    def monomial(k):
-        return unpack(k & mask)
-
-    return Packing(nvars, key, vector, monomial)
-
-
-def _lex_packing(nvars):
-    # key = -vector with the first exponent in the highest slot
-    pack, unpack = _slots(nvars)
-
-    def key(m):
-        return -pack(m[::-1])
-
-    def vector(k):
-        return -k
-
-    def monomial(k):
-        return unpack(-k)[::-1]
-
-    return Packing(nvars, key, vector, monomial)
-
-
-def _elimination_packing(nvars):
-    # key = (degrevlex key of the first variable << T) + degrevlex key of the
-    # rest; T leaves room for the second part of any product of two accepted
-    # monomials, whose absolute value stays below 2^(T-1)
-    n2 = nvars - 1
-    pack1, _ = _slots(1)
-    pack2, _ = _slots(n2)
-    _, unpack = _slots(nvars)
-    s2 = WIDTH * n2
-    mask1, mask2 = (1 << WIDTH) - 1, (1 << s2) - 1
-    t = s2 + (n2 << WIDTH).bit_length() + 1
-    half = 1 << (t - 1)
-
-    def key(m):
-        head, rest = m[:1], m[1:]
-        return ((pack1(head) - (m[0] << WIDTH)) << t) + pack2(rest) - (sum(rest) << s2)
-
-    def vector(k):
-        hi = (k + half) >> t
-        return (hi & mask1) | ((k - (hi << t)) & mask2) << WIDTH
-
-    def monomial(k):
-        return unpack(vector(k))
-
-    return Packing(nvars, key, vector, monomial)
+        self.guard = mask // ((1 << WIDTH) - 1) << (WIDTH - 1)
 
 
 @lru_cache(maxsize=32)  # exact_divide asks once per call: ~1.6k times in small-r
 def packing(order: MonomialOrder, nvars: int) -> Packing:
-    """The packed keys of ``order`` on ``nvars`` variables."""
-    if isinstance(order, _DegRevLex):
-        return _degrevlex_packing(nvars)
-    if isinstance(order, _Lex):
-        return _lex_packing(nvars)
-    if isinstance(order, _Elimination):
-        return _elimination_packing(nvars)
-    raise TypeError(f"no packed keys for the order {order!r}")
+    """The packed keys of ``order`` on ``nvars`` variables, by its weight:
+
+    - degrevlex: the degree;
+    - elimination: ``(m[0] << E) + degree``, E = WIDTH + the bit length of
+      nvars.  A product of two accepted monomials has degree below
+      nvars * 2^WIDTH <= 2^E, so the first exponent decides, then degrevlex,
+      as in ``ELIMINATION.key``;
+    - lex: the exponents in 16-bit slots, the first in the highest.  A
+      product's slots stay below 2^WIDTH, so the weight alone decides, as
+      in ``LEX.key``.
+    """
+    if order is DEGREVLEX:
+        weight = sum
+    elif order is ELIMINATION:
+        e = WIDTH + nvars.bit_length()
+
+        def weight(m):
+            return (m[0] << e) + sum(m)
+
+    elif order is LEX:
+        first_highest = struct.Struct(f">{nvars}h")
+
+        def weight(m):
+            return int.from_bytes(first_highest.pack(*m), "big")
+
+    else:
+        raise TypeError(f"no packed keys for the order {order!r}")
+    return Packing(nvars, weight)

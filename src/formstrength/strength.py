@@ -36,7 +36,7 @@ from operator import add
 
 from .domains import PrimeField
 from .groebner import Ideal, normal_form
-from .linalg import kernel_basis
+from .linalg import mat_rank
 from .orders import DEGREVLEX
 from .poly import Poly, Ring
 
@@ -77,9 +77,9 @@ class ExclusionReport:
 
 def exclusion_matrix(family, class_ideal: Ideal) -> ExclusionReport:
     """Reduce every family member modulo the class ideal and compute the
-    exact kernel of the surviving-monomial coefficient matrix; a trivial
-    kernel means no nontrivial combination of the family lies in the
-    ideal."""
+    kernel dimension of the surviving-monomial coefficient matrix, the
+    family's size less its exact rank; a trivial kernel means no nontrivial
+    combination of the family lies in the ideal."""
     ring = family[0].ring
     dom = ring.domain
     basis = class_ideal.groebner()
@@ -92,10 +92,8 @@ def exclusion_matrix(family, class_ideal: Ideal) -> ExclusionReport:
         [f.terms.get(m, dom.zero) for f in reduced]
         for m in monomials
     ]
-    if not matrix:
-        # everything reduced to zero: full kernel
-        return ExclusionReport(class_ideal.gens, [], len(family))
-    return ExclusionReport(class_ideal.gens, monomials, len(kernel_basis(matrix, dom)))
+    # with no rows (everything reduced to zero) the rank is 0: a full kernel
+    return ExclusionReport(class_ideal.gens, monomials, len(family) - mat_rank(matrix, dom))
 
 
 def class_ideals(ring: Ring):

@@ -220,6 +220,38 @@ def test_gb_operations(tmp_path, capsys):
     _capture(capsys)
 
 
+@pytest.mark.parametrize("field, first, second, divisor, meet, colon", [
+    ("q", "2", "5", "3", "1", "1"),
+    ("fp:7", "3", "0", "2", None, "1"),
+])
+def test_gb_intersect_and_quotient_in_no_variables(tmp_path, capsys, field, first, second, divisor, meet, colon):
+    # the elimination ring is t alone: a key of one slot under the weight
+    _check_intersect_and_quotient(tmp_path, capsys, f"ring n=0 field={field}", first, second, divisor, meet, colon)
+
+
+@pytest.mark.parametrize("field, first, second, divisor, meet, colon", [
+    ("q", "x1^2 - x1", "x1^3 + 2*x1^2 + x1", "x1", "x1^4 + x1^3 - x1^2 - x1", "x1 - 1"),
+    ("q", "x1^3 + 2*x1^2 + x1", "x1^2 - x1", "x1 + 1", "x1^4 + x1^3 - x1^2 - x1", "x1^2 + x1"),
+    ("fp:32003", "x1^6 + x1^2", "x1^4", "x1^3", "x1^8 + x1^4", "x1^4 + 1"),
+])
+def test_gb_intersect_and_quotient_in_one_variable(tmp_path, capsys, field, first, second, divisor, meet, colon):
+    # the elimination ring is t, x1: t's weight sits above any degree of x1
+    _check_intersect_and_quotient(tmp_path, capsys, f"ring n=1 field={field}", first, second, divisor, meet, colon)
+
+
+def _check_intersect_and_quotient(tmp_path, capsys, header, first, second, divisor, meet, colon):
+    one, two = tmp_path / "first.txt", tmp_path / "second.txt"
+    one.write_text(f"{header}\n{first}\n")
+    two.write_text(f"{header}\n{second}\n")
+    assert run(["gb", "intersect", "--in", str(one), "--in2", str(two)]) == 0
+    out, _ = _capture(capsys)
+    # the zero ideal (an empty file) meets any ideal in zero
+    assert out == f"{header}\n" + (f"{meet}\n" if meet else "")
+    assert run(["gb", "quotient", "--in", str(one), "--f", divisor]) == 0
+    out, _ = _capture(capsys)
+    assert out == f"{header}\n{colon}\n"
+
+
 def test_gb_codim_of_one_linear_form_in_many_variables(tmp_path, capsys):
     path = tmp_path / "line.txt"
     path.write_text("ring n=50000 field=q\nx1 + x2\n")
@@ -545,6 +577,50 @@ def test_huge_minor_shapes_exit_two_before_any_ring(capsys, monkeypatch, shape, 
     assert time.monotonic() - start < 1.0
     out, err = _capture(capsys)
     assert out == "" and message in err
+
+
+def _quadric_commands(tmp_path, n, gram_row):
+    """Every quadric command on a form in n variables: a two-term form over
+    F_7, a Gram matrix of n rows and n diagonal entries."""
+    poly = tmp_path / "form.txt"
+    poly.write_text(f"ring n={n} field=fp:7\nx1^2 + x2*x3\n")
+    gram = tmp_path / "gram.txt"
+    gram.write_text(f"{gram_row}\n" * n)
+    diag = ",".join(["1"] * n)
+    return [
+        *(["quadric", op, "--in", str(poly)] for op in ("rank", "strength", "minrank", "collective")),
+        ["quadric", "rank", "--in", str(gram)],
+        ["quadric", "rank", "--diag", diag],
+        ["quadric", "minrank", "--diag", diag],
+        ["quadric", "minrank", "--diag", diag, "--p", "7"],
+    ]
+
+
+@pytest.mark.parametrize("n", [30000, quadratic.FORM_VARIABLES_LIMIT + 1])
+def test_huge_forms_exit_two_before_any_gram_matrix(tmp_path, capsys, monkeypatch, n):
+    # a Gram matrix of 9·10^8 entries would exhaust memory before the scan
+    # limit or any rank is reached; the Gram rows are read after the check
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a refused form built a Gram matrix")
+
+    for name in ("__init__", "from_poly", "diagonal"):
+        monkeypatch.setattr(quadratic.QuadraticForm, name, no_gram)
+    for argv in _quadric_commands(tmp_path, n, "0"):
+        start = time.monotonic()
+        assert run(argv) == 2, argv[:4]
+        assert time.monotonic() - start < 1.0
+        out, err = _capture(capsys)
+        assert out == "" and f"a form in {n} variables is refused" in err
+
+
+def test_forms_at_the_variable_limit_are_taken(tmp_path, capsys):
+    n = quadratic.FORM_VARIABLES_LIMIT
+    # minrank and collective need two forms; the --p 7 scan takes 8 ranks
+    commands = _quadric_commands(tmp_path, n, "0 " * n)
+    for argv in commands[:2] + commands[4:]:
+        assert run(argv) == 0, argv[:4]
+        out, _ = _capture(capsys)
+        assert out
 
 
 @pytest.mark.parametrize("shape", ["3x2x1", "axb", "3x", "x2", "3*2"])

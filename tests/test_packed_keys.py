@@ -14,6 +14,7 @@ from formstrength.orders import (
     KeyWidthError,
     packing,
 )
+from formstrength.parse import _MAX_VARIABLES
 
 ORDERS = [DEGREVLEX, LEX, ELIMINATION]
 
@@ -63,8 +64,9 @@ def test_sum_of_keys_is_the_exact_key_of_the_product(order, monos):
     ab, cd = _mul(a, b), _mul(c, d)
     kab, kcd = pk.key(a) + pk.key(b), pk.key(c) + pk.key(d)
     assert _cmp(order.key(ab), order.key(cd)) == _cmp(kcd, kab)
-    assert pk.vector(kab) == pk.vector(pk.key(a)) + pk.vector(pk.key(b))
-    assert bool(pk.vector(kab) & pk.guard) == (max(ab) > MAX_EXPONENT)
+    assert kab & pk.mask == (pk.key(a) & pk.mask) + (pk.key(b) & pk.mask)
+    assert pk.monomial(kab) == ab
+    assert bool(kab & pk.mask & pk.guard) == (max(ab) > MAX_EXPONENT)
 
 
 @SETTINGS
@@ -73,7 +75,7 @@ def test_vector_difference_decides_divisibility(order, monos):
     a, b = monos
     pk = packing(order, len(a))
     divides = all(x <= y for x, y in zip(a, b))
-    assert divides == (not (pk.vector(pk.key(b)) - pk.vector(pk.key(a))) & pk.guard)
+    assert divides == (not ((pk.key(b) & pk.mask) - (pk.key(a) & pk.mask)) & pk.guard)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -84,6 +86,42 @@ def test_exponent_past_the_limit_is_refused(order):
         pk.key((0, MAX_EXPONENT + 1, 0))
 
 
-def test_guard_is_the_top_bit_of_every_slot():
-    for n in range(40):
-        assert packing(DEGREVLEX, n).guard == sum(1 << (WIDTH * i + WIDTH - 1) for i in range(n))
+@pytest.mark.parametrize("order", ORDERS)
+def test_guard_is_the_top_bit_of_every_slot(order):
+    for n in [*range(40), _MAX_VARIABLES]:
+        pk = packing(order, n)
+        # little-endian 16-bit slots, each with only its top bit set
+        assert WIDTH == 16 and pk.guard == int.from_bytes(b"\x00\x80" * n, "little")
+        assert pk.mask == int.from_bytes(b"\xff\xff" * n, "little")
+
+
+# the widest keys: one variable, many, and the most a ring header declares
+SIZES = [1, 40, _MAX_VARIABLES]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_first_variable_against_the_largest_product_free_of_it(order, n):
+    # under lex and elimination x1 outranks the product of two monomials in
+    # x2..xn at the limit, whose degree 2(n - 1)·MAX_EXPONENT is the largest
+    # the kernel can form: the weight of x1 must sit above it
+    pk = packing(order, n)
+    x1 = (1,) + (0,) * (n - 1)
+    rest = (0,) + (MAX_EXPONENT,) * (n - 1)
+    square = (0,) + (2 * MAX_EXPONENT,) * (n - 1)
+    assert _cmp(order.key(x1), order.key(square)) == _cmp(2 * pk.key(rest), pk.key(x1))
+    if order is not DEGREVLEX:
+        assert pk.key(x1) < 2 * pk.key(rest)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_products_at_twice_the_limit_round_trip(order, n):
+    pk = packing(order, n)
+    top = (MAX_EXPONENT,) * n
+    mixed = tuple(i % 3 * MAX_EXPONENT // 2 for i in range(n))
+    for a, b in [(top, top), (top, mixed), (mixed, mixed)]:
+        k = pk.key(a) + pk.key(b)
+        assert pk.monomial(k) == _mul(a, b)
+        assert k & pk.mask == (pk.key(a) & pk.mask) + (pk.key(b) & pk.mask)
+        assert bool(k & pk.mask & pk.guard) == (max(_mul(a, b)) > MAX_EXPONENT)
