@@ -34,16 +34,17 @@ unique, so the criterion changes no result; non-homogeneous input, other
 orders and r > n (where CI(k) is no bound) run without it.
 
 Dimension comes from maximal independent variable sets of the leading-term
-ideal; every intersection, principal ones too, eliminates one auxiliary
-variable, and quotients divide an intersection through by the quotienting
-element.  For homogeneous ideals the Hilbert series of I ∩ J is known in
-advance, N(R/I) + N(R/J) - N(R/(I + J)) over (1 - t)^n, so the elimination
-basis stops once its t-free leads reach it (proof at ``ideal_intersection``)
-and the pairs left are never reduced.  The direct regular-sequence test
-compares the Hilbert numerator of the ideal, from one degrevlex basis, with
-a complete intersection's (see ``is_regular_sequence_direct``).  Nothing
-here computes a gcd, so that test never shares code with the gcd route of
-the two-form check.
+ideal.  No intersection eliminates a variable: for homogeneous ideals the
+numerator N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J) is known in advance,
+so the degrevlex basis of I·J runs under the Hilbert prune hook with that
+target, and linear algebra in the lowest degree where it falls short adds
+the missing elements (proofs at ``ideal_intersection``); other input is
+homogenized first.  Quotients divide an intersection through by the
+quotienting element.  The direct regular-sequence test compares the Hilbert
+numerator of the ideal, from one degrevlex basis, with a complete
+intersection's (see ``is_regular_sequence_direct``).  Nothing here computes
+a gcd, so that test never shares code with the gcd route of the two-form
+check.
 
 All division runs in one kernel, ``_reduce_terms``, after Monagan & Pearce
 (CASC 2007).  Inside it a monomial is its packed order key (see
@@ -61,13 +62,15 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .orders import DEGREVLEX, ELIMINATION, MAX_EXPONENT, KeyWidthError, packing
+from .linalg import eliminate
+from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, packing
 from .poly import (
     Poly,
     Ring,
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomials,
 )
 
 
@@ -314,7 +317,8 @@ class _HilbertBound:
     """N(L) - T, the numerator of HF(R/L) minus the Hilbert function with
     numerator T, for the leads L it has taken in: T = ∏(1 - t^d_i) for
     Traverso's bound, the prune hook of a degrevlex basis (module docstring),
-    and that of R/(I ∩ J) for an intersection (``ideal_intersection``)."""
+    and N(R/(I ∩ J)) for the basis of an intersection
+    (``ideal_intersection``)."""
 
     __slots__ = ("n", "leads", "excess", "filled")
 
@@ -379,7 +383,7 @@ def _buchberger(gens, order, ring, prune=None):
     ``gens``, not minimal and not reduced.  A pair is dropped unreduced when
     ``prune(lms, lcm, waiting)`` (the leads, its lcm, the number of other
     pairs waiting) returns True: the Hilbert bound drops pairs that reduce to
-    zero, the intersection stop every pair once its basis is complete."""
+    zero."""
     dom = ring.domain
     pk = packing(order, ring.nvars)
     enc = pk.key
@@ -564,57 +568,104 @@ def codimension(ideal: Ideal) -> int:
     return ideal.ring.nvars - dimension(ideal)
 
 
-def _shift_poly(f, ext_ring):
-    terms = {(0,) + m: c for m, c in f.terms.items()}
-    return Poly(ext_ring, terms, _clean=False)
-
-
-def _unshift_poly(f, ring):
-    terms = {m[1:]: c for m, c in f.terms.items()}
-    return Poly(ring, terms, _clean=False)
-
-
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the auxiliary-variable construction: eliminate t from
-    K = t·I + (1 - t)·J; for <f> and <g> this yields <monic lcm(f, g)>.
+    """I ∩ J, generated by its reduced degrevlex basis.
 
-    For homogeneous I and J the elimination basis stops as soon as the
-    leads L0 of its t-free elements B0 have the Hilbert numerator
-    N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J), read off the exact sequence
-    0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0.  That is sound:
+    For homogeneous I and J the exact sequence
+    0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0 gives the Hilbert numerator
+    T = N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J).  The degrevlex basis B
+    of C = I·J is built under the prune hook ``_HilbertBound(n, T)``.  While
+    the numerator N(L) of its leads L is not T, with k the lowest degree
+    where they differ, C gains a basis of the kernel of g ↦ NF_J(g) on
+    V = span{m - NF_I(m) : m ∈ in(I)_k, m ∉ L} (``_meet_in_degree``), and B
+    is rebuilt from its own elements and those.
 
-    * with deg t = 0 the generators of K are homogeneous in x, so B0 lies in
-      K ∩ k[x] = I ∩ J and L0 ⊆ in(I ∩ J), degrevlex being the order the
-      elimination order induces on t-free monomials;
-    * a monomial ideal inside another with the same Hilbert series is equal
-      to it, so L0 = in(I ∩ J), and B0 is a Groebner basis of I ∩ J;
-    * under the elimination order a lead with t divides no t-free monomial, so
-      minimalizing and interreducing B0 alone gives the t-free part of the
-      reduced basis of K, the unique reduced basis of I ∩ J, as a full run.
+    * B lies in I ∩ J, so L ⊆ in(I ∩ J) and HF(R/L) ≥ HF(R/(I ∩ J)).  Where
+      they agree in a degree k, L_k = in(I ∩ J)_k, and an S-pair of degree
+      k, a member of (I ∩ J)_k, reduces to zero: the hook drops only such
+      pairs, as for Traverso's bound, so B is a Groebner basis of C.
+    * Once N(L) = T, the monomial ideal L lies in in(I ∩ J) with the same
+      Hilbert series, so the two are equal, and B is a Groebner basis of
+      I ∩ J: their reduced bases are the same.
+    * The kernel has dimension excess(k), the t^k coefficient of N(L) - T:
+      it is the lowest nonzero one, so it is HF(R/L)(k) - HF(R/(I ∩ J))(k)
+      = dim (I ∩ J)_k - |L_k|.  The m - NF_I(m), m ∈ in(I)_k, are a basis of
+      I_k in which g has its coefficients on in(I)_k as coordinates.  An
+      element of C_k, of dimension |L_k|, has its lead in L_k ⊆ in(I)_k, so
+      its coordinates on L_k determine it, and each g ∈ (I ∩ J)_k is c + w,
+      c ∈ C_k, w ∈ V, uniquely: (I ∩ J)_k = C_k ⊕ (V ∩ J).  With the kernel
+      V ∩ J added, C_k = (I ∩ J)_k and the lowest degree where N(L) and T
+      differ rises; as each round adds leads, the rounds end.  A kernel of
+      another dimension raises GroebnerError.
 
-    The test is made before a pair is reduced.  Its target needs N(R/(f)) = 1 - t^deg f
-    for a principal ideal and a degrevlex basis, cached on the ``Ideal``, for
-    any other; it is computed at the first test where at least
-    ``_PAIRS_PER_BASIS`` pairs wait for each basis not yet cached, since on
-    small input a basis costs more than the pairs it could save.
-    Non-homogeneous input runs to the end."""
+    Other input is homogenized in one more variable h, placed last.  I^h,
+    spanned by the f^h = h^deg f·f(x/h), f ∈ I, holds a form F exactly when
+    F(x, 1) ∈ I (then F = h^e·F(x, 1)^h), so I^h ∩ J^h and (I ∩ J)^h hold the
+    same forms and are equal.  The homogenized degrevlex basis of I
+    generates I^h, degrevlex being graded (Cox, Little & O'Shea, "Ideals,
+    Varieties, and Algorithms", ch. 8 §4, Theorem 4), and h = 1 maps
+    (I ∩ J)^h onto I ∩ J, so the dehomogenized basis generates I ∩ J."""
     ring = I.ring
     if ring != J.ring:
         raise ValueError("ideals live in different rings")
     if not I.gens or not J.gens:
         return Ideal(ring, [])
-    ext = Ring(ring.nvars + 1, ring.domain, ("t0",) + ring.names)
-    t = ext.var(0)
-    one = ext.one()
-    gens = [t * _shift_poly(g, ext) for g in I.gens]
-    gens += [(one - t) * _shift_poly(g, ext) for g in J.gens]
-    stop = None
     if I.is_homogeneous() and J.is_homogeneous():
-        stop = _IntersectionStop(I, J, Ideal(ring, I.gens + J.gens))
-    reducers, lms = _buchberger(gens, ELIMINATION, ext, stop)
-    kept = [e for e, m in enumerate(lms) if not m[0]]
-    basis = _reduced([reducers[e] for e in kept], [lms[e] for e in kept], ELIMINATION, ext)
-    return Ideal(ring, [_unshift_poly(g, ring) for g in basis])
+        return Ideal(ring, _intersect_forms(I, J).elements)
+    n = ring.nvars
+    ext = Ring(n + 1, ring.domain, ring.names + ("h",))
+    lifted = [Ideal(ext, [Poly(ext, {m + (g.degree() - sum(m),): c for m, c in g.terms.items()})
+                          for g in ideal.groebner()]) for ideal in (I, J)]
+    dehomogenized = [Poly(ring, {m[:n]: c for m, c in g.terms.items()}) for g in _intersect_forms(*lifted)]
+    return Ideal(ring, groebner_basis(dehomogenized, ring=ring).elements)
+
+
+def _intersect_forms(I, J):
+    """The degrevlex basis of I ∩ J for nonzero homogeneous I and J."""
+    ring = I.ring
+    target = _add_shifted(_numerator(I), _numerator(J), 0, 1)
+    target = _add_shifted(target, _numerator(Ideal(ring, I.gens + J.gens)), 0, -1)
+    gens = [f * g for f in I.gens for g in J.gens]
+    while True:
+        bound = _HilbertBound(ring.nvars, target)
+        reducers, lms = _buchberger(gens, DEGREVLEX, ring, bound)
+        basis = _reduced(reducers, lms, DEGREVLEX, ring)
+        bound.take(lms[len(bound.leads):])
+        k = next((k for k, c in enumerate(bound.excess) if c), None)
+        if k is None:
+            return basis
+        meet = _meet_in_degree(I, J, k, basis.lead_monomials)
+        if len(meet) != bound.excess[k]:
+            raise GroebnerError("intersection kernel of the wrong dimension (internal invariant)")
+        gens = basis.elements + meet
+
+
+def _meet_in_degree(I, J, k, leads):
+    """A basis of V ∩ J, V the span of the m - NF_I(m) for m ∈ in(I)_k
+    outside the ideal of ``leads``.  I and J swap when that gives fewer m,
+    as the smaller of I_k and J_k does: both contain the leads.
+
+    Each m gives a row: the coefficients of NF_J(m - NF_I(m)), then those of
+    m - NF_I(m).  Eliminating on the first part leaves the kernel, in the
+    second part of the rows past the rank."""
+    ring = I.ring
+    span = [m for m in monomials(range(ring.nvars), ring.nvars, k, True)
+            if not any(mono_divides(lead, m) for lead in leads)]
+    bases = [I.groebner(), J.groebner()]
+    columns = [[m for m in span if any(mono_divides(lead, m) for lead in b.lead_monomials)] for b in bases]
+    if len(columns[1]) < len(columns[0]):
+        bases.reverse()
+        columns.reverse()
+    rows = []
+    for m in columns[0]:
+        mono = Poly(ring, {m: ring.domain.one})
+        v = mono - normal_form(mono, bases[0])
+        rows.append((normal_form(v, bases[1]).terms, v.terms))
+    image = sorted({t for nf, _ in rows for t in nf})
+    tails = sorted({t for _, v in rows for t in v})
+    matrix = [[nf.get(t, 0) for t in image] + [v.get(t, 0) for t in tails] for nf, v in rows]
+    rank = len(eliminate(matrix, len(image), ring.domain.characteristic))
+    return [Poly(ring, dict(zip(tails, row[len(image):]))) for row in matrix[rank:]]
 
 
 def _numerator(ideal):
@@ -622,37 +673,6 @@ def _numerator(ideal):
     if len(ideal.gens) == 1:
         return _add_shifted([1], [1], ideal.gens[0].degree(), -1)
     return _hilbert_numerator(ideal.groebner().lead_monomials)
-
-
-# An intersection's target is computed once this many pairs wait for each
-# degrevlex basis it still needs: on small input a basis costs about as much
-# as that many reductions of the elimination basis.
-_PAIRS_PER_BASIS = 4
-
-
-class _IntersectionStop:
-    """The prune hook of ``ideal_intersection``: True for every pair once
-    the t-free leads among ``lms`` have the Hilbert numerator of R/(I ∩ J)."""
-
-    __slots__ = ("ideals", "bound")
-
-    def __init__(self, I, J, joined):
-        self.ideals = (I, J, joined)
-        self.bound = None
-
-    def __call__(self, lms, lcm, waiting):
-        leads = [m[1:] for m in lms if not m[0]]
-        bound = self.bound
-        if bound is None:
-            missing = sum(len(i.gens) > 1 and i._basis is None for i in self.ideals)
-            if not leads or waiting < _PAIRS_PER_BASIS * missing:
-                return False
-            I, J, joined = self.ideals
-            target = _add_shifted(_numerator(I), _numerator(J), 0, 1)
-            target = _add_shifted(target, _numerator(joined), 0, -1)
-            bound = self.bound = _HilbertBound(I.ring.nvars, target)
-        bound.take(leads[len(bound.leads):])
-        return not any(bound.excess)
 
 
 def exact_divide(f: Poly, g: Poly) -> Poly:

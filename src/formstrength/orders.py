@@ -7,12 +7,11 @@ term dicts stay cheap.
 For the division kernel an order also gives a ``Packing``: one int per
 monomial that compares in the order and adds under multiplication, after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (CASC 2007).  All three orders share one layout,
-the packed exponent vector below a weight the order chooses: degrevlex
-weighs the degree, and lex and elimination, being weight orders with a
-degrevlex tie-break on bounded exponents (Cox, Little & O'Shea, "Ideals,
-Varieties, and Algorithms", ch. 3 §1), weigh the exponents that decide
-first.
+packed exponent vectors" (CASC 2007).  Both orders share one layout, the
+packed exponent vector below a weight the order chooses: degrevlex weighs
+the degree, and lex, being a weight order with a degrevlex tie-break on
+bounded exponents (Cox, Little & O'Shea, "Ideals, Varieties, and
+Algorithms", ch. 3 §1), weighs the exponents first to last.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from functools import lru_cache
 
 
 class MonomialOrder:
-    """One instance per order (``DEGREVLEX``, ``LEX``, ``ELIMINATION``), so
-    orders compare and hash by identity."""
+    """One instance per order (``DEGREVLEX``, ``LEX``), so orders compare
+    and hash by identity."""
 
     name = "?"
 
@@ -55,20 +54,8 @@ class _Lex(MonomialOrder):
         return mono
 
 
-class _Elimination(MonomialOrder):
-    """Eliminates the first variable: its exponent decides first, then
-    degrevlex on the rest."""
-
-    name = "elim"
-
-    @staticmethod
-    def key(mono):
-        return (mono[0],) + _DegRevLex.key(mono[1:])
-
-
 DEGREVLEX = _DegRevLex()
 LEX = _Lex()
-ELIMINATION = _Elimination()
 
 
 def order_from_name(name: str) -> MonomialOrder:
@@ -145,22 +132,12 @@ def packing(order: MonomialOrder, nvars: int) -> Packing:
     """The packed keys of ``order`` on ``nvars`` variables, by its weight:
 
     - degrevlex: the degree;
-    - elimination: ``(m[0] << E) + degree``, E = WIDTH + the bit length of
-      nvars.  A product of two accepted monomials has degree below
-      nvars * 2^WIDTH <= 2^E, so the first exponent decides, then degrevlex,
-      as in ``ELIMINATION.key``;
     - lex: the exponents in 16-bit slots, the first in the highest.  A
       product's slots stay below 2^WIDTH, so the weight alone decides, as
       in ``LEX.key``.
     """
     if order is DEGREVLEX:
         weight = sum
-    elif order is ELIMINATION:
-        e = WIDTH + nvars.bit_length()
-
-        def weight(m):
-            return (m[0] << e) + sum(m)
-
     elif order is LEX:
         first_highest = struct.Struct(f">{nvars}h")
 

@@ -8,6 +8,7 @@ immutable by convention: no operation mutates an existing polynomial.
 from __future__ import annotations
 
 import operator
+from itertools import combinations_with_replacement
 
 from .domains import QQ
 from .orders import DEGREVLEX
@@ -31,6 +32,23 @@ def mono_lcm(a, b):
 
 def mono_degree(a):
     return sum(a)
+
+
+def monomials(variables, nvars, d, forms):
+    """The monomials over the given variable indices of degree exactly d
+    (``forms``) or at most d, as exponent tuples of length nvars, in
+    descending degrevlex order: the combinations of one degree, drawn from
+    the variables last to first, come in ascending degrevlex order."""
+    out = []
+    for e in [d] if forms else range(d, -1, -1):
+        block = []
+        for combo in combinations_with_replacement(variables[::-1], e):
+            mono = [0] * nvars
+            for v in combo:
+                mono[v] += 1
+            block.append(tuple(mono))
+        out += reversed(block)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,13 @@ stays independent of it.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from .domains import GF
 from .groebner import GroebnerError, exact_divide, is_regular_sequence_codim
 from .linalg import eliminate, kernel_basis, mat_rank, transpose
 from .orders import DEGREVLEX, packing
-from .poly import Poly
+from .poly import Poly, monomials
 
 # the modulus of the degree bound over Q; any prime gives a valid bound, a
 # large one makes a bound above the true degree (a wasted kernel) rare
@@ -59,22 +58,6 @@ def _count(nv, d, forms):
     return comb(nv + d - 1, d) if forms else comb(nv + d, d)
 
 
-def _monomials(variables, nvars, d, forms):
-    """S(d) over the given variable indices, as exponent tuples in
-    descending degrevlex order: the combinations of one degree, drawn from
-    the variables last to first, come in ascending degrevlex order."""
-    out = []
-    for e in [d] if forms else range(d, -1, -1):
-        block = []
-        for combo in combinations_with_replacement(variables[::-1], e):
-            mono = [0] * nvars
-            for v in combo:
-                mono[v] += 1
-            block.append(tuple(mono))
-        out += reversed(block)
-    return out
-
-
 def _multiplier_rows(f, g, j, variables, nvars, forms, p=0):
     """M_j transposed: the coefficient vectors of f*m for m in S(b - j),
     then of -g*m for m in S(a - j), over the product monomials that occur;
@@ -83,11 +66,11 @@ def _multiplier_rows(f, g, j, variables, nvars, forms, p=0):
     the entries are reduced mod p and each row f*m goes on with the unit
     vector of m among S(b - j), each row -g*m with zeros."""
     a, b = (max(map(sum, h)) for h in (f, g))
-    left = _monomials(variables, nvars, b - j, forms)
+    left = monomials(variables, nvars, b - j, forms)
     key = packing(DEGREVLEX, nvars).key  # key(t*m) == key(t) + key(m)
     index = {}
     sparse = []
-    for h, sign, multipliers in ((f, 1, left), (g, -1, _monomials(variables, nvars, a - j, forms))):
+    for h, sign, multipliers in ((f, 1, left), (g, -1, monomials(variables, nvars, a - j, forms))):
         coeffs = [(key(t), sign * c % p if p else sign * c) for t, c in h.items()]
         for m in multipliers:
             km = key(m)

@@ -17,8 +17,8 @@ import formstrength.quadratic as quadratic
 from formstrength.cli import run
 from formstrength.domains import GF, QQ, domain_from_name
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
-from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly
-from formstrength.poly import Poly, Ring
+from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly, load_ideal_text, parse_poly
+from formstrength.poly import Poly, Ring, mono_divides
 
 
 def _capture(capsys):
@@ -1104,13 +1104,14 @@ def test_regseq_outputs_are_pinned_byte_for_byte(tmp_path, capsys):
         assert out == want
 
 
-def _dense_cubics(rng, ring, count, draw):
-    """``count`` forms with every cubic monomial, coefficients from ``draw``."""
+def _dense_cubics(rng, ring, count, draw, degree=3):
+    """``count`` forms with every monomial of the degree (cubic unless said
+    otherwise), coefficients from ``draw``."""
     n = ring.nvars
     forms = []
     for _ in range(count):
         terms = {}
-        for combo in combinations_with_replacement(range(n), 3):
+        for combo in combinations_with_replacement(range(n), degree):
             e = [0] * n
             for v in combo:
                 e[v] += 1
@@ -1144,6 +1145,66 @@ def test_gb_intersect_of_dense_cubic_multiples_over_q(tmp_path, capsys):
     assert time.monotonic() - start < 30.0
     out, _ = _capture(capsys)
     assert json.loads(out)["result"]["generators"] == [str((g * h1 * h2).monic())]
+
+
+def _intersect_files(tmp_path, capsys, first, second, ring):
+    """The generators ``gb intersect --json`` prints for two ideal files'
+    texts, checked to lie in both ideals; the run must take under 10 s."""
+    paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+    for path, text in zip(paths, (first, second)):
+        path.write_text(text)
+    start = time.monotonic()
+    assert run(["gb", "intersect", "--json", "--in", str(paths[0]), "--in2", str(paths[1])]) == 0
+    assert time.monotonic() - start < 10.0
+    out, _ = _capture(capsys)
+    gens = [parse_poly(g, ring) for g in json.loads(out)["result"]["generators"]]
+    for text in (first, second):
+        basis = groebner.groebner_basis(load_ideal_text(text, ring)[1])
+        assert all(not groebner.normal_form(g, basis).terms for g in gens)
+    return gens
+
+
+def test_gb_intersect_of_two_quadric_ideals_over_q_finishes(tmp_path, capsys):
+    # I·J falls short of I ∩ J here from degree 4 on; the elimination route
+    # ran past 30 s and 2 GB on this pair
+    first = """ring n=5 field=q
+x1*x3 + x1*x4 - 4*x2*x4 + 3*x1*x5 - 5*x2^2
+3*x3*x4 + 3*x1*x5 - 5/2*x2*x5 - 4*x3*x5
+"""
+    second = """ring n=5 field=q
+-3*x4*x5 + 2*x3*x5 - 4*x4^2
+-5*x4*x5 + x2*x5 - 1/3*x5^2 + 1/2*x3^2 - x3*x5
+4*x1*x3 + 3*x5^2
+3*x3*x4 + 3*x1*x5 - 2*x1*x4 + 5*x2^2 - x2*x5
+"""
+    assert len(_intersect_files(tmp_path, capsys, first, second, Ring.flat(5, QQ))) == 19
+
+
+def test_gb_intersect_of_dense_cubics_and_quadrics_is_their_product(tmp_path, capsys):
+    # three dense cubics and three dense quadrics in 6 variables: the six
+    # are a regular sequence, so I ∩ J = I·J (Tor_1(R/I, R/J) = 0); the
+    # elimination route ran past 30 s on such a pair
+    ring = Ring.flat(6, GF(32003))
+    rng = random.Random(1201)
+    draw = lambda rng: rng.randrange(1, 32003)
+    cubics, quadrics = _dense_cubics(rng, ring, 3, draw), _dense_cubics(rng, ring, 3, draw, degree=2)
+    gens = _intersect_files(tmp_path, capsys, dump_ideal_text(ring, cubics), dump_ideal_text(ring, quadrics), ring)
+    assert groebner.is_regular_sequence_direct(cubics + quadrics)
+    # the products lie in the ideal of the result, which lies in I ∩ J = I·J
+    basis = groebner.GroebnerBasis(ring, DEGREVLEX, gens)
+    assert all(not groebner.normal_form(f * g, basis).terms for f in cubics for g in quadrics)
+    # and the result is a reduced basis: its leads have the Hilbert numerator
+    # of R/(I·J), so they generate in(I·J), no lead divides another, and each
+    # element is monic with a tail in normal form
+    ci = groebner._ci_numerator
+    numerator = groebner._add_shifted(ci([3] * 3), ci([2] * 3), 0, 1)
+    numerator = groebner._add_shifted(numerator, ci([3] * 3 + [2] * 3), 0, -1)
+    leads = basis.lead_monomials
+    assert groebner._hilbert_numerator(leads) == numerator
+    assert not any(a != b and mono_divides(a, b) for a in leads for b in leads)
+    for g, lead in zip(gens, leads):
+        tail = g - Poly(ring, {lead: ring.domain.one})
+        assert g.terms[lead] == ring.domain.one and groebner.normal_form(tail, basis) == tail
 
 
 def test_regseq_on_a_coprime_dense_cubic_pair_finishes(tmp_path, capsys):

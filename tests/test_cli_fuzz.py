@@ -20,7 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from formstrength.certificates import CLAIMS
 from formstrength.cli import run
+from formstrength.groebner import groebner_basis, normal_form
 from formstrength.orders import MAX_EXPONENT
+from formstrength.parse import load_ideal_text, parse_poly
 
 PRIMES = (3, 5, 7, 11, 31)
 OPERATIONS = ("rank", "strength", "minrank", "collective")
@@ -268,7 +270,9 @@ def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_fac
                                                                     as_json):
     # intersect is refused (2) where the second file's ring conflicts with
     # the first; quotient where --f is missing, 0 or names a variable past
-    # the ring; every other pair is decided (0)
+    # the ring; every other pair is decided (0), and then each intersection
+    # generator lies in both ideals and each quotient generator times f in
+    # the first
     n, conflict, first, second = case
     paths = [tmp_path_factory.getbasetemp() / f"fuzz-gb-{k}.txt" for k in (1, 2)]
     for path, text in zip(paths, (first, second)):
@@ -283,8 +287,19 @@ def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_fac
             divisor = data.draw(_polynomials(n))
         refused = divisor in (None, "0", f"x{n + 1}")
         argv += [] if divisor is None else ["--f", divisor]
-    rc, _ = _run(argv)
+    rc, out = _run(argv)
     assert rc == (2 if refused else 0), (argv, first, second, rc)
+    if refused:
+        return
+    ring, gens = load_ideal_text(first)
+    printed = json.loads(out)["result"]["generators"] if as_json else load_ideal_text(out, ring)[1]
+    printed = [parse_poly(g, ring) if as_json else g for g in printed]
+    if operation == "intersect":
+        members = [(g, ideal) for ideal in (gens, load_ideal_text(second, ring)[1]) for g in printed]
+    else:
+        members = [(g * parse_poly(divisor, ring), gens) for g in printed]
+    for g, ideal in members:
+        assert not normal_form(g, groebner_basis(ideal, ring=ring)).terms, (argv, first, second, str(g))
 
 
 @st.composite

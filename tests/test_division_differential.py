@@ -12,12 +12,12 @@ from formstrength.groebner import (
     groebner_basis,
     normal_form,
 )
-from formstrength.orders import DEGREVLEX, ELIMINATION, LEX, KeyWidthError
+from formstrength.orders import DEGREVLEX, LEX, KeyWidthError
 from formstrength.poly import Poly, Ring
 
 from conftest import random_poly
 
-ORDERS = [DEGREVLEX, LEX, ELIMINATION]
+ORDERS = [DEGREVLEX, LEX]
 FIELDS = [GF(32003), QQ]
 
 

@@ -7,7 +7,7 @@ import formstrength.polygcd as polygcd
 from formstrength.domains import GF, QQ
 from formstrength.groebner import GroebnerError, exact_divide
 from formstrength.parse import parse_poly
-from formstrength.poly import Poly, Ring
+from formstrength.poly import Poly, Ring, monomials
 from formstrength.polygcd import multivariate_gcd
 
 from conftest import random_poly
@@ -159,7 +159,7 @@ def test_a_kernel_row_off_the_shift_monomial_raises():
     # that x_v^(k - 1) does not divide is refused, not truncated
     ring = Ring.flat(3, GF(7))
     f, g = parse_poly("x1^2*x2", ring), parse_poly("x1^2*x3", ring)
-    multipliers = polygcd._monomials([0, 1, 2], 3, 2, True)
+    multipliers = monomials([0, 1, 2], 3, 2, True)
     assert multipliers[-1] == (0, 0, 2)
     assert polygcd._divide_out(f, g, [0] * 5 + [1], multipliers, 2, 1) == parse_poly("x1^2", ring)
     with pytest.raises(GroebnerError):

@@ -21,7 +21,7 @@ from formstrength.groebner import (
     normal_form,
 )
 from formstrength.minors import GenericMatrix, maximal_minors
-from formstrength.orders import DEGREVLEX, ELIMINATION, LEX, packing
+from formstrength.orders import DEGREVLEX, LEX, packing
 from formstrength.parse import parse_poly
 from formstrength.polygcd import regular_pair_gcd_check
 from formstrength.poly import Poly, Ring, mono_divides
@@ -329,12 +329,11 @@ def test_maximal_minor_bases_are_the_minors(rows, domain):
 def test_direct_route_on_dense_regular_triples_runs_no_elimination(monkeypatch, n):
     # the direct route compares the Hilbert numerators of its prefixes, read
     # from their degrevlex bases, so every reduction it runs is under the
-    # degrevlex packing: no elimination basis, intersection, intersection
-    # stop or quotient
+    # degrevlex packing: no intersection or quotient
     ring = Ring.flat(n, GF(32003))
     rng = random.Random(n)
     forms = [dense_form(rng, ring, 2) for _ in range(3)]
-    elim, grevlex = packing(ELIMINATION, n + 1), packing(DEGREVLEX, n)
+    grevlex = packing(DEGREVLEX, n)
     reduce_terms = groebner._reduce_terms
     packings = []
 
@@ -343,14 +342,13 @@ def test_direct_route_on_dense_regular_triples_runs_no_elimination(monkeypatch, 
         return reduce_terms(work, reducers, pk, *args)
 
     def refused(*args):
-        raise AssertionError("the direct route reached the elimination route")
+        raise AssertionError("the direct route reached an intersection")
 
     monkeypatch.setattr(groebner, "_reduce_terms", counted)
-    for name in ("_IntersectionStop", "ideal_intersection", "ideal_quotient"):
+    for name in ("ideal_intersection", "ideal_quotient"):
         monkeypatch.setattr(groebner, name, refused)
     assert is_regular_sequence_direct(forms)
-    assert packings and elim not in packings
-    assert all(pk is grevlex for pk in packings)
+    assert packings and all(pk is grevlex for pk in packings)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -378,35 +376,22 @@ def test_direct_route_builds_one_basis_of_up_to_n_forms_and_none_past_n(monkeypa
             assert orders == ([DEGREVLEX] if 2 <= r <= n else []), r
 
 
-def test_no_pair_is_reduced_once_the_intersection_stop_fires(monkeypatch):
-    # two dense quadrics each in 4 variables: the t-free leads reach the
-    # numerator of R/(I ∩ J) while 24 pairs still wait
-    ring = Ring.flat(4, GF(32003))
-    rng = random.Random(4)
-    I = [dense_form(rng, ring, 2) for _ in range(2)]
-    J = [dense_form(rng, ring, 2) for _ in range(2)]
-    events = []
-    stop, spair = groebner._IntersectionStop.__call__, groebner._spair
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: events.append(stop(self, *a)) or events[-1])
-    monkeypatch.setattr(groebner, "_spair", lambda *a: events.append("spair") or spair(*a))
+@pytest.mark.parametrize("n, split", [(3, 1), (4, 2), (5, 2)])
+def test_no_kernel_step_when_the_two_ideals_make_one_regular_sequence(monkeypatch, n, split):
+    # n dense forms, split between I and J, are a regular sequence: I + J is
+    # artinian and I ∩ J = I·J (Tor_1(R/I, R/J) = 0), so the basis of the
+    # products reaches the Hilbert target with no linear algebra
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(f"artinian:{n}")
+    forms = [dense_form(rng, ring, rng.randint(2, 3)) for _ in range(n)]
+    I, J = forms[:split], forms[split:]
+
+    def refused(*args):
+        raise AssertionError("the kernel step ran")
+
+    monkeypatch.setattr(groebner, "_meet_in_degree", refused)
     inter = ideal_intersection(Ideal(ring, I), Ideal(ring, J))
-    fired = events.index(True)
-    assert "spair" in events[:fired] and events[fired:] == [True] * 25
-    # the partial basis gives the generators of a run that reduces every pair
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: False)
-    assert ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens == inter.gens
-
-
-def test_inhomogeneous_intersection_never_tests_the_stop(monkeypatch):
-    ring = Ring.flat(2, QQ)
-    x1, x2 = ring.gens()
-    calls = []
-    stop = groebner._IntersectionStop.__call__
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: calls.append(a) or stop(self, *a))
-    one = ring.one()
-    inter = ideal_intersection(Ideal(ring, [x1 + one]), Ideal(ring, [x2 + one]))
-    assert inter.gens == [(x1 + one) * (x2 + one)]
-    assert not calls
+    assert inter.gens == groebner_basis([f * g for f in I for g in J]).elements
 
 
 def test_leads_and_membership_never_build_the_reduced_elements(monkeypatch):

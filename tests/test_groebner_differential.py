@@ -115,8 +115,8 @@ def test_bases_around_the_hilbert_criterion_match_sympy(monkeypatch, kind, domai
 
 
 def _intersection_case(rng, kind, ring):
-    """(I, J), generator lists of one of the shapes the stop rule of
-    ``ideal_intersection`` meets; J[0] is also the quotient's divisor."""
+    """(I, J), generator lists of one of the shapes ``ideal_intersection``
+    meets; J[0] is also the quotient's divisor."""
 
     def forms(count, degree=None, max_terms=3):
         return [random_homogeneous(rng, ring, degree or rng.randint(1, 2), max_terms) for _ in range(count)]
@@ -137,6 +137,13 @@ def _intersection_case(rng, kind, ring):
         return forms(rng.randint(1, 2)), [ring.one()]
     if kind == "zero":
         return forms(rng.randint(1, 2)), []
+    if kind == "inhomogeneous":
+        # a common factor, with a constant term now and then, in every
+        # generator: I ∩ J is more than I·J, and it is found after
+        # homogenizing
+        g = random_poly(rng, ring, max_degree=1, max_terms=3)
+        tails = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+        return [g * h for h in tails[1:]], [g * tails[0]]
     assert kind == "monomial"
     return forms(rng.randint(1, 3), max_terms=1), forms(rng.randint(1, 2), max_terms=1)
 
@@ -162,18 +169,12 @@ def _reduced_grevlex(exprs, xs, p):
     return sorted(str(_sympy_poly(e, xs, p)) for e in basis.exprs)
 
 
-INTERSECTION_KINDS = ["regular", "planted", "contained", "equal", "unit", "zero", "monomial"]
+INTERSECTION_KINDS = ["regular", "planted", "contained", "equal", "unit", "zero", "monomial", "inhomogeneous"]
 
 
 @pytest.mark.parametrize("kind", INTERSECTION_KINDS)
 @pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)], ids=["q", "f7", "f32003"])
-def test_intersections_and_quotients_match_sympy_elimination(monkeypatch, kind, domain):
-    # each case runs with the stop's target gated as shipped and with it
-    # computed at the first t-free lead: the gate must change no result
-    fired = []
-    stop = groebner._IntersectionStop.__call__
-    monkeypatch.setattr(groebner._IntersectionStop, "__call__", lambda self, *a: fired.append(stop(self, *a)) or fired[-1])
-    gated = groebner._PAIRS_PER_BASIS
+def test_intersections_and_quotients_match_sympy_elimination(kind, domain):
     rng = random.Random(f"intersect:{kind}:{domain.name}")
     p = domain.characteristic
     for _ in range(5):
@@ -182,21 +183,48 @@ def test_intersections_and_quotients_match_sympy_elimination(monkeypatch, kind, 
         xs = sympy.symbols(f"x1:{n + 1}")
         I, J = _intersection_case(rng, kind, ring)
         expected = _reduced_grevlex(_sympy_intersection(I, J, xs, p), xs, p)
-        if J:
-            f = _sympy_poly_in(_to_sympy(J[0], xs), xs, p)
-            multiples = _sympy_intersection(I, J[:1], xs, p)
-            expected_quotient = _reduced_grevlex([_sympy_poly_in(e, xs, p).exquo(f).as_expr() for e in multiples], xs, p)
-        for gate in (gated, 0):
-            monkeypatch.setattr(groebner, "_PAIRS_PER_BASIS", gate)
-            mine = ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens
-            # the generators are the reduced basis itself, as a full run gives
-            assert sorted(str(_sympy_poly(_to_sympy(g, xs), xs, p)) for g in mine) == expected, (gate, I, J)
-            if not J:
-                with pytest.raises(ValueError):
-                    ideal_quotient(Ideal(ring, I), ring.zero())
-                continue
-            quotient = ideal_quotient(Ideal(ring, I), J[0]).gens
-            assert _reduced_grevlex([_to_sympy(g, xs) for g in quotient], xs, p) == expected_quotient, (gate, I, J[0])
-    # the zero ideal returns before any basis, and with J = (1) the element
-    # 1 - t turns each t·f into f before any pair; elsewhere the stop fires
-    assert any(fired) == (kind not in ("zero", "unit"))
+        mine = ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens
+        # the generators are the reduced basis itself
+        assert sorted(str(_sympy_poly(_to_sympy(g, xs), xs, p)) for g in mine) == expected, (I, J)
+        if not J:
+            with pytest.raises(ValueError):
+                ideal_quotient(Ideal(ring, I), ring.zero())
+            continue
+        f = _sympy_poly_in(_to_sympy(J[0], xs), xs, p)
+        multiples = _sympy_intersection(I, J[:1], xs, p)
+        expected_quotient = _reduced_grevlex([_sympy_poly_in(e, xs, p).exquo(f).as_expr() for e in multiples], xs, p)
+        quotient = ideal_quotient(Ideal(ring, I), J[0]).gens
+        assert _reduced_grevlex([_to_sympy(g, xs) for g in quotient], xs, p) == expected_quotient, (I, J[0])
+
+
+@pytest.mark.parametrize("kind", ["planted", "contained"])
+@pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)], ids=["q", "f7", "f32003"])
+def test_an_intersection_without_its_kernel_step_fails(monkeypatch, kind, domain):
+    # here I ∩ J is larger than I·J, so the basis of the products alone falls
+    # short of sympy's intersection; the kernel step supplies the rest, and
+    # a mutant whose kernel step adds nothing is refused, never returned
+    rng = random.Random(f"intersect:{kind}:{domain.name}")
+    p = domain.characteristic
+    steps = []
+    meet = groebner._meet_in_degree
+    monkeypatch.setattr(groebner, "_meet_in_degree", lambda *a: steps.append(a[2]) or meet(*a))
+    short = 0
+    for _ in range(5):
+        n = rng.randint(2, 3)
+        ring = Ring.flat(n, domain)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        I, J = _intersection_case(rng, kind, ring)
+        expected = _reduced_grevlex(_sympy_intersection(I, J, xs, p), xs, p)
+        products = groebner_basis([f * g for f in I for g in J])
+        if sorted(str(_sympy_poly(_to_sympy(g, xs), xs, p)) for g in products) == expected:
+            continue
+        short += 1
+        steps.clear()
+        mine = ideal_intersection(Ideal(ring, I), Ideal(ring, J)).gens
+        assert sorted(str(_sympy_poly(_to_sympy(g, xs), xs, p)) for g in mine) == expected, (I, J)
+        assert steps
+        with monkeypatch.context() as mutant:
+            mutant.setattr(groebner, "_meet_in_degree", lambda *a: [])
+            with pytest.raises(groebner.GroebnerError, match="kernel"):
+                ideal_intersection(Ideal(ring, I), Ideal(ring, J))
+    assert short

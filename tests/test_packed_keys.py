@@ -10,13 +10,12 @@ from formstrength.orders import (
     LEX,
     MAX_EXPONENT,
     WIDTH,
-    ELIMINATION,
     KeyWidthError,
     packing,
 )
 from formstrength.parse import _MAX_VARIABLES
 
-ORDERS = [DEGREVLEX, LEX, ELIMINATION]
+ORDERS = [DEGREVLEX, LEX]
 
 # small exponents make ties in the leading slots likely; large ones reach
 # the width limit
@@ -102,7 +101,7 @@ SIZES = [1, 40, _MAX_VARIABLES]
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_first_variable_against_the_largest_product_free_of_it(order, n):
-    # under lex and elimination x1 outranks the product of two monomials in
+    # under lex x1 outranks the product of two monomials in
     # x2..xn at the limit, whose degree 2(n - 1)·MAX_EXPONENT is the largest
     # the kernel can form: the weight of x1 must sit above it
     pk = packing(order, n)
