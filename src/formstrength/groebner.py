@@ -34,15 +34,11 @@ unique, so the criterion changes no result; non-homogeneous input, other
 orders and r > n (where CI(k) is no bound) run without it.
 
 Dimension comes from maximal independent variable sets of the leading-term
-ideal.  No intersection eliminates a variable: for homogeneous ideals the
-numerator N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J) is known in advance,
-so the degrevlex basis of I·J runs under the Hilbert prune hook with that
-target, and linear algebra in the lowest degree where it falls short adds
-the missing elements (proofs at ``ideal_intersection``); other input is
-homogenized first.  Quotients divide an intersection through by the
-quotienting element.  The direct regular-sequence test compares the Hilbert
-numerator of the ideal, from one degrevlex basis, with a complete
-intersection's (see ``is_regular_sequence_direct``).  Nothing here computes
+ideal.  An intersection is the degrevlex basis of I·J under the Hilbert
+prune hook, its target the numerator of R/(I ∩ J), known in advance, plus
+linear algebra where it falls short (``ideal_intersection``); a quotient
+divides an intersection through.  The direct regular-sequence test compares
+Hilbert numerators (``is_regular_sequence_direct``).  Nothing here computes
 a gcd, so that test never shares code with the gcd route of the two-form
 check.
 
@@ -62,7 +58,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .linalg import eliminate
 from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, packing
 from .poly import (
     Poly,
@@ -317,8 +312,7 @@ class _HilbertBound:
     """N(L) - T, the numerator of HF(R/L) minus the Hilbert function with
     numerator T, for the leads L it has taken in: T = ∏(1 - t^d_i) for
     Traverso's bound, the prune hook of a degrevlex basis (module docstring),
-    and N(R/(I ∩ J)) for the basis of an intersection
-    (``ideal_intersection``)."""
+    and N(R/(I ∩ J)) for an intersection (``ideal_intersection``)."""
 
     __slots__ = ("n", "leads", "excess", "filled")
 
@@ -571,101 +565,108 @@ def codimension(ideal: Ideal) -> int:
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J, generated by its reduced degrevlex basis.
 
-    For homogeneous I and J the exact sequence
-    0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0 gives the Hilbert numerator
-    T = N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J).  The degrevlex basis B
+    For forms, 0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0 gives the Hilbert
+    numerator T = N(R/I) + N(R/J) - N(R/(I + J)) of R/(I ∩ J).  The basis B
     of C = I·J is built under the prune hook ``_HilbertBound(n, T)``.  While
-    the numerator N(L) of its leads L is not T, with k the lowest degree
-    where they differ, C gains a basis of the kernel of g ↦ NF_J(g) on
-    V = span{m - NF_I(m) : m ∈ in(I)_k, m ∉ L} (``_meet_in_degree``), and B
-    is rebuilt from its own elements and those.
+    its leads L have a numerator other than T, with k the lowest degree of
+    the excess N(L) - T, C gains the kernel of g ↦ NF_J(g) on
+    V = span{m - NF_I(m) : m ∈ in(I)_k, m ∉ L} (``_meet_in_degree``; I and J
+    swap when J_k is the smaller), and B is rebuilt.
 
-    * B lies in I ∩ J, so L ⊆ in(I ∩ J) and HF(R/L) ≥ HF(R/(I ∩ J)).  Where
-      they agree in a degree k, L_k = in(I ∩ J)_k, and an S-pair of degree
-      k, a member of (I ∩ J)_k, reduces to zero: the hook drops only such
-      pairs, as for Traverso's bound, so B is a Groebner basis of C.
-    * Once N(L) = T, the monomial ideal L lies in in(I ∩ J) with the same
-      Hilbert series, so the two are equal, and B is a Groebner basis of
-      I ∩ J: their reduced bases are the same.
-    * The kernel has dimension excess(k), the t^k coefficient of N(L) - T:
-      it is the lowest nonzero one, so it is HF(R/L)(k) - HF(R/(I ∩ J))(k)
-      = dim (I ∩ J)_k - |L_k|.  The m - NF_I(m), m ∈ in(I)_k, are a basis of
-      I_k in which g has its coefficients on in(I)_k as coordinates.  An
-      element of C_k, of dimension |L_k|, has its lead in L_k ⊆ in(I)_k, so
-      its coordinates on L_k determine it, and each g ∈ (I ∩ J)_k is c + w,
-      c ∈ C_k, w ∈ V, uniquely: (I ∩ J)_k = C_k ⊕ (V ∩ J).  With the kernel
-      V ∩ J added, C_k = (I ∩ J)_k and the lowest degree where N(L) and T
-      differ rises; as each round adds leads, the rounds end.  A kernel of
-      another dimension raises GroebnerError.
+    * B ⊆ I ∩ J, so L ⊆ in(I ∩ J) and HF(R/L) ≥ HF(R/(I ∩ J)).  In a degree
+      where they agree L holds in(I ∩ J)_k, so the S-pairs the hook drops,
+      members of (I ∩ J)_k, reduce to zero (as for Traverso's bound).  At
+      N(L) = T the monomial ideals L ⊆ in(I ∩ J) have one Hilbert series and
+      are equal: B is a Groebner basis of I ∩ J.
+    * The m - NF_I(m), m ∈ in(I)_k, are a basis of I_k in which g has its
+      coefficients on in(I)_k as coordinates.  An element of C_k has its
+      lead in L_k, so its coordinates on L_k fix it, and (I ∩ J)_k =
+      C_k ⊕ (V ∩ J).  The kernel V ∩ J thus has dimension dim (I ∩ J)_k -
+      |L_k| = HF(R/L)(k) - HF(R/(I ∩ J))(k) = excess(k), the lowest nonzero
+      coefficient.  Added, it makes C_k = (I ∩ J)_k, so k rises and the
+      rounds end; a kernel of another dimension raises GroebnerError.
 
-    Other input is homogenized in one more variable h, placed last.  I^h,
-    spanned by the f^h = h^deg f·f(x/h), f ∈ I, holds a form F exactly when
-    F(x, 1) ∈ I (then F = h^e·F(x, 1)^h), so I^h ∩ J^h and (I ∩ J)^h hold the
-    same forms and are equal.  The homogenized degrevlex basis of I
-    generates I^h, degrevlex being graded (Cox, Little & O'Shea, "Ideals,
-    Varieties, and Algorithms", ch. 8 §4, Theorem 4), and h = 1 maps
-    (I ∩ J)^h onto I ∩ J, so the dehomogenized basis generates I ∩ J."""
+    Other input is homogenized in one more variable h.  I^h, spanned by the
+    h^deg f·f(x/h), f ∈ I, holds a form F exactly when F(x, 1) ∈ I, so
+    (I ∩ J)^h = I^h ∩ J^h.  The homogenized degrevlex basis of I generates
+    I^h (Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", ch. 8
+    §4, Theorem 4), and h = 1 maps (I ∩ J)^h onto I ∩ J.
+
+    All of it runs in the ring S of the variables the generators use (and
+    h).  R is free over S, so I = ⊕ u·(I ∩ S) over the monomials u in the
+    other variables, and I ∩ J = ((I ∩ S) ∩ (J ∩ S))·R; Buchberger on
+    generators in S stays in S, under the degrevlex of R restricted."""
     ring = I.ring
     if ring != J.ring:
         raise ValueError("ideals live in different rings")
     if not I.gens or not J.gens:
         return Ideal(ring, [])
-    if I.is_homogeneous() and J.is_homogeneous():
-        return Ideal(ring, _intersect_forms(I, J).elements)
-    n = ring.nvars
-    ext = Ring(n + 1, ring.domain, ring.names + ("h",))
-    lifted = [Ideal(ext, [Poly(ext, {m + (g.degree() - sum(m),): c for m, c in g.terms.items()})
-                          for g in ideal.groebner()]) for ideal in (I, J)]
-    dehomogenized = [Poly(ring, {m[:n]: c for m, c in g.terms.items()}) for g in _intersect_forms(*lifted)]
-    return Ideal(ring, groebner_basis(dehomogenized, ring=ring).elements)
+    used = sorted({i for g in I.gens + J.gens for i in g.variables()})
+    forms = I.is_homogeneous() and J.is_homogeneous()
+    extra = 0 if forms else 1  # h
+    sub = Ring(len(used) + extra, ring.domain, tuple(ring.names[i] for i in used) + ("h",) * extra)
 
+    def lifted(ideal):
+        gens = []
+        for g in ideal.gens if forms else ideal.groebner():
+            d = g.degree()
+            gens.append(Poly(sub, {tuple(m[i] for i in used) + (d - sum(m),) * extra: c for m, c in g.terms.items()}))
+        return Ideal(sub, gens)
 
-def _intersect_forms(I, J):
-    """The degrevlex basis of I ∩ J for nonzero homogeneous I and J."""
-    ring = I.ring
-    target = _add_shifted(_numerator(I), _numerator(J), 0, 1)
-    target = _add_shifted(target, _numerator(Ideal(ring, I.gens + J.gens)), 0, -1)
+    I, J = lifted(I), lifted(J)
+    numerators = [_numerator(I), _numerator(J)]
+    target = _add_shifted(*numerators, 0, 1)
+    target = _add_shifted(target, _numerator(Ideal(sub, I.gens + J.gens)), 0, -1)
     gens = [f * g for f in I.gens for g in J.gens]
     while True:
-        bound = _HilbertBound(ring.nvars, target)
-        reducers, lms = _buchberger(gens, DEGREVLEX, ring, bound)
-        basis = _reduced(reducers, lms, DEGREVLEX, ring)
+        bound = _HilbertBound(sub.nvars, target)
+        reducers, lms = _buchberger(gens, DEGREVLEX, sub, bound)
+        basis = _reduced(reducers, lms, DEGREVLEX, sub)
         bound.take(lms[len(bound.leads):])
         k = next((k for k, c in enumerate(bound.excess) if c), None)
         if k is None:
-            return basis
-        meet = _meet_in_degree(I, J, k, basis.lead_monomials)
+            break
+        hf = [_hilbert_value(num, sub.nvars, k) for num in numerators]
+        meet = _meet_in_degree(*((I, J) if hf[0] >= hf[1] else (J, I)), k, basis.lead_monomials)
         if len(meet) != bound.excess[k]:
             raise GroebnerError("intersection kernel of the wrong dimension (internal invariant)")
         gens = basis.elements + meet
+    slot = {i: j for j, i in enumerate(used)}
+    full = [Poly(ring, {tuple(m[slot[i]] if i in slot else 0 for i in range(ring.nvars)): c for m, c in g.terms.items()})
+            for g in basis]
+    return Ideal(ring, full if forms else groebner_basis(full, ring=ring).elements)
 
 
 def _meet_in_degree(I, J, k, leads):
-    """A basis of V ∩ J, V the span of the m - NF_I(m) for m ∈ in(I)_k
-    outside the ideal of ``leads``.  I and J swap when that gives fewer m,
-    as the smaller of I_k and J_k does: both contain the leads.
-
-    Each m gives a row: the coefficients of NF_J(m - NF_I(m)), then those of
-    m - NF_I(m).  Eliminating on the first part leaves the kernel, in the
-    second part of the rows past the rank."""
+    """A basis of V ∩ J, V the span of the v = m - NF_I(m) for the degree-k
+    multiples m of the leads of I's basis outside the ideal of ``leads``.
+    Each pair (NF_J(v), v) is one term dict in one more variable y, with
+    NF_J(v) times y: those terms, of degree k + 1, lead, and such a lead
+    divides no other monomial.  So the division kernel row-reduces the
+    pairs, sparsest first, on their first part, the rows kept so far as
+    reducers; a row left without y is a kernel vector."""
     ring = I.ring
-    span = [m for m in monomials(range(ring.nvars), ring.nvars, k, True)
-            if not any(mono_divides(lead, m) for lead in leads)]
+    n, dom = ring.nvars, ring.domain
     bases = [I.groebner(), J.groebner()]
-    columns = [[m for m in span if any(mono_divides(lead, m) for lead in b.lead_monomials)] for b in bases]
-    if len(columns[1]) < len(columns[0]):
-        bases.reverse()
-        columns.reverse()
+    multiples = dict.fromkeys(mono_mul(lead, u) for lead in bases[0].lead_monomials if sum(lead) <= k
+                              for u in monomials(range(n), n, k - sum(lead), True))
+    pk = packing(DEGREVLEX, n + 1)
+    y = pk.key((0,) * n + (1,))
     rows = []
-    for m in columns[0]:
-        mono = Poly(ring, {m: ring.domain.one})
-        v = mono - normal_form(mono, bases[0])
-        rows.append((normal_form(v, bases[1]).terms, v.terms))
-    image = sorted({t for nf, _ in rows for t in nf})
-    tails = sorted({t for _, v in rows for t in v})
-    matrix = [[nf.get(t, 0) for t in image] + [v.get(t, 0) for t in tails] for nf, v in rows]
-    rank = len(eliminate(matrix, len(image), ring.domain.characteristic))
-    return [Poly(ring, dict(zip(tails, row[len(image):]))) for row in matrix[rank:]]
+    for m in multiples:
+        if not any(mono_divides(lead, m) for lead in leads):
+            mono = Poly(ring, {m: dom.one})
+            v = mono - normal_form(mono, bases[0])
+            row = {pk.key(t + (0,)) + y: c for t, c in normal_form(v, bases[1]).terms.items()}
+            rows.append(row | {pk.key(t + (0,)): c for t, c in v.terms.items()})
+    reducers, kernel = [], []
+    for row in sorted(rows, key=len):
+        rest = _reduce_terms(row, reducers, pk, dom)
+        if pk.monomial(min(rest))[n]:
+            reducers.append(_reducer(rest, pk, dom))
+        else:
+            kernel.append(Poly(ring, {pk.monomial(t)[:n]: c for t, c in rest.items()}, _clean=False))
+    return kernel
 
 
 def _numerator(ideal):

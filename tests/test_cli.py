@@ -1207,6 +1207,34 @@ def test_gb_intersect_of_dense_cubics_and_quadrics_is_their_product(tmp_path, ca
         assert g.terms[lead] == ring.domain.one and groebner.normal_form(tail, basis) == tail
 
 
+def test_gb_intersect_and_quotient_of_sparse_ideals_in_many_variables(tmp_path, capsys):
+    # each needs a kernel step: x1*x2 ∩ x1*x3 in degree 3 (I·J starts in
+    # degree 4), and (x1*x2, x3^3) : (x1 + x3) in degree 4, as x1 + x3 is a
+    # zero divisor; the step's matrix must grow with the variables the input
+    # uses, not with the degree-k monomials of the ring (C(1002, 3) here)
+    ring = Ring.flat(1000, QQ)
+    header = "ring n=1000 field=q\n"
+    assert _intersect_files(tmp_path, capsys, header + "x1*x2\n", header + "x1*x3\n", ring) == [
+        parse_poly("x1*x2*x3", ring)]
+    path = tmp_path / "sparse.txt"
+    path.write_text(header + "x1*x2\nx3^3\n")
+    start = time.monotonic()
+    assert run(["gb", "quotient", "--json", "--in", str(path), "--f", "x1 + x3"]) == 0
+    assert time.monotonic() - start < 10.0
+    out, _ = _capture(capsys)
+    assert json.loads(out)["result"]["generators"] == ["x2*x3^2", "x3^3", "x1*x2"]
+
+
+def test_gb_intersect_of_sparse_ideals_using_every_variable(tmp_path, capsys):
+    # x1*x2 ∩ x1*(x3 + ... + x300): the kernel step in degree 3 meets the
+    # 300 multiples x1*x2*xi and one row with 297 terms
+    ring = Ring.flat(300, QQ)
+    header = "ring n=300 field=q\n"
+    total = " + ".join(f"x1*x{i}" for i in range(3, 301))
+    gens = _intersect_files(tmp_path, capsys, header + "x1*x2\n", header + total + "\n", ring)
+    assert gens == [parse_poly(total, ring) * parse_poly("x2", ring)]
+
+
 def test_regseq_on_a_coprime_dense_cubic_pair_finishes(tmp_path, capsys):
     ring = Ring.flat(6, GF(32003))
     forms = _dense_cubics(random.Random(0), ring, 2, lambda rng: rng.randrange(1, 32003))
