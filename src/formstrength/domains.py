@@ -3,8 +3,7 @@
 Every computation in this package runs over one of these two domains.
 Rational elements are `fractions.Fraction` (always reduced, positive
 denominator); prime-field elements are plain ints in ``[0, p)`` with the
-modulus carried by the field object, so one field instance is shared per
-computation context.
+modulus carried by the field object.
 """
 
 from __future__ import annotations
@@ -159,15 +158,9 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-_FIELD_CACHE: dict[int, PrimeField] = {}
-
-
 def GF(p: int) -> PrimeField:
-    """Return the (cached) prime field with p elements."""
-    field = _FIELD_CACHE.get(p)
-    if field is None:
-        field = _FIELD_CACHE[p] = PrimeField(p)
-    return field
+    """The prime field with p elements; fields compare and hash by p."""
+    return PrimeField(p)
 
 
 def _digit_limit():

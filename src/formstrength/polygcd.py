@@ -10,27 +10,30 @@ are u = (g/h)*w, v = (f/h)*w for w in S(k - j): the nullity of M_1 is
 Gianni, Trager & Watt, ISSAC 1995), as the largest k <= min(a, b) with
 |S(k - 1)| <= nullity.  |S(d)| is a binomial coefficient.
 
-Over F_p one elimination of M_1 gives g/h as well.  Each row f*m of M_1^T
-goes on with the unit vector of m among S(b - 1), each row -g*m with
-zeros, and the product columns are eliminated: the pivots number the rank,
-and the rows past it hold, in those extra columns, the u-parts of a basis
-of the kernel, which span U = (g/h) * span S(k - 1).  The leading monomials
-of U under degrevlex are lm(g/h) * S(k - 1), and the least of them belongs
-to (g/h) * x_v^(k - 1), x_v the last variable occurring in f or g (to g/h
-itself for non-forms, as S(k - 1) then contains 1), the only element of U
-with that lead up to a scalar.  With S(b - 1) in descending degrevlex, the
-last row of an echelon form of the u-parts is therefore that element, and
-g/h is read off it with no second matrix.  A nullity other than
-|S(k - 1)| raises ``GroebnerError``.
+Each row f*m of M_j^T goes on with the unit vector of m among S(b - j),
+each row -g*m with zeros, and only the product columns are eliminated:
+the pivots number the rank, and the rows past it hold, in those tag
+columns, the u-parts of a basis of the kernel.
 
-Over Q the rank is taken modulo a fixed word-size prime instead: it can
-only drop there, so it bounds k from above, and the exact kernel of M_j
-over Q is solved at that bound and then at each lower j until it is
-nonzero; at j = k it is one line whose u-part is g/h up to a scalar.
+Over F_p one elimination of M_1 gives g/h as well.  The u-parts span
+U = (g/h) * span S(k - 1).  The leading monomials of U under degrevlex are
+lm(g/h) * S(k - 1), and the least of them belongs to (g/h) * x_v^(k - 1),
+x_v the last variable occurring in f or g (to g/h itself for non-forms, as
+S(k - 1) then contains 1), the only element of U with that lead up to a
+scalar.  With S(b - 1) in descending degrevlex, the last row of an echelon
+form of the u-parts is therefore that element, and g/h is read off it with
+no second matrix.  A nullity other than |S(k - 1)| raises
+``GroebnerError``.
+
+Over Q, M_1 is eliminated modulo a fixed word-size prime instead: the rank
+can only drop there, so it bounds k from above.  M_j is then eliminated
+over Q at that bound and at each lower j until it has a kernel; at j = k
+the kernel is one line, and the last row holds g/h, up to a scalar, in its
+tag columns.
 
 Either way the gcd is g divided by the cofactor, and it must divide f;
 either division failing raises ``GroebnerError``, so a wrong gcd can never
-stand as a verdict.  Rank and kernel are the ``linalg`` elimination kernel.
+stand as a verdict.  Both fields use only ``linalg.eliminate``.
 The gcd is the gcd route of the two-form regularity check; ``groebner``
 never calls back here, so the direct test, which compares Hilbert series,
 stays independent of it.
@@ -40,9 +43,8 @@ from __future__ import annotations
 
 from math import comb, lcm
 
-from .domains import GF
 from .groebner import GroebnerError, exact_divide, is_regular_sequence_codim
-from .linalg import eliminate, kernel_basis, mat_rank, transpose
+from .linalg import eliminate
 from .orders import DEGREVLEX, packing
 from .poly import Poly, monomials
 
@@ -58,13 +60,13 @@ def _count(nv, d, forms):
     return comb(nv + d - 1, d) if forms else comb(nv + d, d)
 
 
-def _multiplier_rows(f, g, j, variables, nvars, forms, p=0):
+def _multiplier_rows(f, g, j, variables, nvars, forms, p):
     """M_j transposed: the coefficient vectors of f*m for m in S(b - j),
-    then of -g*m for m in S(a - j), over the product monomials that occur;
-    returned with the number of those product columns and S(b - j).  ``f``
-    and ``g`` are term dicts with integer coefficients.  With a prime ``p``
-    the entries are reduced mod p and each row f*m goes on with the unit
-    vector of m among S(b - j), each row -g*m with zeros."""
+    then of -g*m for m in S(a - j), over the product monomials that occur,
+    each row f*m going on with the unit vector of m among S(b - j) and each
+    row -g*m with zeros; returned with the number of product columns and
+    S(b - j).  ``f`` and ``g`` are term dicts with integer coefficients,
+    reduced mod ``p`` unless ``p`` is 0."""
     a, b = (max(map(sum, h)) for h in (f, g))
     left = monomials(variables, nvars, b - j, forms)
     key = packing(DEGREVLEX, nvars).key  # key(t*m) == key(t) + key(m)
@@ -76,13 +78,12 @@ def _multiplier_rows(f, g, j, variables, nvars, forms, p=0):
             km = key(m)
             sparse.append([(index.setdefault(kt + km, len(index)), c) for kt, c in coeffs])
     ncols = len(index)
-    units = len(left) if p else 0
     rows = []
     for r, entries in enumerate(sparse):
-        row = [0] * (ncols + units)
+        row = [0] * (ncols + len(left))
         for i, c in entries:
             row[i] = c
-        if r < units:
+        if r < len(left):
             row[ncols + r] = 1
         rows.append(row)
     return rows, ncols, left
@@ -128,11 +129,9 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     variables = sorted(set(f.variables()) | set(g.variables()))
     nv, nvars = len(variables), ring.nvars
     fi, gi = _integer_terms(f), _integer_terms(g)
-    rows, ncols, multipliers = _multiplier_rows(fi, gi, 1, variables, nvars, forms, p)
-    if p:
-        rank = len(eliminate(rows, ncols, p))
-    else:
-        rank = mat_rank(rows, GF(_BOUND_PRIME))
+    modulus = p or _BOUND_PRIME
+    rows, ncols, multipliers = _multiplier_rows(fi, gi, 1, variables, nvars, forms, modulus)
+    rank = len(eliminate(rows, ncols, modulus))
     nullity = len(rows) - rank
     # k := the largest k <= min(a, b) with |S(k - 1)| <= nullity
     cap, k = min(f.degree(), g.degree()), 0
@@ -147,17 +146,14 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
         if len(us) > 1:
             eliminate(us, len(us[0]), p)
         return _divide_out(f, g, us[-1], multipliers, variables[-1], k - 1 if forms else 0)
-    while k:
-        rows, _, multipliers = _multiplier_rows(fi, gi, k, variables, nvars, forms)
-        kernel = kernel_basis(transpose(rows), ring.domain)
-        if kernel:
-            break
-        k -= 1
-    else:
-        return ring.one()
-    if len(kernel) > 1:
-        raise GroebnerError("multiplier kernel is not one line at the gcd degree")
-    return _divide_out(f, g, kernel[0], multipliers)
+    for j in range(k, 0, -1):
+        rows, ncols, multipliers = _multiplier_rows(fi, gi, j, variables, nvars, forms, 0)
+        nullity = len(rows) - len(eliminate(rows, ncols, 0))
+        if nullity > 1:
+            raise GroebnerError("multiplier kernel is not one line at the gcd degree")
+        if nullity:
+            return _divide_out(f, g, rows[-1][ncols:], multipliers)
+    return ring.one()
 
 
 class PairReport:

@@ -1,11 +1,11 @@
 """Fuzzing of the ``quadric``, ``gb codim|dim|intersect|quotient``,
-``minors`` and ``recheck`` commands: on random ``--diag`` lists, small F_p
-form files, singular F_p pencils and nets, small Q pencils, small ideal
-files and pairs of them, ``--matrix`` shapes and golden certificates with
-one field changed, every operation passes (0), fails a verdict (1) or
-refuses the invocation (2) within CASE_SECONDS, and never reports an
-internal error (3).  The inputs are written here as text, without the
-package's own formatter."""
+``regseq``, ``minors`` and ``recheck`` commands: on random ``--diag``
+lists, small F_p form files, singular F_p pencils and nets, small Q
+pencils, small ideal files and pairs of them, systems of two or three
+forms, ``--matrix`` shapes and golden certificates with one field changed,
+every operation passes (0), fails a verdict (1) or refuses the invocation
+(2) within CASE_SECONDS, and never reports an internal error (3).  The
+inputs are written here as text, without the package's own formatter."""
 
 import contextlib
 import io
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from formstrength.certificates import CLAIMS
 from formstrength.cli import run
-from formstrength.groebner import groebner_basis, normal_form
+from formstrength.groebner import exact_divide, groebner_basis, normal_form
 from formstrength.orders import MAX_EXPONENT
 from formstrength.parse import load_ideal_text, parse_poly
 
@@ -236,22 +236,35 @@ def test_gb_codim_and_dim_on_an_ideal_file_exit_zero_or_two(tmp_path_factory, op
     assert rc == (2 if raised else 0), (text, rc)
 
 
-def _polynomials(n):
-    """Text of 0, 1, or a sum of one to three terms of degree at most 3 in
-    x1..xn, homogeneous or not.  The coefficients are 1 and 1/2, and no sum
-    of up to three of them is 0 over Q or F_7, so only the text "0" is the
-    zero polynomial."""
+@st.composite
+def _polynomials(draw, n):
+    """Text of 0 or 1 (one draw in six), or else a sum of one to three terms
+    of degree at most 3 in x1..xn, homogeneous or not.  The coefficients are
+    1 and 1/2, and no sum of up to three of them is 0 over Q or F_7, so only
+    the text "0" is the zero polynomial.  Kept rare, 0 and 1 still reach the
+    zero and unit ideals, and most pairs of ideals are proper."""
+    if not draw(st.integers(0, 5)):
+        return draw(st.sampled_from(("0", "1")))
     factors = st.lists(st.integers(1, n).map(lambda i: f"*x{i}"), max_size=3).map("".join)
     terms = st.lists(st.tuples(st.sampled_from(("1", "1/2")), factors).map("".join),
                      min_size=1, max_size=3)
-    return st.one_of(st.sampled_from(("0", "1")), terms.map(" + ".join))
+    return " + ".join(draw(terms))
+
+
+@st.composite
+def _generators(draw, n):
+    """One to three lines from ``_polynomials``, or none (the zero ideal)
+    one draw in six."""
+    if not draw(st.integers(0, 5)):
+        return []
+    return draw(st.lists(_polynomials(n), min_size=1, max_size=3))
 
 
 @st.composite
 def ideal_pairs(draw):
     """(n, conflict, first file, second file): ideals in one to three
     variables over F_7 or Q, each of up to three generators from
-    ``_polynomials``, so the empty, zero and unit ideals and inhomogeneous
+    ``_generators``, so the empty, zero and unit ideals and inhomogeneous
     ones occur; now and then the second file's header names another number
     of variables or another field (``conflict``)."""
     n = draw(st.integers(1, 3))
@@ -259,7 +272,7 @@ def ideal_pairs(draw):
     header = f"ring n={n} field={field}"
     other = draw(st.sampled_from([header] * 3 + [f"ring n={n % 3 + 1} field={field}",
                                                  f"ring n={n} field={'q' if field != 'q' else 'fp:7'}"]))
-    first, second = ([head] + draw(st.lists(_polynomials(n), max_size=3)) for head in (header, other))
+    first, second = ([head] + draw(_generators(n)) for head in (header, other))
     return n, other != header, "\n".join(first) + "\n", "\n".join(second) + "\n"
 
 
@@ -282,7 +295,7 @@ def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_fac
         refused = conflict
         argv += ["--in2", str(paths[1])]
     else:
-        divisor = data.draw(st.sampled_from((None, f"x{n + 1}", "f", "f")))
+        divisor = data.draw(st.sampled_from((None, f"x{n + 1}") + ("f",) * 4))
         if divisor == "f":
             divisor = data.draw(_polynomials(n))
         refused = divisor in (None, "0", f"x{n + 1}")
@@ -302,6 +315,60 @@ def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_fac
         basis = groebner_basis(ideal, ring=ring)
         for g in printed:
             assert not normal_form(g, basis).terms, (argv, first, second, str(g))
+
+
+@st.composite
+def _form_terms(draw, n, degree):
+    """The terms of a form of the degree in x1..xn: one to three, with the
+    coefficients 1, 2, 3 and 1/2, so over F_7 they may cancel to 0."""
+    monomial = st.lists(st.integers(1, n).map(lambda i: f"x{i}"), min_size=degree, max_size=degree)
+    term = st.tuples(st.sampled_from(("1", "2", "3", "1/2")), monomial.map("*".join)).map("*".join)
+    return draw(st.lists(term, min_size=1, max_size=3))
+
+
+@st.composite
+def form_systems(draw):
+    """(system file, planted factor or None): two or three forms of degree
+    1 to 3 in one to three variables over Q or F_7; half the time the first
+    two are multiplied, term by term in the text, by a common form of degree
+    1 or 2 (the planted factor)."""
+    n = draw(st.integers(1, 3))
+    forms = [draw(_form_terms(n, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(2, 3)))]
+    factor = draw(_form_terms(n, draw(st.integers(1, 2)))) if draw(st.booleans()) else None
+    if factor:
+        forms[:2] = [[f"{c}*{t}" for c in factor for t in form] for form in forms[:2]]
+    lines = [f"ring n={n} field={draw(st.sampled_from(('q', 'fp:7')))}"] + [" + ".join(f) for f in forms]
+    return "\n".join(lines) + "\n", factor and " + ".join(factor)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=form_systems(), as_json=st.booleans())
+def test_regseq_on_two_or_three_forms_exits_zero_one_or_two(tmp_path_factory, case, as_json):
+    # a system with a form that cancels to 0 over F_7 is refused (2), any
+    # other is decided (0 or 1); for two forms the gcd route agrees with the
+    # codimension route and the printed gcd divides both forms (and has the
+    # planted factor as a divisor)
+    text, factor = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-regseq.txt"
+    path.write_text(text)
+    rc, out = _run(["regseq", "--in", str(path)] + (["--json"] if as_json else []))
+    ring, forms = load_ideal_text(text)
+    assert (rc == 2) == any(not form.terms for form in forms), (text, rc)
+    if rc == 2 or len(forms) != 2:
+        return
+    if as_json:
+        report = json.loads(out)["result"]["gcd_report"]
+        agree, gcd = report["agree"], report["gcd"]
+    else:
+        codim_line, gcd_line = out.splitlines()[1:]
+        gcd = gcd_line.removeprefix("  gcd: ")
+        agree = parse_poly(gcd, ring).is_constant() == codim_line.endswith("codim test True")
+    assert agree, (text, out)
+    gcd = parse_poly(gcd, ring)
+    for form in forms:
+        exact_divide(form, gcd)
+    if factor:
+        exact_divide(gcd, parse_poly(factor, ring))
 
 
 @st.composite

@@ -44,14 +44,15 @@ def test_nonprime_modulus_rejected():
             GF(n)
 
 
-def test_large_prime_accepted_and_cached():
-    assert GF(32003) is GF(32003)
+def test_large_prime_accepted_and_equal_by_modulus():
+    assert GF(32003) == GF(32003) and hash(GF(32003)) == hash(GF(32003))
+    assert GF(32003) != GF(31991)
     assert GF(32003).inv(2) == (32003 + 1) // 2
 
 
 def test_domain_from_name():
     assert domain_from_name("q") is QQ or domain_from_name("q") == QQ
-    assert domain_from_name("fp:7") is GF(7)
+    assert domain_from_name("fp:7") == GF(7)
     with pytest.raises(ValueError):
         domain_from_name("fp7")
 

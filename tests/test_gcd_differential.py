@@ -115,31 +115,30 @@ def test_gcds_of_degree_two_and_more(dom):
 
 
 class _Calls:
-    """Counts of the multiplier-matrix builds, the direct eliminations (with
-    the shape of each) and the kernel solves one gcd makes."""
+    """The multiplier-matrix builds and the eliminations, each recorded as
+    (rows, product columns, characteristic), that one gcd makes."""
 
     def __init__(self, monkeypatch):
-        self.builds, self.eliminations, self.kernels = 0, [], 0
-        rows, elim, kernel = polygcd._multiplier_rows, polygcd.eliminate, polygcd.kernel_basis
+        self.builds, self.eliminations = 0, []
+        rows, elim = polygcd._multiplier_rows, polygcd.eliminate
 
         def counted_rows(*args):
             self.builds += 1
             return rows(*args)
 
         def counted_elim(a, ncols, p, reduced=False):
-            self.eliminations.append((len(a), ncols))
+            self.eliminations.append((len(a), ncols, p))
             return elim(a, ncols, p, reduced)
-
-        def counted_kernel(m, dom):
-            self.kernels += 1
-            return kernel(m, dom)
 
         monkeypatch.setattr(polygcd, "_multiplier_rows", counted_rows)
         monkeypatch.setattr(polygcd, "eliminate", counted_elim)
-        monkeypatch.setattr(polygcd, "kernel_basis", counted_kernel)
 
     def reset(self):
-        self.builds, self.eliminations, self.kernels = 0, [], 0
+        self.builds, self.eliminations = 0, []
+
+    def rows_over_q(self):
+        """The number of rows of each elimination over Q."""
+        return [r for r, _, p in self.eliminations if not p]
 
 
 def test_fp_gcd_is_one_multiplier_matrix_and_one_elimination(monkeypatch):
@@ -157,18 +156,19 @@ def test_fp_gcd_is_one_multiplier_matrix_and_one_elimination(monkeypatch):
                         continue
                     calls.reset()
                     h = multivariate_gcd(a, b)
-                    assert calls.builds == 1 and calls.kernels == 0
+                    assert calls.builds == 1
                     nv, k = len(set(a.variables()) | set(b.variables())), h.degree()
                     degrees.add(min(k, 2))
                     forms = a.is_homogeneous() and b.is_homogeneous()
                     size = lambda d: polygcd._count(nv, d, forms)
                     first, *rest = calls.eliminations
                     assert first[0] == size(b.degree() - 1) + size(a.degree() - 1)  # the rows of M_1
+                    assert first[2] == p
                     if size(k - 1) < 2:
                         assert rest == []  # the kernel is one line, or empty
                     else:
                         # the kernel's u-parts only: |S(k - 1)| rows, |S(b - 1)| columns
-                        assert rest == [(size(k - 1), size(b.degree() - 1))]
+                        assert rest == [(size(k - 1), size(b.degree() - 1), p)]
     assert degrees == {0, 1, 2}
 
 
@@ -179,11 +179,17 @@ def test_q_gcd_solves_its_exact_kernel_at_the_bound(monkeypatch):
     g = parse_poly("x1*x3 + 2*x2^2", ring)
     h = parse_poly("x1 - 3*x2 + x3", ring)
     assert multivariate_gcd(h * f, h * g) == h
-    # M_1 for the bound, M_k for its exact kernel; no direct elimination
-    assert (calls.builds, calls.kernels, calls.eliminations) == (2, 1, [])
+    # M_1 mod the bound prime gives k = 1, then the tagged M_1 over Q, with
+    # |S(2)| + |S(2)| = 12 rows, has its one kernel row
+    assert calls.builds == 2
+    (rows, ncols, p), over_q = calls.eliminations
+    assert (rows, p) == (12, polygcd._BOUND_PRIME) and over_q == (12, ncols, 0)
     calls.reset()
     assert multivariate_gcd(f, g) == ring.one()
-    assert (calls.builds, calls.kernels, calls.eliminations) == (1, 0, [])
+    # M_1 mod the bound prime, with |S(1)| + |S(1)| = 6 rows, gives k = 0
+    assert calls.builds == 1
+    [(rows, _, p)] = calls.eliminations
+    assert (rows, p) == (6, polygcd._BOUND_PRIME)
 
 
 def test_q_degree_bound_steps_down_when_the_bound_prime_overestimates(monkeypatch):
@@ -193,11 +199,14 @@ def test_q_degree_bound_steps_down_when_the_bound_prime_overestimates(monkeypatc
     f = parse_poly("x1^2 + 5*x2^2", ring)
     g = parse_poly("x1*x2 + 5*x2^2", ring)  # mod 5 both are multiples of x1
     assert multivariate_gcd(f, g) == ring.one()
-    assert calls.kernels == 1  # j = 1 gave a zero kernel over Q
+    # bound 1 mod 5; M_1 over Q (|S(1)| + |S(1)| = 4 rows) has no kernel
+    assert calls.builds == 2 and calls.rows_over_q() == [4]
     h = parse_poly("x1 - 3*x2", ring)
     calls.reset()
     assert multivariate_gcd(h * f, h * g) == h
-    assert calls.kernels == 2  # bound 2 mod 5, true degree 1
+    # bound 2 mod 5 (the gcd there is x1 * h), true degree 1: M_2 over Q
+    # (|S(1)| + |S(1)| = 4 rows) has no kernel, M_1 (3 + 3 rows) one line
+    assert calls.builds == 3 and calls.rows_over_q() == [4, 6]
     assert multivariate_gcd(h * f, h * g) == reference_gcd(h * f, h * g)
 
 

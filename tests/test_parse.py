@@ -87,7 +87,7 @@ def test_ring_headers():
     ring = parse_ring_header("ring n=3 field=q")
     assert ring.nvars == 3 and ring.domain == QQ
     ring = parse_ring_header("ring n=12 field=fp:32003 matrix=4x3")
-    assert ring.matrix_shape == (4, 3) and ring.domain is GF(32003)
+    assert ring.matrix_shape == (4, 3) and ring.domain == GF(32003)
     with pytest.raises(ValueError):
         parse_ring_header("ring n=5 field=fp:32003 matrix=4x3")
     with pytest.raises(ValueError):
