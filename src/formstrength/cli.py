@@ -24,6 +24,7 @@ import sys
 from .domains import GF, QQ, domain_from_name
 from .groebner import (
     Ideal,
+    _check_regseq_input,
     codimension,
     dimension,
     groebner_basis,
@@ -174,8 +175,10 @@ def cmd_regseq(args):
     ring, polys = _load_system(args)
     if not polys:
         raise ValueError("the input system is empty")
-    direct = is_regular_sequence_direct(polys)
-    codim = codimension(Ideal(ring, polys))
+    _check_regseq_input(polys)
+    ideal = Ideal(ring, polys)
+    direct = is_regular_sequence_direct(ideal)
+    codim = codimension(ideal)
     by_codim = codim == len(polys)
     result = {
         "forms": len(polys),

@@ -3,7 +3,8 @@
 A generic (n+1) x n matrix of independent variables yields n+1 maximal
 minors f_i = det(drop row i), each column-homogeneous of multidegree
 (1,...,1); together they generate a codimension-2 ideal, and first-column
-cofactor expansion witnesses the strength bound n-1 for every minor.
+cofactor expansion witnesses the strength bound n-1 for every minor.  Both
+read one memoized Laplace table per matrix, which expands each row set once.
 """
 
 from __future__ import annotations
@@ -12,12 +13,32 @@ from .domains import QQ
 from .poly import Poly, Ring
 
 
-def determinant_laplace(grid, ring: Ring | None = None) -> Poly:
-    """Exact determinant of a square matrix of polynomials.
+def _laplace_table(grid, ring: Ring):
+    """minor(rows): the determinant of those rows of grid, which may have
+    more rows than columns, on its last len(rows) columns, expanded along
+    the first of them and memoized on the row tuple."""
+    memo = {}
 
-    Expands along the first column, memoizing sub-minors on (row set,
-    column offset); symbolic sparsity keeps this cheap at desk scale.
-    """
+    def minor(rows):
+        if len(rows) == 1:
+            return grid[rows[0]][-1]
+        cached = memo.get(rows)
+        if cached is not None:
+            return cached
+        col = -len(rows)
+        total = ring.zero()
+        for k, r in enumerate(rows):
+            term = grid[r][col] * minor(rows[:k] + rows[k + 1 :])
+            total = total + (-term if k % 2 else term)
+        memo[rows] = total
+        return total
+
+    return minor
+
+
+def determinant_laplace(grid, ring: Ring | None = None) -> Poly:
+    """Exact determinant of a square matrix of polynomials, expanded along
+    the first column; symbolic sparsity keeps this cheap at desk scale."""
     n = len(grid)
     for row in grid:
         if len(row) != n:
@@ -26,57 +47,37 @@ def determinant_laplace(grid, ring: Ring | None = None) -> Poly:
         ring = grid[0][0].ring
     if n == 0:
         return ring.one()
-    memo = {}
-
-    def minor(rows):
-        if len(rows) == 1:
-            return grid[rows[0]][n - 1]
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        total = ring.zero()
-        for k, r in enumerate(rows):
-            rest = rows[:k] + rows[k + 1 :]
-            term = grid[r][col] * minor(rest)
-            total = total + (-term if k % 2 else term)
-        memo[rows] = total
-        return total
-
-    return minor(tuple(range(n)))
+    return _laplace_table(grid, ring)(tuple(range(n)))
 
 
 class GenericMatrix:
-    """Matrix of independent ring variables x<i>_<j>."""
+    """Matrix of independent ring variables x<i>_<j>; ``minor`` is its Laplace table."""
 
-    __slots__ = ("rows", "cols", "ring")
+    __slots__ = ("rows", "cols", "ring", "minor")
 
     def __init__(self, rows, cols, domain=QQ):
         self.rows = rows
         self.cols = cols
         self.ring = Ring.matrix(rows, cols, domain)
+        self.minor = _laplace_table(self.grid(), self.ring)
 
     def entry(self, row, col) -> Poly:
         """Variable at (row, col), 1-based."""
         return self.ring.var(self.ring.entry_index(row, col))
 
-    def grid(self, drop_row=None):
-        return [
-            [self.entry(i, j) for j in range(1, self.cols + 1)]
-            for i in range(1, self.rows + 1)
-            if i != drop_row
-        ]
+    def grid(self):
+        return [[self.entry(i, j) for j in range(1, self.cols + 1)] for i in range(1, self.rows + 1)]
 
     def __repr__(self):
         return f"GenericMatrix({self.rows}x{self.cols}, {self.ring.domain!r})"
 
 
 MINOR_COLS_LIMIT = 7
-"""Most columns n of a minor family.  The n+1 Laplace expansions grow about
-tenfold per column: on a 2-core machine with Python 3.11, ``minors --json``
-takes 0.4 s at 7x6 and 3.8 s (81 MB) at 8x7, so 9x8 runs for most of a
-minute and 10x9 and up for minutes or until memory runs out.  A larger
-family is refused with ValueError before any determinant is computed."""
+"""Most columns n of a minor family.  The Laplace table grows about tenfold
+per column: on a 2-core machine with Python 3.11, ``minors --json`` takes
+0.25 s at 7x6 and 1.3-1.8 s (66 MB) at 8x7, start-up included, so 9x8 would
+run for well over ten seconds and 10x9 and up for minutes or until memory
+runs out.  A larger family is refused before any determinant is computed."""
 
 
 def check_family_shape(rows, cols):
@@ -97,10 +98,8 @@ def maximal_minors(matrix: GenericMatrix) -> list:
     MINOR_COLS_LIMIT: entry i is det(drop row i+1), with no alternating
     sign."""
     check_family_shape(matrix.rows, matrix.cols)
-    return [
-        determinant_laplace(matrix.grid(drop_row=i), matrix.ring)
-        for i in range(1, matrix.rows + 1)
-    ]
+    rows = tuple(range(matrix.rows))
+    return [matrix.minor(rows[:i] + rows[i + 1 :]) for i in rows]
 
 
 def column_multidegree(f: Poly):
@@ -142,14 +141,11 @@ def laplace_strength_bound(matrix: GenericMatrix, drop_row: int) -> StrengthBoun
     """Strength bound n-1 for the minor dropping the given row (1-based),
     witnessed by first-column cofactor expansion."""
     n = matrix.cols
-    grid = matrix.grid(drop_row=drop_row)
+    rows = tuple(r for r in range(matrix.rows) if r != drop_row - 1)
+    if len(rows) != n:
+        raise ValueError(f"no minor drops row {drop_row} of a {matrix.rows}x{n} matrix")
     if n == 1:
         return StrengthBound(None, [])
-    ring = matrix.ring
-    products = []
-    for k in range(n):
-        sub = [row[1:] for j, row in enumerate(grid) if j != k]
-        cof = determinant_laplace(sub, ring)
-        lead = grid[k][0]
-        products.append((lead if k % 2 == 0 else -lead, cof))
-    return StrengthBound(n - 1, products)
+    leads = [matrix.entry(r + 1, 1) for r in rows]
+    cofactors = [matrix.minor(rows[:k] + rows[k + 1 :]) for k in range(n)]
+    return StrengthBound(n - 1, [(-g if k % 2 else g, h) for k, (g, h) in enumerate(zip(leads, cofactors))])

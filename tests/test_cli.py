@@ -181,7 +181,7 @@ def _leibniz_det(grid, ring):
 
 
 @pytest.mark.parametrize("field", ["q", "fp:7"])
-@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
 def test_minors_json_fields(capsys, rows, cols, field):
     assert run(["minors", "--matrix", f"{rows}x{cols}", "--field", field, "--json"]) == 0
     result = json.loads(_capture(capsys)[0])["result"]
@@ -1189,7 +1189,7 @@ def test_gb_intersect_of_dense_cubics_and_quadrics_is_their_product(tmp_path, ca
     draw = lambda rng: rng.randrange(1, 32003)
     cubics, quadrics = _dense_cubics(rng, ring, 3, draw), _dense_cubics(rng, ring, 3, draw, degree=2)
     gens = _intersect_files(tmp_path, capsys, dump_ideal_text(ring, cubics), dump_ideal_text(ring, quadrics), ring)
-    assert groebner.is_regular_sequence_direct(cubics + quadrics)
+    assert groebner.is_regular_sequence_direct(groebner.Ideal(ring, cubics + quadrics))
     # the products lie in the ideal of the result, which lies in I ∩ J = I·J
     basis = groebner.GroebnerBasis(ring, DEGREVLEX, gens)
     assert all(not groebner.normal_form(f * g, basis).terms for f in cubics for g in quadrics)
@@ -1264,11 +1264,10 @@ def test_regseq_on_dense_cubic_multiples_over_q_finds_the_common_cubic(tmp_path,
 @pytest.mark.parametrize(
     "text, code, counts",
     [
-        # the codim basis and the direct route's (f1, f2); the principal
-        # prefix (f1) has its Hilbert numerator 1 - t^d without a basis
-        (REGSEQ_PAIR_F7, 1, {"gcd": 1, "degrevlex": 2, "elimination": 0}),
-        # the codim basis and the direct route's one basis of (f1, f2, f3)
-        (REGSEQ_NET_F7, 0, {"gcd": 0, "degrevlex": 2, "elimination": 0}),
+        # one basis of (f1, f2), read by the direct route and the codim
+        (REGSEQ_PAIR_F7, 1, {"gcd": 1, "degrevlex": 1, "elimination": 0}),
+        # one basis of (f1, f2, f3), read by both routes
+        (REGSEQ_NET_F7, 0, {"gcd": 0, "degrevlex": 1, "elimination": 0}),
     ],
     ids=["pair", "net"],
 )

@@ -1,4 +1,4 @@
-"""Fuzzing of the ``quadric``, ``gb codim|dim|intersect|quotient``,
+"""Fuzzing of the ``quadric``, ``gb basis|codim|dim|intersect|quotient``,
 ``regseq``, ``minors`` and ``recheck`` commands: on random ``--diag``
 lists, small F_p form files, singular F_p pencils and nets, small Q
 pencils, small ideal files and pairs of them, systems of two or three
@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from formstrength.certificates import CLAIMS
 from formstrength.cli import run
-from formstrength.groebner import exact_divide, groebner_basis, normal_form
-from formstrength.orders import MAX_EXPONENT
+from formstrength.groebner import GroebnerBasis, exact_divide, groebner_basis, normal_form
+from formstrength.orders import MAX_EXPONENT, order_from_name
 from formstrength.parse import load_ideal_text, parse_poly
 
 PRIMES = (3, 5, 7, 11, 31)
@@ -236,6 +236,32 @@ def test_gb_codim_and_dim_on_an_ideal_file_exit_zero_or_two(tmp_path_factory, op
     assert rc == (2 if raised else 0), (text, rc)
 
 
+@SETTINGS
+@given(order=st.sampled_from(("degrevlex", "lex")), case=ideal_files(), as_json=st.booleans())
+def test_gb_basis_on_an_ideal_file_exits_zero_or_two(tmp_path_factory, order, case, as_json):
+    # an exponent past the packed-key limit is bad input (2); every other
+    # file gets a basis (0): each input generator reduces to zero modulo the
+    # printed basis, read in the same order, and each printed element
+    # modulo the degrevlex basis of the inputs
+    raised, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-ideal.txt"
+    path.write_text(text)
+    argv = ["gb", "basis", "--order", order, "--in", str(path)] + (["--json"] if as_json else [])
+    rc, out = _run(argv)
+    assert rc == (2 if raised else 0), (argv, text, rc)
+    if raised:
+        return
+    ring, gens = load_ideal_text(text)
+    printed = json.loads(out)["result"]["basis"] if as_json else load_ideal_text(out, ring)[1]
+    printed = [parse_poly(g, ring) if as_json else g for g in printed]
+    basis = GroebnerBasis(ring, order_from_name(order), printed)
+    for g in gens:
+        assert not normal_form(g, basis).terms, (argv, text, str(g))
+    reference = groebner_basis(gens, ring=ring)
+    for g in printed:
+        assert not normal_form(g, reference).terms, (argv, text, str(g))
+
+
 @st.composite
 def _polynomials(draw, n):
     """Text of 0 or 1 (one draw in six), or else a sum of one to three terms
@@ -261,49 +287,46 @@ def _generators(draw, n):
 
 
 @st.composite
-def ideal_pairs(draw):
-    """(n, conflict, first file, second file): ideals in one to three
-    variables over F_7 or Q, each of up to three generators from
-    ``_generators``, so the empty, zero and unit ideals and inhomogeneous
-    ones occur; now and then the second file's header names another number
-    of variables or another field (``conflict``)."""
+def ideal_pairs(draw, conflict=False):
+    """(n, first file, second file): ideals in one to three variables over
+    F_7 or Q, each of up to three generators from ``_generators``, so the
+    empty, zero and unit ideals and inhomogeneous ones occur.  Where
+    ``conflict``, the second file's header names another number of
+    variables or another field."""
     n = draw(st.integers(1, 3))
     field = draw(st.sampled_from(("fp:7", "q")))
     header = f"ring n={n} field={field}"
-    other = draw(st.sampled_from([header] * 3 + [f"ring n={n % 3 + 1} field={field}",
-                                                 f"ring n={n} field={'q' if field != 'q' else 'fp:7'}"]))
+    other = header
+    if conflict:
+        other = draw(st.sampled_from((f"ring n={n % 3 + 1} field={field}",
+                                      f"ring n={n} field={'q' if field != 'q' else 'fp:7'}")))
     first, second = ([head] + draw(_generators(n)) for head in (header, other))
-    return n, other != header, "\n".join(first) + "\n", "\n".join(second) + "\n"
+    return n, "\n".join(first) + "\n", "\n".join(second) + "\n"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(operation=st.sampled_from(("intersect", "quotient")), case=ideal_pairs(), data=st.data(),
-       as_json=st.booleans())
-def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_factory, operation, case, data,
-                                                                    as_json):
-    # intersect is refused (2) where the second file's ring conflicts with
-    # the first; quotient where --f is missing, 0 or names a variable past
-    # the ring; every other pair is decided (0), and then each intersection
-    # generator lies in both ideals and each quotient generator times f in
-    # the first
-    n, conflict, first, second = case
+def _gb_pair_argv(tmp_path_factory, operation, first, second, as_json):
+    """The ``gb`` command line on the two files, without --f."""
     paths = [tmp_path_factory.getbasetemp() / f"fuzz-gb-{k}.txt" for k in (1, 2)]
     for path, text in zip(paths, (first, second)):
         path.write_text(text)
     argv = ["gb", operation, "--in", str(paths[0])] + (["--json"] if as_json else [])
-    if operation == "intersect":
-        refused = conflict
-        argv += ["--in2", str(paths[1])]
-    else:
-        divisor = data.draw(st.sampled_from((None, f"x{n + 1}") + ("f",) * 4))
-        if divisor == "f":
-            divisor = data.draw(_polynomials(n))
-        refused = divisor in (None, "0", f"x{n + 1}")
-        argv += [] if divisor is None else ["--f", divisor]
+    return argv + (["--in2", str(paths[1])] if operation == "intersect" else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(operation=st.sampled_from(("intersect", "quotient")), case=ideal_pairs(), data=st.data(),
+       as_json=st.booleans())
+def test_gb_intersect_and_quotient_on_small_ideals_exit_zero(tmp_path_factory, operation, case, data, as_json):
+    # with one ring for both files and a nonzero --f of that ring, every
+    # pair is decided (0), and then each intersection generator lies in
+    # both ideals and each quotient generator times f in the first
+    n, first, second = case
+    argv = _gb_pair_argv(tmp_path_factory, operation, first, second, as_json)
+    if operation == "quotient":
+        divisor = data.draw(_polynomials(n).filter(lambda text: text != "0"))
+        argv += ["--f", divisor]
     rc, out = _run(argv)
-    assert rc == (2 if refused else 0), (argv, first, second, rc)
-    if refused:
-        return
+    assert rc == 0, (argv, first, second, rc)
     ring, gens = load_ideal_text(first)
     printed = json.loads(out)["result"]["generators"] if as_json else load_ideal_text(out, ring)[1]
     printed = [parse_poly(g, ring) if as_json else g for g in printed]
@@ -315,6 +338,24 @@ def test_gb_intersect_and_quotient_on_small_ideals_exit_zero_or_two(tmp_path_fac
         basis = groebner_basis(ideal, ring=ring)
         for g in printed:
             assert not normal_form(g, basis).terms, (argv, first, second, str(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(operation=st.sampled_from(("intersect", "quotient")), case=ideal_pairs(conflict=True), data=st.data(),
+       as_json=st.booleans())
+def test_gb_intersect_and_quotient_refuse_a_ring_conflict_or_a_bad_divisor(tmp_path_factory, operation, case,
+                                                                          data, as_json):
+    # intersect is refused (2) where the second file's ring conflicts with
+    # the first; quotient where --f is missing, 0 or names a variable past
+    # the ring, alone or in a sum
+    n, first, second = case
+    argv = _gb_pair_argv(tmp_path_factory, operation, first, second, as_json)
+    if operation == "quotient":
+        past = f"x{n + 1}"
+        divisor = data.draw(st.sampled_from((None, "0", past)) | _polynomials(n).map(lambda text: f"{text} + {past}"))
+        argv += [] if divisor is None else ["--f", divisor]
+    rc, _ = _run(argv)
+    assert rc == 2, (argv, first, second, rc)
 
 
 @st.composite

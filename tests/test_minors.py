@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from formstrength.minors import (
     maximal_minors,
 )
 from formstrength.parse import parse_poly
+from formstrength.poly import Poly
 
 DELTA1 = (
     "x2_1*x3_2*x4_3 - x2_1*x3_3*x4_2 - x2_2*x3_1*x4_3"
@@ -37,8 +39,9 @@ def test_determinant_rejects_non_square():
 
 def test_delta1_is_the_six_term_cubic():
     m = GenericMatrix(4, 3, QQ)
-    det = determinant_laplace(m.grid(drop_row=1), m.ring)
+    det = determinant_laplace(m.grid()[1:], m.ring)
     assert det == parse_poly(DELTA1, m.ring)
+    assert maximal_minors(m)[0] == det
 
 
 def _expand_along_row(grid, k, ring):
@@ -135,19 +138,49 @@ def test_laplace_strength_bound_witnesses():
     bound = laplace_strength_bound(m2, 1)
     assert bound.bound is None and bound.products == []
 
-    m3 = GenericMatrix(3, 2, QQ)
-    bound = laplace_strength_bound(m3, 1)
-    assert bound.bound == 1
-    assert len(bound.products) == 2
-    assert bound.reconstruct(m3.ring) == maximal_minors(m3)[0]
+    for n in range(2, 6):
+        matrix = GenericMatrix(n + 1, n, QQ)
+        minors = maximal_minors(matrix)
+        for i in range(1, n + 2):
+            bound = laplace_strength_bound(matrix, i)
+            assert bound.bound == n - 1
+            assert len(bound.products) == n
+            # each product is a first-column entry times a cofactor free of
+            # the first column, so the witness has strength at most n - 1
+            for lead, cofactor in bound.products:
+                assert column_multidegree(lead) == (1,) + (0,) * (n - 1)
+                assert column_multidegree(cofactor) == (0,) + (1,) * (n - 1)
+            assert bound.reconstruct(matrix.ring) == minors[i - 1]
 
-    m4 = GenericMatrix(4, 3, QQ)
-    minors = maximal_minors(m4)
-    for i in range(1, 5):
-        bound = laplace_strength_bound(m4, i)
-        assert bound.bound == 2
-        assert len(bound.products) == 3
-        assert bound.reconstruct(m4.ring) == minors[i - 1]
+
+def test_laplace_strength_bound_refuses_a_row_or_shape_outside_the_family():
+    matrix = GenericMatrix(4, 3, QQ)
+    for row in (0, 5):
+        with pytest.raises(ValueError):
+            laplace_strength_bound(matrix, row)
+    with pytest.raises(ValueError):
+        laplace_strength_bound(GenericMatrix(3, 3, QQ), 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_minors_and_cofactor_witnesses_read_one_laplace_table(monkeypatch, n):
+    # one table of the (n+1) x n grid expands each set of s >= 2 rows once,
+    # with s products, so the minors and all n + 1 witnesses together cost
+    # sum_s s * C(n+1, s): 24, 70 and 180 (expanded per minor and per
+    # cofactor, they cost 60, 320 and 1290)
+    calls = [0]
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    matrix = GenericMatrix(n + 1, n, QQ)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    maximal_minors(matrix)
+    for i in range(1, n + 2):
+        laplace_strength_bound(matrix, i)
+    assert calls[0] == sum(s * comb(n + 1, s) for s in range(2, n + 1))
 
 
 def test_codim_two_checks():
