@@ -24,7 +24,6 @@ import sys
 from .domains import GF, QQ, domain_from_name
 from .groebner import (
     Ideal,
-    _check_regseq_input,
     codimension,
     dimension,
     groebner_basis,
@@ -175,9 +174,8 @@ def cmd_regseq(args):
     ring, polys = _load_system(args)
     if not polys:
         raise ValueError("the input system is empty")
-    _check_regseq_input(polys)
     ideal = Ideal(ring, polys)
-    direct = is_regular_sequence_direct(ideal)
+    direct = is_regular_sequence_direct(polys, ideal)
     codim = codimension(ideal)
     by_codim = codim == len(polys)
     result = {

@@ -724,17 +724,17 @@ def is_regular_sequence_codim(fs) -> bool:
     return codimension(ideal) == len(fs)
 
 
-def is_regular_sequence_direct(ideal: Ideal) -> bool:
-    """Definition-based test by Hilbert series, from the degrevlex basis that
-    ``codimension`` of the same ideal reads (refuse zero forms before building
-    it: ``Ideal`` drops them): its r generators, forms of degrees d_i, are a
-    regular sequence exactly when r ≤ n and N(R/(f_1, ..., f_r)) = CI_r =
-    ∏_(i ≤ r) (1 - t^d_i) (Stanley, Adv. Math. 28, 1978).  For I = (f_1, ...,
-    f_i) and f = f_(i+1) of degree d, the exact sequence 0 → (R/(I : f))(-d)
-    → R/I → R/(I + f) → 0 gives HS(R/(I + f)) = HS(R/I) - t^d·HS(R/(I : f)),
-    and I ⊆ I : f gives HS(R/(I : f)) ≤ HS(R/I) coefficientwise, with
-    equality iff I : f = I, that is iff f is a nonzerodivisor mod I.  No
-    elimination, quotient or gcd is needed.
+def is_regular_sequence_direct(fs, ideal: Ideal | None = None) -> bool:
+    """Definition-based test by Hilbert series, from one degrevlex basis: r
+    forms of degrees d_i are a regular sequence exactly when r ≤ n and
+    N(R/(f_1, ..., f_r)) = CI_r = ∏_(i ≤ r) (1 - t^d_i) (Stanley, Adv. Math.
+    28, 1978).  For I = (f_1, ..., f_i) and f = f_(i+1) of degree d, the
+    exact sequence 0 → (R/(I : f))(-d) → R/I → R/(I + f) → 0 gives
+    HS(R/(I + f)) = HS(R/I) - t^d·HS(R/(I : f)), and I ⊆ I : f gives
+    HS(R/(I : f)) ≤ HS(R/I) coefficientwise, with equality iff I : f = I,
+    that is iff f is a nonzerodivisor mod I.  No elimination, quotient or
+    gcd is needed.  The basis is that of ``ideal``, if given: the Ideal of
+    exactly the forms fs, in order, whose basis a caller reads again.
 
     * Regular ⇒ equal numerators: each step multiplies N by (1 - t^d).
     * Equal numerators ⇒ regular, for r ≤ n: let D_i be the coefficients of
@@ -747,8 +747,10 @@ def is_regular_sequence_direct(ideal: Ideal) -> bool:
     * r > n is never regular: were f_1, ..., f_(n+1) regular, HS(R/(f_1,
       ..., f_(n+1))) = (1 - t^d)·∏_(i ≤ n) (1 + t + ... + t^(d_i - 1)) would
       have the coefficient -1 at its top degree."""
-    _check_regseq_input(ideal.gens)
-    if len(ideal.gens) > ideal.ring.nvars:
+    _check_regseq_input(fs)
+    if ideal is not None and ideal.gens != list(fs):
+        raise ValueError("the ideal is not generated by the forms")
+    if len(fs) > fs[0].ring.nvars:
         return False
-    num = _numerator(ideal)
-    return not any(_add_shifted(num, _ci_numerator(f.degree() for f in ideal.gens), 0, -1))
+    num = _numerator(ideal or Ideal(fs[0].ring, fs))
+    return not any(_add_shifted(num, _ci_numerator(f.degree() for f in fs), 0, -1))

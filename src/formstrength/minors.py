@@ -146,6 +146,5 @@ def laplace_strength_bound(matrix: GenericMatrix, drop_row: int) -> StrengthBoun
         raise ValueError(f"no minor drops row {drop_row} of a {matrix.rows}x{n} matrix")
     if n == 1:
         return StrengthBound(None, [])
-    leads = [matrix.entry(r + 1, 1) for r in rows]
-    cofactors = [matrix.minor(rows[:k] + rows[k + 1 :]) for k in range(n)]
-    return StrengthBound(n - 1, [(-g if k % 2 else g, h) for k, (g, h) in enumerate(zip(leads, cofactors))])
+    pairs = [(matrix.entry(r + 1, 1), matrix.minor(rows[:k] + rows[k + 1 :])) for k, r in enumerate(rows)]
+    return StrengthBound(n - 1, [(-g if k % 2 else g, h) for k, (g, h) in enumerate(pairs)])

@@ -255,7 +255,7 @@ def test_criterion_5_regular_sequence_oracle_equivalence(capsys):
             for _ in range(rng.randint(1, min(3, n)))
         ]
         via_codim = is_regular_sequence_codim(fs)
-        via_quotients = is_regular_sequence_direct(Ideal(fs[0].ring, fs))
+        via_quotients = is_regular_sequence_direct(fs)
         if via_codim != via_quotients:
             disagreements.append([str(f) for f in fs])
 
@@ -270,7 +270,7 @@ def test_criterion_5_regular_sequence_oracle_equivalence(capsys):
     named.append((maximal_minors(GenericMatrix(4, 3, GF(7)))[:3], False))
     for fs, expected in named:
         via_codim = is_regular_sequence_codim(fs)
-        via_quotients = is_regular_sequence_direct(Ideal(fs[0].ring, fs))
+        via_quotients = is_regular_sequence_direct(fs)
         if not (via_codim == via_quotients == expected):
             disagreements.append([str(f) for f in fs])
 

@@ -15,6 +15,7 @@ from formstrength.certificates import (
     certify_small_r,
     recheck_certificate,
 )
+import formstrength.minors as minors
 from formstrength.domains import GF, QQ
 from formstrength.groebner import Ideal, codimension
 from formstrength.minors import GenericMatrix, determinant_laplace, maximal_minors
@@ -63,6 +64,29 @@ def test_n33_exclusion_row_counts():
         "exclusion_same_column": 10,
         "exclusion_skew": 11,
     }
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (certify_n32_lower, "cofactor_expansion_gives_strength_at_most_1"),
+        (certify_n33, "cofactor_expansion_gives_strength_at_most_2"),
+    ],
+)
+def test_cofactor_subverdict_fails_on_a_consistently_wrong_laplace_table(monkeypatch, build, name):
+    # a matrix table whose last column is doubled gives wrong minors and
+    # wrong cofactors that still add up to each other; only the fresh
+    # expansion of each minor's square grid sees it
+    table = minors._laplace_table
+
+    def doubled_last_column(grid, ring):
+        if len(grid) == len(grid[0]):
+            return table(grid, ring)
+        return table([row[:-1] + [row[-1] + row[-1]] for row in grid], ring)
+
+    assert {v.name: v.passed for v in build().subverdicts}[name]
+    monkeypatch.setattr(minors, "_laplace_table", doubled_last_column)
+    assert not {v.name: v.passed for v in build().subverdicts}[name]
 
 
 def test_tampered_family_fails_the_rank_scan():

@@ -1189,7 +1189,7 @@ def test_gb_intersect_of_dense_cubics_and_quadrics_is_their_product(tmp_path, ca
     draw = lambda rng: rng.randrange(1, 32003)
     cubics, quadrics = _dense_cubics(rng, ring, 3, draw), _dense_cubics(rng, ring, 3, draw, degree=2)
     gens = _intersect_files(tmp_path, capsys, dump_ideal_text(ring, cubics), dump_ideal_text(ring, quadrics), ring)
-    assert groebner.is_regular_sequence_direct(groebner.Ideal(ring, cubics + quadrics))
+    assert groebner.is_regular_sequence_direct(cubics + quadrics)
     # the products lie in the ideal of the result, which lies in I ∩ J = I·J
     basis = groebner.GroebnerBasis(ring, DEGREVLEX, gens)
     assert all(not groebner.normal_form(f * g, basis).terms for f in cubics for g in quadrics)

@@ -347,7 +347,7 @@ def test_direct_route_on_dense_regular_triples_runs_no_elimination(monkeypatch, 
     monkeypatch.setattr(groebner, "_reduce_terms", counted)
     for name in ("ideal_intersection", "ideal_quotient"):
         monkeypatch.setattr(groebner, name, refused)
-    assert is_regular_sequence_direct(Ideal(ring, forms))
+    assert is_regular_sequence_direct(forms)
     assert packings and all(pk is grevlex for pk in packings)
 
 
@@ -372,7 +372,7 @@ def test_direct_route_builds_one_basis_of_up_to_n_forms_and_none_past_n(monkeypa
         planted = [x1 * random_homogeneous(rng, ring, 1) for _ in range(r)]
         for forms, verdict in ((regular, r <= n), (planted, r == 1)):
             orders.clear()
-            assert is_regular_sequence_direct(Ideal(ring, forms)) is verdict, (r, forms)
+            assert is_regular_sequence_direct(forms) is verdict, (r, forms)
             assert orders == ([DEGREVLEX] if 2 <= r <= n else []), r
 
 

@@ -20,14 +20,14 @@ def test_coordinates_are_regular():
     ring = Ring.flat(3, QQ)
     xs = ring.gens()
     assert is_regular_sequence_codim(xs)
-    assert is_regular_sequence_direct(Ideal(ring, xs))
+    assert is_regular_sequence_direct(xs)
 
 
 def test_common_factor_fails():
     ring = Ring.flat(2, QQ)
     x, y = ring.gens()
     assert not is_regular_sequence_codim([x, x * y])
-    assert not is_regular_sequence_direct(Ideal(ring, [x, x * y]))
+    assert not is_regular_sequence_direct([x, x * y])
 
 
 def test_planted_common_factor_fails_direct():
@@ -38,13 +38,13 @@ def test_planted_common_factor_fails_direct():
         h2 = random_homogeneous(rng, ring, 2, max_terms=2)
         x1 = ring.var(0)
         fs = [x1 * h1, x1 * h2]
-        assert not is_regular_sequence_direct(Ideal(ring, fs))
+        assert not is_regular_sequence_direct(fs)
         assert not is_regular_sequence_codim(fs)
 
 
 def test_minor_triples_are_not_regular(minors_3x2_q, minors_4x3_f7):
     assert not is_regular_sequence_codim(minors_3x2_q)
-    assert not is_regular_sequence_direct(Ideal(minors_3x2_q[0].ring, minors_3x2_q))
+    assert not is_regular_sequence_direct(minors_3x2_q)
     assert not is_regular_sequence_codim(minors_4x3_f7[:3])
 
 
@@ -54,9 +54,32 @@ def test_zero_and_inhomogeneous_inputs_rejected():
     with pytest.raises(ValueError):
         is_regular_sequence_codim([x, ring.zero()])
     with pytest.raises(ValueError):
-        is_regular_sequence_direct(Ideal(ring, [x + ring.one(), y]))
+        is_regular_sequence_direct([x + ring.one(), y])
     with pytest.raises(ValueError):
         is_regular_sequence_codim([ring.const(QQ(2))])
+
+
+def test_direct_test_refuses_a_zero_form_also_with_its_ideal():
+    # Ideal drops zero generators, so the forms themselves are checked
+    ring = Ring.flat(2, QQ)
+    x, y = ring.gens()
+    forms = [x, ring.zero()]
+    for ideal in (None, Ideal(ring, forms)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            is_regular_sequence_direct(forms, ideal)
+
+
+def test_direct_test_reads_the_basis_of_the_given_ideal_of_its_forms():
+    ring = Ring.flat(3, GF(7))
+    x1, x2, x3 = ring.gens()
+    forms = [x1 * x2, x1 * x3]
+    ideal = Ideal(ring, forms)
+    assert not is_regular_sequence_direct(forms, ideal)
+    basis = ideal.groebner()
+    assert not is_regular_sequence_direct(forms, ideal) and ideal.groebner() is basis
+    for other in ([x1 * x3, x1 * x2], [x1 * x2]):
+        with pytest.raises(ValueError, match="not generated by the forms"):
+            is_regular_sequence_direct(other, ideal)
 
 
 def test_direct_test_never_reaches_the_gcd(monkeypatch):
@@ -68,10 +91,10 @@ def test_direct_test_never_reaches_the_gcd(monkeypatch):
         monkeypatch.setattr(polygcd, name, no_gcd)
     ring = Ring.flat(3, GF(7))
     x1, x2, x3 = ring.gens()
-    assert is_regular_sequence_direct(Ideal(ring, [x1 * x1, x2 * x2]))
-    assert not is_regular_sequence_direct(Ideal(ring, [x1 * x2, x1 * x3]))
-    assert is_regular_sequence_direct(Ideal(ring, [x1, x2 * x2, x3 * x3 * x3]))
-    assert not is_regular_sequence_direct(Ideal(ring, [x1 * x2, x2 * x3, x1 * x3]))
+    assert is_regular_sequence_direct([x1 * x1, x2 * x2])
+    assert not is_regular_sequence_direct([x1 * x2, x1 * x3])
+    assert is_regular_sequence_direct([x1, x2 * x2, x3 * x3 * x3])
+    assert not is_regular_sequence_direct([x1 * x2, x2 * x3, x1 * x3])
 
 
 def test_direct_and_codim_agree_on_random_systems():
@@ -83,7 +106,7 @@ def test_direct_and_codim_agree_on_random_systems():
             random_homogeneous(rng, ring, rng.randint(1, 2))
             for _ in range(rng.randint(1, min(3, n)))
         ]
-        assert is_regular_sequence_codim(fs) == is_regular_sequence_direct(Ideal(ring, fs))
+        assert is_regular_sequence_codim(fs) == is_regular_sequence_direct(fs)
 
 
 def test_codim_verdict_is_permutation_invariant():
