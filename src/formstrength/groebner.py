@@ -56,6 +56,7 @@ criteria, and where a basis's elements are first read.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import comb
 
 from .orders import DEGREVLEX, MAX_EXPONENT, KeyWidthError, packing
@@ -164,11 +165,19 @@ def _reduce_terms(work, reducers, pk, dom, quotient=None):
     lead divides it, else to the remainder.  With a ``quotient`` dict (one
     reducer) the quotient terms are recorded in it and the first lead that
     is not divisible raises GroebnerError.
+
+    The keys pop in increasing order, and a monomial's divisors have keys
+    at least its own (a proper multiple has a smaller key), so the reducers
+    at the front of the list whose lead keys are below the popped key are
+    passed over, for it and every later key.  With the leads in increasing
+    key order, as an engine basis holds them (``_reduced``), a lead is
+    tried only against the reducers that might divide it.
     """
     heap = list(work)
     heapify(heap)
     mask, guard = pk.mask, pk.guard
     p = dom.characteristic
+    size, skip = len(reducers), 0
     remainder = {}
     while heap:
         k = heappop(heap)
@@ -178,7 +187,9 @@ def _reduce_terms(work, reducers, pk, dom, quotient=None):
         v = k & mask
         if v & guard:
             raise KeyWidthError(f"exponent above {MAX_EXPONENT}, the packed key limit")
-        for lk, lv, tail in reducers:
+        while skip < size and reducers[skip][0] < k:
+            skip += 1
+        for lk, lv, tail in islice(reducers, skip, None) if skip else reducers:
             if (v - lv) & guard:
                 continue
             q = k - lk
@@ -644,7 +655,11 @@ def _meet_in_degree(I, J, k, leads):
     NF_J(v) times y: those terms, of degree k + 1, lead, and such a lead
     divides no other monomial.  So the division kernel row-reduces the
     pairs, sparsest first, on their first part, the rows kept so far as
-    reducers; a row left without y is a kernel vector."""
+    reducers; a row left without y is a kernel vector.  The reducers are
+    kept by lead, and a row is divided only by those whose leads it holds,
+    in increasing key order, again while it holds any: no other reducer
+    acts on it, and the remainder is the row less the one combination of
+    the reducers that clears their leads, whatever the order."""
     ring = I.ring
     n, dom = ring.nvars, ring.domain
     bases = [I.groebner(), J.groebner()]
@@ -659,13 +674,15 @@ def _meet_in_degree(I, J, k, leads):
             v = mono - normal_form(mono, bases[0])
             row = {pk.key(t + (0,)) + y: c for t, c in normal_form(v, bases[1]).terms.items()}
             rows.append(row | {pk.key(t + (0,)): c for t, c in v.terms.items()})
-    reducers, kernel = [], []
+    reducers, kernel = {}, []
     for row in sorted(rows, key=len):
-        rest = _reduce_terms(row, reducers, pk, dom)
-        if pk.monomial(min(rest))[n]:
-            reducers.append(_reducer(rest, pk, dom))
+        while hits := sorted(reducers[t] for t in row if t in reducers):
+            row = _reduce_terms(row, hits, pk, dom)
+        lead = min(row)
+        if pk.monomial(lead)[n]:
+            reducers[lead] = _reducer(row, pk, dom)
         else:
-            kernel.append(Poly(ring, {pk.monomial(t)[:n]: c for t, c in rest.items()}, _clean=False))
+            kernel.append(Poly(ring, {pk.monomial(t)[:n]: c for t, c in row.items()}, _clean=False))
     return kernel
 
 

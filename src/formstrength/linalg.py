@@ -145,7 +145,7 @@ def gram_diagonal(a, p):
                 row = a[r]
                 row[k] = (row[k] + row[j]) % p if p else row[k] + row[j]
         live.remove(k)
-        span = live + tail
+        span = live + tail if tail else live
         prow = a[k]
         d = prow[k]
         out.append(d)

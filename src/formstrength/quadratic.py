@@ -11,7 +11,7 @@ the one-sided primality certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, prod
 
 from .domains import GF, PrimeField
@@ -39,16 +39,20 @@ class DegenerateFormError(ValueError):
 
 
 _GRAM_SLOTS = {}
-"""Exponent tuple -> Gram slot (i, j), i <= j, of each quadratic monomial
-``_gram_slot`` has seen, one entry per monomial of degree 2 in the rings
-used.  Over the 59048 nonzero quadrics in 4 variables over F_3,
-``QuadraticForm.from_poly`` took a median 3.8 us per form with it and
-5.6 us without (nine interleaved runs, Python 3.11 on a 2-core machine)."""
+"""Exponent tuple -> Gram slot (i, j), i <= j, of each quadratic monomial in
+at most 16 variables that ``_gram_slot`` has seen.  Those are at most 816
+tuples (n(n + 1)/2 for each n <= 16), so the cache does not grow with the
+forms a process reads; a larger form's slots are found afresh on each call
+(0.6 s for a dense form in 300 variables, as its first call took with the
+cache).  Over the 59048 nonzero quadrics in 4 variables over F_3,
+``QuadraticForm.from_poly`` took a median 5.0 us per form with it and
+7.9 us without (nine interleaved runs, Python 3.11 on a 2-core machine)."""
 
 
 def _gram_slot(m):
     """The Gram slot (i, j), i <= j, of the monomial with exponents m, kept
-    in _GRAM_SLOTS; raises ValueError unless m has degree 2."""
+    in _GRAM_SLOTS for a ring of at most 16 variables; raises ValueError
+    unless m has degree 2."""
     if sum(m) != 2:
         raise ValueError("not a homogeneous quadratic form")
     if 2 in m:
@@ -56,7 +60,8 @@ def _gram_slot(m):
     else:
         i = m.index(1)
         j = m.index(1, i + 1)
-    _GRAM_SLOTS[m] = i, j
+    if len(m) <= 16:
+        _GRAM_SLOTS[m] = i, j
     return i, j
 
 
@@ -70,12 +75,13 @@ FORM_VARIABLES_LIMIT = 300
 entries, so at n = 30000 a two-term form would ask for 9·10^8 of them; a
 form in more variables is refused with ValueError (``check_form_variables``)
 before any Gram matrix is built.  On a 2-core machine with Python 3.11,
-``quadric rank`` on a dense form over F_7 took 2.4 s at n = 300 (0.6 s
-parsing, 0.7 s ``from_poly``, 0.8 s rank), 5.1 s at n = 400 and 10.3 s at
-n = 500; on a diagonal form over Q given by ``--diag`` it took 0.4 s at
-n = 500 and 3.2 s at n = 2000.  Over Q the entries of a dense form grow as
-it is diagonalized, so n alone does not bound its time: with coefficients
-1..6 a dense form took 3.0 s at n = 100 and 10.9 s at n = 150."""
+``quadric rank`` on a dense form over F_7 took 1.4 s at n = 300; timed one
+by one in a fresh process, parsing took 0.5-0.7 s, ``from_poly`` 0.6 s and
+the rank 0.8 s there, and 1.5 s, 0.9 s and 1.3 s at n = 400.  A diagonal
+form over Q ranked in 0.15 s at n = 500 and 2.6 s at n = 2000.  Over Q the
+entries of a dense form grow as it is diagonalized, so n alone does not
+bound its time: with coefficients 1..6 ``quadric rank`` on a dense form
+took 1.6 s at n = 100 and 9.8 s at n = 150."""
 
 
 def check_form_variables(n):
@@ -122,21 +128,26 @@ class QuadraticForm:
         """Gram matrix of a homogeneous degree-2 polynomial (or zero).
 
         A term dict holds each monomial once, so each entry is assigned from
-        the monomial's Gram slot (see ``_gram_slot``), never accumulated;
-        the matrix is n x n and symmetric by construction, so the
-        constructor's checks are not run again."""
+        the monomial's Gram slot (see ``_gram_slot``), never accumulated.
+        The entries are filled with plain operators, as ``linalg`` works:
+        over F_p ints in [0, p), a cross term c as c * (p + 1)/2 mod p, and
+        over Q ``Fraction``s, c * 1/2.  The matrix is n x n and symmetric by
+        construction, so the constructor's checks are not run again."""
         ring = f.ring
-        dom = ring.domain
-        _check_char(dom)
+        _check_char(ring.domain)
         n = ring.nvars
-        half = dom.inv(dom.from_int(2))
-        gram = [[dom.zero] * n for _ in range(n)]
+        p = ring.domain.characteristic
+        half, zero = ((p + 1) // 2, 0) if p else (Fraction(1, 2), Fraction(0))
+        gram = list(map(list, repeat([zero] * n, n)))
+        slots = _GRAM_SLOTS
         for m, c in f.terms.items():
-            i, j = _GRAM_SLOTS.get(m) or _gram_slot(m)
+            i, j = slots.get(m) or _gram_slot(m)
             if i == j:
                 gram[i][i] = c
+            elif p:
+                gram[i][j] = gram[j][i] = c * half % p
             else:
-                gram[i][j] = gram[j][i] = dom.mul(c, half)
+                gram[i][j] = gram[j][i] = c * half
         form = cls.__new__(cls)
         form.ring = ring
         form.gram = gram
@@ -168,7 +179,7 @@ class QuadraticForm:
     def rank(self) -> int:
         """Rank of the Gram matrix: the number of entries of a congruence
         diagonalization of a copy (see ``linalg.gram_diagonal``)."""
-        return len(gram_diagonal([list(row) for row in self.gram], self.domain.characteristic))
+        return len(gram_diagonal(list(map(list, self.gram)), self.ring.domain.characteristic))
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
         """Image over F_p, on the same variables; raises ZeroDivisionError

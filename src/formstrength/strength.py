@@ -32,7 +32,7 @@ products.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 
 from .domains import PrimeField
 from .groebner import Ideal, normal_form
@@ -118,13 +118,14 @@ _CODE_CACHE: dict = {}
 
 def _digit_sum_rows(p, w):
     """rows[a][b] = a + b digit by digit mod p, for a, b < p^w."""
+    low = [[(a + b) % p for b in range(p)] for a in range(p)]  # one digit
     rows = [[0]]
     for _ in range(w):
         # prepend a low digit to every code of the previous width
         rows = [
-            [(lo + b) % p + p * h for h in rows[hi] for b in range(p)]
-            for hi in range(len(rows))
-            for lo in range(p)
+            [s + h for h in shifted for s in sums]
+            for shifted in ([p * h for h in row] for row in rows)
+            for sums in low
         ]
     return rows
 
@@ -168,18 +169,16 @@ class _QuadricCodes:
         base = p**w
         rows = _digit_sum_rows(p, w)
         chunks = -(-m // w)
+        shifts = [base**c for c in range(chunks)]
         self._base = base
         # chunk c's table holds its sums already shifted into place
-        self._tables = [rows] + [
-            [[x * base**c for x in row] for row in rows] for c in range(1, chunks)
-        ]
-        self._columns = [[q // base**c % base for q in products] for c in range(chunks)]
+        self._tables = [rows] + [[[x * shift for x in row] for row in rows] for shift in shifts[1:]]
+        self._columns = [[q // shift % base for q in products] for shift in shifts]
         self._le_one = None
 
     def code(self, terms):
         """Code of a term dict; KeyError on a monomial that is not quadratic."""
-        weights = self.weights
-        return sum(c * weights[mono] for mono, c in terms.items())
+        return sum(map(mul, terms.values(), map(self.weights.__getitem__, terms)))
 
     def sums(self, code):
         """code + q digit by digit mod p, for every product q."""

@@ -1,11 +1,12 @@
 """Fuzzing of the ``quadric``, ``gb basis|codim|dim|intersect|quotient``,
-``regseq``, ``minors`` and ``recheck`` commands: on random ``--diag``
-lists, small F_p form files, singular F_p pencils and nets, small Q
-pencils, small ideal files and pairs of them, systems of two or three
-forms, ``--matrix`` shapes and golden certificates with one field changed,
-every operation passes (0), fails a verdict (1) or refuses the invocation
-(2) within CASE_SECONDS, and never reports an internal error (3).  The
-inputs are written here as text, without the package's own formatter."""
+``regseq``, ``minors``, ``certify`` and ``recheck`` commands: on random
+``--diag`` lists, small F_p form files, singular F_p pencils and nets,
+small Q pencils, small ideal files and pairs of them, systems of two or
+three forms, ``--matrix`` shapes, certificates built with any seed and a
+small ``--p`` and golden certificates with one field changed, every
+operation passes (0), fails a verdict (1) or refuses the invocation (2)
+within CASE_SECONDS, and never reports an internal error (3).  The inputs
+are written here as text, without the package's own formatter."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from formstrength.certificates import CLAIMS
+from formstrength.certificates import BUILDERS, CLAIMS
 from formstrength.cli import run
 from formstrength.groebner import GroebnerBasis, exact_divide, groebner_basis, normal_form
 from formstrength.orders import MAX_EXPONENT, order_from_name
@@ -490,3 +491,21 @@ def test_recheck_of_a_mutated_certificate_exits_zero_one_or_two(tmp_path_factory
         assert rc in (1, 2)
     elif field == "environment":
         assert rc == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BUILDERS)), seed=st.integers(-5, 10**6),
+       p=st.sampled_from((None, 0, 1, 2, 4) + PRIMES + (13, 101)), as_json=st.booleans())
+@example(name="n32-upper", seed=0, p=3, as_json=True)
+def test_certify_with_any_seed_and_a_small_p_exits_zero_one_or_two(tmp_path_factory, name, seed, p, as_json):
+    # 0, 1 and 4 are no field and are refused (2), as is 2 where the
+    # certificate needs quadratic forms; a certificate printed with --json,
+    # passed (0) or failed (1), is rebuilt byte for byte by recheck
+    argv = ["certify", name, "--seed", str(seed)] + ([] if p is None else ["--p", str(p)])
+    rc, out = _run(argv + (["--json"] if as_json else []))
+    if p in (0, 1, 4):
+        assert rc == 2, argv
+    if as_json and rc != 2:
+        path = tmp_path_factory.getbasetemp() / "fuzz-certify.json"
+        path.write_text(out)
+        assert _run(["recheck", str(path)])[0] == 0, argv

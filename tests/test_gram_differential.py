@@ -1,6 +1,8 @@
 """``QuadraticForm.from_poly`` agrees with a reference that accumulates every
-term into the Gram matrix and builds the form through the checking
-constructor: same matrix, same round trip, same refusals."""
+term into the Gram matrix through the domain's methods and builds the form
+through the checking constructor: same matrix, same round trip, same
+refusals; over every quadric of the small fields, ``rank`` agrees with the
+row-echelon ``linalg.mat_rank`` too."""
 
 import random
 from fractions import Fraction
@@ -8,7 +10,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from formstrength.domains import GF, QQ
+from formstrength.domains import GF, QQ, PrimeField, Rationals
+from formstrength.linalg import mat_rank
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 from formstrength.quadratic import QuadraticForm
@@ -51,11 +54,41 @@ def _check(f):
     assert q.to_poly() == f
 
 
-def test_every_quadric_over_f3_in_three_variables():
-    ring = Ring.flat(3, GF(3))
-    monos = _monomials(3)
-    for coeffs in product(range(3), repeat=len(monos)):
-        _check(Poly(ring, dict(zip(monos, coeffs))))
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 3)])
+def test_every_quadric_over_a_small_field(p, n):
+    # (3, 4): the 3^10 quadrics the brute-force strength oracle is run on
+    ring = Ring.flat(n, GF(p))
+    monos = _monomials(n)
+    ranks = set()
+    for coeffs in product(range(p), repeat=len(monos)):
+        f = Poly(ring, dict(zip(monos, coeffs)))
+        q = QuadraticForm.from_poly(f)
+        assert q == ref_from_poly(f)
+        assert q.to_poly() == f
+        rank = q.rank()
+        assert rank == mat_rank(q.gram, ring.domain)
+        ranks.add(rank)
+    assert ranks == set(range(n + 1))
+
+
+@pytest.mark.parametrize("field", ["fp:7", "q"])
+def test_from_poly_fills_the_matrix_without_domain_methods(monkeypatch, field):
+    dom = QQ if field == "q" else GF(7)
+    rng = random.Random(field)
+    ring = Ring.flat(5, dom)
+    polys = []
+    for _ in range(30):
+        terms = {m: dom(rng.randint(-9, 9), rng.randint(1, 4)) for m in _monomials(5) if rng.random() < 0.5}
+        polys.append(Poly(ring, terms))
+    refs = [ref_from_poly(f) for f in polys]
+
+    def refused(*args):
+        raise AssertionError("from_poly called a domain method")
+
+    for cls in (PrimeField, Rationals):
+        for name in ("mul", "inv", "from_int"):
+            monkeypatch.setattr(cls, name, refused)
+    assert [QuadraticForm.from_poly(f) for f in polys] == refs
 
 
 @pytest.mark.parametrize("n", range(1, 7))

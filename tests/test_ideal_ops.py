@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from formstrength import groebner
 from formstrength.domains import GF, QQ
 from formstrength.groebner import (
     Ideal,
@@ -9,6 +11,7 @@ from formstrength.groebner import (
     ideal_intersection,
     ideal_quotient,
 )
+from formstrength.parse import parse_poly
 from formstrength.poly import Ring
 from formstrength.polygcd import multivariate_gcd
 
@@ -33,6 +36,33 @@ def test_principal_intersection_is_the_lcm(domain):
         f, g = u * h1, u * h2
         lcm = exact_divide(f * g, multivariate_gcd(f, g)).monic()
         assert ideal_intersection(Ideal(ring, [f]), Ideal(ring, [g])).gens == [lcm]
+
+
+def test_kernel_step_tries_each_pivot_once(monkeypatch):
+    # x1*x2 ∩ x1*(x3 + ... + x1000): the kernel step in degree 3 keeps the
+    # 997 rows x1*x2*xi, i > 3, as pivots, and the one row with 997 terms
+    # meets each of them once; a division that tried every pivot kept so
+    # far on every term of every row would try millions of them
+    ring = Ring.flat(1000, QQ)
+    total = parse_poly(" + ".join(f"x1*x{i}" for i in range(3, 1001)), ring)
+    reduce_terms = groebner._reduce_terms
+    tries = []
+
+    class Tried(tuple):
+        # the division kernel unpacks a reducer each time it tries one
+        def __iter__(self):
+            tries.append(1)
+            return super().__iter__()
+
+    def counted(work, reducers, *args):
+        if sys._getframe(1).f_code.co_name == "_meet_in_degree":
+            reducers = [Tried(r) for r in reducers]
+        return reduce_terms(work, reducers, *args)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counted)
+    inter = ideal_intersection(Ideal(ring, [parse_poly("x1*x2", ring)]), Ideal(ring, [total]))
+    assert inter.gens == [total * parse_poly("x2", ring)]
+    assert 0 < len(tries) < 2 * ring.nvars
 
 
 def test_plane_line_intersection_by_mutual_membership():

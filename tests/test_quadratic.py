@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from formstrength.groebner import Ideal, codimension, is_regular_sequence_codim
 from formstrength.linalg import mat_mul, mat_rank, transpose
 from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.parse import parse_poly
-from formstrength.poly import Ring
+from formstrength.poly import Poly, Ring
 from formstrength.quadratic import (
     DegenerateFormError,
     QuadraticForm,
@@ -73,6 +75,31 @@ def test_rank_examples():
     # doubled Gram matrix is integral: compare with the fraction-free oracle
     doubled = [[int(v * 2) for v in row] for row in q.gram]
     assert _fraction_free_rank(doubled) == 3
+
+
+def test_from_poly_keeps_nothing_of_a_large_form():
+    # a dense form in 120 variables has 7260 monomials, each a tuple of 120
+    # exponents; once the form is dropped, none of them may stay behind
+    ring = Ring.flat(120, GF(7))
+    pairs = [(i, j) for i in range(120) for j in range(i, 120)]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        terms = {}
+        for k, (i, j) in enumerate(pairs):
+            m = [0] * 120
+            m[i] += 1
+            m[j] += 1
+            terms[tuple(m)] = k % 6 + 1
+        q = QuadraticForm.from_poly(Poly(ring, terms))
+        assert q.rank() <= 120
+        del terms, q
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 10**6, kept
 
 
 def test_rank_requires_odd_characteristic():
