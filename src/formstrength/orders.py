@@ -127,7 +127,9 @@ class Packing:
         self.guard = mask // ((1 << WIDTH) - 1) << (WIDTH - 1)
 
 
-@lru_cache(maxsize=32)  # exact_divide asks once per call: ~1.6k times in small-r
+# one small-r build (seed 0) asks 1256 times, 238 of them from exact_divide:
+# 0.11 us a call cached against 1.5 us, about 2 ms of a 50 ms build
+@lru_cache(maxsize=32)
 def packing(order: MonomialOrder, nvars: int) -> Packing:
     """The packed keys of ``order`` on ``nvars`` variables, by its weight:
 

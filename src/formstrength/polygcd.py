@@ -15,25 +15,18 @@ each row -g*m with zeros, and only the product columns are eliminated:
 the pivots number the rank, and the rows past it hold, in those tag
 columns, the u-parts of a basis of the kernel.
 
-Over F_p one elimination of M_1 gives g/h as well.  The u-parts span
-U = (g/h) * span S(k - 1).  The leading monomials of U under degrevlex are
-lm(g/h) * S(k - 1), and the least of them belongs to (g/h) * x_v^(k - 1),
-x_v the last variable occurring in f or g (to g/h itself for non-forms, as
-S(k - 1) then contains 1), the only element of U with that lead up to a
-scalar.  With S(b - 1) in descending degrevlex, the last row of an echelon
-form of the u-parts is therefore that element, and g/h is read off it with
-no second matrix.  A nullity other than |S(k - 1)| raises
-``GroebnerError``.
+M_1 is eliminated modulo p over F_p, where its rank gives k exactly, and
+modulo a fixed word-size prime over Q, where the rank can only drop, so
+it bounds k from above.  The tagged M_j is then eliminated over the field
+at that bound and at each lower j until it has a kernel (over F_p the
+elimination of M_1 is reused at j = 1).  At j = k the kernel is one line,
+u = g/h up to a scalar, and the last row holds it in its tag columns.  A
+kernel of more than one line, or over F_p no kernel at the bound, which
+is exact there, raises ``GroebnerError``.
 
-Over Q, M_1 is eliminated modulo a fixed word-size prime instead: the rank
-can only drop there, so it bounds k from above.  M_j is then eliminated
-over Q at that bound and at each lower j until it has a kernel; at j = k
-the kernel is one line, and the last row holds g/h, up to a scalar, in its
-tag columns.
-
-Either way the gcd is g divided by the cofactor, and it must divide f;
-either division failing raises ``GroebnerError``, so a wrong gcd can never
-stand as a verdict.  Both fields use only ``linalg.eliminate``.
+The gcd is g divided by the cofactor, and it must divide f; either
+division failing raises ``GroebnerError``, so a wrong gcd can never stand
+as a verdict.  Both fields use only ``linalg.eliminate``.
 The gcd is the gcd route of the two-form regularity check; ``groebner``
 never calls back here, so the direct test, which compares Hilbert series,
 stays independent of it.
@@ -98,19 +91,13 @@ def _integer_terms(f):
     return {m: int(c * den) for m, c in f.terms.items()}
 
 
-def _divide_out(f, g, row, multipliers, v=0, shift=0):
+def _divide_out(f, g, row, multipliers):
     """The gcd g/q, monic, where q is the cofactor with coefficients ``row``
-    on ``multipliers``, each divided by x_v^shift; the gcd must divide f as
-    well.  A multiplier that x_v^shift does not divide, or either division
-    failing, raises ``GroebnerError``, so a wrong kernel vector never
-    stands as a gcd."""
-    terms = {}
-    for m, c in zip(multipliers, row):
-        if c:
-            if m[v] < shift:
-                raise GroebnerError("the kernel row is not a multiple of the shift monomial")
-            terms[m[:v] + (m[v] - shift,) + m[v + 1:]] = c
-    h = exact_divide(g, Poly(f.ring, terms, _clean=False)).monic()
+    on ``multipliers``; the gcd must divide f as well.  Either division
+    failing raises ``GroebnerError``, so a wrong kernel vector never stands
+    as a gcd."""
+    q = Poly(f.ring, {m: c for m, c in zip(multipliers, row) if c}, _clean=False)
+    h = exact_divide(g, q).monic()
     exact_divide(f, h)
     return h
 
@@ -131,25 +118,18 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     fi, gi = _integer_terms(f), _integer_terms(g)
     modulus = p or _BOUND_PRIME
     rows, ncols, multipliers = _multiplier_rows(fi, gi, 1, variables, nvars, forms, modulus)
-    rank = len(eliminate(rows, ncols, modulus))
-    nullity = len(rows) - rank
+    nullity = len(rows) - len(eliminate(rows, ncols, modulus))
     # k := the largest k <= min(a, b) with |S(k - 1)| <= nullity
     cap, k = min(f.degree(), g.degree()), 0
     while k < cap and _count(nv, k, forms) <= nullity:
         k += 1
-    if p:
-        if nullity != _count(nv, k - 1, forms):
-            raise GroebnerError("multiplier nullity is not |S(k - 1)| at the gcd degree")
-        if not k:
-            return ring.one()
-        us = [row[ncols:] for row in rows[rank:]]
-        if len(us) > 1:
-            eliminate(us, len(us[0]), p)
-        return _divide_out(f, g, us[-1], multipliers, variables[-1], k - 1 if forms else 0)
+    # over F_p k is exact and the descent stops at j = k, so j = 1 means
+    # k = 1 and the rows eliminated above are M_1's
     for j in range(k, 0, -1):
-        rows, ncols, multipliers = _multiplier_rows(fi, gi, j, variables, nvars, forms, 0)
-        nullity = len(rows) - len(eliminate(rows, ncols, 0))
-        if nullity > 1:
+        if j > 1 or not p:
+            rows, ncols, multipliers = _multiplier_rows(fi, gi, j, variables, nvars, forms, p)
+            nullity = len(rows) - len(eliminate(rows, ncols, p))
+        if nullity > 1 or (p and j == k and not nullity):
             raise GroebnerError("multiplier kernel is not one line at the gcd degree")
         if nullity:
             return _divide_out(f, g, rows[-1][ncols:], multipliers)

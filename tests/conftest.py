@@ -22,6 +22,9 @@ from formstrength.quadratic import (
     minrank_formula,
 )
 
+# the golden certificates of the current schema version
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0"
+
 
 def random_poly(rng, ring, max_degree=3, max_terms=4, homogeneous=False, degree=None):
     """Random nonzero polynomial with small coefficients."""

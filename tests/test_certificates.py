@@ -23,6 +23,8 @@ from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 from formstrength.quadratic import QuadraticForm, rank_scan_all_nonzero
 
+from conftest import FIXTURES
+
 
 def test_all_certificates_pass():
     for name in BUILDERS:
@@ -148,9 +150,6 @@ def test_unknown_certificate_name():
 
 
 def test_golden_fixtures_match(tmp_path):
-    import pathlib
-
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0"
     expected = {
         "n32-lower": certify_n32_lower,
         "n32-upper-sample": certify_n32_upper_sample,
@@ -158,7 +157,7 @@ def test_golden_fixtures_match(tmp_path):
         "small-r": certify_small_r,
     }
     for stem, builder in expected.items():
-        path = fixtures / f"{stem}.json"
+        path = FIXTURES / f"{stem}.json"
         assert path.exists(), f"missing golden certificate {path}"
         assert path.read_text() == builder().to_json()
         assert recheck_certificate(json.loads(path.read_text())).passed

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import pathlib
 import random
 import sys
 import time
@@ -19,6 +18,8 @@ from formstrength.domains import GF, QQ, domain_from_name
 from formstrength.orders import DEGREVLEX, MAX_EXPONENT
 from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly, load_ideal_text, parse_poly
 from formstrength.poly import Poly, Ring, mono_divides
+
+from conftest import FIXTURES
 
 
 def _capture(capsys):
@@ -948,7 +949,7 @@ def test_a_prime_that_collapses_the_blocks_of_a_diagonal_pencil_is_refused(tmp_p
     assert out == "" and "block structure collapses mod 7" in err
     # the ratios 1..6 of the n32-upper sample meet mod 3: a refused recheck,
     # not a failed one
-    fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0" / "n32-upper-sample.json"
+    fixture = FIXTURES / "n32-upper-sample.json"
     doc = json.loads(fixture.read_text())
     assert doc["environment"]["primes"] == [11, 101]
     doc["environment"]["primes"] = [11, 3]

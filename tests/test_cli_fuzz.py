@@ -11,7 +11,6 @@ are written here as text, without the package's own formatter."""
 import contextlib
 import io
 import json
-import pathlib
 import time
 
 import pytest
@@ -24,6 +23,8 @@ from formstrength.cli import run
 from formstrength.groebner import GroebnerBasis, exact_divide, groebner_basis, normal_form
 from formstrength.orders import MAX_EXPONENT, order_from_name
 from formstrength.parse import load_ideal_text, parse_poly
+
+from conftest import FIXTURES
 
 PRIMES = (3, 5, 7, 11, 31)
 OPERATIONS = ("rank", "strength", "minrank", "collective")
@@ -439,7 +440,7 @@ def test_minors_on_a_matrix_shape_exits_zero_or_two(shape, field, as_json):
     assert rc == (0 if valid and field in ("q", "fp:7", "fp:2") else 2), (text, field, rc)
 
 
-FIXTURES = sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v0.1.0").glob("*.json"))
+FIXTURE_FILES = sorted(FIXTURES.glob("*.json"))
 RECHECK_PRIMES = (0, -3, 2, 3, 4, 7, 11, 101, 10**30)
 
 
@@ -451,7 +452,7 @@ def mutated_certificates(draw):
     string or a non-string; the version another value; one sub-verdict's
     ``passed`` flips or that sub-verdict is dropped; or the environment
     becomes a non-object."""
-    doc = json.loads(draw(st.sampled_from(FIXTURES)).read_text())
+    doc = json.loads(draw(st.sampled_from(FIXTURE_FILES)).read_text())
     env, subverdicts = doc["environment"], doc["subverdicts"]
     field = draw(st.sampled_from(("prime", "seed", "claim", "version", "passed", "dropped", "environment")))
     k = draw(st.integers(0, len(subverdicts) - 1))

@@ -7,7 +7,7 @@ import formstrength.polygcd as polygcd
 from formstrength.domains import GF, QQ
 from formstrength.groebner import GroebnerError, exact_divide
 from formstrength.parse import parse_poly
-from formstrength.poly import Poly, Ring, monomials
+from formstrength.poly import Poly, Ring
 from formstrength.polygcd import multivariate_gcd
 
 from conftest import random_poly
@@ -149,15 +149,3 @@ def test_a_wrong_kernel_raises_instead_of_returning_a_gcd(monkeypatch, dom, vect
         multivariate_gcd(parse_poly("x1*x2", ring), parse_poly("x1*x3", ring))
     # the true row is x3 up to a unit
     assert [[bool(c) for c in row] for row in rows] == [[False, False, True]]
-
-
-def test_a_kernel_row_off_the_shift_monomial_raises():
-    # over F_p the row holds (g/h) * x_v^(k - 1); a row with a multiplier
-    # that x_v^(k - 1) does not divide is refused, not truncated
-    ring = Ring.flat(3, GF(7))
-    f, g = parse_poly("x1^2*x2", ring), parse_poly("x1^2*x3", ring)
-    multipliers = monomials([0, 1, 2], 3, 2, True)
-    assert multipliers[-1] == (0, 0, 2)
-    assert polygcd._divide_out(f, g, [0] * 5 + [1], multipliers, 2, 1) == parse_poly("x1^2", ring)
-    with pytest.raises(GroebnerError):
-        polygcd._divide_out(f, g, [1] * 6, multipliers, 2, 1)

@@ -9,6 +9,7 @@ import pytest
 import formstrength.polygcd as polygcd
 from formstrength.cli import run
 from formstrength.domains import GF, QQ
+from formstrength.groebner import GroebnerError
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 from formstrength.polygcd import multivariate_gcd
@@ -84,8 +85,8 @@ def test_one_variable_forms_take_the_degree_cap(dom):
 
 @pytest.mark.parametrize("dom", FIELDS, ids=lambda d: d.name)
 def test_pairs_that_miss_the_last_variable_of_the_ring(dom):
-    # the echelon row is (g/h) * x_v^(k - 1) for the pair's last variable
-    # x_v, not the ring's: here x4 and x3 occur in neither input
+    # S(d) holds the monomials in the pair's own variables, not the ring's:
+    # here x4 and x3 occur in neither input
     rng = random.Random(37 + (dom.characteristic or 1))
     ring = Ring.flat(4, dom)
     small = Ring.flat(2, dom)
@@ -141,7 +142,7 @@ class _Calls:
         return [r for r, _, p in self.eliminations if not p]
 
 
-def test_fp_gcd_is_one_multiplier_matrix_and_one_elimination(monkeypatch):
+def test_fp_gcd_eliminates_m1_and_then_m_k_when_k_is_two_or_more(monkeypatch):
     calls = _Calls(monkeypatch)
     rng = random.Random(53)
     degrees = set()
@@ -156,20 +157,56 @@ def test_fp_gcd_is_one_multiplier_matrix_and_one_elimination(monkeypatch):
                         continue
                     calls.reset()
                     h = multivariate_gcd(a, b)
-                    assert calls.builds == 1
                     nv, k = len(set(a.variables()) | set(b.variables())), h.degree()
                     degrees.add(min(k, 2))
                     forms = a.is_homogeneous() and b.is_homogeneous()
                     size = lambda d: polygcd._count(nv, d, forms)
-                    first, *rest = calls.eliminations
-                    assert first[0] == size(b.degree() - 1) + size(a.degree() - 1)  # the rows of M_1
-                    assert first[2] == p
-                    if size(k - 1) < 2:
-                        assert rest == []  # the kernel is one line, or empty
-                    else:
-                        # the kernel's u-parts only: |S(k - 1)| rows, |S(b - 1)| columns
-                        assert rest == [(size(k - 1), size(b.degree() - 1), p)]
+                    rows = lambda j: size(b.degree() - j) + size(a.degree() - j)
+                    # M_1 mod p gives k; at k = 1 its kernel row is the
+                    # cofactor, else M_k is built and eliminated mod p once
+                    js = [1, k] if k >= 2 else [1]
+                    assert calls.builds == len(js)
+                    assert [(r, q) for r, _, q in calls.eliminations] == [(rows(j), p) for j in js]
     assert degrees == {0, 1, 2}
+
+
+# k = 2: over three variables, and in one variable, where every M_j with
+# j <= k has a one-line kernel, so a descent past k would find a wrong gcd
+_DEGREE_TWO_PAIRS = {"three-variables": ("x1^3 + x1*x2*x3", "x1^2*x3 + x2*x3^2"), "one-variable": ("x1^3", "x1^2")}
+
+
+@pytest.mark.parametrize("pair", _DEGREE_TWO_PAIRS.values(), ids=_DEGREE_TWO_PAIRS)
+@pytest.mark.parametrize("miscount", [1, -1], ids=["one-pivot-too-many", "one-pivot-too-few"])
+def test_fp_descent_refuses_a_miscounted_kernel_at_the_gcd_degree(monkeypatch, tmp_path, capsys, pair, miscount):
+    # over F_p the rank of M_1 is exact, so M_k must have a kernel of one
+    # line: no kernel or two lines is an internal error (exit 3), never a gcd
+    ring = Ring.flat(3, GF(7))
+    f, g = (parse_poly(text, ring) for text in pair)
+    assert multivariate_gcd(f, g).degree() == 2
+    path = tmp_path / "pair.txt"
+    path.write_text("ring n=3 field=fp:7\n" + "\n".join(pair) + "\n")
+    assert run(["regseq", "--in", str(path)]) == 1
+    built = []
+    build, elim = polygcd._multiplier_rows, polygcd.eliminate
+
+    def recorded_rows(f, g, j, *args):
+        built.append(j)
+        return build(f, g, j, *args)
+
+    def miscounted_elim(a, ncols, p, reduced=False):
+        pivots = elim(a, ncols, p, reduced)
+        if built[-1] == 1:
+            return pivots
+        return pivots + [ncols] if miscount > 0 else pivots[:-1]
+
+    monkeypatch.setattr(polygcd, "_multiplier_rows", recorded_rows)
+    monkeypatch.setattr(polygcd, "eliminate", miscounted_elim)
+    with pytest.raises(GroebnerError):
+        multivariate_gcd(f, g)
+    assert built == [1, 2]
+    capsys.readouterr()
+    assert run(["regseq", "--in", str(path)]) == 3
+    assert "internal error: GroebnerError" in capsys.readouterr().err
 
 
 def test_q_gcd_solves_its_exact_kernel_at_the_bound(monkeypatch):
