@@ -3,14 +3,19 @@
 Matrices are lists of row lists holding domain elements.  One elimination
 routine, ``eliminate``, serves rank, inverse and kernel: over F_p it works
 on int rows with an inline ``% p``, over Q on ``Fraction`` rows with plain
-operators, and it makes no domain method call per entry.  Rank stops at
-row-echelon form; inverse and kernel finish it to reduced row-echelon form,
-which is unique, so their outputs do not depend on how the elimination got
-there.  Short of the reduced form, each row swap negates the row moved
-down, so no step changes the determinant: once ``eliminate`` has brought a
-square n x n matrix of rank n to row-echelon form, the product of its
-diagonal is its determinant.  The F_p Gram-rank scans read determinants
-this way.
+operators, and it makes no domain method call per entry.  It updates rows
+in place, over the nonzero entries of the pivot row only: every row from
+the pivot row down is zero left of the pivot column, since each earlier
+column is either a pivot column already cleared below its pivot or a
+column that was zero in all those rows, so the pivot row's nonzero entries
+lie at and right of the pivot, and the update skips the products with
+zero, the ``Fraction`` ones over Q included.  Rank stops at row-echelon
+form; inverse and kernel finish it to reduced row-echelon form, which is
+unique, so their outputs do not depend on how the elimination got there.
+Short of the reduced form, each row swap negates the row moved down, so
+no step changes the determinant: once ``eliminate`` has brought a square
+n x n matrix of rank n to row-echelon form, the product of its diagonal
+is its determinant.  The F_p Gram-rank scans read determinants this way.
 
 One congruence kernel, ``gram_diagonal``, serves both the rank of one Gram
 matrix (``QuadraticForm.rank``) and the transforms of the pencil
@@ -62,8 +67,16 @@ def eliminate(a, ncols, p, reduced=False):
     form.  Without ``reduced`` the row a swap moves down is negated, so each
     step keeps the determinant: a square matrix of full rank ends with its
     determinant as the product of its diagonal.  (The reduced form is
-    unique, so there the sign is left alone.)  A pivot's inverse is taken
-    only when some row has an entry to clear in its column.
+    unique, so there the sign is left alone.)
+
+    Rows are updated in place, and the row lists of ``a`` must be distinct
+    objects.  From the pivot row down every row is zero left of the pivot
+    column, so a row is cleared over the pivot row's nonzero ``(column,
+    value)`` pairs from the pivot column on, columns past ``ncols``
+    included, and a swapped-down row is negated from the pivot column on;
+    every entry ends as the full-width update would leave it.  A pivot's
+    inverse and pairs are taken only when some row has an entry to clear
+    in its column.
     """
     rows = len(a)
     pivots = []
@@ -80,21 +93,25 @@ def eliminate(a, ncols, p, reduced=False):
         if r != top:
             low = a[top]
             if not reduced:
-                low = [-v % p for v in low] if p else [-v for v in low]
+                for c in range(col, len(low)):
+                    low[c] = -low[c] % p if p else -low[c]
             a[r], a[top] = low, prow
-        inv = None
+        pairs = None
         for r in range(0 if reduced else top + 1, rows):
             row = a[r]
             f = row[col]
             if f and r != top:
-                if inv is None:
+                if pairs is None:
                     inv = pow(prow[col], -1, p) if p else 1 / Fraction(prow[col])
+                    pairs = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
                 if p:
                     f = f * inv % p
-                    a[r] = [(v - f * w) % p for v, w in zip(row, prow)]
+                    for c, w in pairs:
+                        row[c] = (row[c] - f * w) % p
                 else:
                     f *= inv
-                    a[r] = [v - f * w for v, w in zip(row, prow)]
+                    for c, w in pairs:
+                        row[c] -= f * w
         pivots.append(col)
     if reduced:
         for top, col in enumerate(pivots):

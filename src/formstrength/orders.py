@@ -127,8 +127,9 @@ class Packing:
         self.guard = mask // ((1 << WIDTH) - 1) << (WIDTH - 1)
 
 
-# one small-r build (seed 0) asks 1256 times, 238 of them from exact_divide:
-# 0.11 us a call cached against 1.5 us, about 2 ms of a 50 ms build
+# one small-r build (seed 0) asks 1480 times, 238 of them from exact_divide
+# and 495 from the gcd: 0.15 us a call cached against 1.6 us; in 40 paired
+# in-process builds the cached ones ran a median 4.5 ms faster (47.8 ms)
 @lru_cache(maxsize=32)
 def packing(order: MonomialOrder, nvars: int) -> Packing:
     """The packed keys of ``order`` on ``nvars`` variables, by its weight:

@@ -13,7 +13,11 @@ Gianni, Trager & Watt, ISSAC 1995), as the largest k <= min(a, b) with
 Each row f*m of M_j^T goes on with the unit vector of m among S(b - j),
 each row -g*m with zeros, and only the product columns are eliminated:
 the pivots number the rank, and the rows past it hold, in those tag
-columns, the u-parts of a basis of the kernel.
+columns, the u-parts of a basis of the kernel.  The terms of f and -g are
+keyed once per gcd, by packed degrevlex keys (``orders.packing``, with
+key(t*m) = key(t) + key(m)), with the sign and over F_p the reduction mod
+p applied once; each M_j's rows are built from those keyed terms, so a
+build keys only its multipliers.
 
 M_1 is eliminated modulo p over F_p, where its rank gives k exactly, and
 modulo a fixed word-size prime over Q, where the rank can only drop, so
@@ -53,23 +57,23 @@ def _count(nv, d, forms):
     return comb(nv + d - 1, d) if forms else comb(nv + d, d)
 
 
-def _multiplier_rows(f, g, j, variables, nvars, forms, p):
+def _multiplier_rows(f, g, j, variables, nvars, forms):
     """M_j transposed: the coefficient vectors of f*m for m in S(b - j),
     then of -g*m for m in S(a - j), over the product monomials that occur,
     each row f*m going on with the unit vector of m among S(b - j) and each
     row -g*m with zeros; returned with the number of product columns and
-    S(b - j).  ``f`` and ``g`` are term dicts with integer coefficients,
-    reduced mod ``p`` unless ``p`` is 0."""
-    a, b = (max(map(sum, h)) for h in (f, g))
+    S(b - j).  ``f`` and ``g`` are each a degree and a list of terms as
+    (packed degrevlex key, coefficient) pairs, g's coefficients negated and
+    both reduced mod the field's characteristic if it is not 0."""
+    (a, f_terms), (b, g_terms) = f, g
     left = monomials(variables, nvars, b - j, forms)
     key = packing(DEGREVLEX, nvars).key  # key(t*m) == key(t) + key(m)
     index = {}
     sparse = []
-    for h, sign, multipliers in ((f, 1, left), (g, -1, monomials(variables, nvars, a - j, forms))):
-        coeffs = [(key(t), sign * c % p if p else sign * c) for t, c in h.items()]
+    for terms, multipliers in ((f_terms, left), (g_terms, monomials(variables, nvars, a - j, forms))):
         for m in multipliers:
             km = key(m)
-            sparse.append([(index.setdefault(kt + km, len(index)), c) for kt, c in coeffs])
+            sparse.append([(index.setdefault(kt + km, len(index)), c) for kt, c in terms])
     ncols = len(index)
     rows = []
     for r, entries in enumerate(sparse):
@@ -115,9 +119,16 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     forms = f.is_homogeneous() and g.is_homogeneous()
     variables = sorted(set(f.variables()) | set(g.variables()))
     nv, nvars = len(variables), ring.nvars
-    fi, gi = _integer_terms(f), _integer_terms(g)
+    # the terms of f and -g, keyed once; over F_p they are reduced once,
+    # over Q the modular M_1 takes its own residues of the coefficients
+    key = packing(DEGREVLEX, nvars).key
+    keyed = [(h.degree(), [(key(t), sign * c) for t, c in _integer_terms(h).items()])
+             for h, sign in ((f, 1), (g, -1))]
     modulus = p or _BOUND_PRIME
-    rows, ncols, multipliers = _multiplier_rows(fi, gi, 1, variables, nvars, forms, modulus)
+    modular = [(d, [(kt, c % modulus) for kt, c in terms]) for d, terms in keyed]
+    if p:
+        keyed = modular
+    rows, ncols, multipliers = _multiplier_rows(*modular, 1, variables, nvars, forms)
     nullity = len(rows) - len(eliminate(rows, ncols, modulus))
     # k := the largest k <= min(a, b) with |S(k - 1)| <= nullity
     cap, k = min(f.degree(), g.degree()), 0
@@ -127,7 +138,7 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     # k = 1 and the rows eliminated above are M_1's
     for j in range(k, 0, -1):
         if j > 1 or not p:
-            rows, ncols, multipliers = _multiplier_rows(fi, gi, j, variables, nvars, forms, p)
+            rows, ncols, multipliers = _multiplier_rows(*keyed, j, variables, nvars, forms)
             nullity = len(rows) - len(eliminate(rows, ncols, p))
         if nullity > 1 or (p and j == k and not nullity):
             raise GroebnerError("multiplier kernel is not one line at the gcd degree")

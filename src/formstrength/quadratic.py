@@ -305,12 +305,12 @@ them, the at most R*p roots of D_S past the corner, and at most R lines
 where D_S is 0, at most (n + 1) + (R + 1) + R eliminations each; every
 other point costs R additions mod p (see ``_plane_ranks``).  So nearly
 every point is eliminated only where p is about n + 1 or less.  An
-eliminated point cost 0.7-1.1 us per unit in these measurements (Python
-3.11 on a 2-core machine): ten forms in 10 variables over F_3, 29524
-points and 0.89 of the limit, each eliminated, took 2.6 s; five forms in
-8 variables over F_11 with a common kernel vector, 16105 points and 0.33
-of the limit, eliminated 11272 points and 8520 7 x 7 submatrices in
-1.0 s.  So a scan takes at most about 3-4.5 s.  The largest scan in the
+eliminated point cost 0.4-0.55 us per unit in these measurements (Python
+3.11 on a 2-core machine, best of three): ten forms in 10 variables over
+F_3, 29524 points and 0.89 of the limit, each eliminated, took 1.35-1.5 s;
+five forms in 8 variables over F_11 with a common kernel vector, 16105
+points and 0.33 of the limit, eliminated 11300 points and 8520 7 x 7
+submatrices in 0.49 s.  So a scan takes at most about 1.5-2.2 s.  The largest scan in the
 certificates and the benchmark, the 3x2 minor family over F_31, ranks 993
 points (993 x 49 units) on the plane (1, v, u), the line (0, 1, u) and the
 point (0, 0, 1), and eliminates 87 matrices: the plane's 49 corner points

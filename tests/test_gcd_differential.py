@@ -3,6 +3,8 @@
 and the calls it makes to get there."""
 
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -207,6 +209,39 @@ def test_fp_descent_refuses_a_miscounted_kernel_at_the_gcd_degree(monkeypatch, t
     capsys.readouterr()
     assert run(["regseq", "--in", str(path)]) == 3
     assert "internal error: GroebnerError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", _DEGREE_TWO_PAIRS.values(), ids=_DEGREE_TWO_PAIRS)
+@pytest.mark.parametrize("p", [7, 32003])
+def test_fp_gcd_keys_each_term_of_f_and_g_once(monkeypatch, pair, p):
+    # k = 2: M_1 and M_2 are built from one keying of the terms of f and g;
+    # only the multipliers of each matrix are keyed per build
+    ring = Ring.flat(3, GF(p))
+    f, g = (parse_poly(text, ring) for text in pair)
+    keyed, built = [], []
+    packing, build = polygcd.packing, polygcd._multiplier_rows
+
+    def counted_packing(order, nvars):
+        key = packing(order, nvars).key
+
+        def counted_key(m):
+            keyed.append(m)
+            return key(m)
+
+        return SimpleNamespace(key=counted_key)
+
+    def recorded_rows(f, g, j, *args):
+        built.append(j)
+        return build(f, g, j, *args)
+
+    monkeypatch.setattr(polygcd, "packing", counted_packing)
+    monkeypatch.setattr(polygcd, "_multiplier_rows", recorded_rows)
+    assert multivariate_gcd(f, g).degree() == 2
+    assert built == [1, 2]
+    variables = sorted(set(f.variables()) | set(g.variables()))
+    multipliers = [m for j in built for d in (g.degree() - j, f.degree() - j)
+                   for m in polygcd.monomials(variables, 3, d, True)]
+    assert Counter(keyed) == Counter([*f.terms, *g.terms, *multipliers])
 
 
 def test_q_gcd_solves_its_exact_kernel_at_the_bound(monkeypatch):

@@ -2,9 +2,11 @@
 what the separate Gauss-Jordan loops it replaced gave; those loops are kept
 below as the reference.  Its row-echelon form of a square matrix of full
 rank carries the determinant on its diagonal, checked against the Leibniz
-formula."""
+formula.  Its sparse in-place row update leaves every entry as the dense
+full-width update did, which is kept below as a second reference."""
 
 import copy
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -238,3 +240,122 @@ def test_pivot_columns_of_a_symmetric_matrix_index_a_nonsingular_principal_subma
     pivots = eliminate([list(row) for row in m], len(m), dom.characteristic)
     sub = [[m[i][j] for j in pivots] for i in pivots]
     assert ref_rank(sub, dom) == len(pivots) == ref_rank(m, dom)
+
+
+# ---------------------------------------------------------------------------
+# the sparse in-place row update against the dense full-width one
+
+
+def _dense_eliminate(a, ncols, p, reduced=False):
+    """``eliminate`` as it was before its row update went sparse: each row
+    it clears, and each row a swap moves down, is rebuilt across its full
+    width."""
+    rows = len(a)
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == rows:
+            break
+        for r in range(top, rows):
+            if a[r][col]:
+                break
+        else:
+            continue
+        prow = a[r]
+        if r != top:
+            low = a[top]
+            if not reduced:
+                low = [-v % p for v in low] if p else [-v for v in low]
+            a[r], a[top] = low, prow
+        inv = None
+        for r in range(0 if reduced else top + 1, rows):
+            row = a[r]
+            f = row[col]
+            if f and r != top:
+                if inv is None:
+                    inv = pow(prow[col], -1, p) if p else 1 / Fraction(prow[col])
+                if p:
+                    f = f * inv % p
+                    a[r] = [(v - f * w) % p for v, w in zip(row, prow)]
+                else:
+                    f *= inv
+                    a[r] = [v - f * w for v, w in zip(row, prow)]
+        pivots.append(col)
+    if reduced:
+        for top, col in enumerate(pivots):
+            row = a[top]
+            inv = pow(row[col], -1, p) if p else 1 / Fraction(row[col])
+            a[top] = [v * inv % p for v in row] if p else [v * inv for v in row]
+    return pivots
+
+
+SPARSE_FIELDS = [GF(2), GF(3), GF(7), GF(32003), QQ]
+
+
+def _sparse_case(rng, dom, density):
+    """(rows, ncols) of a random matrix at about ``density`` nonzero entries:
+    up to 9 rows and 9 eliminated columns, then, half the time, tag columns
+    past ``ncols`` as the gcd's multiplier matrices carry them (a unit
+    vector on a leading block of rows, zeros below); some rows repeat or
+    combine earlier ones.  Over Q the entries mix ints, as the gcd builds
+    its rows, and ``Fraction``s."""
+    p = dom.characteristic
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if p:
+            return rng.randrange(1, p)
+        c = rng.choice([-1, 1]) * rng.randint(1, 5)
+        return c if rng.random() < 0.5 else Fraction(c, rng.randint(1, 3))
+
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for r in range(1, nrows):
+        if rng.random() < 0.25:  # a dependent row
+            s, t = rng.randrange(r), rng.randrange(r)
+            c = rng.randrange(p) if p else rng.randint(-2, 2)
+            rows[r] = [(x + c * y) % p if p else x + c * y for x, y in zip(rows[s], rows[t])]
+    if rng.random() < 0.5:
+        block = rng.randint(1, nrows)
+        for r, row in enumerate(rows):
+            row += [1 if r == t else 0 for t in range(block)]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["echelon", "reduced"])
+@pytest.mark.parametrize("dom", SPARSE_FIELDS, ids=lambda d: d.name)
+def test_sparse_row_update_leaves_every_entry_as_the_dense_update(dom, reduced):
+    rng = random.Random(f"{dom.name}:{reduced}")
+    p = dom.characteristic
+    for density in (0.1, 0.25, 0.5, 0.75, 1.0):
+        for _ in range(60):
+            rows, ncols = _sparse_case(rng, dom, density)
+            ours, dense = copy.deepcopy(rows), copy.deepcopy(rows)
+            pivots = eliminate(ours, ncols, p, reduced)
+            assert pivots == _dense_eliminate(dense, ncols, p, reduced), rows
+            assert ours == dense, rows
+
+
+def test_rank_kernel_and_inverse_leave_their_argument_unchanged():
+    # eliminate updates rows in place; each entry point hands it a copy, so
+    # the caller's rows, even one list given twice and entries not reduced
+    # mod p, come back untouched
+    for dom in SPARSE_FIELDS:
+        p = dom.characteristic
+        entry = (lambda c: c + p) if p else Fraction  # unreduced over F_p
+        shared = [entry(1), entry(2), entry(0)]
+        for m in ([shared, shared, [entry(0), entry(1), entry(3)]],
+                  [[entry(0), entry(1), entry(1)], shared, [entry(1), entry(0), entry(1)]]):
+            want = [[v % p for v in row] if p else list(row) for row in m]
+            before = copy.deepcopy(m)
+            assert mat_rank(m, dom) == ref_rank(want, dom)
+            assert kernel_basis(m, dom) == ref_kernel(want, dom)
+            try:
+                inverse = ref_inverse(want, dom)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    mat_inverse(m, dom)
+            else:
+                assert mat_inverse(m, dom) == inverse
+            assert m == before and m[1] is shared
