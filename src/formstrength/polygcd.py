@@ -16,8 +16,18 @@ the pivots number the rank, and the rows past it hold, in those tag
 columns, the u-parts of a basis of the kernel.  The terms of f and -g are
 keyed once per gcd, by packed degrevlex keys (``orders.packing``, with
 key(t*m) = key(t) + key(m)), with the sign and over F_p the reduction mod
-p applied once; each M_j's rows are built from those keyed terms, so a
-build keys only its multipliers.
+p applied once; the degrees, whether both are forms and the variables
+used are read off those keys.  A multiplier's key is the sum of its
+variables' keys, so S(d) is built as sums and no multiplier is keyed, and
+it comes out ascending, that is in descending degrevlex order.
+
+The product columns of M_j are numbered by ascending key as well, which
+is Macaulay-matrix order (Faugere's F4, J. Pure Appl. Algebra 139, 1999):
+the lead of f*m, lead(f)*m, falls in a different column for each m, so
+the f-rows, and likewise the -g-rows, arrive in row-echelon form and the
+elimination only clears one block against the other, with little fill-in.
+The column order changes the work, never the kernel.  Only the cofactor's
+nonzero entries are decoded back to exponent tuples.
 
 M_1 is eliminated modulo p over F_p, where its rank gives k exactly, and
 modulo a fixed word-size prime over Q, where the rank can only drop, so
@@ -38,12 +48,15 @@ stays independent of it.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations_with_replacement
 from math import comb, lcm
+from operator import or_
 
 from .groebner import GroebnerError, exact_divide, is_regular_sequence_codim
 from .linalg import eliminate
-from .orders import DEGREVLEX, packing
-from .poly import Poly, monomials
+from .orders import DEGREVLEX, WIDTH, packing
+from .poly import Poly
 
 # the modulus of the degree bound over Q; any prime gives a valid bound, a
 # large one makes a bound above the true degree (a wasted kernel) rare
@@ -57,32 +70,41 @@ def _count(nv, d, forms):
     return comb(nv + d - 1, d) if forms else comb(nv + d, d)
 
 
-def _multiplier_rows(f, g, j, variables, nvars, forms):
+def _multiplier_keys(variables, d, forms):
+    """The packed degrevlex keys of S(d), ascending, that is in descending
+    degrevlex order: the sums of ``variables``, the keys of the variables
+    used, taken d at a time (``forms``) or at most d at a time."""
+    return sorted([sum(combo) for e in ([d] if forms else range(d + 1))
+                   for combo in combinations_with_replacement(variables, e)])
+
+
+def _multiplier_rows(f, g, j, variables, forms):
     """M_j transposed: the coefficient vectors of f*m for m in S(b - j),
-    then of -g*m for m in S(a - j), over the product monomials that occur,
-    each row f*m going on with the unit vector of m among S(b - j) and each
-    row -g*m with zeros; returned with the number of product columns and
-    S(b - j).  ``f`` and ``g`` are each a degree and a list of terms as
-    (packed degrevlex key, coefficient) pairs, g's coefficients negated and
-    both reduced mod the field's characteristic if it is not 0."""
+    then of -g*m for m in S(a - j), over the product monomials that occur
+    in ascending key order, each row f*m going on with the unit vector of m
+    among S(b - j) and each row -g*m with zeros; returned with the number of
+    product columns and the keys of S(b - j).  ``f`` and ``g`` are each a
+    degree and a list of terms as (packed degrevlex key, coefficient)
+    pairs, g's coefficients negated and both reduced mod the field's
+    characteristic if it is not 0; ``variables`` are the keys of the
+    variables of f and g."""
     (a, f_terms), (b, g_terms) = f, g
-    left = monomials(variables, nvars, b - j, forms)
-    key = packing(DEGREVLEX, nvars).key  # key(t*m) == key(t) + key(m)
-    index = {}
-    sparse = []
-    for terms, multipliers in ((f_terms, left), (g_terms, monomials(variables, nvars, a - j, forms))):
-        for m in multipliers:
-            km = key(m)
-            sparse.append([(index.setdefault(kt + km, len(index)), c) for kt, c in terms])
-    ncols = len(index)
+    left = _multiplier_keys(variables, b - j, forms)
+    blocks = ((f_terms, left), (g_terms, _multiplier_keys(variables, a - j, forms)))
+    # multipliers ascend, so in each block the lead kt + km of a row, its
+    # first nonzero column, lies strictly right of the row above's
+    columns = sorted({kt + km for terms, multipliers in blocks for km in multipliers for kt, _ in terms})
+    index = {k: i for i, k in enumerate(columns)}
+    ncols = len(columns)
     rows = []
-    for r, entries in enumerate(sparse):
-        row = [0] * (ncols + len(left))
-        for i, c in entries:
-            row[i] = c
-        if r < len(left):
-            row[ncols + r] = 1
-        rows.append(row)
+    for terms, multipliers in blocks:
+        for km in multipliers:
+            row = [0] * (ncols + len(left))
+            for kt, c in terms:
+                row[index[kt + km]] = c
+            rows.append(row)
+    for r in range(len(left)):
+        rows[r][ncols + r] = 1
     return rows, ncols, left
 
 
@@ -97,10 +119,11 @@ def _integer_terms(f):
 
 def _divide_out(f, g, row, multipliers):
     """The gcd g/q, monic, where q is the cofactor with coefficients ``row``
-    on ``multipliers``; the gcd must divide f as well.  Either division
-    failing raises ``GroebnerError``, so a wrong kernel vector never stands
-    as a gcd."""
-    q = Poly(f.ring, {m: c for m, c in zip(multipliers, row) if c}, _clean=False)
+    on the monomials of packed degrevlex keys ``multipliers``; the gcd must
+    divide f as well.  Either division failing raises ``GroebnerError``, so
+    a wrong kernel vector never stands as a gcd."""
+    monomial = packing(DEGREVLEX, f.ring.nvars).monomial
+    q = Poly(f.ring, {monomial(km): c for km, c in zip(multipliers, row) if c}, _clean=False)
     h = exact_divide(g, q).monic()
     exact_divide(f, h)
     return h
@@ -113,32 +136,44 @@ def multivariate_gcd(f: Poly, g: Poly) -> Poly:
     ring = f.ring
     if not f.terms or not g.terms:
         return (f if f.terms else g).monic()
-    if f.is_constant() or g.is_constant():
-        return ring.one()
     p = ring.domain.characteristic
-    forms = f.is_homogeneous() and g.is_homogeneous()
-    variables = sorted(set(f.variables()) | set(g.variables()))
-    nv, nvars = len(variables), ring.nvars
-    # the terms of f and -g, keyed once; over F_p they are reduced once,
-    # over Q the modular M_1 takes its own residues of the coefficients
-    key = packing(DEGREVLEX, nvars).key
-    keyed = [(h.degree(), [(key(t), sign * c) for t, c in _integer_terms(h).items()])
-             for h, sign in ((f, 1), (g, -1))]
+    nvars = ring.nvars
+    pk = packing(DEGREVLEX, nvars)
+    shift = WIDTH * nvars  # a key is its exponent vector less degree << shift
+    # the terms of f and -g, keyed once; each degree, whether both are forms
+    # and the variables used (the OR of the vectors, the low shift bits of
+    # the keys' OR) are read off the keys.  Over F_p the terms are reduced
+    # once, over Q the modular M_1 takes its own residues.
+    keyed, forms, used = [], True, 0
+    for h, sign in ((f, 1), (g, -1)):
+        terms = _integer_terms(h)
+        keys = [pk.key(t) for t in terms]
+        degree = -(min(keys) >> shift)
+        forms = forms and degree == -(max(keys) >> shift)
+        used = reduce(or_, keys, used)
+        keyed.append((degree, list(zip(keys, [sign * c for c in terms.values()]))))
+    (a, _), (b, _) = keyed
+    if not a or not b:
+        return ring.one()
+    zeros = (0,) * nvars
+    variables = [pk.key(zeros[:v] + (1,) + zeros[v + 1:])
+                 for v in range(nvars) if used >> WIDTH * v & (1 << WIDTH) - 1]
+    nv = len(variables)
     modulus = p or _BOUND_PRIME
     modular = [(d, [(kt, c % modulus) for kt, c in terms]) for d, terms in keyed]
     if p:
         keyed = modular
-    rows, ncols, multipliers = _multiplier_rows(*modular, 1, variables, nvars, forms)
+    rows, ncols, multipliers = _multiplier_rows(*modular, 1, variables, forms)
     nullity = len(rows) - len(eliminate(rows, ncols, modulus))
     # k := the largest k <= min(a, b) with |S(k - 1)| <= nullity
-    cap, k = min(f.degree(), g.degree()), 0
+    cap, k = min(a, b), 0
     while k < cap and _count(nv, k, forms) <= nullity:
         k += 1
     # over F_p k is exact and the descent stops at j = k, so j = 1 means
     # k = 1 and the rows eliminated above are M_1's
     for j in range(k, 0, -1):
         if j > 1 or not p:
-            rows, ncols, multipliers = _multiplier_rows(*keyed, j, variables, nvars, forms)
+            rows, ncols, multipliers = _multiplier_rows(*keyed, j, variables, forms)
             nullity = len(rows) - len(eliminate(rows, ncols, p))
         if nullity > 1 or (p and j == k and not nullity):
             raise GroebnerError("multiplier kernel is not one line at the gcd degree")

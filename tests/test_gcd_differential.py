@@ -12,6 +12,7 @@ import formstrength.polygcd as polygcd
 from formstrength.cli import run
 from formstrength.domains import GF, QQ
 from formstrength.groebner import GroebnerError
+from formstrength.orders import Packing
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 from formstrength.polygcd import multivariate_gcd
@@ -212,23 +213,25 @@ def test_fp_descent_refuses_a_miscounted_kernel_at_the_gcd_degree(monkeypatch, t
 
 
 @pytest.mark.parametrize("pair", _DEGREE_TWO_PAIRS.values(), ids=_DEGREE_TWO_PAIRS)
-@pytest.mark.parametrize("p", [7, 32003])
+@pytest.mark.parametrize("p", [7, 32003, 0])
 def test_fp_gcd_keys_each_term_of_f_and_g_once(monkeypatch, pair, p):
-    # k = 2: M_1 and M_2 are built from one keying of the terms of f and g;
-    # only the multipliers of each matrix are keyed per build
-    ring = Ring.flat(3, GF(p))
+    # k = 2: M_1 and M_2 are built from one keying of the terms of f and g
+    # and of the unit vector of each variable they use; every multiplier's
+    # key is a sum of those, so no multiplier is keyed (p = 0 is Q)
+    ring = Ring.flat(3, GF(p) if p else QQ)
     f, g = (parse_poly(text, ring) for text in pair)
     keyed, built = [], []
     packing, build = polygcd.packing, polygcd._multiplier_rows
 
     def counted_packing(order, nvars):
-        key = packing(order, nvars).key
+        real = packing(order, nvars)
 
         def counted_key(m):
             keyed.append(m)
-            return key(m)
+            return real.key(m)
 
-        return SimpleNamespace(key=counted_key)
+        return SimpleNamespace(**{name: getattr(real, name) for name in Packing.__slots__ if name != "key"},
+                               key=counted_key)
 
     def recorded_rows(f, g, j, *args):
         built.append(j)
@@ -236,12 +239,80 @@ def test_fp_gcd_keys_each_term_of_f_and_g_once(monkeypatch, pair, p):
 
     monkeypatch.setattr(polygcd, "packing", counted_packing)
     monkeypatch.setattr(polygcd, "_multiplier_rows", recorded_rows)
-    assert multivariate_gcd(f, g).degree() == 2
+    h = multivariate_gcd(f, g)
+    assert h == reference_gcd(f, g) and h.degree() == 2
     assert built == [1, 2]
-    variables = sorted(set(f.variables()) | set(g.variables()))
-    multipliers = [m for j in built for d in (g.degree() - j, f.degree() - j)
-                   for m in polygcd.monomials(variables, 3, d, True)]
-    assert Counter(keyed) == Counter([*f.terms, *g.terms, *multipliers])
+    units = [tuple(int(i == v) for i in range(3)) for v in set(f.variables()) | set(g.variables())]
+    assert Counter(keyed) == Counter([*f.terms, *g.terms, *units])
+
+
+def _planted_pairs(rng, dom):
+    """Seeded pairs u*f, u*g over dom, forms and non-forms, with u of degree
+    0 to 3, so gcds of degree k = 0, 1, 2 and more."""
+    for n in (1, 2, 3, 4):
+        ring = Ring.flat(n, dom)
+        for forms in (True, False):
+            for k in range(4):
+                def draw(degree):
+                    if forms:
+                        return random_poly(rng, ring, max_terms=4, homogeneous=True, degree=degree)
+                    return random_poly(rng, ring, max_degree=degree, max_terms=4)
+
+                u = draw(k) if k else ring.one()
+                yield u * draw(rng.randint(1, 2)), u * draw(rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("dom", [GF(7), GF(32003), QQ], ids=lambda d: d.name)
+def test_column_order_of_the_multiplier_matrices_changes_no_gcd(monkeypatch, dom):
+    # the key order of the product columns is a performance choice only: a
+    # seeded permutation of them, the tag columns left in place, gives the
+    # same gcd as the unpermuted matrices and as the PRS reference
+    rng = random.Random(59 + dom.characteristic)
+    pairs = list(_planted_pairs(rng, dom))
+    expected = [multivariate_gcd(f, g) for f, g in pairs]
+    build = polygcd._multiplier_rows
+
+    def permuted_rows(*args):
+        rows, ncols, multipliers = build(*args)
+        order = list(range(ncols))
+        rng.shuffle(order)
+        return [[row[i] for i in order] + row[ncols:] for row in rows], ncols, multipliers
+
+    monkeypatch.setattr(polygcd, "_multiplier_rows", permuted_rows)
+    degrees = set()
+    for (f, g), h in zip(pairs, expected):
+        assert multivariate_gcd(f, g) == h == reference_gcd(f, g), (str(f), str(g))
+        degrees.add(min(h.degree(), 3))
+    assert degrees == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("dom", [GF(7), GF(32003), QQ], ids=lambda d: d.name)
+def test_each_block_of_a_multiplier_matrix_arrives_in_row_echelon_form(monkeypatch, dom):
+    # the product columns ascend by packed key, so within the f-rows, and
+    # within the -g-rows, each row's first nonzero column lies strictly right
+    # of the row above's: elimination only clears one block against the other
+    rng = random.Random(61 + dom.characteristic)
+    build = polygcd._multiplier_rows
+    checked = []
+
+    def checked_rows(f, g, j, *args):
+        rows, ncols, multipliers = build(f, g, j, *args)
+        leads = [next(c for c in range(ncols) if row[c]) for row in rows]
+        for block in (leads[:len(multipliers)], leads[len(multipliers):]):
+            assert all(x < y for x, y in zip(block, block[1:])), (j, leads)
+        checked.append(j)
+        return rows, ncols, multipliers
+
+    monkeypatch.setattr(polygcd, "_multiplier_rows", checked_rows)
+    degrees = set()
+    for f, g in _planted_pairs(rng, dom):
+        checked.clear()
+        k = multivariate_gcd(f, g).degree()
+        if f.is_constant() or g.is_constant():
+            continue
+        assert checked[0] == 1 and (k < 2 or k in checked)
+        degrees.add(min(k, 2))
+    assert degrees == {0, 1, 2}
 
 
 def test_q_gcd_solves_its_exact_kernel_at_the_bound(monkeypatch):

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,6 +13,8 @@ from formstrength.minors import GenericMatrix, maximal_minors
 from formstrength.parse import parse_poly
 from formstrength.poly import Poly, Ring
 from formstrength.quadratic import (
+    _GRAM_SLOTS,
+    _gram_slot,
     DegenerateFormError,
     QuadraticForm,
     collective_strength_quadrics,
@@ -100,6 +103,40 @@ def test_from_poly_keeps_nothing_of_a_large_form():
     finally:
         tracemalloc.stop()
     assert kept < 10**6, kept
+
+
+def _three_scan_slot(m):
+    """The Gram slot by three scans of the exponent tuple, the rule
+    ``_gram_slot`` had before its one pass."""
+    if sum(m) != 2:
+        raise ValueError("not a homogeneous quadratic form")
+    if 2 in m:
+        return m.index(2), m.index(2)
+    i = m.index(1)
+    return i, m.index(1, i + 1)
+
+
+def test_gram_slot_in_one_pass_matches_the_three_scan_rule():
+    # 20 variables, past the 16 that _GRAM_SLOTS keeps, so no slot is cached
+    n = 20
+
+    def monomial(combo):
+        m = [0] * n
+        for v in combo:
+            m[v] += 1
+        return tuple(m)
+
+    quadratic = [monomial(c) for c in combinations_with_replacement(range(n), 2)]
+    assert len(quadratic) == 210
+    for m in quadratic:
+        assert _gram_slot(m) == _three_scan_slot(m), m
+    others = [monomial(c) for d in (1, 3) for c in combinations_with_replacement(range(n), d)]
+    others += [(0,) * n, (256,) + (0,) * (n - 1), (1, 0, 1) + (0,) * (n - 4) + (1,)]
+    for m in others:
+        for slot in (_gram_slot, _three_scan_slot):
+            with pytest.raises(ValueError, match="not a homogeneous quadratic form"):
+                slot(m)
+    assert not any(len(m) == n for m in _GRAM_SLOTS)
 
 
 def test_rank_requires_odd_characteristic():
