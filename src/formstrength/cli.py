@@ -13,13 +13,24 @@ flags it reads, so a flag that would be ignored is refused; only ``gb
 basis`` has an answer that depends on ``--order``.  Every command but
 ``recheck`` accepts ``--seed`` and records it in its JSON environment, but
 only ``certify small-r`` reads it.
+
+The commands, their operations, flags, positionals and handlers are one
+table, ``_SUBCOMMANDS``.  ``run`` reads a plain line from it directly
+(``_read_plain``): a command, its operation, then each declared flag at
+most once and the positional, in any order, with valid values.  Every
+other line goes to argparse, imported and built from the table only then:
+``-h``, ``--help`` and ``--version``, a missing or unknown command or
+operation, an unknown or abbreviated flag, ``--flag=value``, a value that
+is empty or starts with '-' (a negative number included), a repeated flag,
+``--``, a missing positional and every refusal.  ``run`` keeps its name:
+``perfbench/tracing.py`` wraps it as the benchmark's ``cli`` layer.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .domains import GF, QQ, domain_from_name
 from .groebner import (
@@ -104,8 +115,9 @@ def _integer(text, signed=False):
 
 
 def _int_option(signed):
-    """The argparse type of an integer option: argparse names the option and
-    the value in its refusal."""
+    """The type of an integer option, called by the plain reader and by
+    argparse alike: a ValueError sends the line to argparse, which names
+    the option and the value in its refusal."""
 
     def integer(text):
         return _integer(text, signed)
@@ -389,7 +401,8 @@ def cmd_recheck(args):
 
 # ---------------------------------------------------------------------------
 
-# option -> add_argument keywords; each subcommand names the ones it reads
+# option -> add_argument keywords; each command or operation names the ones
+# it reads
 _FLAGS = {
     "--json": {"action": "store_true", "help": "machine-readable output"},
     "--seed": {"type": _int_option(signed=True), "default": 0},
@@ -404,77 +417,56 @@ _FLAGS = {
     "--f": {"dest": "divisor", "help": "quotient divisor polynomial"},
 }
 
-
-def _flags(p, *options):
-    for option in ("--json",) + options:
-        p.add_argument(option, **_FLAGS[option])
-
-
-def _operations(sub, name, help, table):
-    ops = sub.add_parser(name, help=help).add_subparsers(dest="operation", required=True)
-    for operation, func, *options in table:
-        op = ops.add_parser(operation)
-        _flags(op, "--seed", *options)
-        op.set_defaults(func=func)
-
-
-def _add_regseq(sub):
-    p = sub.add_parser("regseq", help="test a system of forms for regularity")
-    _flags(p, "--seed", "--in", "--ring")
-    p.set_defaults(func=cmd_regseq)
-
-
-def _add_quadric(sub):
-    forms = ("--in", "--ring", "--p")
-    _operations(sub, "quadric", "rank / strength / minrank / collective strength", [
-        ("rank", cmd_rank, *forms, "--diag"), ("strength", cmd_rank, *forms, "--diag"),
-        ("minrank", cmd_minrank, *forms, "--diag"), ("collective", cmd_collective, *forms),
-    ])
-
-
-def _add_minors(sub):
-    p = sub.add_parser("minors", help="build and export maximal-minor families")
-    _flags(p, "--seed", "--field", "--matrix")
-    p.set_defaults(func=cmd_minors)
-
-
-def _add_gb(sub):
-    _operations(sub, "gb", "Groebner basis and ideal queries", [
-        ("basis", cmd_gb, "--in", "--ring", "--order"), ("dim", cmd_gb, "--in", "--ring"),
-        ("codim", cmd_gb, "--in", "--ring"), ("intersect", cmd_gb, "--in", "--ring", "--in2"),
-        ("quotient", cmd_gb, "--in", "--ring", "--f"),
-    ])
-
-
-def _add_certify(sub):
-    p = sub.add_parser("certify", help="build a machine-checked certificate")
-    p.add_argument("target", choices=sorted(BUILDERS) + ["all"])
-    _flags(p, "--seed", "--p")
-    p.set_defaults(func=cmd_certify)
-
-
-def _add_recheck(sub):
-    p = sub.add_parser("recheck", help="re-verify a serialized certificate")
-    p.add_argument("certificate", help="certificate JSON file")
-    _flags(p)
-    p.set_defaults(func=cmd_recheck)
-
-
-# subcommand -> the function that adds its parser, in the order --help lists them
+# command -> (help, positional, operations), in the order --help lists them.
+# A positional is (dest, add_argument keywords); operations map each
+# operation of quadric and gb, or None for a command without any, to its
+# handler and the flags it reads besides --json.
 _SUBCOMMANDS = {
-    "regseq": _add_regseq,
-    "quadric": _add_quadric,
-    "minors": _add_minors,
-    "gb": _add_gb,
-    "certify": _add_certify,
-    "recheck": _add_recheck,
+    "regseq": ("test a system of forms for regularity", None, {
+        None: (cmd_regseq, "--seed --in --ring"),
+    }),
+    "quadric": ("rank / strength / minrank / collective strength", None, {
+        "rank": (cmd_rank, "--seed --in --ring --p --diag"),
+        "strength": (cmd_rank, "--seed --in --ring --p --diag"),
+        "minrank": (cmd_minrank, "--seed --in --ring --p --diag"),
+        "collective": (cmd_collective, "--seed --in --ring --p"),
+    }),
+    "minors": ("build and export maximal-minor families", None, {
+        None: (cmd_minors, "--seed --field --matrix"),
+    }),
+    "gb": ("Groebner basis and ideal queries", None, {
+        "basis": (cmd_gb, "--seed --in --ring --order"),
+        "dim": (cmd_gb, "--seed --in --ring"),
+        "codim": (cmd_gb, "--seed --in --ring"),
+        "intersect": (cmd_gb, "--seed --in --ring --in2"),
+        "quotient": (cmd_gb, "--seed --in --ring --f"),
+    }),
+    "certify": ("build a machine-checked certificate",
+                ("target", {"choices": sorted(BUILDERS) + ["all"]}), {
+        None: (cmd_certify, "--seed --p"),
+    }),
+    "recheck": ("re-verify a serialized certificate",
+                ("certificate", {"help": "certificate JSON file"}), {
+        None: (cmd_recheck, ""),
+    }),
 }
+
+
+def _declared(flags):
+    """The options of a table entry's ``flags``, --json first."""
+    return ["--json", *flags.split()]
+
+
+def _dest(option):
+    return _FLAGS[option].get("dest", option[2:])
 
 
 def build_parser(command=None):
     """The argument parser, with every subcommand, or with ``command`` only
     that one's.  Its usage line names every subcommand either way, so a
     usage or error message does not depend on which were built."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="formstrength",
         description="Exact certificates for rank, strength and regular-sequence properties of forms.",
@@ -483,26 +475,90 @@ def build_parser(command=None):
     # argparse spells the usage of a full parser's subcommands this way
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in _SUBCOMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    for name, (summary, positional, operations) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        if None not in operations:
+            ops = p.add_subparsers(dest="operation", required=True)
+        for operation, (func, flags) in operations.items():
+            op = p if operation is None else ops.add_parser(operation)
+            if positional is not None:
+                op.add_argument(positional[0], **positional[1])
+            for option in _declared(flags):
+                op.add_argument(option, **_FLAGS[option])
+            op.set_defaults(func=func)
     return parser
 
 
 def parser_for(argv):
-    """The parser ``run`` reads ``argv`` with: one subcommand's when argv
-    starts with its name, since only that one is read, else every one, for
-    ``--help``, ``--version`` and the messages of a missing or unknown
+    """The parser ``run`` falls back to for ``argv``: one subcommand's when
+    argv starts with its name, since only that one is read, else every one,
+    for ``--help``, ``--version`` and the messages of a missing or unknown
     command."""
     return build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
 
 
+def _read_plain(argv):
+    """The namespace argparse would give for a plain command line, read
+    from the table, or None for any other line.  A plain line is a command,
+    its operation for quadric and gb, then each declared flag at most once
+    and the command's positional once, in any order; a store_true flag takes
+    no value, every other flag the next token.  No value is empty or starts
+    with '-', and each passes the flag's type and choices."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, positional, operations = _SUBCOMMANDS[argv[0]]
+    args = {"command": argv[0]}
+    rest = iter(argv[1:])
+    operation = None
+    if None not in operations:
+        operation = args["operation"] = next(rest, None)
+        if operation not in operations:
+            return None
+    func, flags = operations[operation]
+    declared = _declared(flags)
+    for option in declared:
+        keywords = _FLAGS[option]
+        args[_dest(option)] = keywords.get("default", False if "action" in keywords else None)
+    seen = set()
+    for token in rest:
+        if token in declared and token not in seen:
+            seen.add(token)
+            keywords, dest = _FLAGS[token], _dest(token)
+            if "action" in keywords:  # store_true
+                args[dest] = True
+                continue
+            value = next(rest, "")
+        elif positional is not None and positional[0] not in seen:
+            dest = positional[0]
+            seen.add(dest)
+            keywords, value = positional[1], token
+        else:
+            return None
+        if not value or value[0] == "-":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = value
+    if positional is not None and positional[0] not in seen:
+        return None
+    args["func"] = func
+    return SimpleNamespace(**args)
+
+
 def run(argv) -> int:
-    parser = parser_for(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = parser_for(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

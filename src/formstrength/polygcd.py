@@ -59,8 +59,9 @@ from .orders import DEGREVLEX, WIDTH, packing
 from .poly import Poly
 
 # the modulus of the degree bound over Q; any prime gives a valid bound, a
-# large one makes a bound above the true degree (a wasted kernel) rare
-_BOUND_PRIME = 2**31 - 1
+# large one makes a bound above the true degree (a wasted kernel) rare, and
+# one below 2**30 keeps every residue a one-digit CPython int
+_BOUND_PRIME = 2**30 - 35
 
 
 def _count(nv, d, forms):

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import random
+import shlex
+import subprocess
 import sys
 import time
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,27 @@ from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly, loa
 from formstrength.poly import Poly, Ring, mono_divides
 
 from conftest import FIXTURES
+
+# the plain reader itself, which _plain_reads wraps around every test's run
+READ_PLAIN = cli._read_plain
+
+
+@pytest.fixture(autouse=True)
+def _plain_reads(monkeypatch):
+    """Every command line a test here runs is read plainly when argparse
+    accepts it, to argparse's namespace, and left to argparse otherwise."""
+    lines = []
+
+    def recorded(argv):
+        plain = READ_PLAIN(argv)
+        lines.append((list(argv), plain))
+        return plain
+
+    monkeypatch.setattr(cli, "_read_plain", recorded)
+    yield
+    for argv, plain in lines:
+        outcome = _parse(cli.build_parser(), argv)[2]
+        assert (None if plain is None else vars(plain)) == (outcome if isinstance(outcome, dict) else None), argv
 
 
 def _capture(capsys):
@@ -446,10 +471,10 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
 
 
 def test_any_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
-    def broken(args):
+    def broken(ideal):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(cli, "cmd_gb", broken)
+    monkeypatch.setattr(cli, "codimension", broken)
     path = tmp_path / "sys.txt"
     path.write_text("ring n=2 field=q\nx1\n")
     assert run(["gb", "codim", "--in", str(path)]) == 3
@@ -1309,6 +1334,14 @@ PARSER_CASES = [
     ["quadric", "rank", "--diag", "1,2", "--p", "7"], ["quadric", "collective", "--diag", "1"],
 ]
 
+# lines that the plain reader leaves to argparse, accepted or refused there
+ARGPARSE_ONLY = [
+    ["regseq", "--seed", "-3"], ["regseq", "--in=f"], ["quadric", "collective", "--p", "7", "--p", "11"],
+    ["certify", "--json", "--", "n33"], ["regseq", "--in", "f", "--", "--json"], ["recheck", ""],
+    ["gb", "dim", "--in", ""], ["gb", "basis", "--in", "f", "-h"], ["certify", "n33", "--seed", "2", "--help"],
+]
+PARSER_CASES += ARGPARSE_ONLY
+
 
 def _parse(parser, argv):
     """What parsing argv prints and gives: the exit code of a refusal or of
@@ -1337,3 +1370,99 @@ def test_a_named_subcommand_builds_only_its_own_parser():
         assert built([command, "--help"]) == [command]
     for argv in ([], ["--help"], ["--version"], ["nope"]):
         assert built(argv) == list(cli._SUBCOMMANDS)
+
+
+def _agrees_with_argparse(parser, argv):
+    """Check that the plain reader gives argparse's namespace for argv or
+    leaves the line to argparse; return whether it read the line."""
+    plain = READ_PLAIN(argv)
+    outcome = _parse(parser, argv)[2]
+    if plain is not None:
+        assert isinstance(outcome, dict) and vars(plain) == outcome, argv
+    return plain is not None
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_plain_reader_reads_as_argparse_or_leaves_the_line_to_it(argv):
+    read = _agrees_with_argparse(cli.build_parser(), argv)
+    assert not (read and argv in ARGPARSE_ONLY)
+
+
+# values each flag and positional takes in a well-formed line
+_VALUES = {
+    "--seed": ["0", "7", "0123"], "--in": ["f.txt", "a b.txt", "gb"], "--ring": ["n=2 field=q"],
+    "--order": ["degrevlex", "lex"], "--field": ["q", "fp:7"], "--matrix": ["4x3"], "--diag": ["1,2,3"],
+    "--p": ["7", "101"], "--in2": ["b.txt"], "--f": ["x1*x2"],
+    "target": sorted(cli.BUILDERS) + ["all"], "certificate": ["c.json", "all"],
+}
+# tokens a fuzzed line may gain: help, version, '--', abbreviations, joined
+# values, negative numbers, empty strings, bad values, repeats
+_STRAY = ["-h", "--help", "--version", "--", "--se", "--in=f", "--seed", "-3", "", "x", "--json",
+          "--p", "--order", "bad", "n33", "regseq", "basis", "--bogus", "-", "--matrix"]
+
+
+def _plain_line(rng):
+    """A command, its operation and its positional, and each of its declared
+    flags or not, with a valid value, in random order."""
+    command = rng.choice(list(cli._SUBCOMMANDS))
+    _, positional, operations = cli._SUBCOMMANDS[command]
+    operation = rng.choice(list(operations))
+    items = [[option] if option == "--json" else [option, rng.choice(_VALUES[option])]
+             for option in cli._declared(operations[operation][1]) if rng.random() < 0.5]
+    if positional is not None:
+        items.append([rng.choice(_VALUES[positional[0]])])
+    rng.shuffle(items)
+    return [command] + ([] if operation is None else [operation]) + [t for item in items for t in item]
+
+
+def _fuzzed_line(rng):
+    """A well-formed line with a stray token inserted, or a token deleted
+    or repeated, once or twice."""
+    argv = _plain_line(rng)
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.randrange(3)
+        if edit == 0 or not argv:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(_STRAY))
+        elif edit == 1:
+            del argv[rng.randrange(len(argv))]
+        else:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(argv))
+    return argv
+
+
+def test_plain_reader_agrees_with_argparse_on_fuzzed_lines():
+    rng, parser = random.Random(3801), cli.build_parser()
+    read = sum(_agrees_with_argparse(parser, _plain_line(rng) if rng.random() < 0.7 else _fuzzed_line(rng))
+               for _ in range(10000))
+    # most lines are well formed, so the plain path is what is checked
+    assert read > 6000
+
+
+def test_every_readme_example_is_read_plainly():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line, comments=True) for line in readme.splitlines() if line.startswith("formstrength ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for words in lines:
+        argv = words[1:words.index(">")] if ">" in words else words[1:]
+        assert _agrees_with_argparse(parser, argv), argv
+
+
+def test_a_plain_line_never_imports_argparse_and_a_refusal_still_gets_its_message(monkeypatch):
+    code = (
+        "import sys\n"
+        "import formstrength.cli as cli\n"
+        "rc = cli.run(['certify', 'n33', '--json'])\n"
+        "print(rc, 'argparse' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(cli.run(['regseq', '--bogus']))\n"
+    )
+    # argparse wraps its usage line to COLUMNS, so both sides get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    first, _, refusal = proc.stderr.partition("\n")
+    assert first == "0 False"
+    assert json.loads(proc.stdout)["claim"] == "N(3,3) > 2"
+    assert proc.returncode == 2
+    assert refusal == _parse(cli.build_parser(), ["regseq", "--bogus"])[1]
+    assert refusal.endswith("error: unrecognized arguments: --bogus\n")
