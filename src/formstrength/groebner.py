@@ -1,13 +1,20 @@
 """Buchberger engine and ideal-theoretic queries.
 
 The basis computation is Buchberger with the Gebauer-Moeller pair
-eliminations and normal (smallest-lcm-first) selection.  Its bases are
-minimal and stay packed (see ``GroebnerBasis``): leads, dimension,
-membership and normal forms need no more, since a remainder on division by
-any Groebner basis is unique.  The elements are interreduced and decoded on
-first read, into the unique reduced basis for (ideal, order).
+eliminations and one selection rule for every order, the sugar strategy of
+Giovini, Mora, Niesi, Robbiano & Traverso ("One sugar cube, please", ISSAC
+1991).  A generator's sugar is its total degree; a pair's is deg(lcm) +
+max(e_i, e_j), e an element's sugar less the degree of its lead; an
+S-polynomial reduced to a new element keeps its pair's sugar.  Pairs leave
+the heap by least sugar, then smallest lcm.  For homogeneous input every e
+is 0, so the sugar is the degree of the lcm, and under degrevlex this is
+normal (smallest-lcm-first) selection.  The bases are minimal and stay
+packed (see ``GroebnerBasis``): leads, dimension, membership and normal
+forms need no more, since a remainder on division by any Groebner basis is
+unique.  The elements are interreduced and decoded on first read, into the
+unique reduced basis for (ideal, order).
 
-For r ≤ n homogeneous generators of degrees d_i under degrevlex, pairs
+For r ≤ n homogeneous generators of degrees d_i, under every order, pairs
 leave the heap by ascending degree, and a Hilbert-driven criterion
 (Traverso, J. Symbolic Comput. 22, 1996) drops pairs that would reduce to
 zero.  Let L be the ideal of the leads found so far and CI(k) the t^k
@@ -15,14 +22,16 @@ coefficient of ∏(1 - t^d_i)/(1 - t)^n, the Hilbert function of a complete
 intersection.  Once HF(R/L)(k) = CI(k), every remaining pair of degree k is
 dropped unreduced.  The equality is tested when a pair of degree k leaves
 the heap while other pairs still wait, since on the last pair a test could
-save only one reduction.  This is sound over any field:
+save only one reduction.  This is sound over any field and under any
+order:
 
 * over the algebraic closure, which changes no Hilbert function, regular
   sequences of r ≤ n forms of these degrees (x_i^d_i among them) form a
   dense open set, and so do the forms where the multiplication map
   ⊕ R_(k-d_i) → R_k has its largest rank; the two sets meet, so that rank
   is the one of a regular sequence, dim R_k - CI(k), and HF(R/I)(k) ≥ CI(k);
-* L ⊆ in(I), so HF(R/L)(k) ≥ HF(R/in(I))(k) = HF(R/I)(k);
+* L ⊆ in(I), so HF(R/L)(k) ≥ HF(R/in(I))(k) = HF(R/I)(k), for in(I) under
+  any order;
 * so HF(R/L)(k) = CI(k) forces L_k = in(I)_k, and an S-polynomial of
   degree k, a member of I_k, has no lead outside L: it reduces to zero.
 
@@ -30,8 +39,8 @@ HF(R/L) comes from the Hilbert numerator N(L) of the series N(t)/(1 - t)^n,
 kept up to date as leads arrive by N(L + (m)) = N(L) - t^|m|·N(L : m), with
 the numerators of the monomial ideals L : m by the pivot recursion of
 Bayer & Stillman (J. Symbolic Comput. 14, 1992).  The reduced basis is
-unique, so the criterion changes no result; non-homogeneous input, other
-orders and r > n (where CI(k) is no bound) run without it.
+unique, so the criterion changes no result; non-homogeneous input and
+r > n (where CI(k) is no bound) run without it.
 
 Dimension comes from maximal independent variable sets of the leading-term
 ideal.  An intersection is the degrevlex basis of I·J under the Hilbert
@@ -322,7 +331,7 @@ def _ci_numerator(degrees):
 class _HilbertBound:
     """N(L) - T, the numerator of HF(R/L) minus the Hilbert function with
     numerator T, for the leads L it has taken in: T = ∏(1 - t^d_i) for
-    Traverso's bound, the prune hook of a degrevlex basis (module docstring),
+    Traverso's bound, the prune hook of every basis (module docstring),
     and N(R/(I ∩ J)) for an intersection (``ideal_intersection``)."""
 
     __slots__ = ("n", "leads", "excess", "filled")
@@ -379,21 +388,22 @@ def groebner_basis(gens, order=DEGREVLEX, ring=None) -> GroebnerBasis:
             raise ValueError("generators live in different rings")
     if not gens:
         return GroebnerBasis(ring, order, [])
-    prune = _HilbertBound.of(gens, ring.nvars) if order is DEGREVLEX else None
-    return _reduced(*_buchberger(gens, order, ring, prune), order, ring)
+    return _reduced(*_buchberger(gens, order, ring, _HilbertBound.of(gens, ring.nvars)), order, ring)
 
 
-def _buchberger(gens, order, ring, prune=None):
+def _buchberger(gens, order, ring, prune):
     """The reducers and leading monomials of a Groebner basis of the nonzero
-    ``gens``, not minimal and not reduced.  A pair is dropped unreduced when
-    ``prune(lms, lcm, waiting)`` (the leads, its lcm, the number of other
-    pairs waiting) returns True: the Hilbert bound drops pairs that reduce to
-    zero."""
+    ``gens``, not minimal and not reduced.  Pairs are taken by least sugar,
+    then smallest lcm, under every order (module docstring).  A pair is
+    dropped unreduced when ``prune(lms, lcm, waiting)`` (the leads, its lcm,
+    the number of other pairs waiting) returns True: the Hilbert bound drops
+    pairs that reduce to zero."""
     dom = ring.domain
     pk = packing(order, ring.nvars)
     enc = pk.key
 
     lms = []          # leading monomials of current elements
+    ecarts = []       # sugar minus lead degree per element
     reducers = []     # (lead key, lead vector, monic tail) per element
     pairs = {}        # (i, j) -> lcm, i < j
     heap = []
@@ -428,32 +438,35 @@ def _buchberger(gens, order, ring, prune=None):
             if coprime:
                 continue  # product criterion
             pairs[(i, t)] = l
-            heappush(heap, (-enc(l), i, t))
+            heappush(heap, (sum(l) + max(ecarts[i], ecarts[t]), -enc(l), i, t))
 
-    def add_element(rem):
+    def add_element(rem, sugar):
         reducer = _reducer(rem, pk, dom)
-        lms.append(pk.monomial(reducer[0]))
+        lm = pk.monomial(reducer[0])
+        lms.append(lm)
+        ecarts.append(sugar - sum(lm))
         reducers.append(reducer)
         push_pairs(len(reducers) - 1)
 
-    # generators in ascending order of their leading monomials
-    works = [_encode(pk, g) for g in gens]
-    for work in sorted(works, key=lambda w: -min(w)):
+    # generators in ascending order of their leading monomials, each with
+    # its total degree as sugar
+    works = [(_encode(pk, g), g.degree()) for g in gens]
+    for work, sugar in sorted(works, key=lambda w: -min(w[0])):
         rem = _reduce_terms(work, reducers, pk, dom)
         if rem:
-            add_element(rem)
+            add_element(rem, sugar)
 
     while heap:
-        _, i, j = heappop(heap)
+        sugar, _, i, j = heappop(heap)
         l = pairs.pop((i, j), None)
-        if l is None or (prune is not None and prune(lms, l, len(pairs))):
+        if l is None or prune(lms, l, len(pairs)):
             continue
         work = _spair(reducers[i], reducers[j], enc(l), dom)
         if not work:
             continue
         rem = _reduce_terms(work, reducers, pk, dom)
         if rem:
-            add_element(rem)
+            add_element(rem, sugar)
     return reducers, lms
 
 

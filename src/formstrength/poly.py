@@ -30,10 +30,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def monomials(variables, nvars, d, forms):
     """The monomials over the given variable indices of degree exactly d
     (``forms``) or at most d, as exponent tuples of length nvars, in
@@ -157,12 +153,12 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self):
         if not self.terms:
             return True
-        degs = {mono_degree(m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return len(degs) == 1
 
     def variables(self):
@@ -243,11 +239,11 @@ class Poly:
         mul = self.ring.domain.mul
         return Poly(self.ring, {m: mul(cc, c) for m, cc in self.terms.items()}, _clean=False)
 
-    def monic(self, order=DEGREVLEX):
-        """Divide by the leading coefficient under the given order."""
+    def monic(self):
+        """Divide by the leading coefficient under degrevlex."""
         if not self.terms:
             return self
-        lm = max(self.terms, key=order.key)
+        lm = max(self.terms, key=DEGREVLEX.key)
         inv = self.ring.domain.inv(self.terms[lm])
         return self.scale(inv)
 

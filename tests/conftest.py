@@ -65,13 +65,14 @@ def mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def spolynomial(f, g, order=DEGREVLEX):
-    """S-polynomial of two nonzero polynomials, from their monic forms; the
-    tests check a basis by reducing every one of its S-polynomials to 0."""
-    fm = f.monic(order)
-    gm = g.monic(order)
-    lmf = max(fm.terms, key=order.key)
-    lmg = max(gm.terms, key=order.key)
+def spolynomial(f, g):
+    """Degrevlex S-polynomial of two nonzero polynomials, from their monic
+    forms; the tests check a basis by reducing every one of its
+    S-polynomials to 0."""
+    fm = f.monic()
+    gm = g.monic()
+    lmf = max(fm.terms, key=DEGREVLEX.key)
+    lmg = max(gm.terms, key=DEGREVLEX.key)
     l = mono_lcm(lmf, lmg)
     one = f.ring.domain.one
     qf = Poly(f.ring, {mono_div(l, lmf): one}, _clean=False)

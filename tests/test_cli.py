@@ -19,11 +19,11 @@ import formstrength.polygcd as polygcd
 import formstrength.quadratic as quadratic
 from formstrength.cli import run
 from formstrength.domains import GF, QQ, domain_from_name
-from formstrength.orders import DEGREVLEX, MAX_EXPONENT
+from formstrength.orders import DEGREVLEX, LEX, MAX_EXPONENT
 from formstrength.parse import _MAX_VARIABLES, dump_ideal_text, format_poly, load_ideal_text, parse_poly
 from formstrength.poly import Poly, Ring, mono_divides
 
-from conftest import FIXTURES
+from conftest import FIXTURES, dense_form
 
 # the plain reader itself, which _plain_reads wraps around every test's run
 READ_PLAIN = cli._read_plain
@@ -342,6 +342,50 @@ def test_gb_basis_lex_order(tmp_path, capsys):
     assert run(["gb", "basis", "--in", str(ideal), "--order", "lex"]) == 0
     out, _ = _capture(capsys)
     assert "x2^3 - x3^2" in out  # the eliminant appears under lex
+
+
+def _colength(leads, n):
+    """The number of monomials outside the ideal of the leads, for a
+    zero-dimensional one."""
+    standard, frontier = set(), [(0,) * n]
+    while frontier:
+        m = frontier.pop()
+        if m not in standard and not any(mono_divides(lead, m) for lead in leads):
+            standard.add(m)
+            frontier.extend(tuple(e + (i == v) for v, e in enumerate(m)) for i in range(n))
+    return len(standard)
+
+
+@pytest.mark.parametrize("n, r, tails", [(6, 5, False), (6, 7, False), (4, 4, True)],
+                         ids=["five-forms", "seven-forms", "inhomogeneous"])
+def test_gb_basis_lex_on_dense_quadrics_finishes(tmp_path, n, r, tails):
+    # dense quadrics over F_32003 under lex: with pairs taken by smallest
+    # lcm alone the forms ran past 60 s, the inhomogeneous system 3.9 s.
+    # The printed basis B is checked against the degrevlex basis only: B
+    # lies in I, and its lex leads L ⊆ in(I) leave as much outside as in(I)
+    # does, the same Hilbert numerator for forms or the same colength for a
+    # zero-dimensional ideal, so L = in(I)
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(f"lex:{n}:{r}")
+    gens = [dense_form(rng, ring, 2, tails) for _ in range(r)]
+    path = tmp_path / "sys.txt"
+    path.write_text(dump_ideal_text(ring, gens))
+    code = "import sys\nfrom formstrength.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", code, "gb", "basis", "--order", "lex", "--json", "--in", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    basis = [parse_poly(g, ring) for g in json.loads(proc.stdout)["result"]["basis"]]
+    ideal = groebner.Ideal(ring, gens)
+    reference = ideal.groebner()
+    assert not any(groebner.normal_form(g, reference).terms for g in basis)
+    leads = [max(g.terms, key=LEX.key) for g in basis]
+    if tails:
+        assert groebner.dimension(ideal) == 0
+        assert _colength(leads, n) == _colength(reference.lead_monomials, n)
+    else:
+        numerators = [groebner._hilbert_numerator(ls) for ls in (leads, reference.lead_monomials)]
+        assert not any(groebner._add_shifted(*numerators, 0, -1))
 
 
 def test_regseq_respects_order_flag(tmp_path):
@@ -1305,7 +1349,7 @@ def test_regseq_computes_one_gcd_per_pair_and_a_pinned_count_of_bases(tmp_path, 
         calls["gcd"] += 1
         return gcd_fn(*args)
 
-    def basis(gens, order, ring, prune=None):
+    def basis(gens, order, ring, prune):
         calls["degrevlex" if order == DEGREVLEX else "elimination"] += 1
         return buchberger(gens, order, ring, prune)
 

@@ -46,16 +46,17 @@ def _naive_reduce(f, basis, order):
     return rem
 
 
-def _naive_buchberger(gens, order=DEGREVLEX):
-    """Textbook Buchberger with no pair criteria: every pair is processed."""
-    basis = [g.monic(order) for g in gens if g.terms]
+def _naive_buchberger(gens):
+    """Textbook degrevlex Buchberger with no pair criteria: every pair is
+    processed."""
+    basis = [g.monic() for g in gens if g.terms]
     pairs = list(combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop(0)
-        rem = _naive_reduce(spolynomial(basis[i], basis[j], order), basis, order)
+        rem = _naive_reduce(spolynomial(basis[i], basis[j]), basis, DEGREVLEX)
         if rem.terms:
             t = len(basis)
-            basis.append(rem.monic(order))
+            basis.append(rem.monic())
             pairs.extend((k, t) for k in range(t))
     return basis
 

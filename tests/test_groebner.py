@@ -314,6 +314,23 @@ def test_dense_regular_triples_reach_zero_in_no_reduction(monkeypatch, n, degree
         assert not normal_form(spolynomial(f, g), basis).terms
 
 
+@pytest.mark.parametrize("n, r", [(5, 3), (4, 4)])
+def test_the_hilbert_bound_prunes_lex_bases_and_changes_none(monkeypatch, n, r):
+    # the bound holds under every order (L ⊆ in(I), and HF(R/in(I)) =
+    # HF(R/I) for any order): on a regular sequence it drops pairs of a lex
+    # basis, which is the one a hook that never prunes gives
+    ring = Ring.flat(n, GF(32003))
+    rng = random.Random(f"lex:{n}:{r}")
+    forms = [dense_form(rng, ring, 2) for _ in range(r)]
+    fired = []
+    prune = _HilbertBound.__call__
+    monkeypatch.setattr(_HilbertBound, "__call__", lambda self, *a: fired.append(prune(self, *a)) or fired[-1])
+    basis = groebner_basis(forms, LEX)
+    assert any(fired)
+    unpruned = groebner._reduced(*groebner._buchberger(forms, LEX, ring, lambda *a: False), LEX, ring)
+    assert basis.elements == unpruned.elements
+
+
 @pytest.mark.parametrize("rows, domain", [(4, QQ), (7, GF(32003))])
 def test_maximal_minor_bases_are_the_minors(rows, domain):
     # maximal minors are a universal Groebner basis (Bernstein & Zelevinsky,

@@ -9,6 +9,7 @@ sympy = pytest.importorskip("sympy")
 import formstrength.groebner as groebner
 from formstrength.domains import GF, QQ
 from formstrength.groebner import Ideal, groebner_basis, ideal_intersection, ideal_quotient
+from formstrength.orders import DEGREVLEX, LEX
 from formstrength.poly import Ring
 
 from conftest import dense_form, random_homogeneous, random_poly
@@ -33,7 +34,11 @@ def _monic_strings(exprs, xs):
     return sorted(out)
 
 
-def test_reduced_bases_match_sympy():
+SYMPY_ORDERS = {DEGREVLEX: "grevlex", LEX: "lex"}
+
+
+@pytest.mark.parametrize("order", SYMPY_ORDERS, ids=SYMPY_ORDERS.values())
+def test_reduced_bases_match_sympy(order):
     rng = random.Random(12345)
     for _ in range(25):
         n = rng.randint(2, 3)
@@ -43,8 +48,8 @@ def test_reduced_bases_match_sympy():
         if not gens:
             continue
         xs = sympy.symbols(f"x1:{n + 1}")
-        mine = groebner_basis(gens)
-        theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order="grevlex")
+        mine = groebner_basis(gens, order)
+        theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order=SYMPY_ORDERS[order])
         assert _monic_strings([_to_sympy(g, xs) for g in mine.elements], xs) == _monic_strings(
             list(theirs.exprs), xs
         )
@@ -87,23 +92,29 @@ def _sympy_poly(expr, xs, modulus):
 
 
 KINDS = ["regular", "planted", "repeated", "monomial", "artinian", "overdetermined", "inhomogeneous"]
+# the criterion runs under every order; lex takes the homogeneous shapes
+ORDERED_KINDS = [pytest.param(kind, DEGREVLEX, id=kind) for kind in KINDS] + [
+    pytest.param(kind, LEX, id=f"{kind}-lex") for kind in KINDS if kind != "inhomogeneous"
+]
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind, order", ORDERED_KINDS)
 @pytest.mark.parametrize("domain", [QQ, GF(7), GF(32003)], ids=["q", "f7", "f32003"])
-def test_bases_around_the_hilbert_criterion_match_sympy(monkeypatch, kind, domain):
+def test_bases_around_the_hilbert_criterion_match_sympy(monkeypatch, kind, order, domain):
     fired = []
     prune = groebner._HilbertBound.__call__
     monkeypatch.setattr(groebner._HilbertBound, "__call__", lambda self, *a: fired.append(prune(self, *a)) or fired[-1])
     rng = random.Random(f"{kind}:{domain.name}")
     p = domain.characteristic
     for _ in range(8):
-        n = rng.randint(2, 4)
+        # sympy's lex Buchberger takes up to 100 s on a dense 4-variable
+        # cubic system of these shapes, so lex stays in 2 or 3 variables
+        n = rng.randint(2, 3 if order is LEX else 4)
         ring = Ring.flat(n, domain)
         gens = _system(rng, kind, ring)
         xs = sympy.symbols(f"x1:{n + 1}")
-        mine = [_sympy_poly(_to_sympy(g, xs), xs, p) for g in groebner_basis(gens)]
-        theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order="grevlex", modulus=p or None)
+        mine = [_sympy_poly(_to_sympy(g, xs), xs, p) for g in groebner_basis(gens, order)]
+        theirs = sympy.groebner([_to_sympy(g, xs) for g in gens], *xs, order=SYMPY_ORDERS[order], modulus=p or None)
         theirs = [_sympy_poly(e, xs, p) for e in theirs.exprs]
         assert sorted(map(str, mine)) == sorted(map(str, theirs)), [str(g) for g in gens]
     # the criterion runs for r <= n forms only, and drops pairs on these inputs
